@@ -9,8 +9,8 @@
 // This bench reproduces the seed path verbatim (fresh plans +
 // forward_strided, below) and races it against the v2 paths:
 //
-//   3D c2c  l x l x l   seed  vs  v2 serial  vs  v2 threaded
-//   2D c2c  n x n       seed  vs  v2 serial  vs  v2 threaded
+//   3D c2c  l x l x l   seed  vs  v2
+//   2D c2c  n x n       seed  vs  v2
 //   2D r2c  n x n       v2 c2c  vs  v2 rfft2d_forward
 //
 // for n in {64, l2d} (l2d defaults to 331, the paper's Sindbis view
@@ -24,7 +24,7 @@
 // over reps (the standard noise-robust estimator on shared hardware).
 //
 // Flags: --l3d <edge>  (default 128)   --l2d <edge> (default 331)
-//        --reps <n>    (default 5)     --threads <n> (default 0 = hw)
+//        --reps <n>    (default 5)
 //        --paper_sizes (also bench the paper's 2D view edges, 331 and
 //                       511 — opt-in so the CI smoke run stays fast)
 //        --out <path>  (default BENCH_fft.json)
@@ -241,15 +241,11 @@ int main(int argc, char** argv) {
   const std::size_t l3d = static_cast<std::size_t>(cli.get_int("l3d", 128));
   const std::size_t l2d = static_cast<std::size_t>(cli.get_int("l2d", 331));
   const std::size_t reps = static_cast<std::size_t>(cli.get_int("reps", 5));
-  const std::size_t threads =
-      static_cast<std::size_t>(cli.get_int("threads", 0));
   const bool paper_sizes = cli.get_bool("paper_sizes", false);
   const std::string out = cli.get("out", "BENCH_fft.json");
   cli.assert_all_consumed();
 
-  const fft::FftOptions threaded{threads == 1 ? std::size_t{0} : threads};
-  std::printf("bench_fft: l3d=%zu l2d=%zu reps=%zu threads=%zu\n", l3d, l2d,
-              reps, threads);
+  std::printf("bench_fft: l3d=%zu l2d=%zu reps=%zu\n", l3d, l2d, reps);
 
   double worst_divergence = 0.0;
   std::string json = "{\n";
@@ -257,7 +253,7 @@ int main(int argc, char** argv) {
   json += "  \"l2d\": " + std::to_string(l2d) + ",\n";
   json += "  \"reps\": " + std::to_string(reps) + ",\n";
 
-  // ---- 3D: seed vs v2 serial vs v2 threaded -------------------------------
+  // ---- 3D: seed vs v2 ------------------------------------------------------
   {
     const auto input = random_field(l3d * l3d * l3d, 101);
     auto seed_out = input;
@@ -265,12 +261,9 @@ int main(int argc, char** argv) {
     auto v2_out = input;
     fft::fft3d_forward(v2_out.data(), l3d, l3d, l3d);  // warms the plan cache
     const double div_serial = rel_divergence(v2_out, seed_out);
-    auto v2_threaded_out = input;
-    fft::fft3d_forward(v2_threaded_out.data(), l3d, l3d, l3d, threaded);
-    const double div_threaded = rel_divergence(v2_threaded_out, seed_out);
-    worst_divergence = std::max({worst_divergence, div_serial, div_threaded});
+    worst_divergence = std::max(worst_divergence, div_serial);
 
-    std::vector<double> seed_s(reps), serial_s(reps), thread_s(reps);
+    std::vector<double> seed_s(reps), serial_s(reps);
     for (std::size_t rep = 0; rep < reps; ++rep) {
       auto work = input;
       util::WallTimer t0;
@@ -280,31 +273,23 @@ int main(int argc, char** argv) {
       util::WallTimer t1;
       fft::fft3d_forward(work.data(), l3d, l3d, l3d);
       serial_s[rep] = t1.seconds();
-      work = input;
-      util::WallTimer t2;
-      fft::fft3d_forward(work.data(), l3d, l3d, l3d, threaded);
-      thread_s[rep] = t2.seconds();
     }
-    const double best_v2 = std::min(min_of(serial_s), min_of(thread_s));
-    const double speedup = best_v2 > 0.0 ? min_of(seed_s) / best_v2 : 0.0;
+    const double speedup =
+        min_of(serial_s) > 0.0 ? min_of(seed_s) / min_of(serial_s) : 0.0;
     std::printf(
-        "  fft3d %zu^3   seed: %.1f ms   v2 serial: %.1f ms   v2 threaded: "
-        "%.1f ms   speedup: %.2fx   maxreldiff: %.3g\n",
-        l3d, min_of(seed_s) * 1e3, min_of(serial_s) * 1e3,
-        min_of(thread_s) * 1e3, speedup, std::max(div_serial, div_threaded));
+        "  fft3d %zu^3   seed: %.1f ms   v2: %.1f ms   speedup: %.2fx   "
+        "maxreldiff: %.3g\n",
+        l3d, min_of(seed_s) * 1e3, min_of(serial_s) * 1e3, speedup,
+        div_serial);
 
     json += "  \"fft3d\": {\n";
     json += "    \"seed_seconds\": " + json_number(min_of(seed_s)) + ",\n";
     json += "    \"v2_serial_seconds\": " + json_number(min_of(serial_s)) +
             ",\n";
-    json += "    \"v2_threaded_seconds\": " + json_number(min_of(thread_s)) +
-            ",\n";
     json += "    \"seed_seconds_reps\": " + rep_list(seed_s) + ",\n";
     json += "    \"v2_serial_seconds_reps\": " + rep_list(serial_s) + ",\n";
-    json += "    \"v2_threaded_seconds_reps\": " + rep_list(thread_s) + ",\n";
     json += "    \"speedup_vs_seed\": " + json_number(speedup) + ",\n";
-    json += "    \"max_rel_diff\": " +
-            json_number(std::max(div_serial, div_threaded)) + "\n";
+    json += "    \"max_rel_diff\": " + json_number(div_serial) + "\n";
     json += "  },\n";
   }
 
@@ -337,8 +322,7 @@ int main(int argc, char** argv) {
     const double div_r2c = rel_divergence(r2c_out, seed_out);
     worst_divergence = std::max({worst_divergence, div_c2c, div_r2c});
 
-    std::vector<double> seed_s(reps), serial_s(reps), thread_s(reps),
-        r2c_s(reps);
+    std::vector<double> seed_s(reps), serial_s(reps), r2c_s(reps);
     for (std::size_t rep = 0; rep < reps; ++rep) {
       auto work = input;
       util::WallTimer t0;
@@ -348,13 +332,9 @@ int main(int argc, char** argv) {
       util::WallTimer t1;
       fft::fft2d_forward(work.data(), n, n);
       serial_s[rep] = t1.seconds();
-      work = input;
       util::WallTimer t2;
-      fft::fft2d_forward(work.data(), n, n, threaded);
-      thread_s[rep] = t2.seconds();
-      util::WallTimer t3;
       fft::rfft2d_forward(real.data(), r2c_out.data(), n, n);
-      r2c_s[rep] = t3.seconds();
+      r2c_s[rep] = t2.seconds();
     }
     const double speedup_seed =
         min_of(serial_s) > 0.0 ? min_of(seed_s) / min_of(serial_s) : 0.0;
@@ -370,8 +350,6 @@ int main(int argc, char** argv) {
     json += "      \"n\": " + std::to_string(n) + ",\n";
     json += "      \"seed_seconds\": " + json_number(min_of(seed_s)) + ",\n";
     json += "      \"v2_serial_seconds\": " + json_number(min_of(serial_s)) +
-            ",\n";
-    json += "      \"v2_threaded_seconds\": " + json_number(min_of(thread_s)) +
             ",\n";
     json += "      \"v2_r2c_seconds\": " + json_number(min_of(r2c_s)) + ",\n";
     json += "      \"speedup_vs_seed\": " + json_number(speedup_seed) + ",\n";

@@ -16,7 +16,7 @@
 //      curves and true-map correlations.
 //
 //   ./sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]
-//                      [--fft_threads 1] [--metrics-out report.json]
+//                      [--refine_workers 1] [--metrics-out report.json]
 //                      [--checkpoint ckpt.porc] [--resume true]
 //                      [--io_retries 3] [--kill_rank R] [--kill_at_step S]
 //                      [--heartbeat_ms 500]
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--fft_threads 1] [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint ckpt.porc] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
+        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint ckpt.porc] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
     return 0;
   }
@@ -78,8 +78,6 @@ int main(int argc, char** argv) {
   const int view_count = static_cast<int>(cli.get_int("views", 60));
   const double snr = cli.get_double("snr", 2.0);
   const int ranks = static_cast<int>(cli.get_int("ranks", 4));
-  const std::size_t fft_threads =
-      static_cast<std::size_t>(cli.get_int("fft_threads", 1));
   const int refine_workers =
       static_cast<int>(cli.get_int("refine_workers", 1));
   const double cli_r_map = cli.get_double("r_map", 0.0);
@@ -171,9 +169,6 @@ int main(int argc, char** argv) {
   refiner_config.ctf = ctf;
   refiner_config.ctf_correction = em::CtfCorrection::kWiener;
   refiner_config.wiener_snr = wiener_snr;
-  // Per-rank FFT threading (0 = hardware concurrency).  Bit-identical
-  // to the serial default; useful when ranks < cores.
-  refiner_config.match.fft_threads = fft_threads;
   // Per-rank work-stealing batch refinement (DESIGN.md §11): N > 1
   // puts each rank's view batches on the por::serve scheduler,
   // bitwise-identical to the serial default.

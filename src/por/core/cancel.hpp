@@ -10,14 +10,10 @@
 // unwinds with the structured Cancelled exception instead of silently
 // burning workers on a job nobody wants anymore.
 //
-// The token is threaded two ways:
-//   * MatchOptions::cancel — a matcher-lifetime token for the direct
-//     API (one matcher per run, e.g. the examples and drivers);
-//   * the explicit CancelToken* parameters of sliding_window_search /
-//     OrientationRefiner::refine_view — per-CALL tokens for the
-//     serving path, where one shared refiner executes many jobs with
-//     different deadlines at once.
-// When both are present the per-call token wins.
+// The token travels as the explicit CancelToken* parameter of
+// sliding_window_search / OrientationRefiner::refine_view — a per-CALL
+// token, so one shared refiner can execute many jobs with different
+// deadlines at once.
 //
 // Cancellation is cooperative and lossless: nothing is torn down
 // mid-matching; the exception carries whether the cause was an

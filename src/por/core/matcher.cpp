@@ -15,7 +15,6 @@
 #include "por/util/contracts.hpp"
 #include "por/obs/registry.hpp"
 #include "por/obs/span.hpp"
-#include "por/util/thread_pool.hpp"
 #include "por/util/timer.hpp"
 
 namespace por::core {
@@ -36,8 +35,7 @@ double resolve_padded_radius(double unpadded, std::size_t pad,
 FourierMatcher::FourierMatcher(const em::Volume<double>& density_map,
                                const MatchOptions& options)
     : FourierMatcher(
-          em::centered_fft3(em::pad_volume(density_map, options.pad),
-                            fft::FftOptions{options.fft_threads}),
+          em::centered_fft3(em::pad_volume(density_map, options.pad)),
           density_map.nx(), options) {
   if (!density_map.is_cube()) {
     throw std::invalid_argument("FourierMatcher: map must be cubic");
@@ -93,10 +91,6 @@ FourierMatcher::FourierMatcher(em::Volume<em::cdouble> centered_padded_spectrum,
   }
 
   build_tables();
-
-  if (options_.search_threads > 1) {
-    pool_ = std::make_unique<util::ThreadPool>(options_.search_threads);
-  }
 }
 
 FourierMatcher::FourierMatcher(FourierMatcher&&) noexcept = default;
@@ -223,8 +217,7 @@ em::Image<em::cdouble> FourierMatcher::prepare_view(
   }
   const obs::SpanTimer timer(*obs_prepare_view_);
   em::Image<em::cdouble> spectrum =
-      em::centered_fft2(em::pad_image(view, options_.pad),
-                        fft::FftOptions{options_.fft_threads});
+      em::centered_fft2(em::pad_image(view, options_.pad));
   if (options_.ctf) {
     em::correct_ctf(spectrum, *options_.ctf, options_.ctf_correction,
                     options_.wiener_snr);

@@ -20,11 +20,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
-#include "por/core/cancel.hpp"
 #include "por/em/ctf.hpp"
 #include "por/em/grid.hpp"
 #include "por/em/orientation.hpp"
@@ -40,10 +38,6 @@ class SpanSeries;
 namespace por::simd {
 struct KernelTable;
 }  // namespace por::simd
-
-namespace por::util {
-class ThreadPool;
-}  // namespace por::util
 
 namespace por::core {
 
@@ -65,32 +59,12 @@ struct MatchOptions {
   em::CtfCorrection ctf_correction = em::CtfCorrection::kPhaseFlip;
   double wiener_snr = 10.0;
 
-  /// Fan the w^3 candidate loop of sliding_window_search across this
-  /// many pool workers (1 = serial, the default).  Intra-view
-  /// parallelism for the single-rank case; the vmpi drivers already
-  /// parallelize across views, so they leave this at 1.
-  std::size_t search_threads = 1;
-
-  /// Worker count for the Fourier transforms behind spectrum
-  /// preparation (the padded 3D map transform at construction and the
-  /// padded 2D view transform in prepare_view): fft::FftOptions::
-  /// threads, so 1 = serial (default, bit-identical to any other
-  /// setting) and 0 = hardware concurrency.
-  std::size_t fft_threads = 1;
-
   /// Per-matcher ISA cap for the dispatched hot kernels (por/simd).
   /// Default: follow the process-wide selection (detect_best_isa()
   /// capped by POR_FORCE_ISA).  The matcher snapshots its kernel table
   /// — and builds the matching lattice layout — at CONSTRUCTION, so a
   /// later simd::force_isa() does not affect existing matchers.
   simd::SimdOptions simd;
-
-  /// Cooperative cancellation / deadline token polled inside
-  /// sliding_window_search (see por/core/cancel.hpp).  Matcher-lifetime
-  /// scope — the direct single-run API arms it here; the serving path
-  /// instead passes per-job tokens through the explicit CancelToken*
-  /// parameters (which win when both are set).  Null = never cancels.
-  std::shared_ptr<const CancelToken> cancel;
 };
 
 /// Flattened precomputed annulus: one entry per Fourier pixel of the
@@ -113,8 +87,8 @@ struct AnnulusTable {
 namespace detail {
 /// std::atomic is not movable; FourierMatcher is (the refiner adopts
 /// matchers by value).  Wrap the matchings counter so the class keeps
-/// its defaulted moves while distance() stays safe to call from the
-/// intra-view search pool.
+/// its defaulted moves while distance() stays safe to call from
+/// concurrent scheduler workers.
 struct MovableAtomicU64 {
   std::atomic<std::uint64_t> v{0};
   MovableAtomicU64() = default;
@@ -211,10 +185,6 @@ class FourierMatcher {
   /// its translated-distance loop).
   [[nodiscard]] const AnnulusTable& annulus() const { return annulus_; }
 
-  /// Worker pool for fanning the w^3 candidate loop across threads, or
-  /// nullptr when options().search_threads <= 1.
-  [[nodiscard]] util::ThreadPool* search_pool() const { return pool_.get(); }
-
   /// The ISA tier this matcher's kernels were snapshotted at (resolved
   /// from options().simd and the process-wide selection, clamped to
   /// hardware/build support at construction).
@@ -245,7 +215,6 @@ class FourierMatcher {
   AnnulusTable annulus_;             ///< flattened [r_min, r_map] ring
   em::Image<double> transfer_image_; ///< per-pixel cut transfer (CTF only)
   bool fast_path_ = false;           ///< radius-vs-lattice guard verdict
-  std::unique_ptr<util::ThreadPool> pool_;  ///< intra-view search pool
 
   mutable detail::MovableAtomicU64 matchings_;
 

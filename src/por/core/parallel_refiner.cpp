@@ -197,8 +197,7 @@ ParallelRefineReport refine_distributed(
     raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
               .storage();
   }
-  raw = fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge,
-                                    fft::FftOptions{config.match.fft_threads});
+  raw = fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge);
   em::Volume<em::cdouble> raw_volume(padded_edge);
   raw_volume.storage() = std::move(raw);
   em::Volume<em::cdouble> spectrum =
@@ -425,12 +424,7 @@ ParallelRefineReport refine_distributed(
       // recorded serially on this rank thread (record_result and the
       // checkpoint writer are single-writer), so the protocol state is
       // untouched by the parallelism.
-      serve::SchedulerOptions sched_options;
-      sched_options.workers =
-          config.refine_workers < 0
-              ? 1
-              : static_cast<std::size_t>(config.refine_workers);
-      serve::Scheduler scheduler(sched_options);
+      serve::Scheduler scheduler(refiner.scheduler_options());
       const std::size_t stride = std::max<std::size_t>(scheduler.workers(), 1);
       std::vector<double> flat;
       for (std::size_t lo = 0; lo < my_block.size(); lo += stride) {
@@ -546,12 +540,8 @@ ParallelRefineReport refine_distributed(
     // batch completes, so the wire protocol is byte-identical.
     std::unique_ptr<serve::Scheduler> scheduler;
     if (config.refine_workers != 1) {
-      serve::SchedulerOptions sched_options;
-      sched_options.workers =
-          config.refine_workers < 0
-              ? 1
-              : static_cast<std::size_t>(config.refine_workers);
-      scheduler = std::make_unique<serve::Scheduler>(sched_options);
+      scheduler =
+          std::make_unique<serve::Scheduler>(refiner.scheduler_options());
     }
     while (true) {
       // Waiting for work is waiting on the master; under a configured

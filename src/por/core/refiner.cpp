@@ -15,7 +15,14 @@
 
 namespace por::core {
 
-void OrientationRefiner::bind_observability() {
+void OrientationRefiner::init() {
+  if (config_.schedule.empty()) {
+    throw std::invalid_argument("OrientationRefiner: empty schedule");
+  }
+  if (config_.refine_workers < 0) {
+    throw std::invalid_argument(
+        "OrientationRefiner: refine_workers must be >= 0");
+  }
   obs::MetricsRegistry& registry = obs::current_registry();
   obs_view_span_ = &registry.span_series("refiner.view");
   // The "step.<name>" series mirror the paper's step vocabulary so the
@@ -30,19 +37,19 @@ void OrientationRefiner::bind_observability() {
 OrientationRefiner::OrientationRefiner(const em::Volume<double>& density_map,
                                        const RefinerConfig& config)
     : matcher_(density_map, config.matcher_options()), config_(config) {
-  if (config_.schedule.empty()) {
-    throw std::invalid_argument("OrientationRefiner: empty schedule");
-  }
-  bind_observability();
+  init();
 }
 
 OrientationRefiner::OrientationRefiner(FourierMatcher matcher,
                                        const RefinerConfig& config)
     : matcher_(std::move(matcher)), config_(config) {
-  if (config_.schedule.empty()) {
-    throw std::invalid_argument("OrientationRefiner: empty schedule");
-  }
-  bind_observability();
+  init();
+}
+
+serve::SchedulerOptions OrientationRefiner::scheduler_options() const {
+  serve::SchedulerOptions options;
+  options.workers = static_cast<std::size_t>(config_.refine_workers);
+  return options;
 }
 
 ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
@@ -218,11 +225,7 @@ std::vector<ViewResult> OrientationRefiner::refine(
     // Work-stealing batch: each view index runs exactly once, writes
     // only results[i], and refine_view is deterministic — so this is
     // bitwise-identical to the serial loop below at any worker count.
-    serve::SchedulerOptions options;
-    options.workers = config_.refine_workers < 0
-                          ? 1
-                          : static_cast<std::size_t>(config_.refine_workers);
-    serve::Scheduler scheduler(options);
+    serve::Scheduler scheduler(scheduler_options());
     scheduler.run(views.size(), refine_one);
   } else {
     for (std::size_t i = 0; i < views.size(); ++i) refine_one(i);

@@ -22,6 +22,10 @@
 #include "por/resilience/retry.hpp"
 #include "por/util/timer.hpp"
 
+namespace por::serve {
+struct SchedulerOptions;
+}  // namespace por::serve
+
 namespace por::stream {
 class ViewSource;
 }  // namespace por::stream
@@ -94,7 +98,8 @@ struct RefinerConfig {
   StreamOptions stream;               ///< out-of-core stack streaming
   /// Shared-memory workers for refine() batches: 1 = serial loop (the
   /// historical behavior), N > 1 = the por::serve work-stealing
-  /// scheduler, 0 = hardware_concurrency.  Per-view refinement is
+  /// scheduler, 0 = hardware_concurrency; negative values are rejected
+  /// by the OrientationRefiner constructor.  Per-view refinement is
   /// deterministic and views are independent, so the batch result is
   /// bitwise-identical at any worker count.
   int refine_workers = 1;
@@ -179,10 +184,15 @@ class OrientationRefiner {
   [[nodiscard]] const RefinerConfig& config() const { return config_; }
   [[nodiscard]] util::StepTimes& times() const { return times_; }
 
+  /// Options for the scheduler a refine batch runs on: config().
+  /// refine_workers workers (0 = hardware concurrency).
+  [[nodiscard]] serve::SchedulerOptions scheduler_options() const;
+
  private:
-  /// Resolve observability handles against the registry current on the
-  /// constructing thread (shared by both constructors).
-  void bind_observability();
+  /// Reject invalid configuration, then resolve observability handles
+  /// against the registry current on the constructing thread (shared by
+  /// both constructors).
+  void init();
 
   FourierMatcher matcher_;
   RefinerConfig config_;

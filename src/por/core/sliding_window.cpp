@@ -10,7 +10,6 @@
 #include "por/obs/registry.hpp"
 #include "por/util/arena.hpp"
 #include "por/util/contracts.hpp"
-#include "por/util/thread_pool.hpp"
 
 namespace por::core {
 
@@ -53,17 +52,12 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
   WindowObs& obs = window_obs();
   obs.searches->add();
 
-  // Per-call token beats the matcher-lifetime one (the serving path
-  // shares one matcher across jobs with different deadlines).
-  if (cancel == nullptr) cancel = matcher.options().cancel.get();
-
   // CONTRACT: a positive window width is what makes `count` non-zero,
   // so the argmin below always selects a real candidate.
   POR_EXPECT(initial_domain.width > 0,
              "sliding window needs a positive width:", initial_domain.width);
   WindowResult result;
   SearchDomain domain = initial_domain;
-  util::ThreadPool* pool = matcher.search_pool();
 
   const int w = domain.width;
   const std::size_t count =
@@ -71,9 +65,7 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
       static_cast<std::size_t>(w);
   // Search scratch lives on the calling thread's frame arena: after the
   // first search of a given width the chunks are warm and repeated
-  // searches never touch the general heap.  distance() below may fan
-  // out to pool workers, but they only write `scores` slots — the arena
-  // itself is touched by this thread alone, so the LIFO scope holds.
+  // searches never touch the general heap.
   util::ArenaScope scope(util::frame_arena());
   util::ArenaVector<em::Orientation> candidates(util::frame_arena(), count);
   util::ArenaVector<double> scores(util::frame_arena());
@@ -82,8 +74,7 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
 
   for (int round = 0;; ++round) {
     // Cooperative cancellation: the round boundary is the coarse poll,
-    // the stride check below the fine one.  Throwing here (not inside
-    // the pool fan-out) keeps pool tasks noexcept-clean.
+    // the stride check below the fine one.
     if (cancel != nullptr) cancel->check();
 
     // Step (g): enumerate the w^3 candidate grid (theta-major, same
@@ -121,25 +112,13 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
       for (std::size_t i = 0; i < count; ++i) missing.push_back(i);
     }
 
-    // Step (h): score the remaining candidates, optionally fanned
-    // across the matcher's intra-view pool (distance() is
-    // thread-safe; each task writes a distinct scores slot).
-    const auto score_one = [&](std::size_t mi) {
+    // Step (h): score the remaining candidates.
+    for (std::size_t mi = 0; mi < missing.size(); ++mi) {
+      if (cancel != nullptr && (mi % kCancelCheckStride) == 0 && mi != 0) {
+        cancel->check();
+      }
       const std::size_t i = missing[mi];
       scores[i] = matcher.distance(view_spectrum, candidates[i]);
-    };
-    if (pool != nullptr && missing.size() > 1) {
-      pool->parallel_for(0, missing.size(), score_one);
-      // The fan-out is one cooperative unit; poll once after it so a
-      // deadline that fired mid-round is honoured before the next.
-      if (cancel != nullptr) cancel->check();
-    } else {
-      for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-        if (cancel != nullptr && (mi % kCancelCheckStride) == 0 && mi != 0) {
-          cancel->check();
-        }
-        score_one(mi);
-      }
     }
     if (cache != nullptr) {
       for (std::size_t mi = 0; mi < missing.size(); ++mi) {

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 
+#include "por/core/cancel.hpp"
 #include "por/core/matcher.hpp"
 #include "por/core/score_cache.hpp"
 #include "por/core/search_domain.hpp"
@@ -32,15 +33,13 @@ struct WindowResult {
 /// spectrum unchanged): orientations shared between overlapping slide
 /// windows are never re-scored.  The result is identical with and
 /// without a cache — hits return the very score the matcher produced.
-/// When the matcher was built with options().search_threads > 1, the
-/// uncached candidates of each round are fanned across its pool.
 ///
-/// `cancel` (or, when null, matcher.options().cancel) is polled
-/// cooperatively — at every round start and every kCancelCheckStride
-/// scored candidates of the serial loop — and throws core::Cancelled
-/// the moment cancellation or the deadline is observed, so a service
-/// job with an expired deadline stops mid-search instead of finishing
-/// the w^3 grid (see por/core/cancel.hpp).
+/// `cancel`, when non-null, is polled cooperatively — at every round
+/// start and every kCancelCheckStride scored candidates — and throws
+/// core::Cancelled the moment cancellation or the deadline is
+/// observed, so a service job with an expired deadline stops
+/// mid-search instead of finishing the w^3 grid (see
+/// por/core/cancel.hpp).
 ///
 /// CONTRACT: initial_domain.width > 0 (the w^3 grid must be
 /// non-empty) and every candidate score must be finite — both checked

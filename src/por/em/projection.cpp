@@ -127,27 +127,23 @@ void decenterize3(Volume<cdouble>& spec) {
 
 }  // namespace
 
-Image<cdouble> centered_fft2(const Image<double>& img,
-                             const fft::FftOptions& options) {
+Image<cdouble> centered_fft2(const Image<double>& img) {
   Image<cdouble> spec(img.ny(), img.nx());
-  fft::rfft2d_forward(img.data(), spec.data(), spec.ny(), spec.nx(), options);
+  fft::rfft2d_forward(img.data(), spec.data(), spec.ny(), spec.nx());
   centerize2(spec);
   return spec;
 }
 
-Image<double> centered_ifft2(const Image<cdouble>& spec,
-                             const fft::FftOptions& options) {
+Image<double> centered_ifft2(const Image<cdouble>& spec) {
   Image<cdouble> work = spec;
   decenterize2(work);
-  fft::fft2d_inverse(work.data(), work.ny(), work.nx(), options);
+  fft::fft2d_inverse(work.data(), work.ny(), work.nx());
   return real_part(work);
 }
 
-Volume<cdouble> centered_fft3(const Volume<double>& vol,
-                              const fft::FftOptions& options) {
+Volume<cdouble> centered_fft3(const Volume<double>& vol) {
   Volume<cdouble> spec(vol.nz(), vol.ny(), vol.nx());
-  fft::rfft3d_forward(vol.data(), spec.data(), spec.nz(), spec.ny(), spec.nx(),
-                      options);
+  fft::rfft3d_forward(vol.data(), spec.data(), spec.nz(), spec.ny(), spec.nx());
   centerize3(spec);
   return spec;
 }
@@ -157,11 +153,10 @@ Volume<cdouble> centered_from_raw_fft3(Volume<cdouble> raw) {
   return raw;
 }
 
-Volume<double> centered_ifft3(const Volume<cdouble>& spec,
-                              const fft::FftOptions& options) {
+Volume<double> centered_ifft3(const Volume<cdouble>& spec) {
   Volume<cdouble> work = spec;
   decenterize3(work);
-  fft::fft3d_inverse(work.data(), work.nz(), work.ny(), work.nx(), options);
+  fft::fft3d_inverse(work.data(), work.nz(), work.ny(), work.nx());
   return real_part(work);
 }
 

@@ -16,8 +16,7 @@
 // always real images/volumes), and the centering itself is one fused
 // out-of-place pass: gather-with-shift multiplied by precomputed
 // per-axis phase factors, instead of fftshift followed by a per-pixel
-// sin/cos phase pass.  Every function takes fft::FftOptions so callers
-// can fan the transform across a thread pool.
+// sin/cos phase pass.
 #pragma once
 
 #include "por/em/grid.hpp"
@@ -30,21 +29,17 @@ namespace por::em {
 
 /// Forward 2D DFT with phases about the image center and the zero
 /// frequency at (ny/2, nx/2).
-[[nodiscard]] Image<cdouble> centered_fft2(const Image<double>& img,
-                                           const fft::FftOptions& options = {});
+[[nodiscard]] Image<cdouble> centered_fft2(const Image<double>& img);
 
 /// Inverse of centered_fft2 (returns the real part).
-[[nodiscard]] Image<double> centered_ifft2(const Image<cdouble>& spec,
-                                           const fft::FftOptions& options = {});
+[[nodiscard]] Image<double> centered_ifft2(const Image<cdouble>& spec);
 
 /// Forward 3D DFT with phases about the volume center and the zero
 /// frequency at (nz/2, ny/2, nx/2).
-[[nodiscard]] Volume<cdouble> centered_fft3(const Volume<double>& vol,
-                                            const fft::FftOptions& options = {});
+[[nodiscard]] Volume<cdouble> centered_fft3(const Volume<double>& vol);
 
 /// Inverse of centered_fft3 (returns the real part).
-[[nodiscard]] Volume<double> centered_ifft3(const Volume<cdouble>& spec,
-                                            const fft::FftOptions& options = {});
+[[nodiscard]] Volume<double> centered_ifft3(const Volume<cdouble>& spec);
 
 /// Turn a raw forward 3D DFT (origin at index 0, e.g. the output of
 /// the slab-parallel transform) into the centered convention:

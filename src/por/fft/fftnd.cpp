@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
-#include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "por/fft/obs_handles.hpp"
@@ -13,7 +10,6 @@
 #include "por/obs/registry.hpp"
 #include "por/util/arena.hpp"
 #include "por/util/contracts.hpp"
-#include "por/util/thread_pool.hpp"
 
 namespace por::fft {
 
@@ -21,10 +17,7 @@ namespace {
 
 // Number of adjacent lines gathered into one contiguous scratch tile by
 // fft1d_lines.  16 complex doubles = 256 bytes = 4 cache lines per
-// gathered chunk; a 16 x 128 tile is 32 KiB, i.e. one L1d.  The tile
-// partition is a pure function of (count, kLineTile) — never of the
-// worker count — which is what makes threaded execution bit-identical
-// to serial.
+// gathered chunk; a 16 x 128 tile is 32 KiB, i.e. one L1d.
 constexpr std::size_t kLineTile = 16;
 
 /// One relaxed atomic increment per multi-dimensional transform; the
@@ -36,55 +29,19 @@ void count_transform(const char* name, std::size_t points) {
   detail::obs_handles().nd_points->add(points);
 }
 
-/// How many workers `options` asks for (1 = serial on the caller).
-std::size_t resolve_workers(const FftOptions& options) {
-  if (options.threads == 1) return 1;
-  if (options.threads != 0) return options.threads;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
-}
-
-/// Per-calling-thread pool cache.  Each OS thread that runs threaded
-/// FFTs owns its own pools (keyed by worker count), so concurrent
-/// callers — e.g. vmpi rank threads — never share a pool and cannot
-/// cross-wait in parallel_for / wait_idle.  Pools join their workers
-/// when the owning thread exits.
-util::ThreadPool& pool_for(std::size_t workers) {
-  thread_local std::map<std::size_t, std::unique_ptr<util::ThreadPool>> pools;
-  std::unique_ptr<util::ThreadPool>& slot = pools[workers];
-  if (!slot) slot = std::make_unique<util::ThreadPool>(workers);
-  return *slot;
-}
-
-/// Run body(i) for i in [0, count), fanned across the requested
-/// workers.  The work items themselves are identical either way (same
-/// per-item math, disjoint data), so results are bit-identical to the
-/// serial loop regardless of the partition.
-void run_indexed(const FftOptions& options, std::size_t count,
-                 const std::function<void(std::size_t)>& body) {
-  const std::size_t workers = resolve_workers(options);
-  if (workers <= 1 || count <= 1) {
-    for (std::size_t i = 0; i < count; ++i) body(i);
-    return;
-  }
-  pool_for(workers).parallel_for(0, count, body);
-}
-
 /// Transform `rows` contiguous lines of length n starting at data
-/// (row r at data + r*n).  One shared plan from the cache; rows fan
-/// across the pool.
-void fft_rows(cdouble* data, std::size_t rows, std::size_t n, bool inverse,
-              const FftOptions& options) {
+/// (row r at data + r*n).  One shared plan from the cache.
+void fft_rows(cdouble* data, std::size_t rows, std::size_t n, bool inverse) {
   if (rows == 0 || n == 0) return;
   const std::shared_ptr<const Fft1D> plan = cached_plan(n);
-  run_indexed(options, rows, [&](std::size_t r) {
+  for (std::size_t r = 0; r < rows; ++r) {
     cdouble* row = data + r * n;
     if (inverse) {
       plan->inverse(row);
     } else {
       plan->forward(row);
     }
-  });
+  }
 }
 
 // ---- shifts ---------------------------------------------------------------
@@ -144,16 +101,15 @@ void roll_rows(cdouble* data, std::size_t ny, std::size_t nx,
 /// transform T of x0 + i*x1 splits by Hermitian symmetry as
 ///   X0[k] = (T[k] + conj(T[(n-k)%n])) / 2
 ///   X1[k] = (T[k] - conj(T[(n-k)%n])) / (2i)
-void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
-              const FftOptions& options) {
+void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx) {
   if (ny == 0 || nx == 0) return;
   const std::shared_ptr<const Fft1D> plan = cached_plan(nx);
   const std::size_t pairs = ny / 2;
   const std::size_t jobs = pairs + (ny % 2);  // a trailing lone row, if odd
-  run_indexed(options, jobs, [&](std::size_t r) {
-    // Scratch from the WORKER's frame arena: each pool thread owns its
-    // own, so there is no contention and repeated transforms reuse the
-    // warm chunks without touching the general heap.
+  for (std::size_t r = 0; r < jobs; ++r) {
+    // Scratch from the calling thread's frame arena: repeated
+    // transforms reuse the warm chunks without touching the general
+    // heap.
     util::ArenaScope scope(util::frame_arena());
     cdouble* packed = util::frame_arena().alloc_array<cdouble>(nx);
     if (r < pairs) {
@@ -177,15 +133,14 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
       plan->forward(packed);
       std::memcpy(dst + (ny - 1) * nx, packed, nx * sizeof(cdouble));
     }
-  });
+  }
 }
 
 /// Fill columns x > nx/2 of a 2D spectrum of a real input from the
 /// Hermitian mirror F[y][x] = conj(F[(ny-y)%ny][(nx-x)%nx]).
-void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx,
-                    const FftOptions& options) {
+void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx) {
   const std::size_t half = nx / 2;
-  run_indexed(options, ny, [&](std::size_t y) {
+  for (std::size_t y = 0; y < ny; ++y) {
     cdouble* row = data + y * nx;
     const cdouble* mirror = data + ((ny - y) % ny) * nx;
     for (std::size_t x = half + 1; x < nx; ++x) {
@@ -194,7 +149,7 @@ void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx,
       POR_BOUNDS(nx - x, nx);
       row[x] = std::conj(mirror[nx - x]);
     }
-  });
+  }
 }
 
 /// Rows + the columns x <= nx/2 of a real-input 2D transform.  Columns
@@ -202,9 +157,9 @@ void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx,
 /// them with the 2D mirror, rfft3d_forward never reads them (it mirrors
 /// in 3D after the z pass).
 void r2c_plane_half(const double* src, cdouble* dst, std::size_t ny,
-                    std::size_t nx, const FftOptions& options) {
-  r2c_rows(src, dst, ny, nx, options);
-  fft1d_lines(dst, nx / 2 + 1, ny, nx, /*inverse=*/false, options);
+                    std::size_t nx) {
+  r2c_rows(src, dst, ny, nx);
+  fft1d_lines(dst, nx / 2 + 1, ny, nx, /*inverse=*/false);
 }
 
 }  // namespace
@@ -212,7 +167,7 @@ void r2c_plane_half(const double* src, cdouble* dst, std::size_t ny,
 // ---- 1D batch -------------------------------------------------------------
 
 void fft1d_lines(cdouble* base, std::size_t count, std::size_t n,
-                 std::size_t stride, bool inverse, const FftOptions& options) {
+                 std::size_t stride, bool inverse) {
   POR_EXPECT(base != nullptr || count * n == 0,
              "fft1d_lines on null buffer: count =", count, "n =", n);
   if (count == 0 || n <= 1) return;  // length-1 DFTs are the identity
@@ -222,13 +177,13 @@ void fft1d_lines(cdouble* base, std::size_t count, std::size_t n,
              stride);
   const std::shared_ptr<const Fft1D> plan = cached_plan(n);
   const std::size_t tiles = (count + kLineTile - 1) / kLineTile;
-  run_indexed(options, tiles, [&](std::size_t tile) {
+  for (std::size_t tile = 0; tile < tiles; ++tile) {
     const std::size_t j0 = tile * kLineTile;
     const std::size_t width = std::min(kLineTile, count - j0);
     // Gather `width` strided lines into contiguous rows of scratch
     // (scratch[t][i] = line (j0+t), element i): each inner iteration
     // reads one contiguous chunk of `width` complex values.  The tile
-    // comes from the worker's frame arena — warm after the first tile,
+    // comes from the frame arena — warm after the first tile,
     // zero general-heap traffic in the steady state.
     util::ArenaScope scope(util::frame_arena());
     cdouble* scratch = util::frame_arena().alloc_array<cdouble>(width * n);
@@ -248,44 +203,41 @@ void fft1d_lines(cdouble* base, std::size_t count, std::size_t n,
       cdouble* chunk = tile_base + i * stride;
       for (std::size_t t = 0; t < width; ++t) chunk[t] = scratch[t * n + i];
     }
-  });
+  }
 }
 
 // ---- 2D -------------------------------------------------------------------
 
 namespace {
 
-void fft2d(cdouble* data, std::size_t ny, std::size_t nx, bool inverse,
-           const FftOptions& options) {
+void fft2d(cdouble* data, std::size_t ny, std::size_t nx, bool inverse) {
   count_transform("fft.2d.transforms", ny * nx);
-  fft_rows(data, ny, nx, inverse, options);
-  fft1d_lines(data, nx, ny, nx, inverse, options);
+  fft_rows(data, ny, nx, inverse);
+  fft1d_lines(data, nx, ny, nx, inverse);
 }
 
 }  // namespace
 
-void fft2d_forward(cdouble* data, std::size_t ny, std::size_t nx,
-                   const FftOptions& options) {
+void fft2d_forward(cdouble* data, std::size_t ny, std::size_t nx) {
   POR_EXPECT(data != nullptr || ny * nx == 0, "fft2d on null buffer");
-  fft2d(data, ny, nx, /*inverse=*/false, options);
+  fft2d(data, ny, nx, /*inverse=*/false);
 }
 
-void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx,
-                   const FftOptions& options) {
+void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx) {
   POR_EXPECT(data != nullptr || ny * nx == 0, "fft2d on null buffer");
-  fft2d(data, ny, nx, /*inverse=*/true, options);
+  fft2d(data, ny, nx, /*inverse=*/true);
 }
 
 void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
-                    std::size_t nx, const FftOptions& options) {
+                    std::size_t nx) {
   POR_EXPECT((src != nullptr && dst != nullptr) || ny * nx == 0,
              "rfft2d on null buffer");
   POR_EXPECT(static_cast<const void*>(src) != static_cast<const void*>(dst),
              "rfft2d src and dst must not alias");
   count_transform("fft.2d.transforms", ny * nx);
   if (ny * nx == 0) return;
-  r2c_plane_half(src, dst, ny, nx, options);
-  mirror_half_2d(dst, ny, nx, options);
+  r2c_plane_half(src, dst, ny, nx);
+  mirror_half_2d(dst, ny, nx);
 }
 
 // ---- 3D -------------------------------------------------------------------
@@ -293,36 +245,35 @@ void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
 namespace {
 
 void fft3d(cdouble* data, std::size_t nz, std::size_t ny, std::size_t nx,
-           bool inverse, const FftOptions& options) {
+           bool inverse) {
   count_transform("fft.3d.transforms", nz * ny * nx);
   // xy planes first (the paper's step a.3): every row of every plane in
   // one batched pass, then the y-columns plane by plane...
-  fft_rows(data, nz * ny, nx, inverse, options);
+  fft_rows(data, nz * ny, nx, inverse);
   for (std::size_t z = 0; z < nz; ++z) {
-    fft1d_lines(data + z * ny * nx, nx, ny, nx, inverse, options);
+    fft1d_lines(data + z * ny * nx, nx, ny, nx, inverse);
   }
   // ...then lines along z.  Line (y, x) starts at offset y*nx + x — the
   // whole pass is one batch of ny*nx adjacent lines of stride ny*nx.
-  fft1d_lines(data, ny * nx, nz, ny * nx, inverse, options);
+  fft1d_lines(data, ny * nx, nz, ny * nx, inverse);
 }
 
 }  // namespace
 
 void fft3d_forward(cdouble* data, std::size_t nz, std::size_t ny,
-                   std::size_t nx, const FftOptions& options) {
+                   std::size_t nx) {
   POR_EXPECT(data != nullptr || nz * ny * nx == 0, "fft3d on null buffer");
-  fft3d(data, nz, ny, nx, /*inverse=*/false, options);
+  fft3d(data, nz, ny, nx, /*inverse=*/false);
 }
 
 void fft3d_inverse(cdouble* data, std::size_t nz, std::size_t ny,
-                   std::size_t nx, const FftOptions& options) {
+                   std::size_t nx) {
   POR_EXPECT(data != nullptr || nz * ny * nx == 0, "fft3d on null buffer");
-  fft3d(data, nz, ny, nx, /*inverse=*/true, options);
+  fft3d(data, nz, ny, nx, /*inverse=*/true);
 }
 
 void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
-                    std::size_t ny, std::size_t nx,
-                    const FftOptions& options) {
+                    std::size_t ny, std::size_t nx) {
   POR_EXPECT((src != nullptr && dst != nullptr) || nz * ny * nx == 0,
              "rfft3d on null buffer");
   POR_EXPECT(static_cast<const void*>(src) != static_cast<const void*>(dst),
@@ -335,16 +286,16 @@ void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
   // unspecified — the 3D mirror below derives them from the final
   // spectrum, so the per-plane mirror would be wasted work.
   for (std::size_t z = 0; z < nz; ++z) {
-    r2c_plane_half(src + z * plane, dst + z * plane, ny, nx, options);
+    r2c_plane_half(src + z * plane, dst + z * plane, ny, nx);
   }
   // z lines, only for x <= nx/2: per y, the lines x = 0..nx/2 start at
   // adjacent offsets y*nx + x with stride ny*nx.
   for (std::size_t y = 0; y < ny; ++y) {
-    fft1d_lines(dst + y * nx, half + 1, nz, plane, /*inverse=*/false, options);
+    fft1d_lines(dst + y * nx, half + 1, nz, plane, /*inverse=*/false);
   }
   // 3D Hermitian mirror:
   //   F[z][y][x] = conj(F[(nz-z)%nz][(ny-y)%ny][(nx-x)%nx]), x > nx/2.
-  run_indexed(options, nz, [&](std::size_t z) {
+  for (std::size_t z = 0; z < nz; ++z) {
     const std::size_t mz = (nz - z) % nz;
     for (std::size_t y = 0; y < ny; ++y) {
       cdouble* row = dst + z * plane + y * nx;
@@ -356,7 +307,7 @@ void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
         row[x] = std::conj(mirror[nx - x]);
       }
     }
-  });
+  }
 }
 
 // ---- centering ------------------------------------------------------------

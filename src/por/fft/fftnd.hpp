@@ -12,10 +12,11 @@
 //     batcher instead of per-line strided gathers;
 //   * real inputs go through rfft2d_forward / rfft3d_forward, which
 //     exploit Hermitian symmetry (two real rows per complex transform,
-//     half the column lines + conjugate mirror) for ~2x less work;
-//   * FftOptions::threads fans rows / tiles / planes across a
-//     util::ThreadPool with bit-identical results (the tile partition
-//     and per-line math do not depend on the worker count).
+//     half the column lines + conjugate mirror) for ~2x less work.
+//
+// Every transform runs serially on the calling thread; parallelism
+// lives one level up, across views and across the ranks of the
+// slab-parallel 3D transform.
 //
 // Layouts are row-major:
 //   2D: data[y * nx + x]
@@ -26,24 +27,7 @@
 
 #include "por/fft/fft1d.hpp"
 
-namespace por::util {
-class ThreadPool;
-}
-
 namespace por::fft {
-
-/// Execution options shared by every multi-dimensional transform.
-///
-/// `threads == 1` (the default) runs serially on the calling thread.
-/// `threads == 0` uses the hardware concurrency.  Threaded execution
-/// is bit-identical to serial: work is split at line/tile granularity
-/// and every line is transformed by the same shared plan with the same
-/// operation order.  Pools are cached per calling thread (one OS
-/// thread's FFT calls never share a pool with another's), so
-/// concurrent callers — e.g. vmpi rank threads — cannot cross-wait.
-struct FftOptions {
-  std::size_t threads = 1;
-};
 
 // ---- 1D batch -------------------------------------------------------------
 
@@ -53,18 +37,15 @@ struct FftOptions {
 /// transpose batcher; plans come from the cache.  Exposed for the
 /// slab-parallel 3D driver and for tests.
 void fft1d_lines(cdouble* base, std::size_t count, std::size_t n,
-                 std::size_t stride, bool inverse,
-                 const FftOptions& options = {});
+                 std::size_t stride, bool inverse);
 
 // ---- 2D -------------------------------------------------------------------
 
 /// In-place forward 2D DFT of an ny x nx array.
-void fft2d_forward(cdouble* data, std::size_t ny, std::size_t nx,
-                   const FftOptions& options = {});
+void fft2d_forward(cdouble* data, std::size_t ny, std::size_t nx);
 
 /// In-place inverse 2D DFT (includes the 1/(ny*nx) factor).
-void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx,
-                   const FftOptions& options = {});
+void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx);
 
 /// Real-to-complex forward 2D DFT: reads the real ny x nx array `src`,
 /// writes its full complex spectrum (identical layout and values — up
@@ -75,24 +56,23 @@ void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx,
 /// F[y][x] = conj(F[(ny-y)%ny][(nx-x)%nx]).  `src` and `dst` must not
 /// alias.
 void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
-                    std::size_t nx, const FftOptions& options = {});
+                    std::size_t nx);
 
 // ---- 3D -------------------------------------------------------------------
 
 /// In-place forward 3D DFT of an nz x ny x nx array.
 void fft3d_forward(cdouble* data, std::size_t nz, std::size_t ny,
-                   std::size_t nx, const FftOptions& options = {});
+                   std::size_t nx);
 
 /// In-place inverse 3D DFT (includes the 1/(nz*ny*nx) factor).
 void fft3d_inverse(cdouble* data, std::size_t nz, std::size_t ny,
-                   std::size_t nx, const FftOptions& options = {});
+                   std::size_t nx);
 
 /// Real-to-complex forward 3D DFT (full complex output, same contract
 /// as rfft2d_forward): r2c plane transforms + z-lines only for
 /// x <= nx/2, then the 3D conjugate mirror.
 void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
-                    std::size_t ny, std::size_t nx,
-                    const FftOptions& options = {});
+                    std::size_t ny, std::size_t nx);
 
 // ---- centering ------------------------------------------------------------
 

@@ -14,8 +14,7 @@ namespace {
 /// yield the full 1/l^3 normalization, exactly like fft3d_inverse).
 std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
                                     std::vector<cdouble> full_on_root,
-                                    std::size_t l, bool inverse,
-                                    const FftOptions& options) {
+                                    std::size_t l, bool inverse) {
   const int p = comm.size();
   if (l % static_cast<std::size_t>(p) != 0) {
     throw std::invalid_argument(
@@ -31,9 +30,9 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
   // one-rank "parallel" call moves zero bytes.
   if (p == 1) {
     if (inverse) {
-      fft3d_inverse(full_on_root.data(), l, l, l, options);
+      fft3d_inverse(full_on_root.data(), l, l, l);
     } else {
-      fft3d_forward(full_on_root.data(), l, l, l, options);
+      fft3d_forward(full_on_root.data(), l, l, l);
     }
     return full_on_root;
   }
@@ -48,13 +47,12 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
   POR_ENSURE(zslab.size() == slab * l * l, "scatter returned wrong slab size:",
              zslab.size(), "!=", slab * l * l);
 
-  // (a.3) 2D DFT of every xy-plane in the z-slab (plan-cached, and
-  // threaded across rows/column-tiles when options.threads > 1).
+  // (a.3) 2D DFT of every xy-plane in the z-slab (plan-cached).
   for (std::size_t zl = 0; zl < slab; ++zl) {
     if (inverse) {
-      fft2d_inverse(zslab.data() + zl * l * l, l, l, options);
+      fft2d_inverse(zslab.data() + zl * l * l, l, l);
     } else {
-      fft2d_forward(zslab.data() + zl * l * l, l, l, options);
+      fft2d_forward(zslab.data() + zl * l * l, l, l);
     }
   }
 
@@ -103,7 +101,7 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
   // for x = 0..l start at adjacent offsets with stride l — a single
   // batched, cache-blocked fft1d_lines call per block.
   for (std::size_t yl = 0; yl < slab; ++yl) {
-    fft1d_lines(yslab.data() + yl * l * l, l, l, l, inverse, options);
+    fft1d_lines(yslab.data() + yl * l * l, l, l, l, inverse);
   }
 
   // (a.6) all-gather: concatenation in rank order yields layout (y,z,x);
@@ -128,18 +126,14 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
 
 std::vector<cdouble> parallel_fft3d_forward(vmpi::Comm& comm,
                                             std::vector<cdouble> full_on_root,
-                                            std::size_t l,
-                                            const FftOptions& options) {
-  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/false,
-                        options);
+                                            std::size_t l) {
+  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/false);
 }
 
 std::vector<cdouble> parallel_fft3d_inverse(vmpi::Comm& comm,
                                             std::vector<cdouble> full_on_root,
-                                            std::size_t l,
-                                            const FftOptions& options) {
-  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/true,
-                        options);
+                                            std::size_t l) {
+  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/true);
 }
 
 }  // namespace por::fft

@@ -16,14 +16,12 @@
 // central sections without any further communication.
 //
 // v2: the per-rank compute stages run on the plan-cached batched
-// engine of fftnd.hpp and accept FftOptions, so a rank can fan its
-// slab across a thread pool (the paper's shared-memory SP2 node).
-// All packing/unpacking moves whole x-rows with memcpy, the
-// single-rank case short-circuits to the serial transform (zero
-// communication), and the collective is bit-identical to the serial
-// fft3d_* of the same volume: the same 1D plans transform the same
-// lines in the same per-line operation order, regardless of rank count
-// or thread count.
+// engine of fftnd.hpp.  All packing/unpacking moves whole x-rows with
+// memcpy, the single-rank case short-circuits to the serial transform
+// (zero communication), and the collective is bit-identical to the
+// serial fft3d_* of the same volume: the same 1D plans transform the
+// same lines in the same per-line operation order, regardless of rank
+// count.
 #pragma once
 
 #include <cstddef>
@@ -40,14 +38,12 @@ namespace por::fft {
 /// divisible by comm.size().  Returns the complete forward 3D DFT
 /// (layout (z,y,x), unnormalized, origin at index 0) on every rank.
 [[nodiscard]] std::vector<cdouble> parallel_fft3d_forward(
-    vmpi::Comm& comm, std::vector<cdouble> full_on_root, std::size_t l,
-    const FftOptions& options = {});
+    vmpi::Comm& comm, std::vector<cdouble> full_on_root, std::size_t l);
 
 /// Inverse twin (includes the 1/l^3 factor, matching fft3d_inverse):
 /// same slab pipeline, inverse line transforms.  parallel_fft3d_inverse
 /// of parallel_fft3d_forward reproduces the input on every rank.
 [[nodiscard]] std::vector<cdouble> parallel_fft3d_inverse(
-    vmpi::Comm& comm, std::vector<cdouble> full_on_root, std::size_t l,
-    const FftOptions& options = {});
+    vmpi::Comm& comm, std::vector<cdouble> full_on_root, std::size_t l);
 
 }  // namespace por::fft

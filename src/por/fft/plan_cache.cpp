@@ -6,7 +6,7 @@
 namespace por::fft {
 
 PlanCache& PlanCache::instance() {
-  // Never destroyed: plans may be referenced from thread_local pools /
+  // Never destroyed: plans may be referenced from thread_local caches /
   // static destructors of arbitrary order.
   static PlanCache* cache = new PlanCache();
   return *cache;

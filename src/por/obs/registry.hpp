@@ -45,10 +45,10 @@ namespace por::obs {
 //    atomic; relaxed failure order is fine because the loop re-reads.
 //
 // Anything that IS publication — registration maps, per-thread trace
-// buffers (trace_detail.hpp), the ThreadPool queue — stays behind a
-// mutex.  If you add an instrument whose readers act on the value
-// (e.g. a back-pressure threshold), do NOT copy this pattern; give it
-// acquire/release semantics instead.
+// buffers (trace_detail.hpp), the scheduler's slot table — stays
+// behind a mutex.  If you add an instrument whose readers act on the
+// value (e.g. a back-pressure threshold), do NOT copy this pattern;
+// give it acquire/release semantics instead.
 //
 // The relaxed cells themselves live in por/obs/cells.hpp, templated on
 // the atomic type so the por::mc model checker can explore the exact

@@ -28,8 +28,7 @@ void FourierAccumulator::insert(const em::Image<double>& view,
     throw std::invalid_argument("FourierAccumulator::insert: view size");
   }
   em::Image<em::cdouble> spectrum =
-      em::centered_fft2(em::pad_image(view, options.pad),
-                        fft::FftOptions{options.fft_threads});
+      em::centered_fft2(em::pad_image(view, options.pad));
   // por-lint: allow(float-eq) exact-zero center skips the phase ramp
   // entirely (bit-identical fast path for centered particles).
   if (center_x != 0.0 || center_y != 0.0) {
@@ -103,7 +102,7 @@ em::Volume<double> FourierAccumulator::finish() const {
     }
   }
   const em::Volume<double> padded =
-      em::centered_ifft3(normalized, fft::FftOptions{options.fft_threads});
+      em::centered_ifft3(normalized);
   // No extra scale: by the discrete projection-slice theorem the 2D
   // DFT of a projection equals the corresponding central section of
   // the 3D DFT sample-for-sample, so the weight-normalized grid IS an

@@ -22,12 +22,6 @@ struct ReconOptions {
   std::size_t pad = em::kDefaultPad;  ///< oversampling factor
   double r_max = 0.0;     ///< insertion radius in padded Fourier px (0 = auto)
   double weight_floor = 1e-3;  ///< voxels with less accumulated weight stay 0
-
-  /// Worker count for the Fourier transforms (view spectra in insert,
-  /// the padded inverse 3D DFT in finish): fft::FftOptions::threads —
-  /// 1 = serial (default), 0 = hardware concurrency.  Results are
-  /// bit-identical for every setting.
-  std::size_t fft_threads = 1;
 };
 
 /// Accumulation grids for incremental insertion; exposed so the

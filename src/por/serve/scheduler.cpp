@@ -37,6 +37,8 @@ constexpr Unpacked unpack(std::uint64_t chunk) {
                   static_cast<std::uint32_t>(chunk & kIndexMask)};
 }
 
+thread_local std::size_t t_worker = Scheduler::kNotAWorker;
+
 }  // namespace
 
 // ---- Batch -----------------------------------------------------------------
@@ -99,19 +101,65 @@ Scheduler::Scheduler(const SchedulerOptions& options)
   alive_gauge_ = &registry.gauge("serve.sched.alive_workers");
   alive_gauge_->set(static_cast<double>(n));
 
-  pool_ = std::make_unique<util::ThreadPool>(n);
-  pool_->set_task_source(this);
+  threads_.reserve(n);
+  try {
+    for (std::size_t i = 0; i < n; ++i) {
+      threads_.emplace_back([this, i] { worker_loop(i); });
+    }
+  } catch (...) {
+    stop_workers();  // a joinable std::thread must never be destroyed
+    throw;
+  }
 }
 
 Scheduler::~Scheduler() {
   {
     // Abandoned batches still complete (the slot table holds them);
-    // wait for the last one so no task outlives the pool.
+    // wait for the last one so no task outlives the workers.
     std::unique_lock<std::mutex> lock(slots_mutex_);
     drained_cv_.wait(lock, [this] { return active_ == 0; });
   }
-  pool_->set_task_source(nullptr);
-  pool_.reset();  // joins the workers
+  stop_workers();
+}
+
+void Scheduler::stop_workers() {
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    stopping_ = true;
+  }
+  work_available_.notify_all();
+  for (std::thread& thread : threads_) thread.join();
+}
+
+std::size_t Scheduler::current_worker() { return t_worker; }
+
+void Scheduler::worker_loop(std::size_t worker) {
+  t_worker = worker;
+  // Epoch handshake with notify(): the worker records the epoch
+  // *before* polling for work, so a producer that publishes work and
+  // bumps the epoch concurrently always either (a) is seen by the
+  // poll, or (b) changes the epoch and defeats the sleep predicate.
+  // Idle workers therefore block — never spin, never miss a wakeup.
+  std::uint64_t seen_epoch = 0;
+  for (;;) {
+    {
+      std::unique_lock<std::mutex> lock(idle_mutex_);
+      work_available_.wait(
+          lock, [&] { return stopping_ || epoch_ != seen_epoch; });
+      if (stopping_) return;
+      seen_epoch = epoch_;
+    }
+    while (run_one(worker)) {
+    }
+  }
+}
+
+void Scheduler::notify() {
+  {
+    std::lock_guard<std::mutex> lock(idle_mutex_);
+    ++epoch_;
+  }
+  work_available_.notify_all();
 }
 
 std::shared_ptr<Batch> Scheduler::submit(
@@ -151,7 +199,7 @@ std::shared_ptr<Batch> Scheduler::submit(
   batch->slot_ = slot;
 
   inject(pack(slot, 0, static_cast<std::uint32_t>(n)));
-  pool_->notify_source();
+  notify();
   return batch;
 }
 
@@ -224,7 +272,7 @@ void Scheduler::execute_chunk(std::size_t worker, std::uint64_t packed) {
     }
     break;
   }
-  if (published) pool_->notify_source();
+  if (published) notify();
 
   for (std::uint32_t i = lo; i < hi; ++i) {
     // Fault hook (PR 5 plan at thread scope): this worker's task-
@@ -305,7 +353,7 @@ void Scheduler::kill_worker(std::size_t worker,
       std::this_thread::yield();
     }
   }
-  pool_->notify_source();
+  notify();
 }
 
 void Scheduler::fail_all_active(const std::string& why) {
@@ -353,7 +401,7 @@ void Scheduler::inject(std::uint64_t chunk) {
   // by the batch backlog; exit early if every worker died.
   while (!injector_.try_push(chunk)) {
     if (alive_.load(std::memory_order_acquire) == 0) return;
-    pool_->notify_source();
+    notify();
     std::this_thread::yield();
   }
 }

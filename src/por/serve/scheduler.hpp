@@ -15,10 +15,10 @@
 //                                               ▼  publish the rest
 //                                      own StealDeque ◄── thieves steal
 //
-// Threads come from util::ThreadPool via its injectable TaskSource —
-// the scheduler owns no threads, it owns the work-distribution policy.
-// Idle workers block in the pool (no spinning); every publication of
-// new work bumps the pool's source epoch so sleepers wake.
+// The scheduler owns its worker threads.  Idle workers block on a
+// condition variable (no spinning); every publication of new work
+// bumps an epoch so sleepers wake — the epoch handshake in worker_loop
+// makes the sleep lost-wakeup-free.
 //
 // Determinism invariant: a batch is `body(i)` for i in [0, n).  Each
 // index is executed exactly once, on exactly one worker, no matter the
@@ -47,11 +47,11 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <vector>
 
 #include "por/serve/job_channel.hpp"
 #include "por/serve/steal_deque.hpp"
-#include "por/util/thread_pool.hpp"
 #include "por/vmpi/fault.hpp"
 
 namespace por::obs {
@@ -114,14 +114,14 @@ class Batch {
   std::exception_ptr error_;
 };
 
-class Scheduler final : public util::TaskSource {
+class Scheduler final {
  public:
   explicit Scheduler(const SchedulerOptions& options = {});
   Scheduler(const Scheduler&) = delete;
   Scheduler& operator=(const Scheduler&) = delete;
   /// Waits for every active batch to finish (or fail), then joins the
-  /// pool.  Do not destroy a scheduler from inside one of its tasks.
-  ~Scheduler() override;
+  /// workers.  Do not destroy a scheduler from inside one of its tasks.
+  ~Scheduler();
 
   /// Asynchronous batch: body(i) for i in [0, n), any worker, exactly
   /// once each.  `on_complete` (optional) runs on the worker that
@@ -135,8 +135,10 @@ class Scheduler final : public util::TaskSource {
   /// Rethrows the first task exception.
   void run(std::size_t n, const std::function<void(std::size_t)>& body);
 
-  /// util::TaskSource hook — called by pool workers, not by users.
-  bool run_one(std::size_t worker) override;
+  /// Ordinal in [0, workers()) of the calling thread within the
+  /// scheduler that runs it; kNotAWorker on any other thread.
+  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
+  [[nodiscard]] static std::size_t current_worker();
 
   [[nodiscard]] std::size_t workers() const { return workers_.size(); }
   [[nodiscard]] std::size_t alive_workers() const {
@@ -155,6 +157,12 @@ class Scheduler final : public util::TaskSource {
     std::uint64_t attempts = 0;  ///< owner-thread only (fault-plan step)
   };
 
+  void worker_loop(std::size_t worker);
+  /// Wake sleeping workers: call after making new work visible.
+  void notify();
+  /// Tell every worker to exit, then join them.
+  void stop_workers();
+  bool run_one(std::size_t worker);
   bool next_chunk(std::size_t worker, std::uint64_t& out);
   void execute_chunk(std::size_t worker, std::uint64_t packed);
   void run_task(Batch& batch, std::uint32_t index);
@@ -185,8 +193,14 @@ class Scheduler final : public util::TaskSource {
   obs::Counter* requeued_counter_;
   obs::Gauge* alive_gauge_;
 
-  // Last member: worker threads must observe a fully-built scheduler.
-  std::unique_ptr<util::ThreadPool> pool_;
+  std::mutex idle_mutex_;
+  std::condition_variable work_available_;
+  std::uint64_t epoch_ = 1;  ///< guarded by idle_mutex_; bumped by notify()
+  bool stopping_ = false;    ///< guarded by idle_mutex_
+
+  // Started at the end of the constructor and joined at the start of the
+  // destructor: worker threads only ever see a fully-built scheduler.
+  std::vector<std::thread> threads_;
 };
 
 }  // namespace por::serve

@@ -92,8 +92,9 @@ RefineService::RefineService(ServiceOptions options)
     tenant_entry_locked(tenant.name);  // pre-register configured tenants
   }
 
-  SchedulerOptions sched = options_.scheduler;
-  if (options_.workers != 0) sched.workers = options_.workers;
+  SchedulerOptions sched;
+  sched.workers = options_.workers;
+  sched.fault_plan = options_.worker_fault_plan;
   scheduler_ = std::make_unique<Scheduler>(sched);
 
   max_running_ = options_.max_running != 0 ? options_.max_running

@@ -117,9 +117,9 @@ struct ServiceOptions {
   /// Configured tenants.  Empty → open tenancy: any tenant name is
   /// admitted with an unlimited quota.
   std::vector<TenantConfig> tenants;
-  /// Work-stealing knobs + fault plan; `workers` above wins over
-  /// scheduler.workers.
-  SchedulerOptions scheduler;
+  /// Deterministic scheduler-worker death injection
+  /// (SchedulerOptions::fault_plan).
+  vmpi::FaultPlan worker_fault_plan;
   /// Injectable clock (monotonic nanoseconds) for quota refill and
   /// latency measurement; tests drive it by hand.  Null → steady clock.
   std::function<std::uint64_t()> clock_ns;

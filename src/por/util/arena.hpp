@@ -21,7 +21,8 @@
 //   * ArenaScope    — RAII mark/rewind; scopes must nest like stack
 //                     frames (LIFO), which every call site here does.
 //   * frame_arena() — the calling thread's arena.  Thread-local, so
-//                     pool workers and vmpi rank threads never contend.
+//                     scheduler workers and vmpi rank threads never
+//                     contend.
 //   * ArenaUpstream — where chunks come from.  The default is the
 //                     general heap; tests install a CountingUpstream to
 //                     prove the steady state never refills.

@@ -1,12 +1,10 @@
 // Tests for the v2 FFT engine: plan cache accounting, the batched
 // strided-line transform, real-to-complex forward transforms (including
-// the paper's odd Bluestein view sizes 331 and 511), and the
-// bit-identity of threaded execution.
+// the paper's odd Bluestein view sizes 331 and 511).
 
 #include <gtest/gtest.h>
 
 #include <complex>
-#include <cstring>
 #include <vector>
 
 #include "por/fft/fft1d.hpp"
@@ -46,12 +44,6 @@ double max_mag(const std::vector<cdouble>& a) {
   double worst = 0.0;
   for (const auto& v : a) worst = std::max(worst, std::abs(v));
   return worst;
-}
-
-bool bitwise_equal(const std::vector<cdouble>& a,
-                   const std::vector<cdouble>& b) {
-  return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)) == 0;
 }
 
 // ---- plan cache -------------------------------------------------------------
@@ -188,48 +180,6 @@ TEST(Rfft3d, MatchesComplexTransform) {
     EXPECT_LT(max_err(r2c, reference), 1e-12 * scale)
         << nz << "x" << ny << "x" << nx;
   }
-}
-
-// ---- threaded execution -----------------------------------------------------
-
-TEST(FftThreads, Fft2dThreadedIsBitIdenticalToSerial) {
-  const std::size_t ny = 48, nx = 36;
-  const auto x = random_field(ny * nx, 77);
-  auto serial = x;
-  fft2d_forward(serial.data(), ny, nx);
-  for (const std::size_t threads : {std::size_t{2}, std::size_t{4}}) {
-    auto threaded = x;
-    fft2d_forward(threaded.data(), ny, nx, FftOptions{threads});
-    EXPECT_TRUE(bitwise_equal(threaded, serial)) << threads << " threads";
-  }
-  auto round = serial;
-  fft2d_inverse(round.data(), ny, nx, FftOptions{4});
-  auto round_serial = serial;
-  fft2d_inverse(round_serial.data(), ny, nx);
-  EXPECT_TRUE(bitwise_equal(round, round_serial));
-}
-
-TEST(FftThreads, Fft3dThreadedIsBitIdenticalToSerial) {
-  const std::size_t l = 16;
-  const auto x = random_field(l * l * l, 78);
-  auto serial = x;
-  fft3d_forward(serial.data(), l, l, l);
-  auto threaded = x;
-  fft3d_forward(threaded.data(), l, l, l, FftOptions{4});
-  EXPECT_TRUE(bitwise_equal(threaded, serial));
-  // 0 = hardware concurrency must also be bit-identical.
-  auto hw = x;
-  fft3d_forward(hw.data(), l, l, l, FftOptions{0});
-  EXPECT_TRUE(bitwise_equal(hw, serial));
-}
-
-TEST(FftThreads, Rfft2dThreadedIsBitIdenticalToSerial) {
-  const std::size_t ny = 33, nx = 40;
-  const auto real = random_real(ny * nx, 79);
-  std::vector<cdouble> serial(ny * nx), threaded(ny * nx);
-  rfft2d_forward(real.data(), serial.data(), ny, nx);
-  rfft2d_forward(real.data(), threaded.data(), ny, nx, FftOptions{3});
-  EXPECT_TRUE(bitwise_equal(threaded, serial));
 }
 
 }  // namespace

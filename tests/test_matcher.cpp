@@ -5,7 +5,6 @@
 #include "por/core/matcher.hpp"
 #include "por/em/projection.hpp"
 #include "por/util/rng.hpp"
-#include "por/util/thread_pool.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -317,18 +316,6 @@ TEST(Matcher, CutWithCtfMatchesSliceTimesTransfer) {
     }
   }
   EXPECT_LT(por::test::max_abs_diff(matcher.cut(o), expected), 1e-12);
-}
-
-TEST(Matcher, SearchThreadsKnobCreatesPool) {
-  const BlobModel model = small_phantom(8, 4);
-  MatchOptions serial;
-  const FourierMatcher matcher_serial(model.rasterize(8), serial);
-  EXPECT_EQ(matcher_serial.search_pool(), nullptr);
-  MatchOptions threaded;
-  threaded.search_threads = 2;
-  const FourierMatcher matcher_threaded(model.rasterize(8), threaded);
-  ASSERT_NE(matcher_threaded.search_pool(), nullptr);
-  EXPECT_EQ(matcher_threaded.search_pool()->size(), 2u);
 }
 
 TEST(Matcher, RejectsBadConfiguration) {

@@ -49,7 +49,7 @@ TEST_P(ParallelFftRanks, IsBitIdenticalToSerialTransform) {
   // Stronger than MatchesSerialTransform: the slab pipeline runs the
   // very same cached 1D plans over the same lines in the same per-line
   // order, so the distributed result is the serial result *bitwise*,
-  // for any rank count and any thread count.
+  // for any rank count.
   const int p = GetParam();
   const std::size_t l = 16;
   const auto input = random_volume(l, 21);
@@ -59,8 +59,8 @@ TEST_P(ParallelFftRanks, IsBitIdenticalToSerialTransform) {
   std::vector<std::vector<cdouble>> per_rank(p);
   vmpi::run(p, [&](vmpi::Comm& comm) {
     auto local = comm.is_root() ? input : std::vector<cdouble>{};
-    per_rank[comm.rank()] = fft::parallel_fft3d_forward(
-        comm, std::move(local), l, fft::FftOptions{2});
+    per_rank[comm.rank()] =
+        fft::parallel_fft3d_forward(comm, std::move(local), l);
   });
   for (int r = 0; r < p; ++r) {
     ASSERT_EQ(per_rank[r].size(), serial.size());

@@ -759,14 +759,15 @@ RefinerConfig fast_config() {
 }
 
 struct Workload {
-  std::size_t l = 16;
-  BlobModel model = small_phantom(16, 10);
+  std::size_t l;
+  BlobModel model;
   Volume<double> map;
   std::vector<Image<double>> views;
   std::vector<Orientation> initials;
   std::vector<std::pair<double, double>> centers;
 
-  explicit Workload(int m = 10) : map(model.rasterize(16)) {
+  explicit Workload(int m = 10, std::size_t edge = 16)
+      : l(edge), model(small_phantom(edge, 10)), map(model.rasterize(edge)) {
     util::Rng rng(97);
     for (int i = 0; i < m; ++i) {
       const Orientation truth = por::test::random_orientation(rng);
@@ -894,6 +895,80 @@ TEST(FaultRecovery, OrientationFileBitwiseIdenticalAfterRankDeath) {
   // The acceptance bar: the recovered run's orientation file is
   // byte-for-byte the fault-free file.
   EXPECT_EQ(slurp(out_clean), slurp(out_faulty));
+}
+
+// ---- scheduler workers inside the ranks -----------------------------------
+
+void expect_identical_statistics(const std::vector<ViewResult>& a,
+                                 const std::vector<ViewResult>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].matchings, b[i].matchings) << "view " << i;
+    EXPECT_EQ(a[i].cache_hits, b[i].cache_hits) << "view " << i;
+    EXPECT_EQ(a[i].center_evals, b[i].center_evals) << "view " << i;
+    EXPECT_EQ(a[i].window_slides, b[i].window_slides) << "view " << i;
+  }
+}
+
+// refine_workers != 1 runs each rank's share on a work-stealing
+// scheduler: the master refines its own block in sub-batches, a worker
+// rank each assignment as one batch.  Neither may change a bit of the
+// per-view results or statistics.  l = 18 keeps the padded edge (36)
+// divisible by 3 ranks.
+TEST(ParallelRefineWorkers, BitwiseEqualToOneWorkerOnOneAndThreeRanks) {
+  const Workload w(10, 18);
+  const RefinerConfig serial = fast_config();
+  for (const int ranks : {1, 3}) {
+    const ParallelRefineReport reference =
+        run_refine(ranks, vmpi::FaultPlan{}, w, serial);
+    ASSERT_EQ(reference.results.size(), w.views.size());
+    for (const int workers : {2, 4}) {
+      SCOPED_TRACE(testing::Message()
+                   << ranks << " ranks, " << workers << " workers");
+      RefinerConfig config = fast_config();
+      config.refine_workers = workers;
+      const ParallelRefineReport report =
+          run_refine(ranks, vmpi::FaultPlan{}, w, config);
+      expect_identical_results(reference.results, report.results);
+      expect_identical_statistics(reference.results, report.results);
+      // Every rank — the master's own block and each worker rank's
+      // assignments — really ran on its scheduler.
+      ASSERT_EQ(report.obs.per_rank.size(), static_cast<std::size_t>(ranks));
+      for (const obs::Snapshot& rank : report.obs.per_rank) {
+        const auto tasks = rank.counters.find("serve.sched.tasks");
+        ASSERT_NE(tasks, rank.counters.end());
+        EXPECT_GT(tasks->second, 0u);
+      }
+    }
+  }
+}
+
+TEST(ParallelRefineWorkers, KilledRankRecoversBitwiseWithTwoWorkers) {
+  const Workload w;
+  const ParallelRefineReport clean =
+      run_refine(4, vmpi::FaultPlan{}, w, fast_config());
+
+  // With a scheduler the worker rank consumes its fault points for the
+  // whole batch up front, so the kill lands before any of that batch's
+  // results is sent and the master must reassign all of it.
+  RefinerConfig config = fast_config();
+  config.refine_workers = 2;
+  vmpi::FaultPlan plan;
+  plan.kill_rank_at_step(2, 1);
+  const ParallelRefineReport recovered = run_refine(4, plan, w, config);
+  EXPECT_GE(recovered.dead_ranks, 1u);
+  EXPECT_GT(recovered.reassigned_views, 0u);
+  expect_identical_results(clean.results, recovered.results);
+  expect_identical_statistics(clean.results, recovered.results);
+}
+
+TEST(ParallelRefineWorkers, NegativeWorkerCountIsRejected) {
+  const Workload w(2);
+  RefinerConfig config = fast_config();
+  config.refine_workers = -1;
+  EXPECT_THROW((void)OrientationRefiner(w.map, config), std::invalid_argument);
+  EXPECT_THROW(run_refine(1, vmpi::FaultPlan{}, w, config),
+               std::invalid_argument);
 }
 
 // ---- checkpoint / restart -------------------------------------------------

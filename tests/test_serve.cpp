@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -241,6 +242,49 @@ TEST(Scheduler, PropagatesTaskExceptionAndStaysUsable) {
   EXPECT_EQ(ran.load(), 64u);
 }
 
+TEST(Scheduler, TasksRunOnWorkersWithOrdinalsInRange) {
+  SchedulerOptions options;
+  options.workers = 3;
+  Scheduler scheduler(options);
+  std::vector<std::atomic<std::uint64_t>> hits(scheduler.workers());
+  std::atomic<std::uint64_t> off_worker{0};
+  for (int round = 0; round < 4; ++round) {
+    scheduler.run(500, [&](std::size_t) {
+      const std::size_t worker = Scheduler::current_worker();
+      if (worker < hits.size()) {
+        hits[worker].fetch_add(1);
+      } else {
+        off_worker.fetch_add(1);
+      }
+    });
+  }
+  EXPECT_EQ(off_worker.load(), 0u);
+  std::uint64_t total = 0;
+  for (const auto& h : hits) total += h.load();
+  EXPECT_EQ(total, 2000u);
+  EXPECT_EQ(Scheduler::current_worker(), Scheduler::kNotAWorker);
+}
+
+TEST(Scheduler, IdleWorkersBlockInsteadOfSpinning) {
+  // Regression guard for the strictly-blocking idle contract: workers
+  // with nothing to run must sleep on the condvar, not poll for work
+  // in a loop.  A busy-waiting scheduler would burn ~4 x 300 ms of CPU
+  // here; blocked workers burn none.  The bound is generous enough for
+  // TSan/Valgrind-style slowdowns.
+  SchedulerOptions options;
+  options.workers = 4;
+  Scheduler scheduler(options);
+  scheduler.run(4, [](std::size_t) {});  // wake everyone once
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+  const std::clock_t cpu_before = std::clock();
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  const double cpu_seconds =
+      static_cast<double>(std::clock() - cpu_before) / CLOCKS_PER_SEC;
+  EXPECT_LT(cpu_seconds, 0.15)
+      << "idle scheduler burned CPU: workers are spinning, not blocking";
+}
+
 // The tentpole determinism criterion: refinement results from the
 // work-stealing scheduler are bitwise-identical to the serial loop at
 // any worker count.
@@ -418,10 +462,12 @@ TEST(RefineService, EnforcesTenantQuotas) {
   const em::BlobModel model = small_phantom(l, 12);
   const auto set = make_views(model, l, 2, /*seed=*/31);
 
-  std::uint64_t fake_now = 1'000'000'000;
+  // Atomic: the dispatcher thread reads the clock while this thread
+  // advances it.
+  std::atomic<std::uint64_t> fake_now{1'000'000'000};
   ServiceOptions options;
   options.workers = 2;
-  options.clock_ns = [&fake_now] { return fake_now; };
+  options.clock_ns = [&fake_now] { return fake_now.load(); };
   options.tenants = {TenantConfig{"metered", /*rate=*/10.0, /*burst=*/2.0},
                      TenantConfig{"unlimited", 0.0, 0.0}};
   RefineService service(options);
@@ -555,7 +601,7 @@ TEST(RefineService, WorkerDeathDoesNotFailJobs) {
 
   ServiceOptions options;
   options.workers = 3;
-  options.scheduler.fault_plan.kill_rank_at_step(0, 1);
+  options.worker_fault_plan.kill_rank_at_step(0, 1);
   RefineService service(options);
   service.register_model("phantom", model.rasterize(l), config);
 

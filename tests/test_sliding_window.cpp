@@ -197,29 +197,6 @@ TEST(SlidingWindow, WarmCacheServesRepeatSearchEntirely) {
   EXPECT_EQ(second.best_distance, first.best_distance);
 }
 
-TEST(SlidingWindow, ParallelCandidateFanoutMatchesSerial) {
-  const std::size_t l = 20;
-  const BlobModel model = small_phantom(l, 12);
-  MatchOptions serial_options;
-  serial_options.r_map = 8.0;
-  MatchOptions parallel_options = serial_options;
-  parallel_options.search_threads = 4;
-  const Volume<double> map = model.rasterize(l);
-  const FourierMatcher serial(map, serial_options);
-  const FourierMatcher parallel(map, parallel_options);
-
-  const Orientation truth{50, 120, 40};
-  const auto spectrum =
-      serial.prepare_view(model.project_analytic(l, truth));
-  const SearchDomain domain{Orientation{52, 121, 40}, 1.0, 3};
-  const WindowResult a = sliding_window_search(serial, spectrum, domain);
-  const WindowResult b = sliding_window_search(parallel, spectrum, domain);
-  EXPECT_EQ(a.best, b.best);
-  EXPECT_EQ(a.best_distance, b.best_distance);
-  EXPECT_EQ(a.slides, b.slides);
-  EXPECT_EQ(a.matchings, b.matchings);
-}
-
 TEST(SlidingWindow, MatchingCounterAttributionIsExact) {
   Fixture fx;
   const Orientation truth{50, 120, 40};

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <cmath>
-#include <ctime>
 #include <regex>
 #include <set>
 #include <thread>
@@ -13,7 +11,6 @@
 #include "por/util/log.hpp"
 #include "por/util/rng.hpp"
 #include "por/util/table.hpp"
-#include "por/util/thread_pool.hpp"
 #include "por/util/timer.hpp"
 
 namespace {
@@ -251,146 +248,6 @@ TEST(Log, AppendAllFoldsHeterogeneousArguments) {
   std::ostringstream empty;
   por::util::detail::append_all(empty);  // zero arguments is fine
   EXPECT_EQ(empty.str(), "");
-}
-
-// ---- ThreadPool -------------------------------------------------------------
-
-TEST(ThreadPool, RunsAllSubmittedTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.wait_idle();
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(103);
-  pool.parallel_for(3, 103, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (std::size_t i = 0; i < hits.size(); ++i) {
-    EXPECT_EQ(hits[i].load(), i >= 3 && i < 103 ? 1 : 0) << "index " << i;
-  }
-}
-
-TEST(ThreadPool, EmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool touched = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { touched = true; });
-  EXPECT_FALSE(touched);
-}
-
-TEST(ThreadPool, TaskExceptionRethrownFromWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-}
-
-TEST(ThreadPool, ParallelForBodyExceptionDoesNotDeadlock) {
-  ThreadPool pool(4);
-  // Every chunk throws; wait_idle() must still see in_flight drain to
-  // zero and rethrow the first error instead of blocking forever.
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [](std::size_t i) {
-                                   if (i % 2 == 0) {
-                                     throw std::runtime_error("body failed");
-                                   }
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, PoolRemainsUsableAfterException) {
-  ThreadPool pool(3);
-  EXPECT_THROW(
-      pool.parallel_for(0, 10,
-                        [](std::size_t) { throw std::logic_error("once"); }),
-      std::logic_error);
-  // The error was consumed by the previous wait; new work runs cleanly.
-  std::atomic<int> counter{0};
-  pool.parallel_for(0, 25, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 25);
-  pool.wait_idle();  // no stale exception left behind
-}
-
-// ---- ThreadPool task source (por::serve integration point) -----------------
-
-namespace task_source_test {
-
-/// Toy source: a counter of pending units, drained one run_one at a
-/// time, remembering which worker ordinals ran them.
-class CountingSource : public TaskSource {
- public:
-  explicit CountingSource(std::size_t workers) : worker_hits_(workers) {}
-
-  bool run_one(std::size_t worker) override {
-    std::uint64_t pending = pending_.load();
-    while (pending > 0 &&
-           !pending_.compare_exchange_weak(pending, pending - 1)) {
-    }
-    if (pending == 0) return false;
-    worker_hits_[worker].fetch_add(1);
-    ran_.fetch_add(1);
-    return true;
-  }
-
-  void publish(std::uint64_t count) { pending_.fetch_add(count); }
-  [[nodiscard]] std::uint64_t ran() const { return ran_.load(); }
-  [[nodiscard]] std::uint64_t hits(std::size_t worker) const {
-    return worker_hits_[worker].load();
-  }
-
- private:
-  std::atomic<std::uint64_t> pending_{0};
-  std::atomic<std::uint64_t> ran_{0};
-  std::vector<std::atomic<std::uint64_t>> worker_hits_;
-};
-
-}  // namespace task_source_test
-
-TEST(ThreadPool, TaskSourceDrainedByIdleWorkers) {
-  using task_source_test::CountingSource;
-  ThreadPool pool(3);
-  CountingSource source(pool.size());
-  pool.set_task_source(&source);
-  for (int round = 0; round < 4; ++round) {
-    source.publish(500);
-    pool.notify_source();
-  }
-  // No completion signal on the source itself; poll with a deadline.
-  for (int spin = 0; spin < 2000 && source.ran() < 2000; ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_EQ(source.ran(), 2000u);
-  std::uint64_t total = 0;
-  for (std::size_t w = 0; w < pool.size(); ++w) total += source.hits(w);
-  EXPECT_EQ(total, 2000u);  // worker ordinals were all in [0, size())
-  pool.set_task_source(nullptr);
-  // FIFO tasks still work alongside / after a source.
-  std::atomic<int> counter{0};
-  pool.parallel_for(0, 50, [&](std::size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPool, IdleWorkersBlockInsteadOfSpinning) {
-  // Regression guard for the strictly-blocking idle contract: workers
-  // with an installed-but-empty source must sleep on the condvar, not
-  // poll it in a loop.  A busy-waiting pool would burn ~4 x 300 ms of
-  // CPU here; blocked workers burn none.  The bound is generous enough
-  // for TSan/Valgrind-style slowdowns.
-  ThreadPool pool(4);
-  task_source_test::CountingSource source(pool.size());
-  pool.set_task_source(&source);
-  pool.notify_source();  // wake everyone once against the empty source
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-
-  const std::clock_t cpu_before = std::clock();
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  const double cpu_seconds =
-      static_cast<double>(std::clock() - cpu_before) / CLOCKS_PER_SEC;
-  EXPECT_LT(cpu_seconds, 0.15)
-      << "idle pool burned CPU: workers are spinning, not blocking";
-  pool.set_task_source(nullptr);
 }
 
 }  // namespace
