@@ -5,6 +5,7 @@
 // the per-step wall times in the paper's row layout.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -60,12 +61,24 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
       centers[i] = {results[i].center_x, results[i].center_y};
     }
 
+    // Seconds in span "step.<name>", max over ranks: the slowest rank
+    // sets the wall clock of the step.
+    const auto step_s = [&](const std::string& name) {
+      double slowest = 0.0;
+      for (const obs::Snapshot& rank : report.obs.per_rank) {
+        const auto it = rank.spans.find("step." + name);
+        if (it == rank.spans.end()) continue;
+        slowest = std::max(slowest,
+                           static_cast<double>(it->second.total_ns) * 1e-9);
+      }
+      return slowest;
+    };
     StageRow row;
-    row.dft = report.times.get("3D DFT");
-    row.read = report.times.get("Read image");
-    row.fft = report.times.get("FFT analysis");
-    row.refine = report.times.get("Orientation refinement");
-    row.center = report.times.get("Center refinement");
+    row.dft = step_s("3D DFT");
+    row.read = step_s("Read image");
+    row.fft = step_s("FFT analysis");
+    row.refine = step_s("Orientation refinement");
+    row.center = step_s("Center refinement");
     row.total = row.dft + row.read + row.fft + row.refine + row.center;
     row.matchings = report.total_matchings;
     row.slides = report.total_slides;

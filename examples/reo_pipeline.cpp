@@ -13,8 +13,9 @@
 // Out-of-core (DESIGN.md §14): --shards true writes the view stack as
 // a sharded store under <workdir>/views.shards.* instead of a
 // monolithic PORS file and refines every cycle through
-// core::parallel_refine_sharded, bounding the master's resident view
-// cache to --max_resident_mb (0 = unbounded).
+// core::parallel_refine_files (which tells the two stack kinds apart by
+// magic), bounding the master's resident view cache to
+// --max_resident_mb (0 = unbounded).
 //
 // Resilience (DESIGN.md §10): --checkpoint true records every refined
 // view of each cycle to <workdir>/ckpt_cycle_<n>.porc; with --resume
@@ -170,14 +171,8 @@ int main(int argc, char** argv) {
 
     std::uint64_t restored = 0, reassigned = 0, dead = 0;
     vmpi::run(ranks, fault_plan, [&](vmpi::Comm& comm) {
-      const auto r =
-          use_shards
-              ? core::parallel_refine_sharded(comm, map_in, stack_path,
-                                              orient_in, orient_out,
-                                              refiner_config)
-              : core::parallel_refine_files(comm, map_in, stack_path,
-                                            orient_in, orient_out,
-                                            refiner_config);
+      const auto r = core::parallel_refine_files(
+          comm, map_in, stack_path, orient_in, orient_out, refiner_config);
       if (comm.is_root()) {
         restored = r.restored_views;
         reassigned = r.reassigned_views;

@@ -25,7 +25,7 @@
 //
 // Out-of-core demo (DESIGN.md §14): --shards DIR writes the simulated
 // stack, the map and the initial orientations under DIR as a sharded
-// view store and refines through core::parallel_refine_sharded — the
+// view store and refines through core::parallel_refine_files — the
 // paper-scale I/O model where the master never holds the whole stack.
 // --max_resident_mb bounds its resident shard cache; results are
 // bitwise-identical to the in-memory path on the same inputs.
@@ -230,9 +230,9 @@ int main(int argc, char** argv) {
                    ? core::parallel_refine(comm, truth_map, l, views,
                                            old_orientations, centers,
                                            refiner_config)
-                   : core::parallel_refine_sharded(comm, shard_map, shard_base,
-                                                   shard_in, shard_out,
-                                                   refiner_config);
+                   : core::parallel_refine_files(comm, shard_map, shard_base,
+                                                 shard_in, shard_out,
+                                                 refiner_config);
       if (comm.is_root()) {
         results = std::move(r.results);
         obs_report = std::move(r.obs);

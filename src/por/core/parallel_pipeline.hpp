@@ -14,7 +14,7 @@
 namespace por::core {
 
 struct ParallelCycleReport {
-  ParallelRefineReport refine;     ///< step-B report (times, matchings)
+  ParallelRefineReport refine;     ///< step-B report (matchings, obs spans)
   double reconstruction_seconds = 0.0;  ///< step-C wall time (max over ranks)
   /// Refined per-view records in global order (root only).
   std::vector<ViewResult> results;

@@ -3,13 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <cstring>
-#include <fstream>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "por/em/pad.hpp"
@@ -26,6 +24,7 @@
 #include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/log.hpp"
+#include "por/util/timer.hpp"
 
 namespace por::core {
 
@@ -45,50 +44,12 @@ constexpr vmpi::Tag kCtrlTag = 203;
 constexpr std::uint64_t kDoneIndex =
     std::numeric_limits<std::uint64_t>::max();
 
-/// Initial parameters of one view, as shipped to the refining rank.
-struct InitRecord {
-  em::Orientation orientation;
-  double cx = 0.0, cy = 0.0;
-};
-
 /// One refined view streamed back to the master (or, with
 /// view_index == kDoneIndex, a batch-complete marker).
 struct ResultMsg {
   std::uint64_t view_index = kDoneIndex;
   ViewResult result;
 };
-
-resilience::CheckpointRecord to_record(std::uint64_t index,
-                                       const ViewResult& vr) {
-  resilience::CheckpointRecord rec;
-  rec.view_index = index;
-  rec.theta = vr.orientation.theta;
-  rec.phi = vr.orientation.phi;
-  rec.omega = vr.orientation.omega;
-  rec.center_x = vr.center_x;
-  rec.center_y = vr.center_y;
-  rec.final_distance = vr.final_distance;
-  rec.matchings = vr.matchings;
-  rec.cache_hits = vr.cache_hits;
-  rec.center_evals = vr.center_evals;
-  rec.window_slides = vr.window_slides;
-  rec.quarantined = vr.quarantined;
-  return rec;
-}
-
-ViewResult from_record(const resilience::CheckpointRecord& rec) {
-  ViewResult vr;
-  vr.orientation = em::Orientation{rec.theta, rec.phi, rec.omega};
-  vr.center_x = rec.center_x;
-  vr.center_y = rec.center_y;
-  vr.final_distance = rec.final_distance;
-  vr.matchings = rec.matchings;
-  vr.cache_hits = rec.cache_hits;
-  vr.center_evals = rec.center_evals;
-  vr.window_slides = rec.window_slides;
-  vr.quarantined = rec.quarantined;
-  return vr;
-}
 
 /// Scoped override of the rank's communication deadline
 /// (ResilienceOptions::comm_deadline); restores the previous deadline
@@ -107,39 +68,6 @@ class DeadlineGuard {
   vmpi::Comm& comm_;
   std::chrono::milliseconds saved_;
 };
-
-/// Reduce a StepTimes with max over ranks so the report reflects the
-/// slowest rank, which is what determines the wall clock of the cycle.
-util::StepTimes reduce_times_max(vmpi::Comm& comm,
-                                 const util::StepTimes& mine) {
-  // Fixed step vocabulary keeps the reduction a plain vector allreduce.
-  static const char* kSteps[] = {"3D DFT", "Read image", "FFT analysis",
-                                 "Orientation refinement",
-                                 "Center refinement"};
-  std::vector<double> values;
-  values.reserve(std::size(kSteps));
-  for (const char* step : kSteps) values.push_back(mine.get(step));
-  values = comm.allreduce(values, vmpi::ReduceOp::kMax);
-  util::StepTimes out;
-  for (std::size_t i = 0; i < std::size(kSteps); ++i) {
-    out.add(kSteps[i], values[i]);
-  }
-  return out;
-}
-
-/// Rebuild the paper's StepTimes rows from the "step.<name>" span
-/// series a rank recorded into its registry — the registry replaces
-/// the bespoke per-step WallTimer plumbing this file used to carry.
-util::StepTimes step_times_from(const obs::Snapshot& snapshot) {
-  constexpr std::string_view kPrefix = "step.";
-  util::StepTimes out;
-  for (const auto& [name, data] : snapshot.spans) {
-    if (std::string_view(name).substr(0, kPrefix.size()) != kPrefix) continue;
-    out.add(name.substr(kPrefix.size()),
-            static_cast<double>(data.total_ns) * 1e-9);
-  }
-  return out;
-}
 
 /// Per-worker bookkeeping on the master side.
 struct WorkerState {
@@ -194,6 +122,12 @@ ParallelRefineReport refine_distributed(
     if (map_on_root.nx() != l || !map_on_root.is_cube()) {
       throw std::invalid_argument("parallel_refine: map edge mismatch");
     }
+    // Every view buffer downstream is l x l: a stack of another edge
+    // would overrun them (or be matched on a prefix of each view).
+    if (source_on_root->count() > 0 &&
+        (source_on_root->nx() != l || source_on_root->ny() != l)) {
+      throw std::invalid_argument("parallel_refine: view edge mismatch");
+    }
     raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
               .storage();
   }
@@ -209,6 +143,7 @@ ParallelRefineReport refine_distributed(
   const OrientationRefiner refiner(
       FourierMatcher(std::move(spectrum), l, config.matcher_options()),
       config);
+  const std::unique_ptr<serve::Scheduler> scheduler = refiner.make_scheduler();
 
   ParallelRefineReport report;
   std::uint64_t my_matchings = 0, my_slides = 0;
@@ -221,9 +156,11 @@ ParallelRefineReport refine_distributed(
         (!centers_on_root.empty() && centers_on_root.size() != total_views)) {
       throw std::invalid_argument("parallel_refine: input sizes disagree");
     }
-    const auto center_of = [&](std::uint64_t i) {
-      return centers_on_root.empty() ? std::pair<double, double>{0.0, 0.0}
-                                     : centers_on_root[i];
+    const auto start_of = [&](std::uint64_t i) {
+      return centers_on_root.empty()
+                 ? ViewStart{initial_on_root[i]}
+                 : ViewStart{initial_on_root[i], centers_on_root[i].first,
+                             centers_on_root[i].second};
     };
 
     report.results.assign(total_views, ViewResult{});
@@ -268,26 +205,39 @@ ParallelRefineReport refine_distributed(
       ++n_recorded;
       if (checkpoint) checkpoint->append(to_record(index, vr));
     };
-    // One reused view-sized buffer for every master-local refinement;
-    // the stack itself stays out of core.
-    em::Image<double> scratch(l, l);
-    const auto refine_pixels = [&](std::uint64_t index, const double* pixels) {
-      std::copy(pixels, pixels + l * l, scratch.storage().begin());
-      ViewResult vr =
-          refiner.refine_view(scratch, initial_on_root[index],
-                              center_of(index).first, center_of(index).second);
-      my_matchings += vr.matchings;
-      my_slides += static_cast<std::uint64_t>(vr.window_slides);
-      return vr;
-    };
-    const auto refine_local = [&](std::uint64_t index) {
-      source.fetch(index, scratch.data());
-      ViewResult vr =
-          refiner.refine_view(scratch, initial_on_root[index],
-                              center_of(index).first, center_of(index).second);
-      my_matchings += vr.matchings;
-      my_slides += static_cast<std::uint64_t>(vr.window_slides);
-      return vr;
+    // Steps (d)-(l) on the master — its own block and any orphan it
+    // cannot delegate — through the refiner's one per-view loop.  A
+    // contiguous block (the common non-resume case) streams through a
+    // prefetching cursor, so the next chunk's pixels fault in while the
+    // current group is matched; a resumed block is fetched view by view.
+    // `listen` runs before every fetch.
+    const auto refine_local = [&](const std::vector<std::uint64_t>& idxs,
+                                  const std::function<void()>& listen) {
+      std::optional<stream::ViewCursor> cursor;
+      if (idxs.size() > 1 && idxs.back() - idxs.front() + 1 == idxs.size()) {
+        stream::PrefetchOptions prefetch;
+        prefetch.depth = config.stream.prefetch_depth;
+        prefetch.batch_views = config.stream.batch_views;
+        cursor.emplace(source, idxs.front(), idxs.size(), prefetch);
+      }
+      refiner.refine_each(
+          idxs.size(),
+          [&](std::size_t k, double* pixels) {
+            if (listen) listen();
+            if (cursor) {
+              const double* next = cursor->next();
+              std::copy(next, next + l * l, pixels);
+            } else {
+              source.fetch(idxs[k], pixels);
+            }
+            return start_of(idxs[k]);
+          },
+          [&](std::size_t k, const ViewResult& vr) {
+            my_matchings += vr.matchings;
+            my_slides += static_cast<std::uint64_t>(vr.window_slides);
+            record_result(idxs[k], vr);
+          },
+          scheduler.get());
     };
 
     // ---- steps (b)+(c): distribute the remaining views -------------------
@@ -299,12 +249,9 @@ ParallelRefineReport refine_distributed(
     }
 
     const auto inits_for = [&](const std::vector<std::uint64_t>& idxs) {
-      std::vector<InitRecord> init;
+      std::vector<ViewStart> init;
       init.reserve(idxs.size());
-      for (const std::uint64_t i : idxs) {
-        init.push_back(InitRecord{initial_on_root[i], center_of(i).first,
-                                  center_of(i).second});
-      }
+      for (const std::uint64_t i : idxs) init.push_back(start_of(i));
       return init;
     };
     const auto pixels_for = [&](const std::vector<std::uint64_t>& idxs) {
@@ -390,10 +337,15 @@ ParallelRefineReport refine_distributed(
       }
       if (idle.empty()) {
         // Nobody to delegate to: the master is always alive, refine
-        // the orphans here so the run is guaranteed to terminate.
+        // the orphans here so the run is guaranteed to terminate.  A
+        // view can be orphaned twice (reassigned, then lost again).
+        std::vector<std::uint64_t> todo;
         for (const std::uint64_t index : orphans) {
-          if (!recorded[index]) record_result(index, refine_local(index));
+          if (!recorded[index]) todo.push_back(index);
         }
+        std::sort(todo.begin(), todo.end());
+        todo.erase(std::unique(todo.begin(), todo.end()), todo.end());
+        refine_local(todo, {});
       } else {
         std::vector<std::vector<std::uint64_t>> shares(idle.size());
         for (std::size_t i = 0; i < orphans.size(); ++i) {
@@ -409,7 +361,10 @@ ParallelRefineReport refine_distributed(
     };
 
     // The master refines its own block first, draining worker results
-    // opportunistically between views so the mailbox stays shallow.
+    // opportunistically before every fetch so the mailbox stays
+    // shallow.  Results are recorded on this rank thread (record_result
+    // and the checkpoint writer are single-writer), so the protocol
+    // state is untouched by the scheduler's parallelism.
     int src = 0;
     const auto drain_mailbox = [&] {
       while (const auto msg = comm.try_recv_any_value<ResultMsg>(
@@ -418,62 +373,7 @@ ParallelRefineReport refine_distributed(
       }
       dispatch_orphans();
     };
-    if (config.refine_workers != 1 && my_block.size() > 1) {
-      // Work-stealing over the master's own share.  Sub-batches of one
-      // chunk per worker keep the mailbox drains frequent; results are
-      // recorded serially on this rank thread (record_result and the
-      // checkpoint writer are single-writer), so the protocol state is
-      // untouched by the parallelism.
-      serve::Scheduler scheduler(refiner.scheduler_options());
-      const std::size_t stride = std::max<std::size_t>(scheduler.workers(), 1);
-      std::vector<double> flat;
-      for (std::size_t lo = 0; lo < my_block.size(); lo += stride) {
-        drain_mailbox();
-        const std::size_t hi = std::min(my_block.size(), lo + stride);
-        // Pre-fetch the sub-batch serially: ViewSource fetches are
-        // rank-thread state (seeks, shard LRU), so the scheduler's
-        // worker threads only ever touch the flat pixel buffer.
-        flat.resize((hi - lo) * l * l);
-        for (std::size_t k = 0; k < hi - lo; ++k) {
-          source.fetch(my_block[lo + k], flat.data() + k * l * l);
-        }
-        std::vector<ViewResult> sub(hi - lo);
-        scheduler.run(hi - lo, [&](std::size_t k) {
-          const std::uint64_t index = my_block[lo + k];
-          em::Image<double> img(l, l);
-          std::copy(flat.begin() + static_cast<std::ptrdiff_t>(k * l * l),
-                    flat.begin() + static_cast<std::ptrdiff_t>((k + 1) * l * l),
-                    img.storage().begin());
-          sub[k] = refiner.refine_view(img, initial_on_root[index],
-                                       center_of(index).first,
-                                       center_of(index).second);
-        });
-        for (std::size_t k = 0; k < sub.size(); ++k) {
-          my_matchings += sub[k].matchings;
-          my_slides += static_cast<std::uint64_t>(sub[k].window_slides);
-          record_result(my_block[lo + k], sub[k]);
-        }
-      }
-    } else if (my_block.size() > 1 &&
-               my_block.back() - my_block.front() + 1 == my_block.size()) {
-      // Contiguous block (the common non-resume case): stream it
-      // through a prefetching cursor so the next chunk's pixels are
-      // faulting in while the current view is being matched.
-      stream::PrefetchOptions prefetch;
-      prefetch.depth = config.stream.prefetch_depth;
-      prefetch.batch_views = config.stream.batch_views;
-      stream::ViewCursor cursor(source, my_block.front(), my_block.size(),
-                                prefetch);
-      for (const std::uint64_t index : my_block) {
-        drain_mailbox();
-        record_result(index, refine_pixels(index, cursor.next()));
-      }
-    } else {
-      for (const std::uint64_t index : my_block) {
-        drain_mailbox();
-        record_result(index, refine_local(index));
-      }
-    }
+    refine_local(my_block, drain_mailbox);
 
     // Event loop: every incoming result is a heartbeat.  Total silence
     // for heartbeat_timeout while views are still outstanding means
@@ -507,9 +407,11 @@ ParallelRefineReport refine_distributed(
       } else {
         // Silence with nothing assigned anywhere: unreachable by
         // construction, but never spin — finish locally.
+        std::vector<std::uint64_t> todo;
         for (std::uint64_t i = 0; i < total_views; ++i) {
-          if (!recorded[i]) record_result(i, refine_local(i));
+          if (!recorded[i]) todo.push_back(i);
         }
+        refine_local(todo, {});
       }
     }
     if (checkpoint) checkpoint->flush();
@@ -533,16 +435,6 @@ ParallelRefineReport refine_distributed(
     // the whole call; FaultPlan::kill_rank_at_step matches against it.
     std::uint64_t step = 0;
     bool killed = false;
-    // Work-stealing within the rank (refine_workers != 1): the rank's
-    // batch fans out across a scheduler instead of a serial loop.  The
-    // Comm stays on this thread — fault points are consumed up front
-    // (kills land at batch granularity) and results are sent after the
-    // batch completes, so the wire protocol is byte-identical.
-    std::unique_ptr<serve::Scheduler> scheduler;
-    if (config.refine_workers != 1) {
-      scheduler =
-          std::make_unique<serve::Scheduler>(refiner.scheduler_options());
-    }
     while (true) {
       // Waiting for work is waiting on the master; under a configured
       // deadline a dead master surfaces as CommTimeout here instead of
@@ -552,7 +444,7 @@ ParallelRefineReport refine_distributed(
       const auto indices = comm.recv<std::uint64_t>(0, kCtrlTag);
       if (indices.empty()) break;  // stop
       // por-lint: allow(vmpi-recv-timeout) same deadline as kCtrlTag above
-      const auto init = comm.recv<InitRecord>(0, kInitTag);
+      const auto init = comm.recv<ViewStart>(0, kInitTag);
       // por-lint: allow(vmpi-recv-timeout) same deadline as kCtrlTag above
       const auto flat = comm.recv<double>(0, kViewBlockTag);
       if (init.size() != indices.size() ||
@@ -561,43 +453,26 @@ ParallelRefineReport refine_distributed(
             "parallel_refine: assignment payload sizes disagree");
       }
       try {
-        if (scheduler && indices.size() > 1) {
-          // Fault points for the whole batch first — Comm's fault
-          // bookkeeping is rank-thread state.  A kill here means no
-          // result of this batch was sent, so the master reassigns the
-          // entire batch: same recovery, coarser timing.
-          for (std::size_t i = 0; i < indices.size(); ++i) {
-            comm.fault_point(step++);
-          }
-          std::vector<ResultMsg> msgs(indices.size());
-          scheduler->run(indices.size(), [&](std::size_t i) {
-            em::Image<double> img(l, l);
-            std::copy(flat.begin() + i * l * l,
-                      flat.begin() + (i + 1) * l * l, img.storage().begin());
-            msgs[i].view_index = indices[i];
-            msgs[i].result = refiner.refine_view(img, init[i].orientation,
-                                                 init[i].cx, init[i].cy);
-          });
-          for (const ResultMsg& msg : msgs) {
-            my_matchings += msg.result.matchings;
-            my_slides += static_cast<std::uint64_t>(msg.result.window_slides);
-            comm.send_value(0, kResultTag, msg);
-          }
-        } else {
-          em::Image<double> img(l, l);
-          for (std::size_t i = 0; i < indices.size(); ++i) {
-            comm.fault_point(step++);
-            std::copy(flat.begin() + i * l * l, flat.begin() + (i + 1) * l * l,
-                      img.storage().begin());
-            ResultMsg msg;
-            msg.view_index = indices[i];
-            msg.result = refiner.refine_view(img, init[i].orientation,
-                                             init[i].cx, init[i].cy);
-            my_matchings += msg.result.matchings;
-            my_slides += static_cast<std::uint64_t>(msg.result.window_slides);
-            comm.send_value(0, kResultTag, msg);
-          }
-        }
+        // The Comm stays on this thread: fetch passes the view's fault
+        // point, done sends its result.  A kill therefore lands before
+        // a view at one worker and before a group at N; results of
+        // earlier groups are already with the master.
+        refiner.refine_each(
+            indices.size(),
+            [&](std::size_t k, double* pixels) {
+              comm.fault_point(step++);
+              std::copy(flat.begin() + static_cast<std::ptrdiff_t>(k * l * l),
+                        flat.begin() +
+                            static_cast<std::ptrdiff_t>((k + 1) * l * l),
+                        pixels);
+              return init[k];
+            },
+            [&](std::size_t k, const ViewResult& vr) {
+              my_matchings += vr.matchings;
+              my_slides += static_cast<std::uint64_t>(vr.window_slides);
+              comm.send_value(0, kResultTag, ResultMsg{indices[k], vr});
+            },
+            scheduler.get());
         comm.send_value(0, kResultTag, ResultMsg{});  // batch done
       } catch (const vmpi::RankKilled&) {
         killed = true;
@@ -614,7 +489,7 @@ ParallelRefineReport refine_distributed(
           const auto ctrl = comm.recv<std::uint64_t>(0, kCtrlTag);
           if (ctrl.empty()) break;
           // por-lint: allow(vmpi-recv-timeout) deadline-bounded, see above
-          (void)comm.recv<InitRecord>(0, kInitTag);
+          (void)comm.recv<ViewStart>(0, kInitTag);
           // por-lint: allow(vmpi-recv-timeout) deadline-bounded, see above
           (void)comm.recv<double>(0, kViewBlockTag);
         }
@@ -644,8 +519,8 @@ ParallelRefineReport refine_distributed(
   report.total_slides = comm.allreduce_value(my_slides, vmpi::ReduceOp::kSum);
 
   // Fold this rank's share of the runtime traffic accounting into the
-  // registry, then snapshot once: the snapshot both rebuilds the
-  // paper's StepTimes table and feeds the cross-rank run report.
+  // registry, then snapshot once for the cross-rank run report, which
+  // also carries the paper's per-step times as "step.<name>" spans.
   rank_registry.gauge("vmpi.rank").set(static_cast<double>(rank));
   rank_registry.counter("vmpi.sent_messages")
       .add(comm.traffic().rank_messages(rank) - messages_before);
@@ -671,9 +546,7 @@ ParallelRefineReport refine_distributed(
         .add(delta(now.timeouts, faults_before.timeouts));
   }
 
-  const obs::Snapshot snapshot = rank_registry.snapshot();
-  report.times = reduce_times_max(comm, step_times_from(snapshot));
-  report.obs = obs::RunReport::gather(comm, snapshot);
+  report.obs = obs::RunReport::gather(comm, rank_registry.snapshot());
   return report;
 }
 
@@ -753,28 +626,6 @@ ParallelRefineReport parallel_refine_files(
                            "refined by por::core::parallel_refine_files");
   }
   return report;
-}
-
-ParallelRefineReport parallel_refine_sharded(
-    vmpi::Comm& comm, const std::string& map_path,
-    const std::string& shard_base, const std::string& orientations_in_path,
-    const std::string& orientations_out_path, const RefinerConfig& config) {
-  // The file driver auto-detects sharded manifests by magic, so the
-  // sharded entry point is the same code path with the contract made
-  // explicit in the name (and a type error for a non-sharded input).
-  if (comm.is_root()) {
-    std::ifstream probe(shard_base, std::ios::binary);
-    char magic[4] = {};
-    probe.read(magic, 4);
-    if (!probe || std::memcmp(magic, "PORM", 4) != 0) {
-      throw resilience::corrupt_error(
-          "parallel_refine_sharded: not a sharded-stack manifest: " +
-          shard_base);
-    }
-  }
-  return parallel_refine_files(comm, map_path, shard_base,
-                               orientations_in_path, orientations_out_path,
-                               config);
 }
 
 }  // namespace por::core

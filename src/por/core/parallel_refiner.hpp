@@ -7,13 +7,16 @@
 //   b. the master distributes the views in blocks of m/P
 //   c. the master distributes the matching initial orientations
 //   d-l. every rank refines its own views (embarrassingly parallel)
+//        through OrientationRefiner::refine_each
 //   m. barrier
 //   n. (the multi-resolution loop is inside the per-view refiner)
 //   o. the master collects and writes the refined orientation file
 //
-// Per-step wall times are recorded under the same step names as the
-// paper's Tables 1 and 2 ("3D DFT", "Read image", "FFT analysis",
-// "Orientation refinement"), reduced with a max across ranks.
+// Per-step wall times are recorded as "step.<name>" spans under the
+// step names of the paper's Tables 1 and 2 ("3D DFT", "Read image",
+// "FFT analysis", "Orientation refinement", "Center refinement") in
+// each rank's snapshot of ParallelRefineReport::obs; the table value is
+// the max over ranks.
 //
 // Resilience (DESIGN.md §10): steps (b)-(l) run as a master-worker
 // protocol rather than a fire-and-forget block split.  Each refined
@@ -44,9 +47,6 @@ struct ParallelRefineReport {
   /// Refined records for every view, in global view order.  Complete
   /// on the root rank; empty on the others.
   std::vector<ViewResult> results;
-  /// Max-over-ranks wall time per step (valid on every rank).  Derived
-  /// from the per-rank "step.<name>" span series in `obs`.
-  util::StepTimes times;
   /// Matching operations summed over ranks (valid on every rank).
   std::uint64_t total_matchings = 0;
   /// Window slides summed over ranks (valid on every rank).
@@ -73,7 +73,8 @@ struct ParallelRefineReport {
 /// In-memory SPMD driver: the root rank supplies the map, all views
 /// and all initial orientations; other ranks pass empty containers.
 /// `l` is the map/view edge; l * config.match.pad must be divisible by
-/// comm.size().
+/// comm.size().  Views of another edge are rejected on the root with
+/// std::invalid_argument before any work, by both drivers.
 [[nodiscard]] ParallelRefineReport parallel_refine(
     vmpi::Comm& comm, const em::Volume<double>& map_on_root, std::size_t l,
     const std::vector<em::Image<double>>& views_on_root,
@@ -85,22 +86,14 @@ struct ParallelRefineReport {
 /// reads the map and the orientation file, *streams* the view stack in
 /// ranged groups (paper step b — the stack is never loaded whole), and
 /// writes the refined orientation file at the end.  `stack_path` may
-/// be a monolithic PORS stack or a sharded-stack manifest; either is
-/// consumed through a stream::ViewSource with config.stream's
-/// prefetch/residency knobs.
+/// be a monolithic PORS stack or a sharded-stack manifest (told apart
+/// by magic); either is consumed through a stream::ViewSource with
+/// config.stream's prefetch/residency knobs, and the results are
+/// bitwise-identical.  Over shards the master's working set is bounded
+/// by config.stream.max_resident_mb instead of the stack size.
 [[nodiscard]] ParallelRefineReport parallel_refine_files(
     vmpi::Comm& comm, const std::string& map_path,
     const std::string& stack_path, const std::string& orientations_in_path,
-    const std::string& orientations_out_path, const RefinerConfig& config);
-
-/// Out-of-core SPMD driver over a sharded stack produced by the
-/// stack_shard tool or stream::shard_stack_file.  Identical protocol
-/// and bitwise-identical results to parallel_refine_files on the
-/// equivalent monolithic stack; the master's working set is bounded by
-/// config.stream.max_resident_mb instead of the stack size.
-[[nodiscard]] ParallelRefineReport parallel_refine_sharded(
-    vmpi::Comm& comm, const std::string& map_path,
-    const std::string& shard_base, const std::string& orientations_in_path,
     const std::string& orientations_out_path, const RefinerConfig& config);
 
 }  // namespace por::core

@@ -90,13 +90,10 @@ PipelineResult RefinementPipeline::run(
       result.centers[i] = {refined[i].center_x, refined[i].center_y};
       report.matchings += refined[i].matchings;
     }
-    report.times = refiner.times();
 
     // ---- Step C: reconstruct from the refined orientations ----
-    util::WallTimer recon_timer;
     result.map = recon::fourier_reconstruct(views, result.orientations,
                                             result.centers, config_.recon);
-    report.times.add("3D reconstruction", recon_timer.seconds());
 
     // ---- Fig. 4 protocol: odd/even FSC ----
     const metrics::FscCurve curve =

@@ -40,7 +40,6 @@ struct CycleReport {
   double resolution_a = 0.0;       ///< same, in Angstrom
   metrics::ErrorStats orientation_error;  ///< vs truth if provided
   double mean_center_error_px = 0.0;      ///< vs truth if provided
-  util::StepTimes times;
   std::uint64_t matchings = 0;
 };
 

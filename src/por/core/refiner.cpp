@@ -3,10 +3,12 @@
 #include "por/em/projection.hpp"
 #include "por/obs/registry.hpp"
 #include "por/obs/span.hpp"
+#include "por/resilience/checkpoint.hpp"
 #include "por/resilience/quarantine.hpp"
 #include "por/serve/scheduler.hpp"
 #include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
+#include "por/util/timer.hpp"
 
 #include <algorithm>
 #include <cmath>
@@ -14,6 +16,38 @@
 #include <stdexcept>
 
 namespace por::core {
+
+resilience::CheckpointRecord to_record(std::uint64_t index,
+                                       const ViewResult& result) {
+  resilience::CheckpointRecord record;
+  record.view_index = index;
+  record.theta = result.orientation.theta;
+  record.phi = result.orientation.phi;
+  record.omega = result.orientation.omega;
+  record.center_x = result.center_x;
+  record.center_y = result.center_y;
+  record.final_distance = result.final_distance;
+  record.matchings = result.matchings;
+  record.cache_hits = result.cache_hits;
+  record.center_evals = result.center_evals;
+  record.window_slides = result.window_slides;
+  record.quarantined = result.quarantined;
+  return record;
+}
+
+ViewResult from_record(const resilience::CheckpointRecord& record) {
+  ViewResult result;
+  result.orientation = {record.theta, record.phi, record.omega};
+  result.center_x = record.center_x;
+  result.center_y = record.center_y;
+  result.final_distance = record.final_distance;
+  result.matchings = record.matchings;
+  result.cache_hits = record.cache_hits;
+  result.center_evals = record.center_evals;
+  result.window_slides = record.window_slides;
+  result.quarantined = record.quarantined;
+  return result;
+}
 
 void OrientationRefiner::init() {
   if (config_.schedule.empty()) {
@@ -25,9 +59,8 @@ void OrientationRefiner::init() {
   }
   obs::MetricsRegistry& registry = obs::current_registry();
   obs_view_span_ = &registry.span_series("refiner.view");
-  // The "step.<name>" series mirror the paper's step vocabulary so the
-  // parallel driver can rebuild StepTimes rows from a registry
-  // snapshot (see parallel_refiner.cpp).
+  // The "step.<name>" series carry the paper's step vocabulary; they
+  // are the only record of the per-step wall times.
   obs_fft_span_ = &registry.span_series("step.FFT analysis");
   obs_orient_span_ = &registry.span_series("step.Orientation refinement");
   obs_center_span_ = &registry.span_series("step.Center refinement");
@@ -46,10 +79,11 @@ OrientationRefiner::OrientationRefiner(FourierMatcher matcher,
   init();
 }
 
-serve::SchedulerOptions OrientationRefiner::scheduler_options() const {
+std::unique_ptr<serve::Scheduler> OrientationRefiner::make_scheduler() const {
+  if (config_.refine_workers == 1) return nullptr;
   serve::SchedulerOptions options;
   options.workers = static_cast<std::size_t>(config_.refine_workers);
-  return options;
+  return std::make_unique<serve::Scheduler>(options);
 }
 
 ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
@@ -81,11 +115,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // Step (d)+(e): 2D DFT of the view and CTF correction.
   util::WallTimer fft_timer;
   em::Image<em::cdouble> spectrum = matcher_.prepare_view(view);
-  {
-    const double seconds = fft_timer.seconds();
-    times_.add("FFT analysis", seconds);
-    obs_fft_span_->record(static_cast<std::uint64_t>(seconds * 1e9));
-  }
+  obs_fft_span_->record(static_cast<std::uint64_t>(fft_timer.seconds() * 1e9));
 
   ViewResult result;
   result.orientation = initial;
@@ -142,11 +172,8 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
       result.matchings += window.matchings;
       result.cache_hits += window.cache_hits;
       result.window_slides += window.slides;
-      {
-        const double seconds = refine_timer.seconds();
-        times_.add("Orientation refinement", seconds);
-        obs_orient_span_->record(static_cast<std::uint64_t>(seconds * 1e9));
-      }
+      obs_orient_span_->record(
+          static_cast<std::uint64_t>(refine_timer.seconds() * 1e9));
 
       if (!config_.refine_centers) break;
 
@@ -173,11 +200,8 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
         apply_center(result.center_x, result.center_y);
         if (cache) cache->clear();
       }
-      {
-        const double seconds = center_timer.seconds();
-        times_.add("Center refinement", seconds);
-        obs_center_span_->record(static_cast<std::uint64_t>(seconds * 1e9));
-      }
+      obs_center_span_->record(
+          static_cast<std::uint64_t>(center_timer.seconds() * 1e9));
 
       // The angular search and the center search are coupled; stop
       // alternating once a pass changes neither appreciably.
@@ -205,32 +229,46 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   return result;
 }
 
+void OrientationRefiner::refine_each(std::size_t n, const ViewFetch& fetch,
+                                     const ViewDone& done,
+                                     serve::Scheduler* scheduler) const {
+  const std::size_t l = matcher_.edge();
+  const std::size_t group =
+      scheduler == nullptr ? 1 : std::max<std::size_t>(scheduler->workers(), 1);
+  // One reused view-sized buffer per group slot: pixels stay out of
+  // core until their group comes up.
+  std::vector<em::Image<double>> views(std::min(group, n),
+                                       em::Image<double>(l, l));
+  std::vector<ViewStart> starts(views.size());
+  std::vector<ViewResult> results(views.size());
+  const auto refine_one = [&](std::size_t i) {
+    results[i] = refine_view(views[i], starts[i].orientation,
+                             starts[i].center_x, starts[i].center_y);
+  };
+  for (std::size_t lo = 0; lo < n; lo += group) {
+    const std::size_t size = std::min(group, n - lo);
+    for (std::size_t i = 0; i < size; ++i) {
+      starts[i] = fetch(lo + i, views[i].data());
+    }
+    // Each slot is refined exactly once and writes only results[i], and
+    // refine_view is deterministic: the scheduler changes no bit.
+    if (scheduler == nullptr) {
+      refine_one(0);
+    } else {
+      scheduler->run(size, refine_one);
+    }
+    for (std::size_t i = 0; i < size; ++i) done(lo + i, results[i]);
+  }
+}
+
 std::vector<ViewResult> OrientationRefiner::refine(
     const std::vector<em::Image<double>>& views,
     const std::vector<em::Orientation>& initial_orientations,
     const std::vector<std::pair<double, double>>& initial_centers) const {
-  if (views.size() != initial_orientations.size()) {
-    throw std::invalid_argument("refine: views/orientations size mismatch");
-  }
-  if (!initial_centers.empty() && initial_centers.size() != views.size()) {
-    throw std::invalid_argument("refine: centers size mismatch");
-  }
-  std::vector<ViewResult> results(views.size());
-  const auto refine_one = [&](std::size_t i) {
-    const double cx = initial_centers.empty() ? 0.0 : initial_centers[i].first;
-    const double cy = initial_centers.empty() ? 0.0 : initial_centers[i].second;
-    results[i] = refine_view(views[i], initial_orientations[i], cx, cy);
-  };
-  if (config_.refine_workers != 1 && views.size() > 1) {
-    // Work-stealing batch: each view index runs exactly once, writes
-    // only results[i], and refine_view is deterministic — so this is
-    // bitwise-identical to the serial loop below at any worker count.
-    serve::Scheduler scheduler(scheduler_options());
-    scheduler.run(views.size(), refine_one);
-  } else {
-    for (std::size_t i = 0; i < views.size(); ++i) refine_one(i);
-  }
-  return results;
+  // In-memory views are one more ViewSource, as in parallel_refine.
+  stream::MemoryViewSource source(views);
+  return refine_stream(source, 0, views.size(), initial_orientations,
+                       initial_centers);
 }
 
 std::vector<ViewResult> OrientationRefiner::refine_stream(
@@ -238,15 +276,14 @@ std::vector<ViewResult> OrientationRefiner::refine_stream(
     const std::vector<em::Orientation>& initial_orientations,
     const std::vector<std::pair<double, double>>& initial_centers) const {
   if (initial_orientations.size() != count) {
-    throw std::invalid_argument(
-        "refine_stream: views/orientations size mismatch");
+    throw std::invalid_argument("refine: views/orientations size mismatch");
   }
   if (!initial_centers.empty() && initial_centers.size() != count) {
-    throw std::invalid_argument("refine_stream: centers size mismatch");
+    throw std::invalid_argument("refine: centers size mismatch");
   }
-  const std::size_t l = source.ny();
-  if (source.nx() != l) {
-    throw std::invalid_argument("refine_stream: views must be square");
+  const std::size_t l = matcher_.edge();
+  if (count > 0 && (source.nx() != l || source.ny() != l)) {
+    throw std::invalid_argument("refine: view edge mismatch");
   }
   stream::PrefetchOptions prefetch;
   prefetch.depth = config_.stream.prefetch_depth;
@@ -254,14 +291,18 @@ std::vector<ViewResult> OrientationRefiner::refine_stream(
   stream::ViewCursor cursor(source, first, count, prefetch);
 
   std::vector<ViewResult> results(static_cast<std::size_t>(count));
-  em::Image<double> scratch(l, l);  // one reused view-sized buffer
-  for (std::size_t i = 0; i < count; ++i) {
-    const double* pixels = cursor.next();
-    std::copy(pixels, pixels + l * l, scratch.storage().begin());
-    const double cx = initial_centers.empty() ? 0.0 : initial_centers[i].first;
-    const double cy = initial_centers.empty() ? 0.0 : initial_centers[i].second;
-    results[i] = refine_view(scratch, initial_orientations[i], cx, cy);
-  }
+  const auto scheduler = count > 1 ? make_scheduler() : nullptr;
+  refine_each(
+      results.size(),
+      [&](std::size_t k, double* pixels) {
+        const double* next = cursor.next();
+        std::copy(next, next + l * l, pixels);
+        if (initial_centers.empty()) return ViewStart{initial_orientations[k]};
+        return ViewStart{initial_orientations[k], initial_centers[k].first,
+                         initial_centers[k].second};
+      },
+      [&](std::size_t k, const ViewResult& result) { results[k] = result; },
+      scheduler.get());
   return results;
 }
 

@@ -11,6 +11,8 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -20,10 +22,13 @@
 #include "por/core/search_domain.hpp"
 #include "por/core/sliding_window.hpp"
 #include "por/resilience/retry.hpp"
-#include "por/util/timer.hpp"
+
+namespace por::resilience {
+struct CheckpointRecord;
+}  // namespace por::resilience
 
 namespace por::serve {
-struct SchedulerOptions;
+class Scheduler;
 }  // namespace por::serve
 
 namespace por::stream {
@@ -96,12 +101,13 @@ struct RefinerConfig {
   double wiener_snr = 10.0;
   ResilienceOptions resilience;       ///< checkpoint / recovery / retry
   StreamOptions stream;               ///< out-of-core stack streaming
-  /// Shared-memory workers for refine() batches: 1 = serial loop (the
-  /// historical behavior), N > 1 = the por::serve work-stealing
-  /// scheduler, 0 = hardware_concurrency; negative values are rejected
-  /// by the OrientationRefiner constructor.  Per-view refinement is
-  /// deterministic and views are independent, so the batch result is
-  /// bitwise-identical at any worker count.
+  /// Shared-memory workers per rank for the per-view loop
+  /// (OrientationRefiner::refine_each): 1 = views one at a time inline
+  /// (the historical behavior), N > 1 = groups of N on the por::serve
+  /// work-stealing scheduler, 0 = hardware_concurrency; negative values
+  /// are rejected by the OrientationRefiner constructor.  Per-view
+  /// refinement is deterministic and views are independent, so results
+  /// are bitwise-identical at any worker count.
   int refine_workers = 1;
 
   RefinerConfig() : schedule(paper_schedule()) {}
@@ -137,6 +143,22 @@ struct ViewResult {
   std::uint32_t quarantined = 0;
 };
 
+/// The checkpoint ("PORC") record of view `index`, and back: the one
+/// ViewResult <-> CheckpointRecord conversion, field for field.
+[[nodiscard]] resilience::CheckpointRecord to_record(std::uint64_t index,
+                                                     const ViewResult& result);
+[[nodiscard]] ViewResult from_record(const resilience::CheckpointRecord& record);
+
+/// Initial parameters of one view: the rough orientation and center
+/// its refinement starts from.  Also the record the parallel driver's
+/// master ships with each view, so its layout is part of the wire
+/// protocol.
+struct ViewStart {
+  em::Orientation orientation;
+  double center_x = 0.0;
+  double center_y = 0.0;
+};
+
 /// Orientation refinement against a fixed density map.
 class OrientationRefiner {
  public:
@@ -161,20 +183,36 @@ class OrientationRefiner {
                                        const CancelToken* cancel =
                                            nullptr) const;
 
-  /// Refine a batch; also accumulates per-step wall times into
-  /// `times()` under the paper's step names ("FFT analysis",
-  /// "Orientation refinement", "Center refinement").
+  /// Fills view k (edge x edge doubles, row-major; edge =
+  /// matcher().edge()) and returns its initial parameters.
+  using ViewFetch = std::function<ViewStart(std::size_t k, double* pixels)>;
+  /// Receives the refined view k.
+  using ViewDone = std::function<void(std::size_t k, const ViewResult& result)>;
+
+  /// Steps (d)-(l) over views [0, n): the one per-view loop every
+  /// driver runs.  For each k, `fetch(k, pixels)` fills the view, the
+  /// view is refined from the parameters fetch returned, and
+  /// `done(k, result)` takes the result.  Both callbacks run on the
+  /// calling thread in index order.  With a null `scheduler` views go
+  /// one at a time inline; otherwise in groups of scheduler->workers(),
+  /// fetched, refined on the scheduler, then handed to `done`.  The
+  /// results are bitwise-identical either way.  A callback's exception
+  /// unwinds the loop.
+  void refine_each(std::size_t n, const ViewFetch& fetch, const ViewDone& done,
+                   serve::Scheduler* scheduler) const;
+
+  /// refine_stream over in-memory views (a stream::MemoryViewSource);
+  /// `initial_centers` empty = all zero.
   [[nodiscard]] std::vector<ViewResult> refine(
       const std::vector<em::Image<double>>& views,
       const std::vector<em::Orientation>& initial_orientations,
       const std::vector<std::pair<double, double>>& initial_centers = {}) const;
 
-  /// refine() over views [first, first + count) of a ViewSource,
-  /// consumed through a prefetching ViewCursor (config().stream) with
-  /// one reused scratch image — the whole stack is never resident.
-  /// `initial_orientations[i]` / `initial_centers[i]` describe view
-  /// `first + i`.  Bitwise-identical to fetching the range in-core and
-  /// calling refine() serially.
+  /// refine_each over views [first, first + count) of a ViewSource,
+  /// consumed through a prefetching ViewCursor (config().stream) — the
+  /// whole stack is never resident — on make_scheduler() when there is
+  /// more than one view.  `initial_orientations[i]` /
+  /// `initial_centers[i]` describe view `first + i`.
   [[nodiscard]] std::vector<ViewResult> refine_stream(
       stream::ViewSource& source, std::uint64_t first, std::uint64_t count,
       const std::vector<em::Orientation>& initial_orientations,
@@ -182,11 +220,10 @@ class OrientationRefiner {
 
   [[nodiscard]] const FourierMatcher& matcher() const { return matcher_; }
   [[nodiscard]] const RefinerConfig& config() const { return config_; }
-  [[nodiscard]] util::StepTimes& times() const { return times_; }
 
-  /// Options for the scheduler a refine batch runs on: config().
-  /// refine_workers workers (0 = hardware concurrency).
-  [[nodiscard]] serve::SchedulerOptions scheduler_options() const;
+  /// The scheduler refine_each runs on at config().refine_workers
+  /// (0 = hardware concurrency), or null at 1: views inline.
+  [[nodiscard]] std::unique_ptr<serve::Scheduler> make_scheduler() const;
 
  private:
   /// Reject invalid configuration, then resolve observability handles
@@ -196,11 +233,10 @@ class OrientationRefiner {
 
   FourierMatcher matcher_;
   RefinerConfig config_;
-  mutable util::StepTimes times_;
 
-  // Span series mirroring the StepTimes vocabulary ("step.<name>")
-  // plus a whole-view series; the parallel driver rebuilds its
-  // StepTimes report from these through the metrics registry.
+  // The timing record of steps (d)-(l): one "step.<name>" series per
+  // step of the paper's Tables 1/2 plus a whole-view series.  Reports
+  // read them back from a registry snapshot.
   obs::SpanSeries* obs_view_span_ = nullptr;
   obs::SpanSeries* obs_fft_span_ = nullptr;
   obs::SpanSeries* obs_orient_span_ = nullptr;

@@ -254,16 +254,7 @@ std::size_t RefineService::recover() {
           job->results.resize(n_views);
           for (const resilience::CheckpointRecord& cp : records) {
             if (cp.view_index >= job->results.size()) continue;
-            core::ViewResult& out = job->results[cp.view_index];
-            out.orientation = {cp.theta, cp.phi, cp.omega};
-            out.center_x = cp.center_x;
-            out.center_y = cp.center_y;
-            out.final_distance = cp.final_distance;
-            out.matchings = cp.matchings;
-            out.cache_hits = cp.cache_hits;
-            out.center_evals = cp.center_evals;
-            out.window_slides = cp.window_slides;
-            out.quarantined = cp.quarantined;
+            job->results[cp.view_index] = core::from_record(cp);
           }
         }
         jobs_[id] = job;
@@ -284,16 +275,7 @@ std::size_t RefineService::recover() {
           resilience::load_checkpoint(checkpoint_path(id));
       for (const resilience::CheckpointRecord& cp : seed) {
         if (cp.view_index >= job->results.size()) continue;
-        core::ViewResult& out = job->results[cp.view_index];
-        out.orientation = {cp.theta, cp.phi, cp.omega};
-        out.center_x = cp.center_x;
-        out.center_y = cp.center_y;
-        out.final_distance = cp.final_distance;
-        out.matchings = cp.matchings;
-        out.cache_hits = cp.cache_hits;
-        out.center_evals = cp.center_evals;
-        out.window_slides = cp.window_slides;
-        out.quarantined = cp.quarantined;
+        job->results[cp.view_index] = core::from_record(cp);
         job->restored[cp.view_index] = 1;
       }
       job->checkpoint = std::make_unique<resilience::CheckpointWriter>(
@@ -575,20 +557,8 @@ void RefineService::dispatch(const std::shared_ptr<Job>& job) {
             raw->views[i], raw->initial[i], center.first, center.second,
             raw->token.get());
         if (raw->checkpoint) {
-          const core::ViewResult& r = raw->results[i];
-          resilience::CheckpointRecord cp;
-          cp.view_index = i;
-          cp.theta = r.orientation.theta;
-          cp.phi = r.orientation.phi;
-          cp.omega = r.orientation.omega;
-          cp.center_x = r.center_x;
-          cp.center_y = r.center_y;
-          cp.final_distance = r.final_distance;
-          cp.matchings = r.matchings;
-          cp.cache_hits = r.cache_hits;
-          cp.center_evals = r.center_evals;
-          cp.window_slides = r.window_slides;
-          cp.quarantined = r.quarantined;
+          const resilience::CheckpointRecord cp =
+              core::to_record(i, raw->results[i]);
           std::lock_guard<std::mutex> guard(raw->checkpoint_mutex);
           raw->checkpoint->append(cp);
           ++raw->views_done;

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <stdexcept>
 
 #include "por/resilience/error.hpp"
 
@@ -22,6 +23,12 @@ MemoryViewSource::MemoryViewSource(const std::vector<em::Image<double>>& views)
   if (!views.empty()) {
     ny_ = views.front().ny();
     nx_ = views.front().nx();
+  }
+  for (const em::Image<double>& view : views) {
+    if (view.ny() != ny_ || view.nx() != nx_) {
+      throw std::invalid_argument(
+          "MemoryViewSource: views differ in shape from the first view");
+    }
   }
 }
 

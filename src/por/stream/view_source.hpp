@@ -55,7 +55,9 @@ class ViewSource {
   [[nodiscard]] em::Image<double> fetch_image(std::uint64_t index);
 };
 
-/// Borrows an in-memory stack (must outlive the source).
+/// Borrows an in-memory stack (must outlive the source).  Every view
+/// must have the first view's shape; the constructor throws
+/// std::invalid_argument otherwise.
 class MemoryViewSource final : public ViewSource {
  public:
   explicit MemoryViewSource(const std::vector<em::Image<double>>& views);

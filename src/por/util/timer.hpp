@@ -1,15 +1,11 @@
 // por/util/timer.hpp
 //
-// Wall-clock timing utilities used throughout the library and by the
-// benchmark harnesses that reproduce the per-step timing tables of the
-// paper (Tables 1 and 2).
+// The wall-clock stopwatch used throughout the library and by the
+// benchmark harnesses.  Per-step times of the paper's Tables 1 and 2
+// are recorded as obs spans ("step.<name>"), not here.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <map>
-#include <mutex>
-#include <string>
 
 namespace por::util {
 
@@ -36,74 +32,6 @@ class WallTimer {
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
-};
-
-/// Accumulates named durations, e.g. one entry per algorithm step.
-///
-/// Used to build the step-by-step breakdown of a refinement cycle
-/// ("3D DFT", "Read image", "FFT analysis", "Orientation refinement")
-/// exactly as the paper tabulates it.
-///
-/// Thread-safe: concurrent add() from many workers is the normal case
-/// now that refine_view runs on the work-stealing scheduler (the
-/// refiner's per-step accounting funnels through one shared StepTimes).
-/// Accumulation order still affects the low bits of a bucket under
-/// concurrency — treat the values as measurements, not invariants.
-class StepTimes {
- public:
-  StepTimes() = default;
-  StepTimes(const StepTimes& other) : entries_(other.entries()) {}
-  StepTimes& operator=(const StepTimes& other) {
-    if (this != &other) {
-      auto copy = other.entries();
-      std::lock_guard<std::mutex> lock(mutex_);
-      entries_ = std::move(copy);
-    }
-    return *this;
-  }
-
-  /// Add `seconds` to the bucket named `step`.
-  void add(const std::string& step, double seconds);
-
-  /// Total seconds recorded for `step` (0 if never recorded).
-  [[nodiscard]] double get(const std::string& step) const;
-
-  /// Sum over all steps.
-  [[nodiscard]] double total() const;
-
-  /// Fraction of total() spent in `step`; 0 when nothing was recorded.
-  [[nodiscard]] double fraction(const std::string& step) const;
-
-  /// Snapshot of all buckets in insertion-independent (sorted) order.
-  [[nodiscard]] std::map<std::string, double> entries() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return entries_;
-  }
-
-  /// Drop all recorded buckets.
-  void clear() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    entries_.clear();
-  }
-
- private:
-  mutable std::mutex mutex_;
-  std::map<std::string, double> entries_;
-};
-
-/// RAII helper: measures the lifetime of a scope into a StepTimes bucket.
-class ScopedStepTimer {
- public:
-  ScopedStepTimer(StepTimes& sink, std::string step)
-      : sink_(sink), step_(std::move(step)) {}
-  ScopedStepTimer(const ScopedStepTimer&) = delete;
-  ScopedStepTimer& operator=(const ScopedStepTimer&) = delete;
-  ~ScopedStepTimer() { sink_.add(step_, timer_.seconds()); }
-
- private:
-  StepTimes& sink_;
-  std::string step_;
-  WallTimer timer_;
 };
 
 }  // namespace por::util

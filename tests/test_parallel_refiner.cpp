@@ -105,8 +105,16 @@ TEST(ParallelRefiner, ReportsTimesAndMatchings) {
     if (comm.is_root()) report = r;
   });
   EXPECT_GT(report.total_matchings, 0u);
-  EXPECT_GT(report.times.get("3D DFT"), 0.0);
-  EXPECT_GT(report.times.get("Orientation refinement"), 0.0);
+  // The per-step times live in each rank's snapshot as step spans.
+  ASSERT_EQ(report.obs.per_rank.size(), 2u);
+  for (const obs::Snapshot& rank : report.obs.per_rank) {
+    for (const char* step : {"step.3D DFT", "step.Orientation refinement"}) {
+      SCOPED_TRACE(step);
+      const auto it = rank.spans.find(step);
+      ASSERT_NE(it, rank.spans.end());
+      EXPECT_GT(it->second.total_ns, 0u);
+    }
+  }
 }
 
 TEST(ParallelRefiner, RejectsIndivisiblePaddedEdge) {

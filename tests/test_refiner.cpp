@@ -3,6 +3,7 @@
 #include "por/core/refiner.hpp"
 #include "por/em/noise.hpp"
 #include "por/em/projection.hpp"
+#include "por/obs/registry.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -146,16 +147,26 @@ TEST(Refiner, BatchMatchesPerViewCalls) {
   }
 }
 
-TEST(Refiner, RecordsStepTimes) {
+TEST(Refiner, RecordsStepSpans) {
+  // The refiner resolves its "step.<name>" spans against the registry
+  // current at construction.
+  obs::MetricsRegistry registry;
+  const obs::RegistryScope scope(registry);
   const std::size_t l = 20;
   const BlobModel model = small_phantom(l, 10);
   const OrientationRefiner refiner(model.rasterize(l), fast_config());
   util::Rng rng(19);
   const Orientation truth = por::test::random_orientation(rng);
   (void)refiner.refine_view(model.project_analytic(l, truth), truth);
-  EXPECT_GT(refiner.times().get("Orientation refinement"), 0.0);
-  EXPECT_GT(refiner.times().get("FFT analysis"), 0.0);
-  EXPECT_GT(refiner.times().get("Center refinement"), 0.0);
+  const obs::Snapshot snapshot = registry.snapshot();
+  for (const char* step : {"step.Orientation refinement", "step.FFT analysis",
+                           "step.Center refinement"}) {
+    SCOPED_TRACE(step);
+    const auto it = snapshot.spans.find(step);
+    ASSERT_NE(it, snapshot.spans.end());
+    EXPECT_GT(it->second.count, 0u);
+    EXPECT_GT(it->second.total_ns, 0u);
+  }
 }
 
 TEST(Refiner, MatchingCountReflectsScheduleAndSlides) {

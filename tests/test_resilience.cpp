@@ -390,6 +390,47 @@ TEST(Checkpoint, RoundTripsRecords) {
   for (std::uint64_t i = 0; i < 3; ++i) EXPECT_EQ(loaded[i], make_record(i));
 }
 
+// The one ViewResult <-> CheckpointRecord conversion: every field set
+// to a distinct non-default value survives the round trip.
+TEST(Checkpoint, ViewResultRecordRoundTripKeepsEveryField) {
+  ViewResult result;
+  result.orientation = Orientation{12.5, 234.25, 301.125};
+  result.center_x = -1.75;
+  result.center_y = 2.5;
+  result.final_distance = 0.375;
+  result.matchings = 4321;
+  result.cache_hits = 987;
+  result.center_evals = 55;
+  result.window_slides = 7;
+  result.quarantined = 3;
+
+  const resilience::CheckpointRecord record = to_record(42, result);
+  EXPECT_EQ(record.view_index, 42u);
+  EXPECT_EQ(record.theta, 12.5);
+  EXPECT_EQ(record.phi, 234.25);
+  EXPECT_EQ(record.omega, 301.125);
+  EXPECT_EQ(record.center_x, -1.75);
+  EXPECT_EQ(record.center_y, 2.5);
+  EXPECT_EQ(record.final_distance, 0.375);
+  EXPECT_EQ(record.matchings, 4321u);
+  EXPECT_EQ(record.cache_hits, 987u);
+  EXPECT_EQ(record.center_evals, 55u);
+  EXPECT_EQ(record.window_slides, 7);
+  EXPECT_EQ(record.quarantined, 3u);
+
+  const ViewResult back = from_record(record);
+  EXPECT_EQ(back.orientation, result.orientation);
+  EXPECT_EQ(back.center_x, result.center_x);
+  EXPECT_EQ(back.center_y, result.center_y);
+  EXPECT_EQ(back.final_distance, result.final_distance);
+  EXPECT_EQ(back.matchings, result.matchings);
+  EXPECT_EQ(back.cache_hits, result.cache_hits);
+  EXPECT_EQ(back.center_evals, result.center_evals);
+  EXPECT_EQ(back.window_slides, result.window_slides);
+  EXPECT_EQ(back.quarantined, result.quarantined);
+  EXPECT_EQ(to_record(42, back), record);
+}
+
 TEST(Checkpoint, MissingFileIsFreshRun) {
   EXPECT_TRUE(
       resilience::load_checkpoint("/nonexistent/por/run.porc").empty());
@@ -911,9 +952,9 @@ void expect_identical_statistics(const std::vector<ViewResult>& a,
 }
 
 // refine_workers != 1 runs each rank's share on a work-stealing
-// scheduler: the master refines its own block in sub-batches, a worker
-// rank each assignment as one batch.  Neither may change a bit of the
-// per-view results or statistics.  l = 18 keeps the padded edge (36)
+// scheduler in groups of refine_workers views, the master's own block
+// and each worker rank's assignments alike.  Neither may change a bit
+// of the per-view results or statistics.  l = 18 keeps the padded edge (36)
 // divisible by 3 ranks.
 TEST(ParallelRefineWorkers, BitwiseEqualToOneWorkerOnOneAndThreeRanks) {
   const Workload w(10, 18);
@@ -948,9 +989,9 @@ TEST(ParallelRefineWorkers, KilledRankRecoversBitwiseWithTwoWorkers) {
   const ParallelRefineReport clean =
       run_refine(4, vmpi::FaultPlan{}, w, fast_config());
 
-  // With a scheduler the worker rank consumes its fault points for the
-  // whole batch up front, so the kill lands before any of that batch's
-  // results is sent and the master must reassign all of it.
+  // With a scheduler the worker rank passes the fault points of a
+  // whole group before refining it, so the kill lands before any of
+  // that group's results is sent and the master must reassign them.
   RefinerConfig config = fast_config();
   config.refine_workers = 2;
   vmpi::FaultPlan plan;

@@ -10,6 +10,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -662,8 +663,8 @@ TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
   const Workload w(6);
   RefinerConfig config = fast_config();
   config.stream.batch_views = 2;
-  const OrientationRefiner refiner(w.map, config);
-  const auto in_core = refiner.refine(w.views, w.initials, w.centers);
+  const OrientationRefiner serial(w.map, config);
+  const auto in_core = serial.refine(w.views, w.initials, w.centers);
 
   const fs::path dir = test_dir("refine_stream");
   const std::string base = (dir / "v").string();
@@ -672,11 +673,27 @@ TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
   stack_options.compress = true;
   write_sharded_stack(base, w.views, stack_options);
   ShardedViewSource source(base, stack_options);
-  const auto streamed =
-      refiner.refine_stream(source, 0, w.views.size(), w.initials, w.centers);
-  expect_identical_results(in_core, streamed);
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    config.refine_workers = workers;
+    const OrientationRefiner refiner(w.map, config);
+    const auto streamed =
+        refiner.refine_stream(source, 0, w.views.size(), w.initials, w.centers);
+    expect_identical_results(in_core, streamed);
+  }
 }
 
+void write_initials(const std::string& path, const Workload& w) {
+  std::vector<io::ViewOrientation> records;
+  for (std::size_t i = 0; i < w.views.size(); ++i) {
+    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
+  }
+  io::write_orientations(path, records, "initial");
+}
+
+// The rank count is the test parameter; each case also runs at one and
+// three refine workers, where the master streams its contiguous block
+// through the cursor in groups of three.
 class StreamedDrivers : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
@@ -697,11 +714,7 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   stack_options.views_per_shard = 3;
   stack_options.compress = true;
   shard_stack_file(stack_path, base, stack_options);
-  std::vector<io::ViewOrientation> records;
-  for (std::size_t i = 0; i < w.views.size(); ++i) {
-    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
-  }
-  io::write_orientations(orient_in, records, "initial");
+  write_initials(orient_in, w);
 
   // The orientation text file keeps 10 digits, so feed the in-memory
   // run the same post-round-trip initials the file drivers will read —
@@ -713,60 +726,55 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
     centers.emplace_back(record.center_x, record.center_y);
   }
 
-  std::vector<ViewResult> in_memory;
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine(comm, w.map, w.l, w.views, initials,
-                                  centers, config);
-    if (comm.is_root()) in_memory = report.results;
-  });
+  std::vector<ViewResult> reference;
+  std::string reference_file;
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << p << " ranks, " << workers
+                                    << " workers");
+    config.refine_workers = workers;
+    std::vector<ViewResult> in_memory;
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      auto report = parallel_refine(comm, w.map, w.l, w.views, initials,
+                                    centers, config);
+      if (comm.is_root()) in_memory = report.results;
+    });
 
-  const std::string out_mono = (dir / "out_mono.txt").string();
-  std::vector<ViewResult> monolithic;
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_files(comm, map_path, stack_path, orient_in,
-                                        out_mono, config);
-    if (comm.is_root()) monolithic = report.results;
-  });
+    const std::string out_mono = (dir / "out_mono.txt").string();
+    std::vector<ViewResult> monolithic;
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      auto report = parallel_refine_files(comm, map_path, stack_path,
+                                          orient_in, out_mono, config);
+      if (comm.is_root()) monolithic = report.results;
+    });
 
-  const std::string out_shard = (dir / "out_shard.txt").string();
-  std::vector<ViewResult> sharded;
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
+    const std::string out_shard = (dir / "out_shard.txt").string();
+    std::vector<ViewResult> sharded;
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      auto report = parallel_refine_files(comm, map_path, base, orient_in,
                                           out_shard, config);
-    if (comm.is_root()) sharded = report.results;
-  });
+      if (comm.is_root()) sharded = report.results;
+    });
 
-  expect_identical_results(in_memory, monolithic);
-  expect_identical_results(in_memory, sharded);
-  // The written orientation files are the acceptance artifact: byte
-  // identical across the storage formats.
-  EXPECT_EQ(slurp(out_mono), slurp(out_shard));
+    expect_identical_results(in_memory, monolithic);
+    expect_identical_results(in_memory, sharded);
+    // The written orientation files are the acceptance artifact: byte
+    // identical across the storage formats and the worker counts.
+    EXPECT_EQ(slurp(out_mono), slurp(out_shard));
+    if (workers == 1) {
+      reference = in_memory;
+      reference_file = slurp(out_shard);
+    } else {
+      expect_identical_results(reference, in_memory);
+      EXPECT_EQ(reference_file, slurp(out_shard));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Ranks, StreamedDrivers, ::testing::Values(1, 4));
 
-TEST(StreamedDrivers, RefineSharedRejectsMonolithicStack) {
-  const fs::path dir = test_dir("sharded_guard");
-  const Workload w(2);
-  const std::string stack_path = (dir / "v.pors").string();
-  io::write_stack(stack_path, w.views);
-  io::write_map((dir / "map.porm").string(), w.map);
-  std::vector<io::ViewOrientation> records;
-  for (std::size_t i = 0; i < w.views.size(); ++i) {
-    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
-  }
-  io::write_orientations((dir / "in.txt").string(), records, "x");
-  EXPECT_THROW(
-      vmpi::run(1,
-                [&](vmpi::Comm& comm) {
-                  (void)parallel_refine_sharded(
-                      comm, (dir / "map.porm").string(), stack_path,
-                      (dir / "in.txt").string(), (dir / "out.txt").string(),
-                      fast_config());
-                }),
-      resilience::Error);
-}
-
+// Resume over shards at one and three refine workers.  Keeping the
+// first half of the log leaves the master a contiguous block (cursor);
+// keeping every other record leaves it a scattered one (direct fetch).
 TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   const fs::path dir = test_dir("shard_resume");
   const Workload w(8);
@@ -780,50 +788,112 @@ TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   ShardedStackOptions stack_options;
   stack_options.views_per_shard = 3;
   write_sharded_stack(base, w.views, stack_options);
-  std::vector<io::ViewOrientation> records;
-  for (std::size_t i = 0; i < w.views.size(); ++i) {
-    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
-  }
-  io::write_orientations(orient_in, records, "initial");
+  write_initials(orient_in, w);
 
   // Full run over shards, checkpointing as it goes.
   config.resilience.checkpoint_path = (dir / "full.porc").string();
   const std::string out_full = (dir / "out_full.txt").string();
   std::vector<ViewResult> full;
   vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
-                                          out_full, config);
+    auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                        out_full, config);
     if (comm.is_root()) full = report.results;
   });
   const auto all_records =
       resilience::load_checkpoint(config.resilience.checkpoint_path);
   ASSERT_EQ(all_records.size(), w.views.size());
 
-  // Interrupt simulation: keep only the first half, resume over the
-  // same shards.
-  const std::string partial = (dir / "partial.porc").string();
-  {
-    resilience::CheckpointWriter writer(partial, 1);
-    for (std::size_t i = 0; i < all_records.size() / 2; ++i) {
-      writer.append(all_records[i]);
+  for (const int workers : {1, 3}) {
+    for (const bool scattered : {false, true}) {
+      SCOPED_TRACE(testing::Message() << workers << " workers, "
+                                      << (scattered ? "scattered" : "prefix")
+                                      << " checkpoint");
+      // Interrupt simulation: keep half of the records, resume over
+      // the same shards.
+      const std::string partial = (dir / "partial.porc").string();
+      std::uint64_t kept = 0;
+      {
+        resilience::CheckpointWriter writer(partial, 1);
+        for (std::size_t i = 0; i < all_records.size(); ++i) {
+          const bool keep = scattered ? all_records[i].view_index % 2 == 0
+                                      : i < all_records.size() / 2;
+          if (!keep) continue;
+          writer.append(all_records[i]);
+          ++kept;
+        }
+      }
+      RefinerConfig resume = config;
+      resume.refine_workers = workers;
+      resume.resilience.checkpoint_path = partial;
+      resume.resilience.resume = true;
+      const std::string out_resumed = (dir / "out_resumed.txt").string();
+      std::vector<ViewResult> resumed;
+      std::uint64_t restored = 0;
+      vmpi::run(2, [&](vmpi::Comm& comm) {
+        auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                            out_resumed, resume);
+        if (comm.is_root()) {
+          resumed = report.results;
+          restored = report.restored_views;
+        }
+      });
+      EXPECT_EQ(restored, kept);
+      expect_identical_results(full, resumed);
+      EXPECT_EQ(slurp(out_full), slurp(out_resumed));
     }
   }
-  config.resilience.checkpoint_path = partial;
-  config.resilience.resume = true;
-  const std::string out_resumed = (dir / "out_resumed.txt").string();
-  std::vector<ViewResult> resumed;
-  std::uint64_t restored = 0;
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto report = parallel_refine_sharded(comm, map_path, base, orient_in,
-                                          out_resumed, config);
-    if (comm.is_root()) {
-      resumed = report.results;
-      restored = report.restored_views;
-    }
-  });
-  EXPECT_EQ(restored, all_records.size() / 2);
-  expect_identical_results(full, resumed);
-  EXPECT_EQ(slurp(out_full), slurp(out_resumed));
+}
+
+// Every view buffer is map-edge sized: a stack of another edge must be
+// rejected before the first fetch, not matched on a prefix of each view
+// (one rank) or written past its buffer (two ranks).
+TEST(StreamedDrivers, ViewEdgeMustMatchMapEdge) {
+  const fs::path dir = test_dir("edge_mismatch");
+  const Workload w(4);  // 16 x 16 views
+  const Volume<double> small_map = w.model.rasterize(8);
+  const std::string map_path = (dir / "map8.porm").string();
+  const std::string stack_path = (dir / "v16.pors").string();
+  const std::string orient_in = (dir / "in.txt").string();
+  const std::string out = (dir / "out.txt").string();
+  io::write_map(map_path, small_map);
+  io::write_stack(stack_path, w.views);
+  write_initials(orient_in, w);
+
+  RefinerConfig config = fast_config();
+  // Two ranks: the peer waiting on the root gives up at the deadline,
+  // after the root's own error, which vmpi::run rethrows.
+  config.resilience.comm_deadline = std::chrono::milliseconds{500};
+  for (const int p : {1, 2}) {
+    SCOPED_TRACE(testing::Message() << p << " ranks");
+    EXPECT_THROW(vmpi::run(p,
+                           [&](vmpi::Comm& comm) {
+                             (void)parallel_refine_files(comm, map_path,
+                                                         stack_path, orient_in,
+                                                         out, config);
+                           }),
+                 std::invalid_argument);
+  }
+  EXPECT_FALSE(fs::exists(out));
+
+  EXPECT_THROW(vmpi::run(1,
+                         [&](vmpi::Comm& comm) {
+                           (void)parallel_refine(comm, small_map, 8, w.views,
+                                                 w.initials, w.centers,
+                                                 config);
+                         }),
+               std::invalid_argument);
+}
+
+TEST(ViewSource, MemorySourceRejectsMixedShapes) {
+  const std::vector<Image<double>> mixed{Image<double>(8, 8),
+                                         Image<double>(16, 16)};
+  EXPECT_THROW(MemoryViewSource{mixed}, std::invalid_argument);
+  const std::vector<Image<double>> wide{Image<double>(8, 8),
+                                        Image<double>(8, 9)};
+  EXPECT_THROW(MemoryViewSource{wide}, std::invalid_argument);
+  const std::vector<Image<double>> same{Image<double>(8, 8),
+                                        Image<double>(8, 8)};
+  EXPECT_EQ(MemoryViewSource{same}.count(), 2u);
 }
 
 // ---- brick spill -----------------------------------------------------------

@@ -17,41 +17,6 @@ namespace {
 
 using namespace por::util;
 
-// ---- StepTimes --------------------------------------------------------------
-
-TEST(StepTimes, AccumulatesPerStep) {
-  StepTimes times;
-  times.add("fft", 1.5);
-  times.add("fft", 0.5);
-  times.add("match", 8.0);
-  EXPECT_DOUBLE_EQ(times.get("fft"), 2.0);
-  EXPECT_DOUBLE_EQ(times.get("match"), 8.0);
-  EXPECT_DOUBLE_EQ(times.total(), 10.0);
-  EXPECT_DOUBLE_EQ(times.fraction("match"), 0.8);
-}
-
-TEST(StepTimes, UnknownStepIsZero) {
-  StepTimes times;
-  EXPECT_DOUBLE_EQ(times.get("nope"), 0.0);
-  EXPECT_DOUBLE_EQ(times.fraction("nope"), 0.0);
-  EXPECT_DOUBLE_EQ(times.total(), 0.0);
-}
-
-TEST(StepTimes, ClearDropsEverything) {
-  StepTimes times;
-  times.add("a", 1.0);
-  times.clear();
-  EXPECT_TRUE(times.entries().empty());
-}
-
-TEST(ScopedStepTimer, RecordsNonNegativeDuration) {
-  StepTimes times;
-  {
-    ScopedStepTimer timer(times, "scope");
-  }
-  EXPECT_GE(times.get("scope"), 0.0);
-}
-
 TEST(WallTimer, MeasuresElapsedTime) {
   WallTimer timer;
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
