@@ -201,16 +201,17 @@ void BM_ScopedSpanAlone(benchmark::State& state) {
 }
 BENCHMARK(BM_ScopedSpanAlone);
 
-void BM_CentralSlice(benchmark::State& state) {
+void BM_AnnulusCut(benchmark::State& state) {
   static MatchFixture fixture;
   double angle = 0.0;
-  const BenchRecorder recorder("central_slice", state);
+  const BenchRecorder recorder("annulus_cut", state);
   for (auto _ : state) {
     angle += 0.01;
-    benchmark::DoNotOptimize(fixture.matcher.cut({40 + angle, 70, 20}));
+    benchmark::DoNotOptimize(
+        fixture.matcher.annulus_cut({40 + angle, 70, 20}));
   }
 }
-BENCHMARK(BM_CentralSlice);
+BENCHMARK(BM_AnnulusCut);
 
 void BM_AnalyticProjection(benchmark::State& state) {
   static MatchFixture fixture;

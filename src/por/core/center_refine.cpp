@@ -11,12 +11,13 @@ namespace {
 
 /// d(translate(F, -dx, -dy), C) over the matching annulus, with the
 /// translation folded into the loop as a per-sample phase ramp (no
-/// spectrum copies).  Walks the matcher's precomputed AnnulusTable —
+/// spectrum copies).  `c` holds the cut's annulus samples in ring
+/// order.  Walks the matcher's precomputed AnnulusTable —
 /// frequencies, ring membership and weights are table lookups, so the
 /// per-evaluation work is one sincos + one complex multiply per ring
 /// pixel (no sqrt, no branch tests).
 double translated_distance(const em::Image<em::cdouble>& f,
-                           const em::Image<em::cdouble>& c,
+                           const std::vector<em::cdouble>& c,
                            const AnnulusTable& ring, double dx, double dy) {
   const std::size_t n = f.nx();
   const std::size_t count = ring.size();
@@ -31,7 +32,7 @@ double translated_distance(const em::Image<em::cdouble>& f,
                          static_cast<double>(n);
     const em::cdouble shifted =
         fp[ring.index[i]] * em::cdouble(std::cos(angle), std::sin(angle));
-    const em::cdouble diff = shifted - cp[ring.index[i]];
+    const em::cdouble diff = shifted - cp[i];
     sum += ring.weight[i] * std::norm(diff);
   }
   return sum / static_cast<double>(n * n);
@@ -41,7 +42,7 @@ double translated_distance(const em::Image<em::cdouble>& f,
 
 CenterResult refine_center(const FourierMatcher& matcher,
                            const em::Image<em::cdouble>& view_spectrum,
-                           const em::Image<em::cdouble>& best_cut,
+                           const std::vector<em::cdouble>& best_cut,
                            double start_dx, double start_dy, double step_px,
                            int box_width, int max_slides) {
   if (box_width < 2 || step_px <= 0.0) {
@@ -50,7 +51,7 @@ CenterResult refine_center(const FourierMatcher& matcher,
   const AnnulusTable& ring = matcher.annulus();
   const std::size_t big = matcher.edge() * matcher.options().pad;
   if (view_spectrum.nx() != big || view_spectrum.ny() != big ||
-      best_cut.nx() != big || best_cut.ny() != big) {
+      best_cut.size() != ring.size()) {
     throw std::invalid_argument("refine_center: spectrum size mismatch");
   }
 

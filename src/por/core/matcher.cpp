@@ -30,23 +30,43 @@ double resolve_padded_radius(double unpadded, std::size_t pad,
   return unpadded * static_cast<double>(pad);
 }
 
+/// The matching radius in padded Fourier px: options.r_map (0 = the
+/// unpadded Nyquist radius) clamped to Nyquist.
+double padded_matching_radius(std::size_t l, const MatchOptions& options) {
+  if (options.pad < 1) {
+    throw std::invalid_argument("FourierMatcher: pad must be >= 1");
+  }
+  const double nyquist_padded =
+      static_cast<double>(l * options.pad) / 2.0 - 1.0;
+  return std::min(
+      resolve_padded_radius(options.r_map, options.pad, nyquist_padded),
+      nyquist_padded);
+}
+
 }  // namespace
+
+fft::CubeCrop FourierMatcher::ball(std::size_t l, const MatchOptions& options) {
+  return fft::ball_crop(l * options.pad, padded_matching_radius(l, options));
+}
 
 FourierMatcher::FourierMatcher(const em::Volume<double>& density_map,
                                const MatchOptions& options)
     : FourierMatcher(
-          em::centered_fft3(em::pad_volume(density_map, options.pad)),
+          em::centered_fft3(em::pad_volume(density_map, options.pad),
+                            ball(density_map.nx(), options)),
           density_map.nx(), options) {
   if (!density_map.is_cube()) {
     throw std::invalid_argument("FourierMatcher: map must be cubic");
   }
 }
 
-FourierMatcher::FourierMatcher(em::Volume<em::cdouble> centered_padded_spectrum,
+FourierMatcher::FourierMatcher(em::Volume<em::cdouble> spectrum_ball,
                                std::size_t l, const MatchOptions& options)
     : l_(l),
       options_(options),
-      spectrum_(std::move(centered_padded_spectrum)),
+      padded_r_map_(padded_matching_radius(l, options)),
+      padded_r_min_(options.r_min * static_cast<double>(options.pad)),
+      ball_(ball(l, options)),
       obs_matchings_(&obs::current_registry().counter("matcher.matchings")),
       obs_interp_fetches_(
           &obs::current_registry().counter("matcher.interp_fetches")),
@@ -54,19 +74,10 @@ FourierMatcher::FourierMatcher(em::Volume<em::cdouble> centered_padded_spectrum,
           &obs::current_registry().counter("simd.matcher_dispatch")),
       obs_prepare_view_(
           &obs::current_registry().span_series("matcher.prepare_view")) {
-  if (options_.pad < 1) {
-    throw std::invalid_argument("FourierMatcher: pad must be >= 1");
+  if (spectrum_ball.nx() != ball_.edge || !spectrum_ball.is_cube()) {
+    throw std::invalid_argument("FourierMatcher: spectrum ball size mismatch");
   }
   const std::size_t big = l_ * options_.pad;
-  if (spectrum_.nx() != big || !spectrum_.is_cube()) {
-    throw std::invalid_argument("FourierMatcher: spectrum size mismatch");
-  }
-  // Default r_map: the unpadded Nyquist radius.  Stored in padded px.
-  const double nyquist_padded = static_cast<double>(big) / 2.0 - 1.0;
-  padded_r_map_ =
-      resolve_padded_radius(options_.r_map, options_.pad, nyquist_padded);
-  padded_r_map_ = std::min(padded_r_map_, nyquist_padded);
-  padded_r_min_ = options_.r_min * static_cast<double>(options_.pad);
 
   // Precompute the view-transfer envelope by integer padded radius:
   // what a prepared view's signal amplitude retains relative to the
@@ -90,33 +101,19 @@ FourierMatcher::FourierMatcher(em::Volume<em::cdouble> centered_padded_spectrum,
     }
   }
 
-  build_tables();
+  build_tables(spectrum_ball);
 }
 
 FourierMatcher::FourierMatcher(FourierMatcher&&) noexcept = default;
 FourierMatcher& FourierMatcher::operator=(FourierMatcher&&) noexcept = default;
 FourierMatcher::~FourierMatcher() = default;
 
-void FourierMatcher::build_tables() {
+void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) {
   util::WallTimer build_timer;
   const std::size_t big = l_ * options_.pad;
   const double c = std::floor(static_cast<double>(big) / 2.0);
   const double r_max = padded_r_map_;
   const double r_min = padded_r_min_;
-
-  // Per-pixel cut transfer for the big x big padded view grid, shared
-  // by the annulus table below and by cut(): one lerp per pixel at
-  // construction instead of one per pixel per matching / per cut.
-  if (!transfer_table_.empty()) {
-    transfer_image_ = em::Image<double>(big, big);
-    for (std::size_t y = 0; y < big; ++y) {
-      const double kv = static_cast<double>(y) - c;
-      for (std::size_t x = 0; x < big; ++x) {
-        const double ku = static_cast<double>(x) - c;
-        transfer_image_(y, x) = cut_transfer(std::sqrt(ku * ku + kv * kv));
-      }
-    }
-  }
 
   // Flatten the [r_min, r_max] ring.  Iteration order (y-major,
   // x-minor over the disk bounding box) matches distance_reference, so
@@ -134,11 +131,7 @@ void FourierMatcher::build_tables() {
       if (radius > r_max || radius < r_min) continue;
       annulus_.ku.push_back(ku);
       annulus_.kv.push_back(kv);
-      annulus_.transfer.push_back(
-          transfer_image_.empty()
-              ? 1.0
-              : transfer_image_(static_cast<std::size_t>(y),
-                                static_cast<std::size_t>(x)));
+      annulus_.transfer.push_back(cut_transfer(radius));
       annulus_.weight.push_back(radial ? radius / r_max : 1.0);
       // CONTRACT: every flattened view index must address a pixel of
       // the big x big padded view grid — checked here, once per
@@ -157,6 +150,13 @@ void FourierMatcher::build_tables() {
                  annulus_.weight.size() == annulus_.ku.size() &&
                  annulus_.index.size() == annulus_.ku.size(),
              "annulus table columns out of sync");
+  // An empty ring would make every distance() exactly 0: the sliding
+  // window would then walk max_slides times to a corner and report a
+  // perfect match.
+  if (annulus_.empty()) {
+    throw std::invalid_argument(
+        "FourierMatcher: empty matching annulus (r_min above r_map)");
+  }
 
   // Snapshot the dispatched kernel tier for this instance (process-
   // wide selection capped by options_.simd), then build ONLY the
@@ -166,12 +166,10 @@ void FourierMatcher::build_tables() {
   kernels_ = &simd::kernel_table(isa_);
   std::size_t lattice_edge = 0;
   if (kernels_->layout == simd::LatticeLayout::kInterleaved) {
-    ilv_ = em::InterleavedComplexLattice(spectrum_);
-    soa_ = em::SplitComplexLattice();
+    ilv_ = em::InterleavedComplexLattice(spectrum_ball);
     lattice_edge = ilv_.edge;
   } else {
-    soa_ = em::SplitComplexLattice(spectrum_);
-    ilv_ = em::InterleavedComplexLattice();
+    soa_ = em::SplitComplexLattice(spectrum_ball);
     lattice_edge = soa_.edge;
   }
 
@@ -183,21 +181,46 @@ void FourierMatcher::build_tables() {
   // clamps r_map to Nyquist = big/2 - 1 <= c - 0.5, so this holds for
   // every reachable configuration; the check stays as a defensive
   // fallback to the scalar path.
-  fast_path_ = r_max <= c - 0.5 && !annulus_.empty();
-  // Hoisted radius-vs-lattice guard: on the fast path every base cell
-  // the annulus can reach must satisfy the interp contract.  q + c
-  // with |q| <= r_max <= c - 0.5 gives coordinates in
-  // [0.5, 2c - 0.5] subset [0, big - 1], whose truncation lies in
-  // [0, big - 1] = [0, lattice_edge - 1].
-  POR_ENSURE(!fast_path_ || (padded_r_map_ <= c - 0.5 && lattice_edge == big),
+  fast_path_ = r_max <= c - 0.5;
+  // On the fast path every base cell the annulus can reach, shifted by
+  // the ball origin, must satisfy the interp contract: coordinates lie
+  // in [c - r_max, c + r_max] (up to rounding), and ball_crop keeps
+  // one cell of margin around floor of both ends, so the shifted base
+  // cells lie in [0, lattice_edge - 1] and their +1 corners at most in
+  // the lattice's zero pad.
+  POR_ENSURE(!fast_path_ || lattice_edge == ball_.edge,
              "fast-path guard violated: r_max =", padded_r_map_, "c =", c,
-             "edge =", lattice_edge);
+             "ball origin =", ball_.origin, "edge =", lattice_edge);
 
   obs::MetricsRegistry& registry = obs::current_registry();
   registry.gauge("matcher.annulus_pixels")
       .set(static_cast<double>(annulus_.size()));
   registry.span_series("matcher.table_build")
       .record(static_cast<std::uint64_t>(build_timer.seconds() * 1e9));
+}
+
+em::cdouble FourierMatcher::sample_ball(double z, double y, double x) const {
+  const long origin = static_cast<long>(ball_.origin);
+  const long edge = static_cast<long>(ball_.edge);
+  const contracts::checked_span<const double> re(soa_.re), im(soa_.im),
+      ilv(ilv_.data);
+  return em::interp_trilinear_with(z, y, x, [&](long iz, long iy, long ix) {
+    iz -= origin;
+    iy -= origin;
+    ix -= origin;
+    if (iz < 0 || iz >= edge || iy < 0 || iy >= edge || ix < 0 ||
+        ix >= edge) {
+      return em::cdouble{0.0, 0.0};
+    }
+    // Both lattices share the (edge + 1)-padded cell strides.
+    const std::size_t stride_y = ball_.edge + 1;
+    const std::size_t cell =
+        (static_cast<std::size_t>(iz) * stride_y +
+         static_cast<std::size_t>(iy)) * stride_y +
+        static_cast<std::size_t>(ix);
+    return ilv.empty() ? em::cdouble(re[cell], im[cell])
+                       : em::cdouble(ilv[2 * cell], ilv[2 * cell + 1]);
+  });
 }
 
 double FourierMatcher::cut_transfer(double padded_radius) const {
@@ -302,6 +325,7 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
     sb.pf_b = soa_im;
     sb.pf_scale = 1;
   }
+  sb.origin_cell = ball_.origin * (sb.stride_z + sb.stride_y + 1);
 
   simd::AnnulusBlock ab;
   // std::complex<double> is layout-compatible with double[2]
@@ -396,8 +420,7 @@ double FourierMatcher::distance_reference(
       ++fetches;
       const em::Vec3 q = ku * eu + kv * ev;
       const em::cdouble cut_sample =
-          cut_transfer(radius) *
-          em::interp_trilinear(spectrum_, q.z + c, q.y + c, q.x + c);
+          cut_transfer(radius) * sample_ball(q.z + c, q.y + c, q.x + c);
       const em::cdouble diff =
           view_spectrum(static_cast<std::size_t>(y),
                         static_cast<std::size_t>(x)) -
@@ -412,17 +435,23 @@ double FourierMatcher::distance_reference(
   return sum / static_cast<double>(big * big);
 }
 
-em::Image<em::cdouble> FourierMatcher::cut(const em::Orientation& o) const {
-  em::Image<em::cdouble> slice = em::extract_central_slice(spectrum_, o);
-  if (!transfer_image_.empty()) {
-    // One precomputed multiplier per pixel (shared with the annulus
-    // table) instead of a hypot + lerp per pixel per cut.
-    const std::size_t count = slice.size();
-    em::cdouble* out = slice.data();
-    const double* t = transfer_image_.data();
-    for (std::size_t i = 0; i < count; ++i) out[i] *= t[i];
+// por-lint: allow(hot-path-alloc) one cut per center-refinement pass, not per matching
+std::vector<em::cdouble> FourierMatcher::annulus_cut(
+    const em::Orientation& o) const {
+  const std::size_t big = l_ * options_.pad;
+  const em::Mat3 r = em::rotation_matrix(o);
+  const em::Vec3 eu = r * em::Vec3{1, 0, 0};
+  const em::Vec3 ev = r * em::Vec3{0, 1, 0};
+  const double c = std::floor(static_cast<double>(big) / 2.0);
+  std::vector<em::cdouble> cut(annulus_.size());  // por-lint: allow(hot-path-alloc) see above
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    // em::extract_central_slice's sample point, then the transfer
+    // multiplier the full-plane cut applied per pixel.
+    const em::Vec3 q = annulus_.ku[i] * eu + annulus_.kv[i] * ev;
+    cut[i] = sample_ball(q.z + c, q.y + c, q.x + c);
+    if (!transfer_table_.empty()) cut[i] *= annulus_.transfer[i];
   }
-  return slice;
+  return cut;
 }
 
 }  // namespace por::core

@@ -11,11 +11,12 @@
 // Hot-path layout (see DESIGN.md §"Matcher data layout"): the inner
 // loop runs over an immutable precomputed AnnulusTable (one entry per
 // Fourier pixel inside the [r_min, r_map] ring, with radius, transfer
-// and weight folded in at construction) against a split-complex SoA
-// copy of the 3D spectrum, through the branch-free interior trilinear
-// kernel of por/em/interp.hpp.  The original scalar loop is retained
-// as distance_reference() — the equivalence oracle for tests and the
-// baseline for bench/bench_matcher.
+// and weight folded in at construction) against one lattice of the
+// spectrum's r_map ball — the cube of the centered 3D DFT that cuts
+// inside r_map can read (fft::ball_crop) — through the branch-free
+// interior trilinear kernel of por/em/interp.hpp.  The original scalar
+// loop is retained as distance_reference() — the equivalence oracle
+// for tests and the baseline for bench/bench_matcher.
 #pragma once
 
 #include <atomic>
@@ -27,6 +28,7 @@
 #include "por/em/grid.hpp"
 #include "por/em/orientation.hpp"
 #include "por/em/pad.hpp"
+#include "por/fft/centering.hpp"
 #include "por/metrics/distance.hpp"
 #include "por/simd/isa.hpp"
 
@@ -106,24 +108,38 @@ struct MovableAtomicU64 {
 
 /// Matches view spectra against central sections of one density map.
 ///
-/// Construction computes the padded centered 3D spectrum once (the
-/// paper replicates exactly this object on every node); an externally
-/// computed spectrum can be supplied instead (the parallel driver
-/// builds it with the slab-parallel 3D DFT).
+/// The matcher holds one copy of the spectrum: the r_map ball of the
+/// padded centered 3D DFT (ball(l, options)), in the lattice layout of
+/// its kernel tier.  The paper replicates the whole transform on every
+/// node; a matching reads only samples inside r_map, so this ball is
+/// all that needs replicating.  Construction from a density map
+/// computes it serially; core::parallel_refine builds it with the
+/// slab-parallel 3D DFT and hands it in.
 // CONTRACT: the annulus table's flattened view indices address the
 // big x big padded grid, its five columns stay the same length, and on
 // the fast path r_max <= c - 0.5 so every trilinear base cell lies
-// inside the SoA lattice — all enforced by POR_BOUNDS / POR_ENSURE in
+// inside the ball lattice — all enforced by POR_BOUNDS / POR_ENSURE in
 // matcher.cpp at construction time (once, not per matching).
 class FourierMatcher {
  public:
-  /// Build the 3D spectrum from a density map (edge l).
+  /// Build the spectrum ball from a density map (edge l).  Throws
+  /// std::invalid_argument on a bad configuration, including an empty
+  /// matching annulus (r_min above r_map).
   FourierMatcher(const em::Volume<double>& density_map,
                  const MatchOptions& options);
 
-  /// Adopt an existing centered padded spectrum (edge l * options.pad).
-  FourierMatcher(em::Volume<em::cdouble> centered_padded_spectrum,
-                 std::size_t l, const MatchOptions& options);
+  /// Adopt an existing spectrum ball: the crop ball(l, options) of the
+  /// padded centered 3D DFT (em::centered_fft3(padded, crop) or the
+  /// slab-parallel fft::parallel_fft3d_forward), edge
+  /// ball(l, options).edge.
+  FourierMatcher(em::Volume<em::cdouble> spectrum_ball, std::size_t l,
+                 const MatchOptions& options);
+
+  /// The crop of the padded centered spectrum (edge l * options.pad)
+  /// that a matcher with these options reads: fft::ball_crop of the
+  /// resolved matching radius.  Throws on a bad pad or radius.
+  [[nodiscard]] static fft::CubeCrop ball(std::size_t l,
+                                          const MatchOptions& options);
 
   FourierMatcher(FourierMatcher&&) noexcept;
   FourierMatcher& operator=(FourierMatcher&&) noexcept;
@@ -133,9 +149,6 @@ class FourierMatcher {
 
   [[nodiscard]] std::size_t edge() const { return l_; }
   [[nodiscard]] const MatchOptions& options() const { return options_; }
-  [[nodiscard]] const em::Volume<em::cdouble>& spectrum() const {
-    return spectrum_;
-  }
 
   /// Step (d)+(e) for one view: padded centered 2D DFT, CTF-corrected
   /// per options().ctf.  The result is what `distance` expects.
@@ -157,10 +170,14 @@ class FourierMatcher {
       const em::Image<em::cdouble>& view_spectrum,
       const em::Orientation& o) const;
 
-  /// Materialized cut with the view-transfer envelope applied — the
-  /// exact object `distance` compares a prepared view against (used by
-  /// center refinement and diagnostics).
-  [[nodiscard]] em::Image<em::cdouble> cut(const em::Orientation& o) const;
+  /// The cut with the view-transfer envelope applied, sampled only on
+  /// the matching annulus, in annulus() order — the exact samples
+  /// `distance` compares a prepared view against (used by center
+  /// refinement and diagnostics).  Reference trilinear arithmetic
+  /// (em::interp_trilinear_with), bitwise equal to
+  /// em::extract_central_slice of the full spectrum times transfer.
+  [[nodiscard]] std::vector<em::cdouble> annulus_cut(
+      const em::Orientation& o) const;
 
   /// Residual signal transfer of a prepared view at `padded_radius`
   /// Fourier pixels from the origin (1 when no CTF is configured).
@@ -191,29 +208,32 @@ class FourierMatcher {
   [[nodiscard]] simd::Isa isa() const { return isa_; }
 
  private:
-  /// Build transfer_image_ (when CTF is configured), annulus_ and the
-  /// lattice layout the snapshotted kernel tier consumes (split-
-  /// complex for SSE2, interleaved for the AVX tiers); record build
-  /// time + table size.
-  void build_tables();
+  /// Build annulus_ and, from `spectrum_ball`, the one lattice layout
+  /// the snapshotted kernel tier consumes (split-complex for SSE2,
+  /// interleaved for the AVX tiers); record build time + table size.
+  void build_tables(const em::Volume<em::cdouble>& spectrum_ball);
+
+  /// Reference trilinear sample of the ball at full-spectrum
+  /// coordinates (z, y, x): the crop origin is subtracted from the
+  /// integer cell index, zero outside the ball.
+  [[nodiscard]] em::cdouble sample_ball(double z, double y, double x) const;
 
   std::size_t l_;
   MatchOptions options_;
   double padded_r_map_;
   double padded_r_min_;
-  em::Volume<em::cdouble> spectrum_;
+  fft::CubeCrop ball_;                  ///< the crop the lattice holds
   std::vector<double> transfer_table_;  ///< envelope by padded radius px
 
   // --- precomputed hot-path state (immutable after construction) ----
   // Exactly one lattice is populated, matching kernels_->layout: the
   // SSE2 tier reads the split planes, the AVX tiers the interleaved
   // copy (one wide load per (x, x+1) corner pair).
-  em::SplitComplexLattice soa_;      ///< split-complex spectrum (SSE2 tier)
-  em::InterleavedComplexLattice ilv_;  ///< interleaved copy (AVX tiers)
+  em::SplitComplexLattice soa_;      ///< split-complex ball (SSE2 tier)
+  em::InterleavedComplexLattice ilv_;  ///< interleaved ball (AVX tiers)
   simd::Isa isa_ = simd::Isa::kSse2;   ///< tier snapshotted at construction
   const simd::KernelTable* kernels_ = nullptr;  ///< dispatched hot kernels
   AnnulusTable annulus_;             ///< flattened [r_min, r_map] ring
-  em::Image<double> transfer_image_; ///< per-pixel cut transfer (CTF only)
   bool fast_path_ = false;           ///< radius-vs-lattice guard verdict
 
   mutable detail::MovableAtomicU64 matchings_;

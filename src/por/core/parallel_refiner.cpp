@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "por/em/pad.hpp"
-#include "por/em/projection.hpp"
 #include "por/fft/parallel_fft3d.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/stack_io.hpp"
@@ -115,8 +114,10 @@ ParallelRefineReport refine_distributed(
         "parallel_refine: padded edge must divide by the rank count");
   }
 
-  // ---- step (a): slab-parallel 3D DFT, replicated by all-gather ----
+  // ---- step (a): slab-parallel 3D DFT; all-gather of its r_map ball ----
   util::WallTimer dft_timer;
+  const MatchOptions match = config.matcher_options();
+  const fft::CubeCrop ball = FourierMatcher::ball(l, match);
   std::vector<em::cdouble> raw;
   if (comm.is_root()) {
     if (map_on_root.nx() != l || !map_on_root.is_cube()) {
@@ -131,17 +132,15 @@ ParallelRefineReport refine_distributed(
     raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
               .storage();
   }
-  raw = fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge);
-  em::Volume<em::cdouble> raw_volume(padded_edge);
-  raw_volume.storage() = std::move(raw);
-  em::Volume<em::cdouble> spectrum =
-      em::centered_from_raw_fft3(std::move(raw_volume));
+  em::Volume<em::cdouble> spectrum_ball(ball.edge);
+  spectrum_ball.storage() =
+      fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge, ball);
   dft_span.record(static_cast<std::uint64_t>(dft_timer.seconds() * 1e9));
 
   // Every rank may be handed work (initially or by reassignment), so
   // every rank builds the refiner.
   const OrientationRefiner refiner(
-      FourierMatcher(std::move(spectrum), l, config.matcher_options()),
+      FourierMatcher(std::move(spectrum_ball), l, match),
       config);
   const std::unique_ptr<serve::Scheduler> scheduler = refiner.make_scheduler();
 

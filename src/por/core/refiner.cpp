@@ -127,7 +127,8 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // on the box center, as the cuts assume.  Offsets are in pixels,
   // which are the same physical units on the padded grid.  With a zero
   // offset the prepared spectrum is used directly (no copy); otherwise
-  // the phase ramp is written into one reused buffer.
+  // the phase ramp is written into one reused buffer, on the matching
+  // annulus only — distance() reads nothing else of it.
   em::Image<em::cdouble> translated;
   const em::Image<em::cdouble>* centered = &spectrum;
   const auto apply_center = [&](double cx, double cy) {
@@ -136,7 +137,9 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
     if (cx == 0.0 && cy == 0.0) {
       centered = &spectrum;
     } else {
-      em::translate_phase_into(translated, spectrum, -cx, -cy);
+      const AnnulusTable& ring = matcher_.annulus();
+      em::translate_phase_into(translated, spectrum, -cx, -cy,
+                               ring.index.data(), ring.size());
       centered = &translated;
     }
   };
@@ -183,7 +186,8 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
 
       // Steps (k)-(l): center refinement against the best cut.
       util::WallTimer center_timer;
-      const em::Image<em::cdouble> best_cut = matcher_.cut(result.orientation);
+      const std::vector<em::cdouble> best_cut =
+          matcher_.annulus_cut(result.orientation);
       const CenterResult center = refine_center(
           matcher_, spectrum, best_cut, result.center_x, result.center_y,
           level.center_step_px, level.center_width, config_.max_slides);

@@ -38,23 +38,19 @@ namespace por::em {
          ty * ((1.0 - tx) * c10 + tx * c11);
 }
 
-/// Trilinear sample of `vol` at fractional position (z, y, x); zero outside.
-[[nodiscard]] inline cdouble interp_trilinear(const Volume<cdouble>& vol,
-                                              double z, double y, double x) {
+/// Trilinear sample at fractional position (z, y, x) over any complex
+/// cell source: `cell(iz, iy, ix)` returns the sample at integer cell
+/// coordinates (which may lie outside the source; the source decides
+/// what lives there).  Zero-weight corners are never fetched.  The one
+/// reference arithmetic behind interp_trilinear and the matcher's
+/// reads of its cropped spectrum ball.
+template <typename Cell>
+[[nodiscard]] inline cdouble interp_trilinear_with(double z, double y,
+                                                   double x, const Cell& cell) {
   const double fz = std::floor(z), fy = std::floor(y), fx = std::floor(x);
   const long iz = static_cast<long>(fz), iy = static_cast<long>(fy),
              ix = static_cast<long>(fx);
   const double tz = z - fz, ty = y - fy, tx = x - fx;
-  const long nz = static_cast<long>(vol.nz()), ny = static_cast<long>(vol.ny()),
-             nx = static_cast<long>(vol.nx());
-
-  auto sample = [&](long zz, long yy, long xx) -> cdouble {
-    if (zz < 0 || zz >= nz || yy < 0 || yy >= ny || xx < 0 || xx >= nx) {
-      return {0.0, 0.0};
-    }
-    return vol(static_cast<std::size_t>(zz), static_cast<std::size_t>(yy),
-               static_cast<std::size_t>(xx));
-  };
 
   cdouble acc{0.0, 0.0};
   for (int dz = 0; dz < 2; ++dz) {
@@ -69,11 +65,25 @@ namespace por::em {
       for (int dx = 0; dx < 2; ++dx) {
         const double wx = dx ? tx : 1.0 - tx;
         if (wx == 0.0) continue;  // por-lint: allow(float-eq) exact-zero skip
-        acc += wz * wy * wx * sample(iz + dz, iy + dy, ix + dx);
+        acc += wz * wy * wx * cell(iz + dz, iy + dy, ix + dx);
       }
     }
   }
   return acc;
+}
+
+/// Trilinear sample of `vol` at fractional position (z, y, x); zero outside.
+[[nodiscard]] inline cdouble interp_trilinear(const Volume<cdouble>& vol,
+                                              double z, double y, double x) {
+  const long nz = static_cast<long>(vol.nz()), ny = static_cast<long>(vol.ny()),
+             nx = static_cast<long>(vol.nx());
+  return interp_trilinear_with(z, y, x, [&](long zz, long yy, long xx) {
+    if (zz < 0 || zz >= nz || yy < 0 || yy >= ny || xx < 0 || xx >= nx) {
+      return cdouble{0.0, 0.0};
+    }
+    return vol(static_cast<std::size_t>(zz), static_cast<std::size_t>(yy),
+               static_cast<std::size_t>(xx));
+  });
 }
 
 /// Branch-free trilinear sample of a split-complex lattice at

@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
 #include <vector>
 
 #include "por/em/interp.hpp"
@@ -11,47 +12,7 @@ namespace por::em {
 
 namespace {
 
-/// Per-axis centering phase factors: phase[i] = exp(sign * 2*pi*i *
-/// (i - c) * c / n) with c = floor(n/2).  The full center phase of a
-/// voxel is the product of its axis factors, so an n^3 volume needs
-/// 3n sin/cos evaluations instead of n^3.
-std::vector<cdouble> axis_phase(std::size_t n, double sign) {
-  const double c = std::floor(static_cast<double>(n) / 2.0);
-  std::vector<cdouble> phase(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double k = static_cast<double>(i) - c;
-    const double angle =
-        sign * 2.0 * std::numbers::pi * k * c / static_cast<double>(n);
-    phase[i] = {std::cos(angle), std::sin(angle)};
-  }
-  return phase;
-}
-
-/// One row of the fused shift-and-phase gather:
-///   dst[x] = src[(x + shift) % nx] * (row_factor * phase_x[x])
-/// for the centerize direction, where the phase index rides with dst,
-/// or
-///   dst[x] = src[(x + shift) % nx] * (row_factor * phase_x[(x+shift)%nx])
-/// for the decenterize direction, where it rides with src.  The wrap
-/// splits into two contiguous segments — no per-element modulo.
-// CONTRACT: shift <= nx; both segment loops stay inside [0, nx).
-void fused_row(cdouble* dst, const cdouble* src, std::size_t nx,
-               std::size_t shift, cdouble row_factor,
-               const std::vector<cdouble>& phase_x, bool phase_on_src) {
-  POR_EXPECT(shift <= nx, "fused_row shift exceeds row length:", shift, ">",
-             nx);
-  const std::size_t split = nx - shift;  // first dst index that wraps
-  for (std::size_t x = 0; x < split; ++x) {
-    const std::size_t xs = x + shift;
-    POR_BOUNDS(xs, nx);
-    dst[x] = src[xs] * (row_factor * phase_x[phase_on_src ? xs : x]);
-  }
-  for (std::size_t x = split; x < nx; ++x) {
-    const std::size_t xs = x + shift - nx;
-    POR_BOUNDS(xs, nx);
-    dst[x] = src[xs] * (row_factor * phase_x[phase_on_src ? xs : x]);
-  }
-}
+using fft::axis_phase;
 
 /// Raw spectrum (origin at index 0) -> centered spectrum: fftshift
 /// fused with the +1 center phase in one out-of-place pass.
@@ -64,8 +25,8 @@ void centerize2(Image<cdouble>& spec) {
   Image<cdouble> out(ny, nx);
   for (std::size_t y = 0; y < ny; ++y) {
     const std::size_t ys = (y + sy) % ny;
-    fused_row(&out(y, 0), &spec(ys, 0), nx, sx, py[y], px,
-              /*phase_on_src=*/false);
+    fft::fused_row(&out(y, 0), &spec(ys, 0), nx, sx, py[y], px,
+                   /*phase_on_src=*/false, 0, nx);
   }
   spec = std::move(out);
 }
@@ -81,27 +42,8 @@ void decenterize2(Image<cdouble>& spec) {
   Image<cdouble> out(ny, nx);
   for (std::size_t y = 0; y < ny; ++y) {
     const std::size_t ys = (y + sy) % ny;
-    fused_row(&out(y, 0), &spec(ys, 0), nx, sx, py[ys], px,
-              /*phase_on_src=*/true);
-  }
-  spec = std::move(out);
-}
-
-void centerize3(Volume<cdouble>& spec) {
-  const std::size_t nz = spec.nz(), ny = spec.ny(), nx = spec.nx();
-  if (nz == 0 || ny == 0 || nx == 0) return;
-  const std::size_t sz = (nz + 1) / 2, sy = (ny + 1) / 2, sx = (nx + 1) / 2;
-  const std::vector<cdouble> pz = axis_phase(nz, +1.0);
-  const std::vector<cdouble> py = axis_phase(ny, +1.0);
-  const std::vector<cdouble> px = axis_phase(nx, +1.0);
-  Volume<cdouble> out(nz, ny, nx);
-  for (std::size_t z = 0; z < nz; ++z) {
-    const std::size_t zs = (z + sz) % nz;
-    for (std::size_t y = 0; y < ny; ++y) {
-      const std::size_t ys = (y + sy) % ny;
-      fused_row(&out(z, y, 0), &spec(zs, ys, 0), nx, sx, pz[z] * py[y], px,
-                /*phase_on_src=*/false);
-    }
+    fft::fused_row(&out(y, 0), &spec(ys, 0), nx, sx, py[ys], px,
+                   /*phase_on_src=*/true, 0, nx);
   }
   spec = std::move(out);
 }
@@ -118,8 +60,8 @@ void decenterize3(Volume<cdouble>& spec) {
     const std::size_t zs = (z + sz) % nz;
     for (std::size_t y = 0; y < ny; ++y) {
       const std::size_t ys = (y + sy) % ny;
-      fused_row(&out(z, y, 0), &spec(zs, ys, 0), nx, sx, pz[zs] * py[ys], px,
-                /*phase_on_src=*/true);
+      fft::fused_row(&out(z, y, 0), &spec(zs, ys, 0), nx, sx,
+                     pz[zs] * py[ys], px, /*phase_on_src=*/true, 0, nx);
     }
   }
   spec = std::move(out);
@@ -142,15 +84,19 @@ Image<double> centered_ifft2(const Image<cdouble>& spec) {
 }
 
 Volume<cdouble> centered_fft3(const Volume<double>& vol) {
-  Volume<cdouble> spec(vol.nz(), vol.ny(), vol.nx());
-  fft::rfft3d_forward(vol.data(), spec.data(), spec.nz(), spec.ny(), spec.nx());
-  centerize3(spec);
-  return spec;
+  return centered_fft3(vol, fft::CubeCrop{0, vol.nx()});
 }
 
-Volume<cdouble> centered_from_raw_fft3(Volume<cdouble> raw) {
-  centerize3(raw);
-  return raw;
+Volume<cdouble> centered_fft3(const Volume<double>& vol, fft::CubeCrop crop) {
+  if (!vol.is_cube()) {
+    throw std::invalid_argument("centered_fft3: volume must be cubic");
+  }
+  const std::size_t n = vol.nx();
+  std::vector<cdouble> raw(vol.size());
+  fft::rfft3d_forward(vol.data(), raw.data(), n, n, n);
+  Volume<cdouble> out(crop.edge);
+  out.storage() = fft::centered_crop(raw.data(), n, crop);
+  return out;
 }
 
 Volume<double> centered_ifft3(const Volume<cdouble>& spec) {
@@ -213,6 +159,21 @@ void apply_translation_phase(Image<cdouble>& centered_spectrum, double dx,
   translate_phase_into(centered_spectrum, centered_spectrum, dx, dy);
 }
 
+namespace {
+
+/// The (dx, dy) translation phase of centered frequency (kx, ky):
+/// translating the image by (+dx, +dy) multiplies its spectrum by
+/// exp(-2*pi*i*(kx*dx/nx + ky*dy/ny)).
+cdouble translation_phase(double kx, double ky, double dx, double dy,
+                          std::size_t nx, std::size_t ny) {
+  const double angle = -2.0 * std::numbers::pi *
+                       (kx * dx / static_cast<double>(nx) +
+                        ky * dy / static_cast<double>(ny));
+  return {std::cos(angle), std::sin(angle)};
+}
+
+}  // namespace
+
 void translate_phase_into(Image<cdouble>& out, const Image<cdouble>& in,
                           double dx, double dy) {
   const std::size_t ny = in.ny(), nx = in.nx();
@@ -225,13 +186,25 @@ void translate_phase_into(Image<cdouble>& out, const Image<cdouble>& in,
     const double ky = static_cast<double>(y) - cy;
     for (std::size_t x = 0; x < nx; ++x) {
       const double kx = static_cast<double>(x) - cx;
-      // Translating the image by (+dx, +dy) multiplies its spectrum by
-      // exp(-2*pi*i*(kx*dx/nx + ky*dy/ny)).
-      const double angle = -2.0 * std::numbers::pi *
-                           (kx * dx / static_cast<double>(nx) +
-                            ky * dy / static_cast<double>(ny));
-      out(y, x) = in(y, x) * cdouble(std::cos(angle), std::sin(angle));
+      out(y, x) = in(y, x) * translation_phase(kx, ky, dx, dy, nx, ny);
     }
+  }
+}
+
+void translate_phase_into(Image<cdouble>& out, const Image<cdouble>& in,
+                          double dx, double dy, const std::uint32_t* index,
+                          std::size_t count) {
+  const std::size_t ny = in.ny(), nx = in.nx();
+  if (&out != &in && (out.ny() != ny || out.nx() != nx)) {
+    out = Image<cdouble>(ny, nx);
+  }
+  const double cy = std::floor(static_cast<double>(ny) / 2.0);
+  const double cx = std::floor(static_cast<double>(nx) / 2.0);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::size_t y = index[i] / nx, x = index[i] % nx;
+    const double ky = static_cast<double>(y) - cy;
+    const double kx = static_cast<double>(x) - cx;
+    out(y, x) = in(y, x) * translation_phase(kx, ky, dx, dy, nx, ny);
   }
 }
 

@@ -19,8 +19,11 @@
 // sin/cos phase pass.
 #pragma once
 
+#include <cstdint>
+
 #include "por/em/grid.hpp"
 #include "por/em/orientation.hpp"
+#include "por/fft/centering.hpp"
 #include "por/fft/fftnd.hpp"
 
 namespace por::em {
@@ -34,19 +37,19 @@ namespace por::em {
 /// Inverse of centered_fft2 (returns the real part).
 [[nodiscard]] Image<double> centered_ifft2(const Image<cdouble>& spec);
 
-/// Forward 3D DFT with phases about the volume center and the zero
-/// frequency at (nz/2, ny/2, nx/2).
+/// Forward 3D DFT of a cubic volume with phases about the volume
+/// center and the zero frequency at (n/2, n/2, n/2).
 [[nodiscard]] Volume<cdouble> centered_fft3(const Volume<double>& vol);
 
 /// Inverse of centered_fft3 (returns the real part).
 [[nodiscard]] Volume<double> centered_ifft3(const Volume<cdouble>& spec);
 
-/// Turn a raw forward 3D DFT (origin at index 0, e.g. the output of
-/// the slab-parallel transform) into the centered convention:
-/// fftshift + center-phase.  centered_fft3(v) ==
-/// centered_from_raw_fft3(fft3d_forward(to_complex(v))) up to the
-/// ~1e-15 rounding between the r2c and c2c paths.
-[[nodiscard]] Volume<cdouble> centered_from_raw_fft3(Volume<cdouble> raw);
+/// centered_fft3(vol) restricted to `crop` of a cubic volume: the
+/// crop.edge^3 samples from crop.origin on along every axis, each one
+/// bitwise equal to the full transform's.  The matcher keeps only this
+/// ball of the spectrum (fft::ball_crop of its matching radius).
+[[nodiscard]] Volume<cdouble> centered_fft3(const Volume<double>& vol,
+                                            fft::CubeCrop crop);
 
 // ---- projection ------------------------------------------------------------
 
@@ -81,5 +84,14 @@ void apply_translation_phase(Image<cdouble>& centered_spectrum, double dx,
 /// copying the whole image and then mutating it.
 void translate_phase_into(Image<cdouble>& out, const Image<cdouble>& in,
                           double dx, double dy);
+
+/// translate_phase_into restricted to the flat pixel indices
+/// `index[0 .. count)`: same formula per pixel, every other pixel of
+/// `out` is left as it was (zero when `out` is resized here).  The
+/// refiner re-centers only the matching annulus, the one part of its
+/// spectrum the matcher reads.
+void translate_phase_into(Image<cdouble>& out, const Image<cdouble>& in,
+                          double dx, double dy, const std::uint32_t* index,
+                          std::size_t count);
 
 }  // namespace por::em

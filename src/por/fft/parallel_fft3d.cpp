@@ -7,18 +7,16 @@
 
 namespace por::fft {
 
-namespace {
-
-/// The shared slab pipeline; `inverse` selects the transform direction
-/// (Fft1D's inverse carries the 1/n factor, so three inverse passes
-/// yield the full 1/l^3 normalization, exactly like fft3d_inverse).
-std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
-                                    std::vector<cdouble> full_on_root,
-                                    std::size_t l, bool inverse) {
+std::vector<cdouble> parallel_fft3d_forward(vmpi::Comm& comm,
+                                            std::vector<cdouble> full_on_root,
+                                            std::size_t l, CubeCrop ball) {
   const int p = comm.size();
   if (l % static_cast<std::size_t>(p) != 0) {
     throw std::invalid_argument(
         "parallel_fft3d: cube edge must be divisible by the number of ranks");
+  }
+  if (ball.origin + ball.edge > l) {
+    throw std::invalid_argument("parallel_fft3d: ball exceeds the cube");
   }
   if (comm.is_root() && full_on_root.size() != l * l * l) {
     throw std::invalid_argument(
@@ -29,12 +27,8 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
   // — skip the scatter/exchange/gather machinery entirely so a
   // one-rank "parallel" call moves zero bytes.
   if (p == 1) {
-    if (inverse) {
-      fft3d_inverse(full_on_root.data(), l, l, l);
-    } else {
-      fft3d_forward(full_on_root.data(), l, l, l);
-    }
-    return full_on_root;
+    fft3d_forward(full_on_root.data(), l, l, l);
+    return centered_crop(full_on_root.data(), l, ball);
   }
 
   const std::size_t slab = l / static_cast<std::size_t>(p);  // planes per rank
@@ -49,11 +43,7 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
 
   // (a.3) 2D DFT of every xy-plane in the z-slab (plan-cached).
   for (std::size_t zl = 0; zl < slab; ++zl) {
-    if (inverse) {
-      fft2d_inverse(zslab.data() + zl * l * l, l, l);
-    } else {
-      fft2d_forward(zslab.data() + zl * l * l, l, l);
-    }
+    fft2d_forward(zslab.data() + zl * l * l, l, l);
   }
 
   // (a.4) global exchange: block for rank r holds my z-planes restricted
@@ -101,39 +91,60 @@ std::vector<cdouble> parallel_fft3d(vmpi::Comm& comm,
   // for x = 0..l start at adjacent offsets with stride l — a single
   // batched, cache-blocked fft1d_lines call per block.
   for (std::size_t yl = 0; yl < slab; ++yl) {
-    fft1d_lines(yslab.data() + yl * l * l, l, l, l, inverse);
+    fft1d_lines(yslab.data() + yl * l * l, l, l, l, /*inverse=*/false);
   }
 
-  // (a.6) all-gather: concatenation in rank order yields layout (y,z,x);
-  // fuse the transpose back to canonical (z,y,x) into the unpack — one
-  // row-sized memcpy per (y,z) pair, straight from the gathered buffer.
-  std::vector<cdouble> gathered = comm.allgather(yslab);
+  // (a.6) ball all-gather.  Centered row (z, y) is raw row
+  // ((z + s) % l, (y + s) % l), so the rank whose y-slab holds raw row
+  // (y + s) % l owns centered row y.  Each rank packs, for its ball
+  // rows y in increasing order and every ball z, the centered cropped
+  // row (fused_row: the full centering pass's per-element arithmetic),
+  // and the all-gather concatenates the packs in rank order.  A rank
+  // whose slab holds no ball row contributes nothing.
+  const std::size_t o = ball.origin, e = ball.edge;
+  const std::size_t shift = (l + 1) / 2;  // fftshift
+  const std::vector<cdouble> phase = axis_phase(l, +1.0);
+  const auto owner = [&](std::size_t y) {
+    return static_cast<int>(((y + shift) % l) / slab);
+  };
+  const std::size_t y_begin = static_cast<std::size_t>(comm.rank()) * slab;
+  std::size_t my_rows = 0;
+  for (std::size_t y = o; y < o + e; ++y) {
+    if (owner(y) == comm.rank()) ++my_rows;
+  }
+  std::vector<cdouble> mine(my_rows * e * e);
+  cdouble* dst = mine.data();
+  for (std::size_t y = o; y < o + e; ++y) {
+    if (owner(y) != comm.rank()) continue;
+    const std::size_t yl = (y + shift) % l - y_begin;
+    for (std::size_t z = o; z < o + e; ++z, dst += e) {
+      const std::size_t zs = (z + shift) % l;
+      POR_BOUNDS((yl * l + zs) * l + l - 1, yslab.size());
+      fused_row(dst, yslab.data() + (yl * l + zs) * l, l, shift,
+                phase[z] * phase[y], phase, /*phase_on_src=*/false, o, o + e);
+    }
+  }
   yslab.clear();
   yslab.shrink_to_fit();
-  POR_ENSURE(gathered.size() == l * l * l,
-             "allgather returned wrong volume size:", gathered.size());
-  std::vector<cdouble> out(l * l * l);
-  for (std::size_t y = 0; y < l; ++y) {
-    for (std::size_t z = 0; z < l; ++z) {
-      std::memcpy(out.data() + (z * l + y) * l,
-                  gathered.data() + (y * l + z) * l, row_bytes);
+  const std::vector<cdouble> gathered = comm.allgather(mine);
+  POR_ENSURE(gathered.size() == e * e * e,
+             "allgather returned wrong ball size:", gathered.size());
+
+  // Unpack (y, z)-ordered packs into the (z, y, x) ball: one row-sized
+  // memcpy per (y, z) pair, walking the packs in rank order.
+  std::vector<cdouble> out(e * e * e);
+  const cdouble* next = gathered.data();
+  for (int r = 0; r < p; ++r) {
+    for (std::size_t y = o; y < o + e; ++y) {
+      if (owner(y) != r) continue;
+      for (std::size_t z = o; z < o + e; ++z) {
+        std::memcpy(out.data() + ((z - o) * e + (y - o)) * e, next,
+                    e * sizeof(cdouble));
+        next += e;
+      }
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<cdouble> parallel_fft3d_forward(vmpi::Comm& comm,
-                                            std::vector<cdouble> full_on_root,
-                                            std::size_t l) {
-  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/false);
-}
-
-std::vector<cdouble> parallel_fft3d_inverse(vmpi::Comm& comm,
-                                            std::vector<cdouble> full_on_root,
-                                            std::size_t l) {
-  return parallel_fft3d(comm, std::move(full_on_root), l, /*inverse=*/true);
 }
 
 }  // namespace por::fft

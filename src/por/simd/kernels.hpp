@@ -53,6 +53,12 @@ struct StageBlock {
   double evz = 0, evy = 0, evx = 0;  ///< rotated v axis
   double c = 0;                      ///< lattice center offset
   std::size_t stride_y = 0, stride_z = 0;  ///< in lattice cells
+  /// Flat index of the lattice's first cell in the full spectrum's
+  /// coordinates (origin * (stride_z + stride_y + 1) for a crop at
+  /// `origin`): subtracted from the integer cell index after the
+  /// q + c coordinate arithmetic, so the fractional offsets — and so
+  /// every sample — are the ones an uncropped lattice would give.
+  std::size_t origin_cell = 0;
   std::size_t* base = nullptr;  ///< out: flat cell index
   double* tz = nullptr;         ///< out: fractional offsets
   double* ty = nullptr;

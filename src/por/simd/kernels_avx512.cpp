@@ -33,6 +33,8 @@ void stage_avx512(const StageBlock& blk) {
   const __m512d cv = _mm512_set1_pd(blk.c);
   const __m512i sy = _mm512_set1_epi64(static_cast<long long>(blk.stride_y));
   const __m512i sz = _mm512_set1_epi64(static_cast<long long>(blk.stride_z));
+  const __m512i origin =
+      _mm512_set1_epi64(static_cast<long long>(blk.origin_cell));
   std::size_t k = 0;
   for (; k + 8 <= blk.count; k += 8) {
     const __m512d ku = _mm512_loadu_pd(blk.ku + k);
@@ -48,10 +50,11 @@ void stage_avx512(const StageBlock& blk) {
     const __m512i iz = _mm512_cvttpd_epi64(z);
     const __m512i iy = _mm512_cvttpd_epi64(y);
     const __m512i ix = _mm512_cvttpd_epi64(x);
-    const __m512i base = _mm512_add_epi64(
-        _mm512_add_epi64(_mm512_mullo_epi64(iz, sz),
-                         _mm512_mullo_epi64(iy, sy)),
-        ix);
+    const __m512i base = _mm512_sub_epi64(
+        _mm512_add_epi64(_mm512_add_epi64(_mm512_mullo_epi64(iz, sz),
+                                          _mm512_mullo_epi64(iy, sy)),
+                         ix),
+        origin);
     _mm512_storeu_si512(blk.base + k, base);
     _mm512_storeu_pd(blk.tz + k, _mm512_sub_pd(z, _mm512_cvtepi64_pd(iz)));
     _mm512_storeu_pd(blk.ty + k, _mm512_sub_pd(y, _mm512_cvtepi64_pd(iy)));
@@ -64,7 +67,8 @@ void stage_avx512(const StageBlock& blk) {
     const std::size_t iz = static_cast<std::size_t>(z);
     const std::size_t iy = static_cast<std::size_t>(y);
     const std::size_t ix = static_cast<std::size_t>(x);
-    blk.base[k] = iz * blk.stride_z + iy * blk.stride_y + ix;
+    blk.base[k] =
+        iz * blk.stride_z + iy * blk.stride_y + ix - blk.origin_cell;
     blk.tz[k] = z - static_cast<double>(iz);
     blk.ty[k] = y - static_cast<double>(iy);
     blk.tx[k] = x - static_cast<double>(ix);

@@ -36,7 +36,8 @@ void stage_sse2(const StageBlock& blk) {
     const std::size_t iz = static_cast<std::size_t>(z);
     const std::size_t iy = static_cast<std::size_t>(y);
     const std::size_t ix = static_cast<std::size_t>(x);
-    const std::size_t base = iz * blk.stride_z + iy * blk.stride_y + ix;
+    const std::size_t base =
+        iz * blk.stride_z + iy * blk.stride_y + ix - blk.origin_cell;
     blk.base[k] = base;
     blk.tz[k] = z - static_cast<double>(iz);
     blk.ty[k] = y - static_cast<double>(iy);

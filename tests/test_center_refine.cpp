@@ -32,7 +32,7 @@ TEST(CenterRefine, RecoversKnownShift) {
   const Image<double> view =
       fx.model.project_analytic(fx.l, fx.truth, true_dx, true_dy);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   // Two-level center search mirroring the schedule: 1 px then 0.1 px.
   CenterResult coarse =
       refine_center(fx.matcher, spectrum, cut, 0.0, 0.0, 1.0, 3);
@@ -46,7 +46,7 @@ TEST(CenterRefine, ZeroShiftStaysPut) {
   Fixture fx;
   const Image<double> view = fx.model.project_analytic(fx.l, fx.truth);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   const CenterResult result =
       refine_center(fx.matcher, spectrum, cut, 0.0, 0.0, 0.5, 3);
   EXPECT_NEAR(result.dx, 0.0, 0.51);
@@ -60,7 +60,7 @@ TEST(CenterRefine, SlidesWhenShiftExceedsBox) {
   const Image<double> view =
       fx.model.project_analytic(fx.l, fx.truth, 2.5, 0.0);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   const CenterResult result =
       refine_center(fx.matcher, spectrum, cut, 0.0, 0.0, 1.0, 3);
   EXPECT_GE(result.slides, 1);
@@ -71,7 +71,7 @@ TEST(CenterRefine, EvaluationCountMatchesBoxGeometry) {
   Fixture fx;
   const Image<double> view = fx.model.project_analytic(fx.l, fx.truth);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   const CenterResult result =
       refine_center(fx.matcher, spectrum, cut, 0.0, 0.0, 0.5, 3);
   // n_center = 9 per round (the paper's 3x3 example).
@@ -83,13 +83,12 @@ TEST(CenterRefine, BetterCenterMeansSmallerDistance) {
   const Image<double> view =
       fx.model.project_analytic(fx.l, fx.truth, 1.0, 1.0);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   const CenterResult refined =
       refine_center(fx.matcher, spectrum, cut, 0.0, 0.0, 0.5, 3);
-  // Distance at the refined center must beat the uncorrected one.
-  metrics::DistanceOptions manual;
-  manual.r_max = fx.matcher.padded_r_map();
-  const double uncorrected = metrics::fourier_distance(spectrum, cut, manual);
+  // Distance at the refined center must beat the uncorrected one: the
+  // matching distance of the untranslated view against the same cut.
+  const double uncorrected = fx.matcher.distance(spectrum, fx.truth);
   EXPECT_LT(refined.best_distance, uncorrected);
 }
 
@@ -97,11 +96,16 @@ TEST(CenterRefine, RejectsBadBox) {
   Fixture fx;
   const Image<double> view = fx.model.project_analytic(fx.l, fx.truth);
   const auto spectrum = fx.matcher.prepare_view(view);
-  const auto cut = fx.matcher.cut(fx.truth);
+  const auto cut = fx.matcher.annulus_cut(fx.truth);
   EXPECT_THROW((void)refine_center(fx.matcher, spectrum, cut, 0, 0, 0.0, 3),
                std::invalid_argument);
   EXPECT_THROW((void)refine_center(fx.matcher, spectrum, cut, 0, 0, 1.0, 1),
                std::invalid_argument);
+  // A cut that is not in annulus order (wrong length) is refused.
+  const std::vector<cdouble> short_cut(cut.begin(), cut.end() - 1);
+  EXPECT_THROW(
+      (void)refine_center(fx.matcher, spectrum, short_cut, 0, 0, 1.0, 3),
+      std::invalid_argument);
 }
 
 }  // namespace

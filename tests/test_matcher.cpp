@@ -93,17 +93,46 @@ TEST(Matcher, SmallerRmapMeansSmallerDistanceValues) {
             matcher_wide.distance(spectrum, off));
 }
 
+/// The annulus cut laid back onto the big x big grid (zero elsewhere),
+/// for comparisons against full-plane metrics.
+Image<cdouble> cut_image(const FourierMatcher& matcher, const Orientation& o) {
+  const std::size_t big = matcher.edge() * matcher.options().pad;
+  Image<cdouble> image(big, big);
+  const std::vector<cdouble> cut = matcher.annulus_cut(o);
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    image.storage()[matcher.annulus().index[i]] = cut[i];
+  }
+  return image;
+}
+
 TEST(Matcher, CutMatchesExtractCentralSlice) {
+  // The matcher samples its spectrum ball with the reference trilinear
+  // arithmetic, so every annulus sample carries exactly the bits of the
+  // full spectrum's central slice (times the transfer, with a CTF).
   const std::size_t l = 16;
   const BlobModel model = small_phantom(l, 8);
   const Volume<double> map = model.rasterize(l);
-  const MatchOptions options = options_for(l);
-  const FourierMatcher matcher(map, options);
-  const Orientation o{25, 75, 125};
-  const auto direct =
-      extract_central_slice(centered_fft3(pad_volume(map, options.pad)), o);
-  const auto via_matcher = matcher.cut(o);
-  EXPECT_LT(por::test::max_abs_diff(via_matcher, direct), 1e-12);
+  for (const bool with_ctf : {false, true}) {
+    SCOPED_TRACE(with_ctf ? "with CTF" : "without CTF");
+    MatchOptions options = options_for(l);
+    options.r_map = 5.0;  // a ball well inside the padded cube
+    if (with_ctf) options.ctf = CtfParams{};
+    const FourierMatcher matcher(map, options);
+    const Orientation o{25, 75, 125};
+    const Image<cdouble> direct =
+        extract_central_slice(centered_fft3(pad_volume(map, options.pad)), o);
+    const std::vector<cdouble> cut = matcher.annulus_cut(o);
+    const core::AnnulusTable& ring = matcher.annulus();
+    ASSERT_EQ(cut.size(), ring.size());
+    for (std::size_t i = 0; i < ring.size(); ++i) {
+      cdouble expected = direct.storage()[ring.index[i]];
+      if (with_ctf) {
+        expected *= matcher.cut_transfer(
+            std::sqrt(ring.ku[i] * ring.ku[i] + ring.kv[i] * ring.kv[i]));
+      }
+      EXPECT_EQ(cut[i], expected) << "annulus pixel " << i;
+    }
+  }
 }
 
 TEST(Matcher, DistanceMatchesManualSliceComparison) {
@@ -115,7 +144,7 @@ TEST(Matcher, DistanceMatchesManualSliceComparison) {
   const FourierMatcher matcher(model.rasterize(l), options);
   const Orientation view_o{40, 100, 20}, cut_o{42, 100, 20};
   const auto spectrum = matcher.prepare_view(model.project_analytic(l, view_o));
-  const auto cut = matcher.cut(cut_o);
+  const auto cut = cut_image(matcher, cut_o);
   metrics::DistanceOptions manual;
   manual.r_max = matcher.padded_r_map();
   EXPECT_NEAR(matcher.distance(spectrum, cut_o),
@@ -294,7 +323,7 @@ TEST(Matcher, AnnulusTableMatchesRingMembership) {
 }
 
 TEST(Matcher, CutWithCtfMatchesSliceTimesTransfer) {
-  // cut() now applies a precomputed per-pixel transfer image; it must
+  // annulus_cut() applies the annulus table's transfer column; it must
   // equal the slice multiplied by cut_transfer(radius) pixel by pixel.
   const std::size_t l = 16;
   const BlobModel model = small_phantom(l, 8);
@@ -315,7 +344,13 @@ TEST(Matcher, CutWithCtfMatchesSliceTimesTransfer) {
       expected(y, x) *= matcher.cut_transfer(radius);
     }
   }
-  EXPECT_LT(por::test::max_abs_diff(matcher.cut(o), expected), 1e-12);
+  const std::vector<cdouble> cut = matcher.annulus_cut(o);
+  double worst = 0.0;
+  for (std::size_t i = 0; i < cut.size(); ++i) {
+    worst = std::max(
+        worst, std::abs(cut[i] - expected.storage()[matcher.annulus().index[i]]));
+  }
+  EXPECT_LT(worst, 1e-12);
 }
 
 TEST(Matcher, RejectsBadConfiguration) {
@@ -327,6 +362,23 @@ TEST(Matcher, RejectsBadConfiguration) {
   MatchOptions negative;
   negative.r_map = -1.0;
   EXPECT_THROW((void)FourierMatcher(map, negative), std::invalid_argument);
+}
+
+TEST(Matcher, RejectsEmptyAnnulus) {
+  // r_min above r_map leaves no pixel to match: every distance() would
+  // be exactly 0 and the sliding window would drift max_slides times to
+  // a corner of its range reporting a perfect match (at l = 16, r_map 3,
+  // r_min 5 a view started at (10, 20, 30) came back at (1, 11, 21),
+  // distance 0, 8 slides).  The constructor refuses the configuration.
+  const std::size_t l = 16;
+  const Volume<double> map = small_phantom(l, 8).rasterize(l);
+  MatchOptions empty;
+  empty.r_map = 3.0;
+  empty.r_min = 5.0;
+  EXPECT_THROW((void)FourierMatcher(map, empty), std::invalid_argument);
+  MatchOptions ring = empty;
+  ring.r_min = 2.0;  // a proper ring still builds
+  EXPECT_GT(FourierMatcher(map, ring).annulus().size(), 0u);
 }
 
 TEST(Matcher, RejectsWrongViewSize) {

@@ -76,14 +76,37 @@ TEST(CenteredFft, RawToCenteredMatchesDirect) {
   const Volume<double> vol = random_volume(l, 9);
   Volume<cdouble> raw = to_complex(vol);
   por::fft::fft3d_forward(raw.data(), l, l, l);
-  const Volume<cdouble> via_raw = centered_from_raw_fft3(std::move(raw));
+  const std::vector<cdouble> via_raw =
+      por::fft::centered_crop(raw.data(), l, por::fft::CubeCrop{0, l});
   const Volume<cdouble> direct = centered_fft3(vol);
+  ASSERT_EQ(via_raw.size(), direct.size());
   double worst = 0.0;
   for (std::size_t i = 0; i < direct.size(); ++i) {
-    worst = std::max(worst,
-                     std::abs(via_raw.storage()[i] - direct.storage()[i]));
+    worst = std::max(worst, std::abs(via_raw[i] - direct.storage()[i]));
   }
   EXPECT_LT(worst, 1e-10);
+}
+
+TEST(CenteredFft, CropIsBitwiseCropOfFullTransform) {
+  // The matcher keeps only its r_map ball of the spectrum; every sample
+  // of it must carry the full centered transform's bits.
+  const std::size_t l = 12;
+  const Volume<double> vol = random_volume(l, 10);
+  const Volume<cdouble> full = centered_fft3(vol);
+  for (const double radius : {1.0, 3.5, 5.0}) {
+    const por::fft::CubeCrop crop = por::fft::ball_crop(l, radius);
+    const Volume<cdouble> ball = centered_fft3(vol, crop);
+    ASSERT_EQ(ball.nx(), crop.edge);
+    for (std::size_t z = 0; z < crop.edge; ++z) {
+      for (std::size_t y = 0; y < crop.edge; ++y) {
+        for (std::size_t x = 0; x < crop.edge; ++x) {
+          EXPECT_EQ(ball(z, y, x), full(crop.origin + z, crop.origin + y,
+                                        crop.origin + x))
+              << "radius " << radius << " at " << z << "," << y << "," << x;
+        }
+      }
+    }
+  }
 }
 
 // ---- interpolation -------------------------------------------------------------

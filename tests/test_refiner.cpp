@@ -4,6 +4,7 @@
 #include "por/em/noise.hpp"
 #include "por/em/projection.hpp"
 #include "por/obs/registry.hpp"
+#include "por/simd/isa.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -183,6 +184,58 @@ TEST(Refiner, MatchingCountReflectsScheduleAndSlides) {
   // Starting at the truth: one 27-point window, no slides.
   EXPECT_EQ(result.matchings, 27u);
   EXPECT_EQ(result.window_slides, 0);
+}
+
+TEST(Refiner, RefineViewGoldenWithStartingCenter) {
+  // Bitwise golden of one refine_view from a nonzero starting center,
+  // recorded before the matcher kept only its spectrum ball and center
+  // refinement only its annulus: orientation, center, distance and the
+  // work counters must carry exactly the bits of the full-spectrum
+  // implementation.  The SSE2 tier is forced process-wide (FFT plans
+  // and matcher kernels) so the values hold on every host; the AVX
+  // tiers differ from it by FMA rounding.
+  struct Golden {
+    double theta, phi, omega, center_x, center_y, final_distance;
+    std::uint64_t matchings, center_evals;
+  };
+  const Golden goldens[2] = {
+      {0x1.f19999999999fp+5, 0x1.1d00000000007p+7, 0x1.b666666666669p+4,
+       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.f21038606d5b9p+1,
+       1949, 99},
+      {0x1.eb33333333337p+5, 0x1.1d3333333333ap+7, 0x1.b666666666668p+4,
+       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.8a0b7666c467cp+4,
+       1817, 90},
+  };
+  const simd::Isa saved = simd::active_isa();
+  simd::force_isa(simd::Isa::kSse2);
+  const std::size_t l = 24;
+  const BlobModel model = small_phantom(l, 15);
+  const Orientation truth{63.0, 141.0, 27.0};
+  for (const bool with_ctf : {false, true}) {
+    SCOPED_TRACE(with_ctf ? "Wiener-corrected CTF" : "no CTF");
+    RefinerConfig config = fast_config();
+    Image<double> view = model.project_analytic(l, truth, 0.9, -0.7);
+    if (with_ctf) {
+      config.ctf = CtfParams{};
+      config.ctf_correction = CtfCorrection::kWiener;
+      Image<cdouble> spectrum = centered_fft2(view);
+      apply_ctf(spectrum, *config.ctf);
+      view = centered_ifft2(spectrum);
+    }
+    const OrientationRefiner refiner(model.rasterize(l), config);
+    const ViewResult r =
+        refiner.refine_view(view, Orientation{64.5, 139.8, 28.1}, 0.5, -0.25);
+    const Golden& g = goldens[with_ctf ? 1 : 0];
+    EXPECT_EQ(r.orientation.theta, g.theta);
+    EXPECT_EQ(r.orientation.phi, g.phi);
+    EXPECT_EQ(r.orientation.omega, g.omega);
+    EXPECT_EQ(r.center_x, g.center_x);
+    EXPECT_EQ(r.center_y, g.center_y);
+    EXPECT_EQ(r.final_distance, g.final_distance);
+    EXPECT_EQ(r.matchings, g.matchings);
+    EXPECT_EQ(r.center_evals, g.center_evals);
+  }
+  simd::force_isa(saved);
 }
 
 TEST(Refiner, EmptyScheduleRejected) {
