@@ -37,7 +37,6 @@
 // Flags: --l <edge>            (default 331, the Sindbis view edge)
 //        --views <count>       (default 7917)
 //        --shard_views <n>     (default 256 views per shard)
-//        --compress            (slz4-compress the shards)
 //        --refine_views <n>    (default 24)
 //        --prefetch_depth <n>  (default 2)
 //        --batch_views <n>     (default 4, the refine chunk size)
@@ -84,7 +83,7 @@ std::string json_number(double v) {
 }
 
 /// Synthetic view `index`: a smooth deterministic field plus white
-/// noise — compresses like a real micrograph window, costs O(pixels)
+/// noise — statistically like a real micrograph window, costs O(pixels)
 /// to make, and is bitwise-reproducible for any (index, l).
 void make_view(std::uint64_t index, std::size_t l, double* pixels) {
   util::Rng rng(0x5eed0000 + index);
@@ -157,7 +156,6 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(cli.get_int("views", 7917));
   const std::size_t shard_views =
       static_cast<std::size_t>(cli.get_int("shard_views", 256));
-  const bool compress = cli.get_bool("compress", false);
   const std::size_t refine_views =
       static_cast<std::size_t>(cli.get_int("refine_views", 24));
   const std::size_t prefetch_depth =
@@ -186,16 +184,15 @@ int main(int argc, char** argv) {
                           static_cast<double>(l * l) * sizeof(double) / 1e9;
   std::printf(
       "bench_stream: l=%zu views=%llu (%.2f GB raw) shard_views=%zu "
-      "compress=%d budget=%zu MB depth=%zu batch=%zu\n",
+      "budget=%zu MB depth=%zu batch=%zu\n",
       l, static_cast<unsigned long long>(views), stack_gb, shard_views,
-      compress ? 1 : 0, max_resident_mb, prefetch_depth, batch_views);
+      max_resident_mb, prefetch_depth, batch_views);
 
   // ---- write: stream the synthetic stack to shards -------------------------
   double write_seconds = 0.0;
   {
     stream::ShardedStackOptions options;
     options.views_per_shard = shard_views;
-    options.compress = compress;
     stream::ShardedStackWriter writer(base, l, l, options);
     std::vector<double> pixels(l * l);
     util::WallTimer timer;
@@ -316,8 +313,6 @@ int main(int argc, char** argv) {
   json += "  \"views\": " + std::to_string(views) + ",\n";
   json += "  \"stack_gb\": " + json_number(stack_gb) + ",\n";
   json += "  \"shard_views\": " + std::to_string(shard_views) + ",\n";
-  json += "  \"compress\": " + std::string(compress ? "true" : "false") +
-          ",\n";
   json += "  \"stored_over_raw\": " +
           json_number(static_cast<double>(stored_bytes) / (stack_gb * 1e9)) +
           ",\n";

@@ -8,13 +8,12 @@
 //                  [--workdir /tmp/por_reo] [--cycles 2]
 //                  [--checkpoint true] [--resume true] [--io_retries 3]
 //                  [--kill_rank R] [--kill_at_step S] [--heartbeat_ms 500]
-//                  [--shards true] [--prefetch_depth 2] [--max_resident_mb 0]
+//                  [--prefetch_depth 2] [--max_resident_mb 0]
 //
-// Out-of-core (DESIGN.md §14): --shards true writes the view stack as
-// a sharded store under <workdir>/views.shards.* instead of a
-// monolithic PORS file and refines every cycle through
-// core::parallel_refine_files (which tells the two stack kinds apart by
-// magic), bounding the master's resident view cache to
+// Out-of-core (DESIGN.md §14): the view stack is written as a sharded
+// store under <workdir>/views.shards.* and every cycle refines through
+// core::parallel_refine_files, which streams it with --prefetch_depth
+// chunks in flight and bounds the master's resident view cache to
 // --max_resident_mb (0 = unbounded).
 //
 // Resilience (DESIGN.md §10): --checkpoint true records every refined
@@ -38,7 +37,6 @@
 #include "por/em/phantom.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/metrics/orientation_error.hpp"
 #include "por/stream/sharded_stack.hpp"
 #include "por/util/cli.hpp"
@@ -52,7 +50,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: reo_pipeline [--l 48] [--views 48] [--snr 2] [--ranks 4]\n\n    [--cycles 2] [--workdir /tmp/por_reo] [--checkpoint true] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards true] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
+        "usage: reo_pipeline [--l 48] [--views 48] [--snr 2] [--ranks 4]\n\n    [--cycles 2] [--workdir /tmp/por_reo] [--checkpoint true] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
     return 0;
   }
@@ -69,7 +67,6 @@ int main(int argc, char** argv) {
   const std::uint64_t kill_at_step =
       static_cast<std::uint64_t>(cli.get_int("kill_at_step", 0));
   const int heartbeat_ms = static_cast<int>(cli.get_int("heartbeat_ms", 500));
-  const bool use_shards = cli.get_bool("shards", false);
   const std::size_t prefetch_depth =
       static_cast<std::size_t>(cli.get_int("prefetch_depth", 2));
   const std::size_t max_resident_mb =
@@ -109,17 +106,12 @@ int main(int argc, char** argv) {
         em::Orientation{quantize(o.theta), quantize(o.phi), quantize(o.omega)},
         0.0, 0.0});
   }
-  const std::string stack_path =
-      workdir + (use_shards ? "/views.shards" : "/views.pors");
+  const std::string stack_path = workdir + "/views.shards";
   const std::string orient_path = workdir + "/orient_0.txt";
-  if (use_shards) {
-    stream::write_sharded_stack(stack_path, views);
-    std::printf("out-of-core: stack sharded at %s (prefetch_depth=%zu, "
-                "max_resident_mb=%zu)\n\n",
-                stack_path.c_str(), prefetch_depth, max_resident_mb);
-  } else {
-    io::write_stack(stack_path, views);
-  }
+  stream::write_sharded_stack(stack_path, views);
+  std::printf("out-of-core: stack sharded at %s (prefetch_depth=%zu, "
+              "max_resident_mb=%zu)\n\n",
+              stack_path.c_str(), prefetch_depth, max_resident_mb);
   io::write_orientations(orient_path, initial_records, "3-degree quantized");
 
   // ---- iterate: refine against current map, reconstruct, repeat ----

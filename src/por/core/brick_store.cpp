@@ -3,11 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <ostream>
 #include <stdexcept>
-
-#include "por/obs/registry.hpp"
-#include "por/resilience/atomic_file.hpp"
 
 namespace por::core {
 
@@ -70,56 +66,7 @@ BrickStore::BrickStore(vmpi::Comm& comm,
       }
     }
   }
-  if (!config_.spill_dir.empty()) spill_local_bricks();
   comm_.barrier();
-}
-
-void BrickStore::spill_local_bricks() {
-  // Deterministic slot order (sorted brick index), raw cdouble payload
-  // — no header; the in-memory slot map is rebuilt from the same sort
-  // on every rank, so the file needs no self-description.
-  std::vector<std::size_t> indices;
-  indices.reserve(local_bricks_.size());
-  for (const auto& [index, payload] : local_bricks_) indices.push_back(index);
-  std::sort(indices.begin(), indices.end());
-  const std::string path = config_.spill_dir + "/bricks.rank" +
-                           std::to_string(comm_.rank()) + ".porb";
-  resilience::atomic_write_file(path, [&](std::ostream& os) {
-    for (const std::size_t index : indices) {
-      const auto& payload = local_bricks_.at(index);
-      os.write(reinterpret_cast<const char*>(payload.data()),
-               static_cast<std::streamsize>(payload.size() *
-                                            sizeof(em::cdouble)));
-    }
-  });
-  for (std::size_t slot = 0; slot < indices.size(); ++slot) {
-    spill_slot_.emplace(indices[slot], slot);
-  }
-  const std::size_t be = config_.brick_edge;
-  spilled_bytes_ = indices.size() * be * be * be * sizeof(em::cdouble);
-  obs::current_registry().counter("stream.brick_spill.bytes")
-      .add(spilled_bytes_);
-  local_bricks_.clear();
-  local_bricks_.rehash(0);  // actually release the heap copies
-  if (!indices.empty()) {
-    spill_map_ = stream::ShardMapping(path);
-  }
-}
-
-const em::cdouble* BrickStore::local_brick(std::size_t index) const {
-  const auto slot = spill_slot_.find(index);
-  if (slot != spill_slot_.end()) {
-    const std::size_t be = config_.brick_edge;
-    const std::size_t brick_bytes = be * be * be * sizeof(em::cdouble);
-    // Spill payloads are raw cdouble arrays at 16-aligned offsets and
-    // the mapping is a member, so it outlives every reader.
-    // por-lint: allow(reinterpret-cast) mmap'd spill bytes are cdouble payloads
-    return reinterpret_cast<const em::cdouble*>(spill_map_.data() +
-                                                slot->second * brick_bytes);
-  }
-  const auto local = local_bricks_.find(index);
-  if (local != local_bricks_.end()) return local->second.data();
-  return nullptr;
 }
 
 BrickStore::~BrickStore() {
@@ -158,23 +105,20 @@ void BrickStore::server_loop() {
       ++stops_seen;
       continue;
     }
-    const em::cdouble* payload = local_brick(static_cast<std::size_t>(index));
-    if (payload == nullptr) {
+    const auto local = local_bricks_.find(static_cast<std::size_t>(index));
+    if (local == local_bricks_.end()) {
       throw std::logic_error("BrickStore: asked for a brick I do not own");
     }
-    // Spilled bricks live in the read-only mapping; stage the reply in
-    // the server's scratch vector (send wants a vector either way).
-    const std::size_t be = config_.brick_edge;
-    reply_scratch_.assign(payload, payload + be * be * be);
-    comm_.send(requester, kBrickReplyTag, reply_scratch_);
+    comm_.send(requester, kBrickReplyTag, local->second);
   }
 }
 
 const em::cdouble* BrickStore::brick(std::size_t index) {
-  // Local bricks are free (heap map or spill mapping).
-  if (const em::cdouble* local = local_brick(index)) {
+  // Local bricks are free.
+  const auto local = local_bricks_.find(index);
+  if (local != local_bricks_.end()) {
     ++local_hits_;
-    return local;
+    return local->second.data();
   }
   // Cached remote bricks: refresh LRU position.
   auto cached = cache_.find(index);

@@ -18,13 +18,11 @@
 
 #include <cstdint>
 #include <list>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "por/em/grid.hpp"
-#include "por/stream/shard_mapping.hpp"
 #include "por/vmpi/comm.hpp"
 
 namespace por::core {
@@ -32,12 +30,6 @@ namespace por::core {
 struct BrickStoreConfig {
   std::size_t brick_edge = 8;    ///< voxels per brick edge (must divide edge)
   std::size_t cache_bricks = 64; ///< max non-local bricks kept per rank
-  /// Non-empty: after the scatter each rank spills its local bricks to
-  /// an mmap-backed file `<spill_dir>/bricks.rank<r>.porb` and frees
-  /// the in-memory copies (DESIGN.md §14) — the resident cost of the
-  /// store becomes page cache, reclaimable under pressure, instead of
-  /// anonymous heap.  The directory must exist.
-  std::string spill_dir;
 };
 
 /// Distributed, demand-paged complex volume.
@@ -78,8 +70,6 @@ class BrickStore {
   [[nodiscard]] std::uint64_t remote_fetches() const { return remote_fetches_; }
   [[nodiscard]] std::uint64_t bytes_fetched() const { return bytes_fetched_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-  /// Bytes of local bricks spilled to the mmap file (0 = in-memory).
-  [[nodiscard]] std::uint64_t spilled_bytes() const { return spilled_bytes_; }
 
   /// Rank that owns a brick (round-robin by flat brick index).
   [[nodiscard]] int owner_of(std::size_t brick_index) const {
@@ -88,14 +78,10 @@ class BrickStore {
 
  private:
   void server_loop();
-  void spill_local_bricks();
   /// Pointer to the brick's voxels (brick_edge^3 cdoubles).  Valid
   /// until the next brick() call (a remote fetch may evict the cache
   /// entry it pointed into) — callers consume it immediately.
   [[nodiscard]] const em::cdouble* brick(std::size_t index);
-  /// Local brick payload whatever the storage (heap map or spill
-  /// mapping); nullptr when this rank does not own `index`.
-  [[nodiscard]] const em::cdouble* local_brick(std::size_t index) const;
   [[nodiscard]] em::cdouble voxel(long z, long y, long x);
 
   vmpi::Comm& comm_;
@@ -104,13 +90,6 @@ class BrickStore {
   std::size_t grid_ = 0;  ///< bricks per axis
 
   std::unordered_map<std::size_t, std::vector<em::cdouble>> local_bricks_;
-
-  // Spill state (config_.spill_dir non-empty): local bricks live in
-  // the mapped file, `spill_slot_` maps brick index -> slot ordinal.
-  stream::ShardMapping spill_map_;
-  std::unordered_map<std::size_t, std::size_t> spill_slot_;
-  std::uint64_t spilled_bytes_ = 0;
-  std::vector<em::cdouble> reply_scratch_;  ///< server-thread send staging
 
   // LRU cache of remote bricks.
   std::unordered_map<std::size_t, std::vector<em::cdouble>> cache_;

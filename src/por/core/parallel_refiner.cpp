@@ -13,7 +13,6 @@
 #include "por/em/pad.hpp"
 #include "por/fft/parallel_fft3d.hpp"
 #include "por/io/map_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/master_io.hpp"
 #include "por/obs/registry.hpp"
@@ -583,7 +582,6 @@ ParallelRefineReport parallel_refine_files(
     map = resilience::with_retry(retry, "read_map",
                                  [&] { return io::read_map(map_path); });
     stream::ShardedStackOptions shard_options;
-    shard_options.use_mmap = config.stream.use_mmap;
     shard_options.max_resident_bytes =
         config.stream.max_resident_mb * (std::size_t{1} << 20);
     shard_options.quarantine_corrupt = config.resilience.quarantine_views;

@@ -85,12 +85,11 @@ struct ParallelRefineReport {
 /// File-based SPMD driver covering the paper's I/O model: the master
 /// reads the map and the orientation file, *streams* the view stack in
 /// ranged groups (paper step b — the stack is never loaded whole), and
-/// writes the refined orientation file at the end.  `stack_path` may
-/// be a monolithic PORS stack or a sharded-stack manifest (told apart
-/// by magic); either is consumed through a stream::ViewSource with
-/// config.stream's prefetch/residency knobs, and the results are
-/// bitwise-identical.  Over shards the master's working set is bounded
-/// by config.stream.max_resident_mb instead of the stack size.
+/// writes the refined orientation file at the end.  `stack_path` is a
+/// sharded-stack manifest, consumed through a stream::ViewSource with
+/// config.stream's prefetch/residency knobs; the results are
+/// bitwise-identical to parallel_refine's.  The master's working set is
+/// bounded by config.stream.max_resident_mb instead of the stack size.
 [[nodiscard]] ParallelRefineReport parallel_refine_files(
     vmpi::Comm& comm, const std::string& map_path,
     const std::string& stack_path, const std::string& orientations_in_path,

@@ -82,8 +82,6 @@ struct StreamOptions {
   /// Cap on resident (mmapped) shard bytes, in MiB; 0 = unlimited.
   /// The "Sindbis on a 2 GB box" knob.
   std::size_t max_resident_mb = 0;
-  /// mmap shards (true) or read() them (false); bitwise identical.
-  bool use_mmap = true;
 };
 
 /// Full refinement configuration.

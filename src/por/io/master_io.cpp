@@ -1,24 +1,6 @@
 #include "por/io/master_io.hpp"
 
-#include <stdexcept>
-
-#include "por/io/stack_io.hpp"
-
 namespace por::io {
-
-namespace {
-
-constexpr vmpi::Tag kViewMetaTag = 100;
-constexpr vmpi::Tag kViewDataTag = 101;
-constexpr vmpi::Tag kRefinedTag = 103;
-
-struct StackMeta {
-  std::uint64_t total = 0;
-  std::uint64_t ny = 0;
-  std::uint64_t nx = 0;
-};
-
-}  // namespace
 
 std::size_t block_share(std::size_t m, int nranks, int rank) {
   const std::size_t base = m / static_cast<std::size_t>(nranks);
@@ -30,89 +12,6 @@ std::size_t block_begin(std::size_t m, int nranks, int rank) {
   std::size_t begin = 0;
   for (int r = 0; r < rank; ++r) begin += block_share(m, nranks, r);
   return begin;
-}
-
-std::vector<em::Image<double>> master_read_views(vmpi::Comm& comm,
-                                                 const std::string& stack_path,
-                                                 std::size_t& first_index) {
-  StackMeta meta;
-  std::vector<em::Image<double>> mine;
-  if (comm.is_root()) {
-    meta.total = stack_count(stack_path);
-    // Stream each rank's block straight from disk to its mailbox so the
-    // master never holds more than one block (paper step b reads in
-    // groups of m/P views).
-    for (int r = comm.size() - 1; r >= 0; --r) {
-      const std::size_t begin = block_begin(meta.total, comm.size(), r);
-      const std::size_t share = block_share(meta.total, comm.size(), r);
-      auto block = read_stack_range(stack_path, begin, share);
-      if (!block.empty()) {
-        meta.ny = block.front().ny();
-        meta.nx = block.front().nx();
-      }
-      if (r == 0) {
-        mine = std::move(block);
-      } else {
-        std::vector<double> flat;
-        flat.reserve(share * meta.ny * meta.nx);
-        for (const auto& img : block) {
-          flat.insert(flat.end(), img.storage().begin(), img.storage().end());
-        }
-        comm.send(r, kViewDataTag, flat);
-      }
-    }
-    for (int r = 1; r < comm.size(); ++r) {
-      comm.send_value(r, kViewMetaTag, meta);
-    }
-  } else {
-    // Receive data first, then the meta that describes how to slice it:
-    // the master sends data blocks before metas, and (src, dst, tag)
-    // ordering guarantees each arrives intact.
-    auto flat = comm.recv<double>(0, kViewDataTag);
-    meta = comm.recv_value<StackMeta>(0, kViewMetaTag);
-    const std::size_t pixels = meta.ny * meta.nx;
-    const std::size_t share = pixels ? flat.size() / pixels : 0;
-    mine.reserve(share);
-    for (std::size_t i = 0; i < share; ++i) {
-      em::Image<double> img(meta.ny, meta.nx);
-      std::copy(flat.begin() + i * pixels, flat.begin() + (i + 1) * pixels,
-                img.storage().begin());
-      mine.push_back(std::move(img));
-    }
-  }
-  first_index = block_begin(meta.total, comm.size(), comm.rank());
-  return mine;
-}
-
-std::vector<ViewOrientation> master_read_orientations(
-    vmpi::Comm& comm, const std::string& orient_path) {
-  if (comm.is_root()) {
-    auto all = read_orientations(orient_path);
-    std::vector<std::vector<ViewOrientation>> chunks(comm.size());
-    std::size_t cursor = 0;
-    for (int r = 0; r < comm.size(); ++r) {
-      const std::size_t share = block_share(all.size(), comm.size(), r);
-      chunks[r].assign(all.begin() + cursor, all.begin() + cursor + share);
-      cursor += share;
-    }
-    return comm.scatterv(0, chunks);
-  }
-  return comm.scatterv(0, std::vector<std::vector<ViewOrientation>>{});
-}
-
-void master_write_orientations(vmpi::Comm& comm, const std::string& path,
-                               const std::vector<ViewOrientation>& mine,
-                               const std::string& comment) {
-  if (comm.is_root()) {
-    std::vector<ViewOrientation> all = mine;
-    for (int r = 1; r < comm.size(); ++r) {
-      auto piece = comm.recv<ViewOrientation>(r, kRefinedTag);
-      all.insert(all.end(), piece.begin(), piece.end());
-    }
-    write_orientations(path, all, comment);
-  } else {
-    comm.send(0, kRefinedTag, mine);
-  }
 }
 
 }  // namespace por::io

@@ -1,43 +1,18 @@
 // por/io/master_io.hpp
 //
-// Master-node distributed I/O (paper §3: "Parallel I/O could reduce
+// Master-node block partition (paper §3: "Parallel I/O could reduce
 // the I/O time but in our algorithm we do not assume the existence of
 // a parallel file system.  To avoid contention, a master node
 // typically reads an entire data file and distributes data segments to
-// the nodes as needed").
-//
-// Every function here is an SPMD collective: all ranks call it; rank 0
-// touches the filesystem; the others receive their share by message.
+// the nodes as needed").  core::parallel_refine_files does the reading
+// and distributing (steps b, c, o); these helpers say which contiguous
+// segment of m items rank r owns: [r*m/P, (r+1)*m/P) plus one extra
+// from the remainder if r < m mod P.
 #pragma once
 
-#include <string>
-#include <vector>
-
-#include "por/em/grid.hpp"
-#include "por/io/orientation_io.hpp"
-#include "por/vmpi/comm.hpp"
+#include <cstddef>
 
 namespace por::io {
-
-/// Rank 0 reads the view stack and deals images round-robin-by-block:
-/// rank r receives views [r*m/P, (r+1)*m/P) plus one extra from the
-/// remainder if r < m mod P.  Returns this rank's views and stores the
-/// global index of its first view in `first_index`.
-[[nodiscard]] std::vector<em::Image<double>> master_read_views(
-    vmpi::Comm& comm, const std::string& stack_path,
-    std::size_t& first_index);
-
-/// Same block partition for orientation records (paper step c keeps a
-/// view and its orientation on the same node).
-[[nodiscard]] std::vector<ViewOrientation> master_read_orientations(
-    vmpi::Comm& comm, const std::string& orient_path);
-
-/// Rank 0 gathers every rank's refined records (in rank order, which
-/// restores global view order under the block partition) and writes
-/// the orientation file (paper step o).
-void master_write_orientations(vmpi::Comm& comm, const std::string& path,
-                               const std::vector<ViewOrientation>& mine,
-                               const std::string& comment = "");
 
 /// Block partition helper: number of items rank r owns out of m.
 [[nodiscard]] std::size_t block_share(std::size_t m, int nranks, int rank);

@@ -8,8 +8,8 @@
 //
 //   RetryPolicy policy;           // 1 attempt = retries disabled
 //   policy.max_attempts = 4;      // try up to 4 times
-//   auto stack = with_retry(policy, "read_stack", [&] {
-//     return io::read_stack(path);
+//   auto map = with_retry(policy, "read_map", [&] {
+//     return io::read_map(path);
 //   });
 //
 // Every performed retry increments the current registry's

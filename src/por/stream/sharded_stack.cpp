@@ -8,29 +8,42 @@
 #include <stdexcept>
 #include <utility>
 
-#include "por/io/stack_io.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/atomic_file.hpp"
 #include "por/resilience/crc32.hpp"
 #include "por/resilience/error.hpp"
-#include "por/stream/slz4.hpp"
 
 namespace por::stream {
 
 namespace {
 
-constexpr char kManifestMagic[4] = {'P', 'O', 'R', 'M'};
+constexpr char kManifestMagic[4] = {'P', 'O', 'R', 'V'};
 constexpr char kShardMagic[4] = {'P', 'O', 'R', 'H'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kManifestFields = 48;  ///< bytes after magic+version
+constexpr std::uint32_t kVersion = 2;
+constexpr std::size_t kManifestFields = 40;  ///< bytes after magic+version
 constexpr std::size_t kManifestBytes = 8 + kManifestFields + 4;
-constexpr std::size_t kShardFixed = 48;      ///< magic..pad, before the index
-constexpr std::size_t kIndexEntryBytes = 24;
-constexpr std::size_t kMaxEdge = std::size_t{1} << 14;  // matches stack_io
-constexpr std::uint32_t kFlagCompressed = 1u;
+constexpr std::size_t kShardFixed = 40;      ///< magic..nx, before the CRCs
+constexpr std::size_t kMaxEdge = std::size_t{1} << 14;
 
 [[nodiscard]] constexpr std::size_t align8(std::size_t n) {
   return (n + 7) & ~std::size_t{7};
+}
+
+/// Bytes of a shard header holding `views` CRCs, before the padding.
+[[nodiscard]] constexpr std::size_t shard_header_bytes(std::size_t views) {
+  return kShardFixed + views * 4 + 4;
+}
+
+/// Offset of view 0's pixels in a shard of `views` views.
+[[nodiscard]] constexpr std::size_t payload_begin(std::size_t views) {
+  return align8(shard_header_bytes(views));
+}
+
+/// Most views a shard of `view_px`-pixel views may hold and still be
+/// addressable in memory (header + payload).
+[[nodiscard]] constexpr std::size_t max_views_per_shard(std::size_t view_px) {
+  return std::numeric_limits<std::size_t>::max() / 2 /
+         (view_px * sizeof(double) + 4);
 }
 
 // Element-wise (not insert(range)): GCC 12's -Warray-bounds misfires
@@ -63,11 +76,9 @@ void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
   return v;
 }
 
-[[nodiscard]] std::size_t shards_for(std::uint64_t count,
-                                     std::size_t views_per_shard) {
-  if (count == 0) return 0;
-  return static_cast<std::size_t>((count + views_per_shard - 1) /
-                                  views_per_shard);
+[[nodiscard]] std::uint64_t shards_for(std::uint64_t count,
+                                       std::size_t views_per_shard) {
+  return count / views_per_shard + (count % views_per_shard != 0 ? 1 : 0);
 }
 
 void fill_nan(double* dst, std::size_t n) {
@@ -126,78 +137,28 @@ void ShardedStackWriter::flush_shard() {
   const std::size_t n = pending_.size() / view_px;
   if (n == 0) return;
 
-  const std::uint64_t first = appended_ - n;
-  const std::size_t header_bytes = kShardFixed + n * kIndexEntryBytes + 4;
-
-  // Encode every view first so the index offsets are known up front.
-  struct Stored {
-    const unsigned char* data;
-    std::size_t bytes;
-    std::uint32_t flags;
-  };
-  std::vector<Stored> stored(n);
-  std::vector<unsigned char> packed;  // compressed payloads, in view order
-  if (options_.compress) {
-    packed.reserve(n * view_bytes / 2);
-    std::vector<unsigned char> scratch(slz4_max_compressed_size(view_bytes));
-    std::vector<std::size_t> packed_at(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      const auto* raw =
-          reinterpret_cast<const unsigned char*>(pending_.data() + i * view_px);
-      const std::size_t c =
-          slz4_compress(raw, view_bytes, scratch.data(), view_bytes - 1);
-      if (c > 0) {
-        packed_at[i] = packed.size();
-        packed.insert(packed.end(), scratch.data(), scratch.data() + c);
-        stored[i] = {nullptr, c, kFlagCompressed};
-      } else {
-        stored[i] = {raw, view_bytes, 0};  // incompressible: keep raw
-      }
-    }
-    // `packed` has stopped reallocating; resolve the deferred pointers.
-    for (std::size_t i = 0; i < n; ++i) {
-      if (stored[i].flags & kFlagCompressed) {
-        stored[i].data = packed.data() + packed_at[i];
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < n; ++i) {
-      stored[i] = {
-          reinterpret_cast<const unsigned char*>(pending_.data() + i * view_px),
-          view_bytes, 0};
-    }
-  }
-
-  std::vector<unsigned char> bytes;
-  bytes.reserve(align8(header_bytes) + n * view_bytes);
-  put_magic(bytes, kShardMagic);
-  put_u32(bytes, kVersion);
-  put_u64(bytes, first);
-  put_u64(bytes, n);
-  put_u64(bytes, ny_);
-  put_u64(bytes, nx_);
-  bytes.push_back(options_.compress ? 1 : 0);
-  bytes.insert(bytes.end(), 7, 0);
-  std::size_t offset = align8(header_bytes);
+  std::vector<unsigned char> header;
+  header.reserve(align8(shard_header_bytes(n)));
+  put_magic(header, kShardMagic);
+  put_u32(header, kVersion);
+  put_u64(header, appended_ - n);
+  put_u64(header, n);
+  put_u64(header, ny_);
+  put_u64(header, nx_);
   for (std::size_t i = 0; i < n; ++i) {
-    put_u64(bytes, offset);
-    put_u64(bytes, stored[i].bytes);
-    put_u32(bytes, resilience::crc32(stored[i].data, stored[i].bytes));
-    put_u32(bytes, stored[i].flags);
-    offset = align8(offset + stored[i].bytes);
+    put_u32(header, resilience::crc32(pending_.data() + i * view_px,
+                                      view_bytes));
   }
-  // header_crc covers first_view through the end of the index.
-  put_u32(bytes, resilience::crc32(bytes.data() + 8, bytes.size() - 8));
-  bytes.resize(align8(bytes.size()), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    bytes.insert(bytes.end(), stored[i].data, stored[i].data + stored[i].bytes);
-    bytes.resize(align8(bytes.size()), 0);
-  }
+  // header_crc covers first_view through the last view CRC.
+  put_u32(header, resilience::crc32(header.data() + 8, header.size() - 8));
+  header.resize(align8(header.size()), 0);
 
   resilience::atomic_write_file(
       shard_path(base_, shards_written_), [&](std::ostream& os) {
-        os.write(reinterpret_cast<const char*>(bytes.data()),
-                 static_cast<std::streamsize>(bytes.size()));
+        os.write(reinterpret_cast<const char*>(header.data()),
+                 static_cast<std::streamsize>(header.size()));
+        os.write(reinterpret_cast<const char*>(pending_.data()),
+                 static_cast<std::streamsize>(n * view_bytes));
       });
   ++shards_written_;
   pending_.clear();
@@ -215,8 +176,6 @@ void ShardedStackWriter::finish() {
   put_u64(bytes, nx_);
   put_u64(bytes, options_.views_per_shard);
   put_u64(bytes, shards_written_);
-  bytes.push_back(options_.compress ? 1 : 0);
-  bytes.insert(bytes.end(), 7, 0);
   put_u32(bytes, resilience::crc32(bytes.data() + 8, kManifestFields));
   resilience::atomic_write_file(base_, [&](std::ostream& os) {
     os.write(reinterpret_cast<const char*>(bytes.data()),
@@ -235,52 +194,6 @@ void write_sharded_stack(const std::string& base,
                             options);
   for (const auto& view : views) writer.append(view);
   writer.finish();
-}
-
-void shard_stack_file(const std::string& stack_path, const std::string& base,
-                      const ShardedStackOptions& options) {
-  const std::size_t total = io::stack_count(stack_path);
-  if (total == 0) {
-    throw resilience::corrupt_error("shard_stack_file: empty stack " +
-                                    stack_path);
-  }
-  std::unique_ptr<ShardedStackWriter> writer;
-  for (std::size_t first = 0; first < total;
-       first += options.views_per_shard) {
-    const std::size_t n =
-        std::min(options.views_per_shard, total - first);
-    const auto group = io::read_stack_range(stack_path, first, n);
-    if (!writer) {
-      writer = std::make_unique<ShardedStackWriter>(
-          base, group.front().ny(), group.front().nx(), options);
-    }
-    for (const auto& view : group) writer->append(view);
-  }
-  writer->finish();
-}
-
-void unshard_to_stack(const std::string& base, const std::string& stack_path) {
-  ShardedStack shards(base);
-  // Stream shard-sized groups through write_stack-compatible bytes: the
-  // PORS writer wants the whole vector, so build the file by hand with
-  // the same atomic-replacement discipline io::write_stack uses.
-  resilience::atomic_write_file(stack_path, [&](std::ostream& os) {
-    const char magic[4] = {'P', 'O', 'R', 'S'};
-    os.write(magic, 4);
-    const std::uint32_t version = 1;
-    os.write(reinterpret_cast<const char*>(&version), 4);
-    const std::uint64_t dims[3] = {shards.count(), shards.ny(), shards.nx()};
-    os.write(reinterpret_cast<const char*>(dims), sizeof dims);
-    std::vector<double> view(shards.view_pixels());
-    for (std::uint64_t i = 0; i < shards.count(); ++i) {
-      if (!shards.read_view(i, view.data())) {
-        throw resilience::corrupt_error("unshard_to_stack: corrupt view " +
-                                        std::to_string(i));
-      }
-      os.write(reinterpret_cast<const char*>(view.data()),
-               static_cast<std::streamsize>(view.size() * sizeof(double)));
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -319,9 +232,9 @@ ShardedStack::ShardedStack(const std::string& base,
   nx_ = static_cast<std::size_t>(get_u64(m + 24));
   views_per_shard_ = static_cast<std::size_t>(get_u64(m + 32));
   const std::uint64_t shard_count = get_u64(m + 40);
-  compressed_ = m[48] != 0;
   if (ny_ == 0 || nx_ == 0 || ny_ > kMaxEdge || nx_ > kMaxEdge ||
       views_per_shard_ == 0 ||
+      views_per_shard_ > max_views_per_shard(ny_ * nx_) ||
       shard_count != shards_for(count_, views_per_shard_)) {
     throw resilience::corrupt_error(
         "ShardedStack: implausible manifest fields in " + base);
@@ -350,18 +263,17 @@ void ShardedStack::quarantine_shard(std::size_t k, Shard& shard,
     lru_.remove(k);
   }
   shard.map = ShardMapping();
-  shard.index.clear();
   shard.open = false;
   shard.quarantined = true;
   ++quarantined_shards_;
   obs::current_registry().counter("stream.shards_quarantined").add();
 }
 
-void ShardedStack::parse_shard(std::size_t k, Shard& shard) {
+void ShardedStack::validate_shard(const Shard& shard) const {
   const unsigned char* p = shard.map.data();
   const std::size_t size = shard.map.size();
   const std::size_t n = static_cast<std::size_t>(shard.views);
-  const std::size_t header_bytes = kShardFixed + n * kIndexEntryBytes + 4;
+  const std::size_t header_bytes = shard_header_bytes(n);
   if (size < header_bytes) {
     throw resilience::corrupt_error("shard header truncated");
   }
@@ -379,24 +291,9 @@ void ShardedStack::parse_shard(std::size_t k, Shard& shard) {
       get_u64(p + 24) != ny_ || get_u64(p + 32) != nx_) {
     throw resilience::corrupt_error("shard header disagrees with manifest");
   }
-  const std::size_t view_bytes = view_pixels() * sizeof(double);
-  const std::size_t payload_begin = align8(header_bytes);
-  shard.index.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const unsigned char* e = p + kShardFixed + i * kIndexEntryBytes;
-    IndexEntry& entry = shard.index[i];
-    entry.offset = get_u64(e);
-    entry.stored_bytes = get_u64(e + 8);
-    entry.crc = get_u32(e + 16);
-    entry.flags = get_u32(e + 20);
-    const bool packed = (entry.flags & kFlagCompressed) != 0;
-    if (entry.offset < payload_begin || entry.offset % 8 != 0 ||
-        entry.offset + entry.stored_bytes > size ||
-        entry.stored_bytes > slz4_max_compressed_size(view_bytes) ||
-        (!packed && entry.stored_bytes != view_bytes) ||
-        (packed && !compressed_)) {
-      throw resilience::corrupt_error("shard index entry out of bounds");
-    }
+  if (size < payload_begin(n) ||
+      size - payload_begin(n) < n * view_pixels() * sizeof(double)) {
+    throw resilience::corrupt_error("shard payload truncated");
   }
 }
 
@@ -409,7 +306,7 @@ ShardedStack::Shard* ShardedStack::ensure_open(std::size_t k) {
   }
   try {
     shard.map = ShardMapping(shard_path(base_, k), options_.use_mmap);
-    parse_shard(k, shard);
+    validate_shard(shard);
   } catch (const resilience::Error&) {
     if (!options_.quarantine_corrupt) throw;
     quarantine_shard(k, shard, "unreadable shard");
@@ -434,7 +331,6 @@ void ShardedStack::evict_to_budget(std::size_t keep) {
     Shard& shard = shards_[victim];
     resident_bytes_ -= shard.map.size();
     shard.map = ShardMapping();
-    shard.index.clear();
     shard.open = false;
   }
 }
@@ -453,33 +349,25 @@ bool ShardedStack::read_view(std::uint64_t index, double* dst) {
     obs::current_registry().counter("stream.views_quarantined").add();
     return false;
   }
-  const IndexEntry& entry =
-      shard->index[static_cast<std::size_t>(index - shard->first)];
-  const unsigned char* stored = shard->map.data() + entry.offset;
-  const auto fail = [&](const char* why) -> bool {
+  // validate_shard checked the header CRC and the payload length.
+  const std::size_t i = static_cast<std::size_t>(index - shard->first);
+  const std::size_t view_bytes = px * sizeof(double);
+  const unsigned char* header = shard->map.data();
+  const unsigned char* stored =
+      header + payload_begin(static_cast<std::size_t>(shard->views)) +
+      i * view_bytes;
+  if (resilience::crc32(stored, view_bytes) !=
+      get_u32(header + kShardFixed + i * 4)) {
     if (!options_.quarantine_corrupt) {
-      throw resilience::corrupt_error(std::string("ShardedStack: ") + why +
-                                      " for view " + std::to_string(index));
+      throw resilience::corrupt_error(
+          "ShardedStack: view CRC mismatch for view " + std::to_string(index));
     }
     fill_nan(dst, px);
     ++quarantined_views_;
     obs::current_registry().counter("stream.views_quarantined").add();
     return false;
-  };
-  if (resilience::crc32(stored, static_cast<std::size_t>(
-                                    entry.stored_bytes)) != entry.crc) {
-    return fail("view CRC mismatch");
   }
-  if (entry.flags & kFlagCompressed) {
-    try {
-      slz4_decompress(stored, static_cast<std::size_t>(entry.stored_bytes),
-                      dst, px * sizeof(double));
-    } catch (const resilience::Error&) {
-      return fail("undecodable view");
-    }
-  } else {
-    std::memcpy(dst, stored, px * sizeof(double));
-  }
+  std::memcpy(dst, stored, view_bytes);
   return true;
 }
 
@@ -521,13 +409,11 @@ void ShardedStack::will_need(std::uint64_t first, std::size_t n) {
     const std::uint64_t lo = std::max<std::uint64_t>(first, shard->first);
     const std::uint64_t hi =
         std::min<std::uint64_t>(last, shard->first + shard->views - 1);
-    const IndexEntry& a =
-        shard->index[static_cast<std::size_t>(lo - shard->first)];
-    const IndexEntry& b =
-        shard->index[static_cast<std::size_t>(hi - shard->first)];
+    const std::size_t view_bytes = view_pixels() * sizeof(double);
     shard->map.will_need(
-        static_cast<std::size_t>(a.offset),
-        static_cast<std::size_t>(b.offset + b.stored_bytes - a.offset));
+        payload_begin(static_cast<std::size_t>(shard->views)) +
+            static_cast<std::size_t>(lo - shard->first) * view_bytes,
+        static_cast<std::size_t>(hi - lo + 1) * view_bytes);
   }
 }
 

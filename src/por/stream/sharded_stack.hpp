@@ -1,24 +1,24 @@
 // por/stream/sharded_stack.hpp
 //
-// Sharded, memory-mapped view-stack store (DESIGN.md §14) — the
-// out-of-core container behind paper-scale runs (7,917 Sindbis views
+// Sharded, memory-mapped view-stack store (DESIGN.md §14) — the one
+// on-disk view stack, sized for paper-scale runs (7,917 Sindbis views
 // at 331² ≈ 6.9 GB of f64 pixels; 4,422 reovirus views at 511²).
 //
 // A sharded stack is a manifest file plus fixed-population shard
-// files (`<base>` + `<base>.s0000`, `<base>.s0001`, ...):
+// files (`<base>` + `<base>.s0000`, `<base>.s0001`, ...), format
+// version 2:
 //
-//   manifest "PORM": magic | u32 version | u64 count, ny, nx,
-//                    views_per_shard, shard_count | u8 compressed |
-//                    pad[7] | u32 crc(fields)
+//   manifest "PORV": magic | u32 version | u64 count, ny, nx,
+//                    views_per_shard, shard_count | u32 crc(fields)
 //   shard    "PORH": magic | u32 version | u64 first_view, view_count,
-//                    ny, nx | u8 compressed | pad[7] |
-//                    index[view_count] { u64 offset, u64 stored_bytes,
-//                                        u32 crc32, u32 flags } |
-//                    u32 header_crc | 8-byte-aligned view payloads
+//                    ny, nx | u32 crc32[view_count] | u32 header_crc |
+//                    pad to 8 | view payloads, ny*nx f64 each
 //
-// Every stored view carries its own CRC-32 and (optionally) its own
-// slz4 compression, so any single view is seekable without touching
-// its neighbours and any torn/bit-flipped byte is detected on read.
+// Payloads are raw, so view i of a shard sits at the fixed offset
+// align8(header) + i*ny*nx*8 and is seekable without touching its
+// neighbours; its own CRC-32 catches any torn or bit-flipped byte on
+// read.  No other format uses the "PORV" magic, so a density map or a
+// stray file of another kind fails on the magic, not deeper in.
 // Corrupt-input policy follows the PR 5 taxonomy: malformed bytes are
 // resilience::Error{kCorrupt}; with
 // ShardedStackOptions::quarantine_corrupt the reader degrades
@@ -47,9 +47,6 @@ namespace por::stream {
 struct ShardedStackOptions {
   /// Views per shard file (the last shard may be short).
   std::size_t views_per_shard = 64;
-  /// Writer: compress each view with slz4 when it actually shrinks
-  /// (incompressible views are stored raw, flagged per view).
-  bool compress = false;
   /// Reader: mmap shards (true) or read() them into heap buffers
   /// (false).  Identical bytes either way — tests assert it.
   bool use_mmap = true;
@@ -103,15 +100,6 @@ void write_sharded_stack(const std::string& base,
                          const std::vector<em::Image<double>>& views,
                          const ShardedStackOptions& options = {});
 
-/// Convert a monolithic PORS stack into shards, streaming one shard's
-/// worth of views at a time (never the whole stack) — the `stack_shard`
-/// tool and the examples go through here.
-void shard_stack_file(const std::string& stack_path, const std::string& base,
-                      const ShardedStackOptions& options = {});
-
-/// Convert shards back into a monolithic PORS stack (also streamed).
-void unshard_to_stack(const std::string& base, const std::string& stack_path);
-
 /// Path of shard `k` of the stack rooted at `base`.
 [[nodiscard]] std::string shard_path(const std::string& base, std::size_t k);
 
@@ -130,7 +118,6 @@ class ShardedStack {
   [[nodiscard]] std::size_t views_per_shard() const {
     return views_per_shard_;
   }
-  [[nodiscard]] bool compressed() const { return compressed_; }
   [[nodiscard]] const std::string& base() const { return base_; }
 
   /// Copy view `index` (ny*nx doubles, row-major) into `dst`.  Returns
@@ -160,25 +147,20 @@ class ShardedStack {
   [[nodiscard]] std::uint64_t quarantined_views() const;
 
  private:
-  struct IndexEntry {
-    std::uint64_t offset = 0;        ///< from shard file start
-    std::uint64_t stored_bytes = 0;
-    std::uint32_t crc = 0;
-    std::uint32_t flags = 0;         ///< bit 0: slz4-compressed
-  };
   struct Shard {
     std::uint64_t first = 0;
     std::uint64_t views = 0;
     ShardMapping map;                ///< empty until opened
-    std::vector<IndexEntry> index;   ///< parsed once per open
     bool open = false;
     bool quarantined = false;
   };
 
-  /// Ensure shard `k` is mapped and parsed; returns nullptr when the
-  /// shard is quarantined (only possible with quarantine_corrupt).
+  /// Ensure shard `k` is mapped and validated; returns nullptr when
+  /// the shard is quarantined (only possible with quarantine_corrupt).
   Shard* ensure_open(std::size_t k);
-  void parse_shard(std::size_t k, Shard& shard);
+  /// Throws kCorrupt unless the mapped shard's header matches the
+  /// manifest, its CRC holds and the file holds every payload.
+  void validate_shard(const Shard& shard) const;
   void evict_to_budget(std::size_t keep);
   void touch_lru(std::size_t k);
   void quarantine_shard(std::size_t k, Shard& shard,
@@ -189,7 +171,6 @@ class ShardedStack {
   std::uint64_t count_ = 0;
   std::size_t ny_ = 0, nx_ = 0;
   std::size_t views_per_shard_ = 0;
-  bool compressed_ = false;
 
   mutable std::mutex mutex_;
   std::vector<Shard> shards_;

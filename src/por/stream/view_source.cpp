@@ -1,10 +1,7 @@
 #include "por/stream/view_source.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <stdexcept>
-
-#include "por/resilience/error.hpp"
 
 namespace por::stream {
 
@@ -40,36 +37,6 @@ void MemoryViewSource::fetch(std::uint64_t index, double* dst) {
 }
 
 // ---------------------------------------------------------------------------
-// StackViewSource
-// ---------------------------------------------------------------------------
-
-StackViewSource::StackViewSource(std::string path,
-                                 resilience::RetryPolicy retry)
-    : path_(std::move(path)), retry_(retry) {
-  reader_ = resilience::with_retry(retry_, "StackViewSource.open", [&] {
-    return std::make_unique<io::StackReader>(path_);
-  });
-}
-
-std::uint64_t StackViewSource::count() const { return reader_->count(); }
-std::size_t StackViewSource::ny() const { return reader_->ny(); }
-std::size_t StackViewSource::nx() const { return reader_->nx(); }
-
-void StackViewSource::fetch(std::uint64_t index, double* dst) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  resilience::with_retry(retry_, "StackViewSource.fetch", [&] {
-    try {
-      reader_->read_view(index, dst);
-    } catch (const resilience::Error&) {
-      // Reopen before the retry layer re-invokes us: a stale handle
-      // stays stale, a fresh one may see the healthy mount again.
-      reader_ = std::make_unique<io::StackReader>(path_);
-      throw;
-    }
-  });
-}
-
-// ---------------------------------------------------------------------------
 // ShardedViewSource
 // ---------------------------------------------------------------------------
 
@@ -95,18 +62,7 @@ void ShardedViewSource::will_need(std::uint64_t first, std::size_t n) {
 
 std::unique_ptr<ViewSource> open_view_source(
     const std::string& path, const ShardedStackOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    throw resilience::transient_error("open_view_source: cannot open " +
-                                      path);
-  }
-  char magic[4] = {};
-  in.read(magic, 4);
-  in.close();
-  if (std::memcmp(magic, "PORM", 4) == 0) {
-    return std::make_unique<ShardedViewSource>(path, options);
-  }
-  return std::make_unique<StackViewSource>(path);
+  return std::make_unique<ShardedViewSource>(path, options);
 }
 
 }  // namespace por::stream

@@ -1,30 +1,25 @@
 // por/stream/view_source.hpp
 //
 // ViewSource — the one interface the refinement core reads views
-// through (DESIGN.md §14).  Three backings:
+// through (DESIGN.md §14).  Two backings, one per input kind:
 //
-//   MemoryViewSource   in-core vector<Image> (the historical path —
-//                      parallel_refine wraps its input in one)
-//   StackViewSource    monolithic PORS file via io::StackReader, with
-//                      the PR 5 retry envelope around each fetch
-//   ShardedViewSource  sharded stack via stream::ShardedStack (mmap,
-//                      LRU resident budget, quarantine)
+//   MemoryViewSource   in-core vector<Image> (parallel_refine wraps
+//                      its input in one)
+//   ShardedViewSource  the on-disk stack via stream::ShardedStack
+//                      (mmap, LRU resident budget, quarantine)
 //
-// All three produce bitwise-identical pixels for the same logical
-// stack; the streaming tests assert it.  fetch() copies into the
+// Both produce bitwise-identical pixels for the same logical stack;
+// the streaming tests assert it.  fetch() copies into the
 // caller's buffer — sources never hand out interior pointers, so the
 // mmap lifetime rule stays inside ShardedStack.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
 #include "por/em/grid.hpp"
-#include "por/io/stack_io.hpp"
-#include "por/resilience/retry.hpp"
 #include "por/stream/sharded_stack.hpp"
 
 namespace por::stream {
@@ -72,27 +67,6 @@ class MemoryViewSource final : public ViewSource {
   std::size_t ny_ = 0, nx_ = 0;
 };
 
-/// Monolithic PORS stack, fetched with seeks through one persistent
-/// reader.  Short reads are retried under `retry` (default: the
-/// RetryPolicy defaults) by reopening the file — a transient NFS flap
-/// costs a reopen, not the run.
-class StackViewSource final : public ViewSource {
- public:
-  explicit StackViewSource(std::string path,
-                           resilience::RetryPolicy retry = {});
-
-  [[nodiscard]] std::uint64_t count() const override;
-  [[nodiscard]] std::size_t ny() const override;
-  [[nodiscard]] std::size_t nx() const override;
-  void fetch(std::uint64_t index, double* dst) override;
-
- private:
-  std::string path_;
-  resilience::RetryPolicy retry_;
-  std::mutex mutex_;  ///< the reader's seek+read pair is one operation
-  std::unique_ptr<io::StackReader> reader_;
-};
-
 /// Sharded stack (owns the ShardedStack reader).
 class ShardedViewSource final : public ViewSource {
  public:
@@ -111,10 +85,10 @@ class ShardedViewSource final : public ViewSource {
   ShardedStack shards_;
 };
 
-/// Open `path` as whichever source fits: a sharded-stack manifest
-/// ("PORM" magic) becomes a ShardedViewSource with `options`, a PORS
-/// stack a StackViewSource — callers (examples, benches) accept either
-/// file kind with one flag.
+/// Open the sharded stack whose manifest is `path` as a
+/// ShardedViewSource with `options`.  Throws kTransient when the
+/// manifest cannot be opened and kCorrupt when it is not a stack
+/// manifest.
 [[nodiscard]] std::unique_ptr<ViewSource> open_view_source(
     const std::string& path, const ShardedStackOptions& options = {});
 

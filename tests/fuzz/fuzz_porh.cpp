@@ -5,8 +5,9 @@
 // replaces the SHARD's bytes with the fuzz input and reads every view
 // twice — once with corruption quarantined (views must degrade to
 // NaN-filled rejects, never crash), once in throwing mode (typed
-// kCorrupt).  This drives header parsing, the per-view index walk,
-// CRC checks and the slz4-per-view path against hostile bytes.
+// kCorrupt).  This drives header parsing, the per-view CRC table, the
+// payload-length check and the per-view CRC checks against hostile
+// bytes.
 #include <exception>
 #include <filesystem>
 #include <string>
@@ -34,7 +35,6 @@ const std::string& stack_base() {
     }
     por::stream::ShardedStackOptions options;
     options.views_per_shard = 8;  // everything lands in shard 0
-    options.compress = true;      // exercise the slz4-per-view path too
     por::stream::write_sharded_stack(root, views, options);
     return root;
   }();

@@ -7,18 +7,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "por/em/grid.hpp"
 #include "por/io/map_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/journal/journal.hpp"
 #include "por/resilience/checkpoint.hpp"
 #include "por/serve/job_record.hpp"
 #include "por/stream/sharded_stack.hpp"
-#include "por/stream/slz4.hpp"
 
 namespace fs = std::filesystem;
 
@@ -49,10 +46,6 @@ int main(int argc, char** argv) {
       fs::temp_directory_path() / ("por_fuzz_corpus_" + std::to_string(::getpid()));
   fs::create_directories(scratch);
 
-  // fuzz_pors: a 3-view stack.
-  por::io::write_stack((scratch / "seed.pors").string(), sample_views());
-  copy_into(scratch / "seed.pors", root / "fuzz_pors" / "seed.pors");
-
   // fuzz_porm: a small volume.
   por::em::Volume<double> volume(4, 3, 3, 0.0);
   for (std::size_t i = 0; i < volume.size(); ++i) {
@@ -61,12 +54,11 @@ int main(int argc, char** argv) {
   por::io::write_map((scratch / "seed.porm").string(), volume);
   copy_into(scratch / "seed.porm", root / "fuzz_porm" / "seed.porm");
 
-  // fuzz_porh: shard 0 of a compressed sharded stack (the harness
-  // supplies its own manifest; the seed is the shard bytes).
+  // fuzz_porh: shard 0 of a sharded stack (the harness supplies its
+  // own manifest; the seed is the shard bytes).
   {
     por::stream::ShardedStackOptions options;
     options.views_per_shard = 8;
-    options.compress = true;
     const std::string base = (scratch / "stack").string();
     por::stream::write_sharded_stack(base, sample_views(), options);
     copy_into(por::stream::shard_path(base, 0),
@@ -116,35 +108,6 @@ int main(int argc, char** argv) {
     journal.sync();
     copy_into(dir / "wal-00000001.porj",
               root / "fuzz_journal" / "seed.porj");
-  }
-
-  // fuzz_slz4: one round-trip seed (mode byte 1) and one decode seed
-  // (mode byte 0 + claimed size + a genuine compressed block).
-  {
-    std::string text;
-    for (int i = 0; i < 16; ++i) text += "the quick brown fox ";
-    std::vector<std::uint8_t> round_trip;
-    round_trip.push_back(1);
-    round_trip.insert(round_trip.end(), text.begin(), text.end());
-    fs::create_directories(root / "fuzz_slz4");
-    std::ofstream(root / "fuzz_slz4" / "seed_roundtrip.bin",
-                  std::ios::binary)
-        .write(reinterpret_cast<const char*>(round_trip.data()),
-               static_cast<std::streamsize>(round_trip.size()));
-
-    std::vector<std::uint8_t> packed(
-        por::stream::slz4_max_compressed_size(text.size()));
-    const std::size_t packed_bytes = por::stream::slz4_compress(
-        text.data(), text.size(), packed.data(), packed.size());
-    std::vector<std::uint8_t> decode;
-    decode.push_back(0);
-    decode.push_back(static_cast<std::uint8_t>(text.size() & 0xff));
-    decode.push_back(static_cast<std::uint8_t>((text.size() >> 8) & 0xf));
-    decode.insert(decode.end(), packed.begin(),
-                  packed.begin() + static_cast<std::ptrdiff_t>(packed_bytes));
-    std::ofstream(root / "fuzz_slz4" / "seed_decode.bin", std::ios::binary)
-        .write(reinterpret_cast<const char*>(decode.data()),
-               static_cast<std::streamsize>(decode.size()));
   }
 
   fs::remove_all(scratch);

@@ -8,7 +8,8 @@
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/io/pgm.hpp"
-#include "por/io/stack_io.hpp"
+#include "por/resilience/error.hpp"
+#include "por/stream/sharded_stack.hpp"
 #include "por/util/rng.hpp"
 
 namespace {
@@ -86,27 +87,43 @@ TEST_F(IoTest, MapRejectsTruncatedFile) {
 }
 
 // ---- stack -----------------------------------------------------------------
+// The view stack on disk is the sharded store (por/stream): a manifest
+// plus shard files.  These cover its file-level contract; the shard
+// layout, corruption and streaming live in test_stream.
 
 TEST_F(IoTest, StackRoundTrip) {
   std::vector<em::Image<double>> stack;
   for (int i = 0; i < 5; ++i) stack.push_back(random_image(7, 10 + i));
-  io::write_stack(path("s.pors"), stack);
-  const auto back = io::read_stack(path("s.pors"));
+  stream::write_sharded_stack(path("s.shards"), stack);
+  stream::ShardedStack reader(path("s.shards"));
+  const auto back = reader.read_range(0, reader.count());
   ASSERT_EQ(back.size(), 5u);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(back[i], stack[i]);
 }
 
 TEST_F(IoTest, StackCountWithoutPixelData) {
   std::vector<em::Image<double>> stack(3, random_image(4, 1));
-  io::write_stack(path("c.pors"), stack);
-  EXPECT_EQ(io::stack_count(path("c.pors")), 3u);
+  stream::ShardedStackOptions options;
+  options.views_per_shard = 2;
+  stream::write_sharded_stack(path("c.shards"), stack, options);
+  // The manifest alone answers count and shape: opening the stack
+  // touches no shard file.
+  fs::remove(stream::shard_path(path("c.shards"), 0));
+  fs::remove(stream::shard_path(path("c.shards"), 1));
+  stream::ShardedStack reader(path("c.shards"));
+  EXPECT_EQ(reader.count(), 3u);
+  EXPECT_EQ(reader.ny(), 4u);
+  EXPECT_EQ(reader.nx(), 4u);
 }
 
 TEST_F(IoTest, StackRangeReadsMiddleSlice) {
   std::vector<em::Image<double>> stack;
   for (int i = 0; i < 7; ++i) stack.push_back(random_image(5, 100 + i));
-  io::write_stack(path("r.pors"), stack);
-  const auto middle = io::read_stack_range(path("r.pors"), 2, 3);
+  stream::ShardedStackOptions options;
+  options.views_per_shard = 3;  // the slice straddles a shard boundary
+  stream::write_sharded_stack(path("r.shards"), stack, options);
+  stream::ShardedStack reader(path("r.shards"));
+  const auto middle = reader.read_range(2, 3);
   ASSERT_EQ(middle.size(), 3u);
   EXPECT_EQ(middle[0], stack[2]);
   EXPECT_EQ(middle[2], stack[4]);
@@ -114,19 +131,24 @@ TEST_F(IoTest, StackRangeReadsMiddleSlice) {
 
 TEST_F(IoTest, StackRangeRejectsOutOfBounds) {
   std::vector<em::Image<double>> stack(2, random_image(4, 2));
-  io::write_stack(path("o.pors"), stack);
-  EXPECT_THROW((void)io::read_stack_range(path("o.pors"), 1, 2),
-               std::out_of_range);
+  stream::write_sharded_stack(path("o.shards"), stack);
+  stream::ShardedStack reader(path("o.shards"));
+  EXPECT_THROW((void)reader.read_range(1, 2), std::out_of_range);
 }
 
 TEST_F(IoTest, StackRejectsMixedSizes) {
   std::vector<em::Image<double>> stack{random_image(4, 1), random_image(5, 2)};
-  EXPECT_THROW(io::write_stack(path("m.pors"), stack), std::invalid_argument);
+  EXPECT_THROW(stream::write_sharded_stack(path("m.shards"), stack),
+               resilience::Error);
+  EXPECT_FALSE(fs::exists(path("m.shards")));  // no manifest, no stack
 }
 
 TEST_F(IoTest, EmptyStackRoundTrip) {
-  io::write_stack(path("e.pors"), {});
-  EXPECT_EQ(io::stack_count(path("e.pors")), 0u);
+  stream::ShardedStackWriter writer(path("e.shards"), 4, 4);
+  writer.finish();
+  stream::ShardedStack reader(path("e.shards"));
+  EXPECT_EQ(reader.count(), 0u);
+  EXPECT_EQ(reader.shard_count(), 0u);
 }
 
 // ---- orientations ------------------------------------------------------------

@@ -1,31 +1,12 @@
+// The master's block partition (paper §3): rank r owns a contiguous,
+// balanced segment of the m views, and the segments tile [0, m).
 #include <gtest/gtest.h>
 
-#include <filesystem>
-#include <unistd.h>
-
 #include "por/io/master_io.hpp"
-#include "por/io/stack_io.hpp"
-#include "por/util/rng.hpp"
-#include "por/vmpi/runtime.hpp"
 
 namespace {
 
 using namespace por;
-namespace fs = std::filesystem;
-
-class MasterIoTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("por_master_io_" + std::to_string(::getpid()));
-    fs::create_directories(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-  std::string path(const std::string& name) const {
-    return (dir_ / name).string();
-  }
-  fs::path dir_;
-};
 
 TEST(BlockPartition, SharesSumToTotal) {
   for (std::size_t m : {0u, 1u, 7u, 100u}) {
@@ -50,108 +31,6 @@ TEST(BlockPartition, BeginsAreCumulative) {
   EXPECT_EQ(io::block_begin(10, 4, 1), 3u);  // rank 0 gets 3 (10 % 4 = 2)
   EXPECT_EQ(io::block_begin(10, 4, 2), 6u);
   EXPECT_EQ(io::block_begin(10, 4, 3), 8u);
-}
-
-TEST_F(MasterIoTest, ViewsAreDistributedInBlocks) {
-  // Write a stack where image i is constant i, then check every rank
-  // gets the right block.
-  std::vector<em::Image<double>> stack;
-  const std::size_t m = 10;
-  for (std::size_t i = 0; i < m; ++i) {
-    stack.emplace_back(4, 4, static_cast<double>(i));
-  }
-  io::write_stack(path("views.pors"), stack);
-
-  const int p = 3;
-  std::vector<std::size_t> firsts(p);
-  std::vector<std::vector<double>> first_pixels(p);
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    std::size_t first = 0;
-    const auto mine = io::master_read_views(comm, path("views.pors"), first);
-    firsts[comm.rank()] = first;
-    for (const auto& img : mine) {
-      first_pixels[comm.rank()].push_back(img(0, 0));
-    }
-  });
-  std::size_t expected_index = 0;
-  for (int r = 0; r < p; ++r) {
-    EXPECT_EQ(firsts[r], expected_index);
-    for (double v : first_pixels[r]) {
-      EXPECT_DOUBLE_EQ(v, static_cast<double>(expected_index));
-      ++expected_index;
-    }
-  }
-  EXPECT_EQ(expected_index, m);
-}
-
-TEST_F(MasterIoTest, OrientationsFollowSamePartition) {
-  std::vector<io::ViewOrientation> records;
-  for (std::size_t i = 0; i < 7; ++i) {
-    records.push_back(io::ViewOrientation{
-        i, em::Orientation{static_cast<double>(i), 0, 0}, 0, 0});
-  }
-  io::write_orientations(path("orient.txt"), records);
-
-  const int p = 3;
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    const auto mine = io::master_read_orientations(comm, path("orient.txt"));
-    const std::size_t begin = io::block_begin(7, p, comm.rank());
-    ASSERT_EQ(mine.size(), io::block_share(7, p, comm.rank()));
-    for (std::size_t i = 0; i < mine.size(); ++i) {
-      EXPECT_EQ(mine[i].view_index, begin + i);
-    }
-  });
-}
-
-TEST_F(MasterIoTest, WriteGathersInGlobalOrder) {
-  const int p = 3;
-  const std::size_t m = 8;
-  vmpi::run(p, [&](vmpi::Comm& comm) {
-    const std::size_t begin = io::block_begin(m, p, comm.rank());
-    const std::size_t share = io::block_share(m, p, comm.rank());
-    std::vector<io::ViewOrientation> mine;
-    for (std::size_t i = 0; i < share; ++i) {
-      mine.push_back(io::ViewOrientation{
-          begin + i, em::Orientation{static_cast<double>(begin + i), 0, 0},
-          0, 0});
-    }
-    io::master_write_orientations(comm, path("out.txt"), mine, "test");
-  });
-  const auto back = io::read_orientations(path("out.txt"));
-  ASSERT_EQ(back.size(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    EXPECT_EQ(back[i].view_index, i);
-    EXPECT_DOUBLE_EQ(back[i].orientation.theta, static_cast<double>(i));
-  }
-}
-
-TEST_F(MasterIoTest, FullRoundTripThroughRanks) {
-  // views + orientations in, refined orientations out, single run.
-  std::vector<em::Image<double>> stack;
-  std::vector<io::ViewOrientation> records;
-  const std::size_t m = 6;
-  for (std::size_t i = 0; i < m; ++i) {
-    stack.emplace_back(4, 4, static_cast<double>(i));
-    records.push_back(io::ViewOrientation{
-        i, em::Orientation{1.0 * i, 2.0 * i, 3.0 * i}, 0.1, 0.2});
-  }
-  io::write_stack(path("v.pors"), stack);
-  io::write_orientations(path("in.txt"), records);
-
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    std::size_t first = 0;
-    const auto views = io::master_read_views(comm, path("v.pors"), first);
-    auto orients = io::master_read_orientations(comm, path("in.txt"));
-    ASSERT_EQ(views.size(), orients.size());
-    // "Refine": bump theta by 0.5.
-    for (auto& rec : orients) rec.orientation.theta += 0.5;
-    io::master_write_orientations(comm, path("out.txt"), orients);
-  });
-  const auto back = io::read_orientations(path("out.txt"));
-  ASSERT_EQ(back.size(), m);
-  for (std::size_t i = 0; i < m; ++i) {
-    EXPECT_DOUBLE_EQ(back[i].orientation.theta, 1.0 * i + 0.5);
-  }
 }
 
 }  // namespace

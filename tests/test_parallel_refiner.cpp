@@ -8,7 +8,7 @@
 #include "por/metrics/fsc.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/stack_io.hpp"
+#include "por/stream/sharded_stack.hpp"
 #include "por/vmpi/runtime.hpp"
 #include "test_helpers.hpp"
 
@@ -190,12 +190,12 @@ TEST(ParallelRefiner, FileBasedDriverRoundTrips) {
   Workload w(6);
 
   const std::string map_path = (dir / "map.porm").string();
-  const std::string stack_path = (dir / "views.pors").string();
+  const std::string stack_path = (dir / "views.shards").string();
   const std::string in_path = (dir / "init.txt").string();
   const std::string out_path = (dir / "refined.txt").string();
 
   io::write_map(map_path, w.map);
-  io::write_stack(stack_path, w.views);
+  stream::write_sharded_stack(stack_path, w.views);
   std::vector<io::ViewOrientation> records;
   for (std::size_t i = 0; i < w.views.size(); ++i) {
     records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});

@@ -28,7 +28,6 @@
 #include "por/core/refiner.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/atomic_file.hpp"
 #include "por/resilience/checkpoint.hpp"
@@ -36,6 +35,8 @@
 #include "por/resilience/error.hpp"
 #include "por/resilience/retry.hpp"
 #include "por/resilience/sync_hooks.hpp"
+#include "por/stream/sharded_stack.hpp"
+#include "por/stream/view_source.hpp"
 #include "por/vmpi/runtime.hpp"
 #include "test_helpers.hpp"
 
@@ -479,102 +480,29 @@ TEST(Checkpoint, FlippedBitFailsCrc) {
 
 // ---- corrupt-input corpus: every reader yields typed errors ---------------
 
-struct StackHeader {
-  char magic[4] = {'P', 'O', 'R', 'S'};
-  std::uint32_t version = 1;
-  std::uint64_t count = 0;
-  std::uint64_t ny = 0;
-  std::uint64_t nx = 0;
-};
+// A map header and a stack manifest are both a magic, a version and
+// u64 dimensions, so a one-view 1x3 stack's manifest is byte-plausible
+// as a 1x1x3 map.  Each reader must reject the other's file on the
+// magic, before parsing any field.
+TEST(CorruptCorpus, MapAndStackManifestRejectEachOtherOnMagic) {
+  const fs::path dir = test_dir("corpus_cross_format");
+  const auto expect_bad_magic = [](const auto& read) {
+    try {
+      read();
+      FAIL() << "expected a bad-magic error";
+    } catch (const resilience::Error& error) {
+      EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+      EXPECT_NE(std::string(error.what()).find("magic"), std::string::npos)
+          << error.what();
+    }
+  };
+  const std::string stack = (dir / "one.shards").string();
+  stream::write_sharded_stack(stack, {Image<double>(1, 3, 1.0)});
+  expect_bad_magic([&] { (void)io::read_map(stack); });
 
-void write_stack_header(const fs::path& path, const StackHeader& h,
-                        std::size_t payload_doubles = 0) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(h.magic, 4);
-  out.write(reinterpret_cast<const char*>(&h.version), sizeof h.version);
-  out.write(reinterpret_cast<const char*>(&h.count), sizeof h.count);
-  out.write(reinterpret_cast<const char*>(&h.ny), sizeof h.ny);
-  out.write(reinterpret_cast<const char*>(&h.nx), sizeof h.nx);
-  const std::vector<double> payload(payload_doubles, 1.0);
-  out.write(reinterpret_cast<const char*>(payload.data()),
-            static_cast<std::streamsize>(payload.size() * sizeof(double)));
-}
-
-TEST(CorruptCorpus, StackReaderRejectsEveryMalformation) {
-  const fs::path dir = test_dir("corpus_stack");
-  using resilience::ErrorKind;
-
-  // Missing file: classified transient (shared-filesystem model).
-  expect_error_kind(ErrorKind::kTransient, [&] {
-    (void)io::read_stack((dir / "absent.pors").string());
-  });
-
-  {  // bad magic
-    const fs::path p = dir / "magic.pors";
-    StackHeader h;
-    std::memcpy(h.magic, "XXXX", 4);
-    write_stack_header(p, h);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-  }
-  {  // unsupported version
-    const fs::path p = dir / "version.pors";
-    StackHeader h;
-    h.version = 99;
-    write_stack_header(p, h);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-  }
-  {  // truncated header
-    const fs::path p = dir / "short.pors";
-    write_raw(p, "PORS\x01\x00\x00\x00", 8);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-  }
-  {  // implausible dimensions
-    const fs::path p = dir / "dims.pors";
-    StackHeader h;
-    h.count = 1;
-    h.ny = std::uint64_t{1} << 20;
-    h.nx = 4;
-    write_stack_header(p, h);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-  }
-  {  // count * ny * nx * 8 overflows
-    const fs::path p = dir / "overflow.pors";
-    StackHeader h;
-    h.count = std::numeric_limits<std::uint64_t>::max();
-    h.ny = 1u << 14;
-    h.nx = 1u << 14;
-    write_stack_header(p, h);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-  }
-  {  // truncated payload: header promises 2*4*4 doubles, file holds 10
-    const fs::path p = dir / "payload.pors";
-    StackHeader h;
-    h.count = 2;
-    h.ny = 4;
-    h.nx = 4;
-    write_stack_header(p, h, 10);
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::read_stack(p.string()); });
-    expect_error_kind(ErrorKind::kCorrupt,
-                      [&] { (void)io::stack_count(p.string()); });
-  }
-  {  // a well-formed stack still round-trips, and range checks hold
-    const fs::path p = dir / "good.pors";
-    std::vector<Image<double>> images(3, Image<double>(4, 4));
-    images[1].storage().assign(16, 2.5);
-    io::write_stack(p.string(), images);
-    EXPECT_EQ(io::stack_count(p.string()), 3u);
-    const auto back = io::read_stack(p.string());
-    ASSERT_EQ(back.size(), 3u);
-    EXPECT_EQ(back[1].storage(), images[1].storage());
-    EXPECT_THROW((void)io::read_stack_range(p.string(), 2, 2),
-                 std::out_of_range);
-  }
+  const std::string map = (dir / "map.porm").string();
+  io::write_map(map, Volume<double>(1, 1, 3, 1.0));
+  expect_bad_magic([&] { (void)stream::open_view_source(map); });
 }
 
 TEST(CorruptCorpus, MapReaderRejectsEveryMalformation) {
@@ -909,10 +837,10 @@ TEST(FaultRecovery, OrientationFileBitwiseIdenticalAfterRankDeath) {
   const RefinerConfig config = fast_config();
 
   const std::string map_path = (dir / "map.porm").string();
-  const std::string stack_path = (dir / "views.pors").string();
+  const std::string stack_path = (dir / "views.shards").string();
   const std::string orient_in = (dir / "orient_in.txt").string();
   io::write_map(map_path, w.map);
-  io::write_stack(stack_path, w.views);
+  stream::write_sharded_stack(stack_path, w.views);
   std::vector<io::ViewOrientation> records;
   for (std::size_t i = 0; i < w.views.size(); ++i) {
     records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});

@@ -1,11 +1,12 @@
-// por::stream suite (DESIGN.md §14): the slz4 codec, shard round
-// trips (compressed == uncompressed == monolithic, mmap == read()),
-// the corrupt-shard torture corpus (truncated / torn / bit-flipped
-// bytes are detected and either throw kCorrupt or quarantine under
-// the PR 5 taxonomy), cursor prefetch determinism at several depths,
-// and end-to-end bitwise identity of the streamed refinement drivers
-// against their in-core equivalents — including resume-from-
-// checkpoint over shards and the BrickStore spill path.
+// por::stream suite (DESIGN.md §14): shard round trips (mmap ==
+// read(), write -> read -> write byte identity), the corrupt-shard
+// torture corpus (truncated / torn / bit-flipped / wrong-version bytes
+// are detected and either throw kCorrupt or quarantine under the
+// DESIGN.md §10 error taxonomy), cursor prefetch determinism at
+// several depths, and
+// end-to-end bitwise identity of the streamed refinement drivers
+// against their in-core equivalents — including single- vs
+// multi-shard stacks and resume-from-checkpoint over shards.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -18,18 +19,15 @@
 #include <string>
 #include <vector>
 
-#include "por/core/brick_store.hpp"
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/refiner.hpp"
-#include "por/em/interp.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/stack_io.hpp"
 #include "por/resilience/checkpoint.hpp"
+#include "por/resilience/crc32.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/shard_mapping.hpp"
 #include "por/stream/sharded_stack.hpp"
-#include "por/stream/slz4.hpp"
 #include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/rng.hpp"
@@ -82,99 +80,6 @@ bool images_bitwise_equal(const Image<double>& a, const Image<double>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
 }
 
-// ---- slz4 ------------------------------------------------------------------
-
-std::vector<unsigned char> slz4_round_trip(
-    const std::vector<unsigned char>& raw) {
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  EXPECT_GT(packed_bytes, 0u);
-  packed.resize(packed_bytes);
-  std::vector<unsigned char> unpacked(raw.size());
-  slz4_decompress(packed.data(), packed.size(), unpacked.data(),
-                  unpacked.size());
-  return unpacked;
-}
-
-TEST(Slz4, CompressibleRoundTripShrinks) {
-  std::vector<unsigned char> raw(8192);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>((i / 96) * 3);  // long runs
-  }
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  ASSERT_GT(packed_bytes, 0u);
-  EXPECT_LT(packed_bytes, raw.size() / 4);
-  EXPECT_EQ(slz4_round_trip(raw), raw);
-}
-
-TEST(Slz4, RandomBytesRoundTrip) {
-  util::Rng rng(11);
-  std::vector<unsigned char> raw(4096 + 37);
-  for (auto& b : raw) b = static_cast<unsigned char>(rng.uniform(0, 256));
-  EXPECT_EQ(slz4_round_trip(raw), raw);
-}
-
-TEST(Slz4, TinyInputsRoundTrip) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{7},
-                              std::size_t{15}, std::size_t{64}}) {
-    std::vector<unsigned char> raw(n, 0x5a);
-    EXPECT_EQ(slz4_round_trip(raw), raw) << "n=" << n;
-  }
-}
-
-TEST(Slz4, IncompressibleRefusesTightCapacity) {
-  util::Rng rng(13);
-  std::vector<unsigned char> raw(1024);
-  for (auto& b : raw) b = static_cast<unsigned char>(rng.uniform(0, 256));
-  std::vector<unsigned char> dst(raw.size() - 1);
-  // Random bytes cannot fit below their own size: the writer then
-  // stores the view raw — exactly the shard layer's fallback contract.
-  EXPECT_EQ(slz4_compress(raw.data(), raw.size(), dst.data(), dst.size()), 0u);
-}
-
-TEST(Slz4, DeterministicOutput) {
-  std::vector<unsigned char> raw(2048);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>(i % 61);
-  }
-  std::vector<unsigned char> a(slz4_max_compressed_size(raw.size()));
-  std::vector<unsigned char> b(a.size());
-  const std::size_t na = slz4_compress(raw.data(), raw.size(), a.data(),
-                                       a.size());
-  const std::size_t nb = slz4_compress(raw.data(), raw.size(), b.data(),
-                                       b.size());
-  ASSERT_EQ(na, nb);
-  EXPECT_EQ(std::memcmp(a.data(), b.data(), na), 0);
-}
-
-TEST(Slz4, CorruptStreamsThrowNotCrash) {
-  std::vector<unsigned char> raw(512);
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    raw[i] = static_cast<unsigned char>(i % 7);
-  }
-  std::vector<unsigned char> packed(slz4_max_compressed_size(raw.size()));
-  const std::size_t packed_bytes =
-      slz4_compress(raw.data(), raw.size(), packed.data(), packed.size());
-  ASSERT_GT(packed_bytes, 0u);
-  std::vector<unsigned char> out(raw.size());
-
-  // Truncation at every prefix must throw kCorrupt, never read past
-  // the buffer or return silently-wrong bytes.
-  for (std::size_t cut = 0; cut < packed_bytes; ++cut) {
-    EXPECT_THROW(slz4_decompress(packed.data(), cut, out.data(), out.size()),
-                 resilience::Error)
-        << "cut=" << cut;
-  }
-  // A zero offset is malformed by construction.
-  std::vector<unsigned char> zero_offset = {0x01, 0xaa, 0x00, 0x00};
-  EXPECT_THROW(slz4_decompress(zero_offset.data(), zero_offset.size(),
-                               out.data(), out.size()),
-               resilience::Error);
-}
-
 // ---- ShardMapping ----------------------------------------------------------
 
 TEST(ShardMapping, MmapAndReadPathsAreBitwiseIdentical) {
@@ -216,19 +121,16 @@ TEST(ShardMapping, MissingFileIsTransientEmptyFileIsCorrupt) {
 
 // ---- sharded stack round trips ---------------------------------------------
 
-class ShardRoundTrip : public ::testing::TestWithParam<std::tuple<bool, bool>> {
-};
+class ShardRoundTrip : public ::testing::TestWithParam<bool> {};
 
 TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
-  const auto [compress, use_mmap] = GetParam();
-  const fs::path dir = test_dir(std::string("roundtrip_") +
-                                (compress ? "c" : "r") +
-                                (use_mmap ? "m" : "h"));
+  const bool use_mmap = GetParam();
+  const fs::path dir =
+      test_dir(std::string("roundtrip_") + (use_mmap ? "m" : "h"));
   const auto views = random_views(23, 12, 17);
 
   ShardedStackOptions options;
   options.views_per_shard = 5;
-  options.compress = compress;
   options.use_mmap = use_mmap;
   const std::string base = (dir / "views.shards").string();
   write_sharded_stack(base, views, options);
@@ -238,7 +140,6 @@ TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
   ASSERT_EQ(stack.ny(), 12u);
   ASSERT_EQ(stack.nx(), 12u);
   EXPECT_EQ(stack.shard_count(), 5u);  // ceil(23 / 5)
-  EXPECT_EQ(stack.compressed(), compress);
 
   std::vector<double> pixels(stack.view_pixels());
   for (std::uint64_t i = 0; i < stack.count(); ++i) {
@@ -250,63 +151,33 @@ TEST_P(ShardRoundTrip, BitwiseEqualToSourceViews) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, ShardRoundTrip,
-    ::testing::Combine(::testing::Bool(), ::testing::Bool()),
-    [](const auto& param_info) {
-      return std::string(std::get<0>(param_info.param) ? "compressed"
-                                                       : "raw") +
-             (std::get<1>(param_info.param) ? "Mmap" : "Heap");
-    });
+// The parameter picks the reader's mmap or read() path.
+INSTANTIATE_TEST_SUITE_P(Modes, ShardRoundTrip, ::testing::Bool(),
+                         [](const auto& param_info) {
+                           return std::string(param_info.param ? "Mmap"
+                                                               : "Heap");
+                         });
 
-TEST(ShardedStack, CompressedAndRawStoresDecodeIdentically) {
-  const fs::path dir = test_dir("c_vs_r");
-  // Analytic projections compress (smooth), so the compressed store
-  // genuinely exercises slz4 — then both stores must decode to the
-  // same bits.
-  const auto model = small_phantom(16, 8);
-  std::vector<Image<double>> views;
-  util::Rng rng(23);
-  for (int i = 0; i < 11; ++i) {
-    views.push_back(
-        model.project_analytic(16, por::test::random_orientation(rng)));
-  }
-  ShardedStackOptions raw_opts;
-  raw_opts.views_per_shard = 4;
-  ShardedStackOptions packed_opts = raw_opts;
-  packed_opts.compress = true;
-  write_sharded_stack((dir / "raw").string(), views, raw_opts);
-  write_sharded_stack((dir / "packed").string(), views, packed_opts);
-
-  ShardedStack raw((dir / "raw").string());
-  ShardedStack packed((dir / "packed").string());
-  // Compression must actually engage on smooth views...
-  EXPECT_LT(fs::file_size(shard_path((dir / "packed").string(), 0)),
-            fs::file_size(shard_path((dir / "raw").string(), 0)));
-  // ...and cost nothing in fidelity.
-  std::vector<double> a(raw.view_pixels()), b(raw.view_pixels());
-  for (std::uint64_t i = 0; i < raw.count(); ++i) {
-    ASSERT_TRUE(raw.read_view(i, a.data()));
-    ASSERT_TRUE(packed.read_view(i, b.data()));
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
-  }
-}
-
+// The writer is byte-deterministic: views read back from a stack and
+// written again reproduce the manifest and every shard byte for byte
+// (the committed fuzz corpus relies on it).
 TEST(ShardedStack, StackFileRoundTripIsByteIdentical) {
-  const fs::path dir = test_dir("pors_roundtrip");
+  const fs::path dir = test_dir("stack_roundtrip");
   const auto views = random_views(17, 10, 29);
-  const std::string stack_path = (dir / "views.pors").string();
-  io::write_stack(stack_path, views);
-
   ShardedStackOptions options;
   options.views_per_shard = 6;
-  options.compress = true;
   const std::string base = (dir / "views.shards").string();
-  shard_stack_file(stack_path, base, options);
+  write_sharded_stack(base, views, options);
 
-  const std::string back = (dir / "back.pors").string();
-  unshard_to_stack(base, back);
-  EXPECT_EQ(slurp(stack_path), slurp(back));
+  ShardedStack stack(base);
+  const std::string back = (dir / "back.shards").string();
+  write_sharded_stack(back, stack.read_range(0, stack.count()), options);
+  EXPECT_EQ(slurp(base), slurp(back));
+  ASSERT_EQ(stack.shard_count(), 3u);
+  for (std::size_t k = 0; k < stack.shard_count(); ++k) {
+    EXPECT_EQ(slurp(shard_path(base, k)), slurp(shard_path(back, k)))
+        << "shard " << k;
+  }
 }
 
 TEST(ShardedStack, ResidencyBudgetEvictsButStaysCorrect) {
@@ -365,15 +236,50 @@ struct TortureStack {
   std::vector<Image<double>> views;
   std::string base;
 
-  explicit TortureStack(const std::string& name, bool compress = false)
+  explicit TortureStack(const std::string& name)
       : dir(test_dir(name)), views(random_views(12, 8, 67)) {
     ShardedStackOptions options;
     options.views_per_shard = 4;
-    options.compress = compress;
     base = (dir / "v").string();
     write_sharded_stack(base, views, options);
   }
 };
+
+// `body` must throw resilience::Error{kCorrupt} whose message names
+// `why`.
+template <typename Body>
+void expect_corrupt(const Body& body, const std::string& why) {
+  try {
+    body();
+    FAIL() << "expected corrupt error: " << why;
+  } catch (const resilience::Error& error) {
+    EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+    EXPECT_NE(std::string(error.what()).find(why), std::string::npos)
+        << error.what();
+  }
+}
+
+// Overwrite the u32 format version at byte 4 of a manifest or shard.
+void set_version(std::string& bytes, std::uint32_t version) {
+  std::memcpy(bytes.data() + 4, &version, sizeof version);
+}
+
+// Manifest fields (sharded_stack.hpp): u64 count, ny, nx,
+// views_per_shard, shard_count at bytes 8..47, their CRC at 48.
+enum ManifestField : std::size_t {
+  kCount = 8,
+  kNy = 16,
+  kViewsPerShard = 32,
+  kShardCount = 40
+};
+
+// Set one manifest field and recompute the CRC, so only the value is
+// wrong.
+void set_field(std::string& manifest, ManifestField at, std::uint64_t value) {
+  std::memcpy(manifest.data() + at, &value, sizeof value);
+  const std::uint32_t crc = resilience::crc32(manifest.data() + 8, 40);
+  std::memcpy(manifest.data() + 48, &crc, sizeof crc);
+}
 
 void flip_byte(const fs::path& path, std::size_t offset_from_end) {
   std::string bytes = slurp(path);
@@ -443,25 +349,35 @@ TEST(ShardTorture, TruncatedShardQuarantinesTheWholeShard) {
 }
 
 TEST(ShardTorture, TornShardHeaderThrowsWithoutQuarantine) {
-  TortureStack t("torn_header");
-  // Flip a byte inside the shard header's index region.
-  std::string bytes = slurp(shard_path(t.base, 0));
-  bytes[60] ^= 0x01;  // within index[0], covered by the header CRC
-  spew(shard_path(t.base, 0), bytes);
+  // A flipped byte in the per-view CRC table (bytes 40.. of the header,
+  // covered by the header CRC), and a version-1 shard from before the
+  // fixed-offset layout.
+  const std::vector<std::pair<std::string, void (*)(std::string&)>> tears = {
+      {"header CRC mismatch", [](std::string& b) { b[44] ^= 0x01; }},
+      {"unsupported shard version", [](std::string& b) { set_version(b, 1); }},
+  };
+  for (const auto& [why, tear] : tears) {
+    SCOPED_TRACE(why);
+    TortureStack t("torn_header");
+    std::string bytes = slurp(shard_path(t.base, 0));
+    tear(bytes);
+    spew(shard_path(t.base, 0), bytes);
 
-  ShardedStack stack(t.base);
-  std::vector<double> pixels(stack.view_pixels());
-  try {
-    (void)stack.read_view(0, pixels.data());
-    FAIL() << "expected corrupt error";
-  } catch (const resilience::Error& error) {
-    EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+    ShardedStack stack(t.base);
+    std::vector<double> pixels(stack.view_pixels());
+    expect_corrupt([&] { (void)stack.read_view(0, pixels.data()); }, why);
   }
 }
 
 TEST(ShardTorture, MissingShardFileQuarantinesOrThrowsTransient) {
   TortureStack t("missing_shard");
   fs::remove(shard_path(t.base, 1));
+  try {
+    ShardedStack absent((t.dir / "absent").string());
+    FAIL() << "expected transient error for a missing manifest";
+  } catch (const resilience::Error& error) {
+    EXPECT_EQ(error.kind(), resilience::ErrorKind::kTransient);
+  }
 
   // Default: the open failure propagates as transient (an NFS flap
   // and a deleted file are indistinguishable at open time).
@@ -483,15 +399,31 @@ TEST(ShardTorture, MissingShardFileQuarantinesOrThrowsTransient) {
 }
 
 TEST(ShardTorture, CorruptManifestNeverOpens) {
-  TortureStack t("bad_manifest");
-  std::string bytes = slurp(t.base);
-  bytes[12] ^= 0x10;  // inside the CRC-covered field block
-  spew(t.base, bytes);
-  try {
-    ShardedStack stack(t.base);
-    FAIL() << "expected corrupt error";
-  } catch (const resilience::Error& error) {
-    EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+  const std::vector<std::pair<std::string, void (*)(std::string&)>> tears = {
+      // a flipped byte inside the CRC-covered field block
+      {"manifest CRC mismatch", [](std::string& b) { b[12] ^= 0x10; }},
+      {"unsupported version", [](std::string& b) { set_version(b, 1); }},
+      {"truncated manifest", [](std::string& b) { b.resize(8); }},
+      {"implausible manifest fields",
+       [](std::string& b) { set_field(b, kNy, std::uint64_t{1} << 20); }},
+      // 12 views at 4 per shard need 3 shards
+      {"implausible manifest fields",
+       [](std::string& b) { set_field(b, kShardCount, 4); }},
+      // one shard of 2^62 views: its header and payload sizes overflow
+      {"implausible manifest fields",
+       [](std::string& b) {
+         set_field(b, kCount, std::uint64_t{1} << 62);
+         set_field(b, kViewsPerShard, std::uint64_t{1} << 62);
+         set_field(b, kShardCount, 1);
+       }},
+  };
+  for (const auto& [why, tear] : tears) {
+    SCOPED_TRACE(why);
+    TortureStack t("bad_manifest");
+    std::string bytes = slurp(t.base);
+    tear(bytes);
+    spew(t.base, bytes);
+    expect_corrupt([&] { ShardedStack stack(t.base); }, why);
   }
 }
 
@@ -512,27 +444,24 @@ TEST(ShardTorture, AbandonedWriterLeavesNoManifest) {
 TEST(ViewSource, AllBackingsProduceIdenticalPixels) {
   const fs::path dir = test_dir("sources");
   const auto views = random_views(9, 10, 79);
-  const std::string stack_path = (dir / "v.pors").string();
   const std::string base = (dir / "v.shards").string();
-  io::write_stack(stack_path, views);
   ShardedStackOptions options;
   options.views_per_shard = 4;
-  options.compress = true;
-  shard_stack_file(stack_path, base, options);
+  write_sharded_stack(base, views, options);
 
   MemoryViewSource memory(views);
-  const auto stacked = open_view_source(stack_path);
-  const auto sharded = open_view_source(base);
-  ASSERT_TRUE(dynamic_cast<StackViewSource*>(stacked.get()) != nullptr);
-  ASSERT_TRUE(dynamic_cast<ShardedViewSource*>(sharded.get()) != nullptr);
-  ASSERT_EQ(stacked->count(), views.size());
-  ASSERT_EQ(sharded->count(), views.size());
+  const auto mapped = open_view_source(base);
+  options.use_mmap = false;
+  ShardedViewSource heap(base, options);
+  ASSERT_TRUE(dynamic_cast<ShardedViewSource*>(mapped.get()) != nullptr);
+  ASSERT_EQ(mapped->count(), views.size());
+  ASSERT_EQ(heap.count(), views.size());
 
   std::vector<double> a(memory.view_pixels()), b(a.size()), c(a.size());
   for (std::uint64_t i = 0; i < memory.count(); ++i) {
     memory.fetch(i, a.data());
-    stacked->fetch(i, b.data());
-    sharded->fetch(i, c.data());
+    mapped->fetch(i, b.data());
+    heap.fetch(i, c.data());
     EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(double)), 0);
     EXPECT_EQ(std::memcmp(a.data(), c.data(), a.size() * sizeof(double)), 0);
   }
@@ -670,7 +599,6 @@ TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
   const std::string base = (dir / "v").string();
   ShardedStackOptions stack_options;
   stack_options.views_per_shard = 2;
-  stack_options.compress = true;
   write_sharded_stack(base, w.views, stack_options);
   ShardedViewSource source(base, stack_options);
   for (const int workers : {1, 3}) {
@@ -693,7 +621,9 @@ void write_initials(const std::string& path, const Workload& w) {
 
 // The rank count is the test parameter; each case also runs at one and
 // three refine workers, where the master streams its contiguous block
-// through the cursor in groups of three.
+// through the cursor in groups of three.  The "monolithic" stack is a
+// single shard holding every view; the sharded one splits them three
+// to a shard.
 class StreamedDrivers : public ::testing::TestWithParam<int> {};
 
 TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
@@ -705,15 +635,16 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   config.stream.max_resident_mb = 1;
 
   const std::string map_path = (dir / "map.porm").string();
-  const std::string stack_path = (dir / "v.pors").string();
+  const std::string stack_path = (dir / "v1.shards").string();
   const std::string base = (dir / "v.shards").string();
   const std::string orient_in = (dir / "in.txt").string();
   io::write_map(map_path, w.map);
-  io::write_stack(stack_path, w.views);
   ShardedStackOptions stack_options;
+  stack_options.views_per_shard = w.views.size();
+  write_sharded_stack(stack_path, w.views, stack_options);
+  ASSERT_EQ(ShardedStack(stack_path).shard_count(), 1u);
   stack_options.views_per_shard = 3;
-  stack_options.compress = true;
-  shard_stack_file(stack_path, base, stack_options);
+  write_sharded_stack(base, w.views, stack_options);
   write_initials(orient_in, w);
 
   // The orientation text file keeps 10 digits, so feed the in-memory
@@ -852,11 +783,11 @@ TEST(StreamedDrivers, ViewEdgeMustMatchMapEdge) {
   const Workload w(4);  // 16 x 16 views
   const Volume<double> small_map = w.model.rasterize(8);
   const std::string map_path = (dir / "map8.porm").string();
-  const std::string stack_path = (dir / "v16.pors").string();
+  const std::string stack_path = (dir / "v16.shards").string();
   const std::string orient_in = (dir / "in.txt").string();
   const std::string out = (dir / "out.txt").string();
   io::write_map(map_path, small_map);
-  io::write_stack(stack_path, w.views);
+  write_sharded_stack(stack_path, w.views);
   write_initials(orient_in, w);
 
   RefinerConfig config = fast_config();
@@ -894,49 +825,6 @@ TEST(ViewSource, MemorySourceRejectsMixedShapes) {
   const std::vector<Image<double>> same{Image<double>(8, 8),
                                         Image<double>(8, 8)};
   EXPECT_EQ(MemoryViewSource{same}.count(), 2u);
-}
-
-// ---- brick spill -----------------------------------------------------------
-
-TEST(BrickSpill, SpilledStoreSamplesIdenticallyToInMemory) {
-  const fs::path dir = test_dir("brick_spill");
-  const std::size_t edge = 16;
-  util::Rng seed_rng(5);
-  Volume<cdouble> truth(edge);
-  for (auto& v : truth.storage()) {
-    v = {seed_rng.uniform(-1, 1), seed_rng.uniform(-1, 1)};
-  }
-
-  std::vector<double> worst(2, 1.0);
-  std::vector<std::uint64_t> spilled(2, 0);
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    BrickStoreConfig config;
-    config.brick_edge = 4;
-    config.cache_bricks = 8;
-    config.spill_dir = dir.string();
-    BrickStore store(comm, comm.is_root() ? truth : Volume<cdouble>{}, edge,
-                     config);
-    store.start_server();
-    util::Rng rng(200 + comm.rank());
-    double local_worst = 0.0;
-    for (int trial = 0; trial < 100; ++trial) {
-      const double z = rng.uniform(0.0, edge - 1.0);
-      const double y = rng.uniform(0.0, edge - 1.0);
-      const double x = rng.uniform(0.0, edge - 1.0);
-      local_worst = std::max(
-          local_worst,
-          std::abs(store.sample(z, y, x) - interp_trilinear(truth, z, y, x)));
-    }
-    worst[comm.rank()] = local_worst;
-    spilled[comm.rank()] = store.spilled_bytes();
-    store.stop_server();
-  });
-  for (int r = 0; r < 2; ++r) {
-    EXPECT_LT(worst[r], 1e-12) << "rank " << r;
-    EXPECT_GT(spilled[r], 0u) << "rank " << r;
-    EXPECT_TRUE(fs::exists(dir / ("bricks.rank" + std::to_string(r) +
-                                  ".porb")));
-  }
 }
 
 }  // namespace

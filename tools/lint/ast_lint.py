@@ -46,7 +46,8 @@ properties over the translation units listed in compile_commands.json:
                       destructor munmaps (or frees the read-path
                       buffer) at end of scope and the pointer dangles.
                       Long-lived mappings belong in members (see
-                      core::BrickStore::spill_map_), not locals.
+                      stream::ShardedStack's per-shard Shard::map),
+                      not locals.
 
 Waivers use the same grammar as por_lint.py: append
 ``// por-lint: allow(<rule>) <reason>`` to the offending line or one of
