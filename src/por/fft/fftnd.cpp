@@ -96,14 +96,17 @@ void roll_rows(cdouble* data, std::size_t ny, std::size_t nx,
 // ---- r2c helpers ----------------------------------------------------------
 
 /// Row stage of a real-input 2D transform: every row of the real
-/// ny x nx array `src` is Fourier-transformed into the complex array
-/// `dst`, packing two real rows per complex FFT.  For rows x0, x1 the
-/// transform T of x0 + i*x1 splits by Hermitian symmetry as
+/// ny x nx array `src` is Fourier-transformed, packing two real rows
+/// per complex FFT, and its bins 0..nx/2 are written to row y of `dst`
+/// (rows `ld` apart; the bins above nx/2 are left untouched).  For rows
+/// x0, x1 the transform T of x0 + i*x1 splits by Hermitian symmetry as
 ///   X0[k] = (T[k] + conj(T[(n-k)%n])) / 2
 ///   X1[k] = (T[k] - conj(T[(n-k)%n])) / (2i)
-void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx) {
+void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
+              std::size_t ld) {
   if (ny == 0 || nx == 0) return;
   const std::shared_ptr<const Fft1D> plan = cached_plan(nx);
+  const std::size_t half = nx / 2;
   const std::size_t pairs = ny / 2;
   const std::size_t jobs = pairs + (ny % 2);  // a trailing lone row, if odd
   for (std::size_t r = 0; r < jobs; ++r) {
@@ -117,9 +120,9 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx) {
       const double* row1 = src + (2 * r + 1) * nx;
       for (std::size_t i = 0; i < nx; ++i) packed[i] = {row0[i], row1[i]};
       plan->forward(packed);
-      cdouble* out0 = dst + (2 * r) * nx;
-      cdouble* out1 = dst + (2 * r + 1) * nx;
-      for (std::size_t k = 0; k < nx; ++k) {
+      cdouble* out0 = dst + (2 * r) * ld;
+      cdouble* out1 = dst + (2 * r + 1) * ld;
+      for (std::size_t k = 0; k <= half; ++k) {
         const cdouble t = packed[k];
         const cdouble tm = std::conj(packed[(nx - k) % nx]);
         out0[k] = 0.5 * (t + tm);
@@ -131,7 +134,7 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx) {
       const double* row = src + (ny - 1) * nx;
       for (std::size_t i = 0; i < nx; ++i) packed[i] = {row[i], 0.0};
       plan->forward(packed);
-      std::memcpy(dst + (ny - 1) * nx, packed, nx * sizeof(cdouble));
+      std::memcpy(dst + (ny - 1) * ld, packed, (half + 1) * sizeof(cdouble));
     }
   }
 }
@@ -152,14 +155,15 @@ void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx) {
   }
 }
 
-/// Rows + the columns x <= nx/2 of a real-input 2D transform.  Columns
-/// x > nx/2 of `dst` are left unspecified — rfft2d_forward finishes
-/// them with the 2D mirror, rfft3d_forward never reads them (it mirrors
-/// in 3D after the z pass).
+/// Rows + the columns x <= nx/2 of a real-input 2D transform, rows `ld`
+/// apart in `dst`.  Columns x > nx/2 of `dst` are left unspecified —
+/// rfft2d_forward finishes them with the 2D mirror, rfft3d_forward
+/// never reads them (it mirrors in 3D after the z pass), and
+/// rfft3d_half stores none (ld = nx/2 + 1).
 void r2c_plane_half(const double* src, cdouble* dst, std::size_t ny,
-                    std::size_t nx) {
-  r2c_rows(src, dst, ny, nx);
-  fft1d_lines(dst, nx / 2 + 1, ny, nx, /*inverse=*/false);
+                    std::size_t nx, std::size_t ld) {
+  r2c_rows(src, dst, ny, nx, ld);
+  fft1d_lines(dst, nx / 2 + 1, ny, ld, /*inverse=*/false);
 }
 
 }  // namespace
@@ -236,7 +240,7 @@ void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
              "rfft2d src and dst must not alias");
   count_transform("fft.2d.transforms", ny * nx);
   if (ny * nx == 0) return;
-  r2c_plane_half(src, dst, ny, nx);
+  r2c_plane_half(src, dst, ny, nx, nx);
   mirror_half_2d(dst, ny, nx);
 }
 
@@ -286,7 +290,7 @@ void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
   // unspecified — the 3D mirror below derives them from the final
   // spectrum, so the per-plane mirror would be wasted work.
   for (std::size_t z = 0; z < nz; ++z) {
-    r2c_plane_half(src + z * plane, dst + z * plane, ny, nx);
+    r2c_plane_half(src + z * plane, dst + z * plane, ny, nx, nx);
   }
   // z lines, only for x <= nx/2: per y, the lines x = 0..nx/2 start at
   // adjacent offsets y*nx + x with stride ny*nx.
@@ -306,6 +310,60 @@ void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
         POR_BOUNDS(nx - x, nx);
         row[x] = std::conj(mirror[nx - x]);
       }
+    }
+  }
+}
+
+void rfft3d_half(const double* src, cdouble* dst, std::size_t nz,
+                 std::size_t ny, std::size_t nx) {
+  POR_EXPECT((src != nullptr && dst != nullptr) || nz * ny * nx == 0,
+             "rfft3d_half on null buffer");
+  count_transform("fft.3d.transforms", nz * ny * nx);
+  if (nz * ny * nx == 0) return;
+  const std::size_t hx = nx / 2 + 1;
+  for (std::size_t z = 0; z < nz; ++z) {
+    r2c_plane_half(src + z * ny * nx, dst + z * ny * hx, ny, nx, hx);
+  }
+  // In the compact layout every (y, kx) line along z starts at an
+  // adjacent offset: the z pass is one batch of ny*hx lines.
+  fft1d_lines(dst, ny * hx, nz, ny * hx, /*inverse=*/false);
+}
+
+void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
+                std::size_t nx) {
+  POR_EXPECT((src != nullptr && dst != nullptr) || rows * nx == 0,
+             "irfft_rows on null buffer");
+  if (rows == 0 || nx == 0) return;
+  const std::shared_ptr<const Fft1D> plan = cached_plan(nx);
+  const std::size_t hx = nx / 2 + 1;
+  // The inverse of r2c_rows' packing: for half spectra A, B of two
+  // real rows a, b, the complex line A + i*B (each extended by its
+  // Hermitian mirror) inverse-transforms to a + i*b.  Bin 0 and, for
+  // even nx, bin nx/2 are their own mirrors, so only their real parts
+  // belong to a Hermitian spectrum.
+  const std::size_t last = (nx - 1) / 2;  // highest bin with a distinct mirror
+  for (std::size_t r = 0; r < rows; r += 2) {
+    const bool pair = r + 1 < rows;
+    const cdouble* a = src + r * hx;
+    const cdouble* b = pair ? a + hx : nullptr;
+    const auto bin = [&](std::size_t k) {
+      return pair ? b[k] : cdouble{0.0, 0.0};
+    };
+    util::ArenaScope scope(util::frame_arena());
+    cdouble* packed = util::frame_arena().alloc_array<cdouble>(nx);
+    packed[0] = {a[0].real(), bin(0).real()};
+    for (std::size_t k = 1; k <= last; ++k) {
+      const cdouble ak = a[k], bk = bin(k);
+      packed[k] = {ak.real() - bk.imag(), ak.imag() + bk.real()};
+      packed[nx - k] = {ak.real() + bk.imag(), bk.real() - ak.imag()};
+    }
+    if (nx % 2 == 0) packed[nx / 2] = {a[nx / 2].real(), bin(nx / 2).real()};
+    plan->inverse(packed);
+    double* out0 = dst + r * nx;
+    for (std::size_t i = 0; i < nx; ++i) out0[i] = packed[i].real();
+    if (pair) {
+      double* out1 = out0 + nx;
+      for (std::size_t i = 0; i < nx; ++i) out1[i] = packed[i].imag();
     }
   }
 }

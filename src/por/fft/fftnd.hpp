@@ -12,7 +12,9 @@
 //     batcher instead of per-line strided gathers;
 //   * real inputs go through rfft2d_forward / rfft3d_forward, which
 //     exploit Hermitian symmetry (two real rows per complex transform,
-//     half the column lines + conjugate mirror) for ~2x less work.
+//     half the column lines + conjugate mirror) for ~2x less work;
+//     rfft3d_half keeps only the half spectrum, and irfft_rows is the
+//     matching complex-to-real inverse along x.
 //
 // Every transform runs serially on the calling thread; parallelism
 // lives one level up, across views and across the ranks of the
@@ -73,6 +75,24 @@ void fft3d_inverse(cdouble* data, std::size_t nz, std::size_t ny,
 /// x <= nx/2, then the 3D conjugate mirror.
 void rfft3d_forward(const double* src, cdouble* dst, std::size_t nz,
                     std::size_t ny, std::size_t nx);
+
+/// Real-to-complex forward 3D DFT that stops at the half spectrum: the
+/// bins kx = 0..nx/2 of every (z, y) row, compact layout
+/// dst[(z * ny + y) * (nx/2 + 1) + kx], raw order (zero frequency at
+/// index 0), no mirror fill.  Each stored bin is bitwise the one
+/// rfft3d_forward computes.  `src` and `dst` must not alias.
+void rfft3d_half(const double* src, cdouble* dst, std::size_t nz,
+                 std::size_t ny, std::size_t nx);
+
+/// Complex-to-real inverse DFT of `rows` lines: line r reads the half
+/// spectrum src[r * (nx/2 + 1) ...] (bins 0..nx/2 of a real signal's
+/// DFT, raw order) and writes its nx real samples, with the 1/nx
+/// factor, to dst[r * nx ...].  The bins above nx/2 are taken as the
+/// conjugate mirror, and only the real parts of bin 0 and (even nx)
+/// bin nx/2 are read, so the output is the real part of the inverse of
+/// the Hermitian extension.  Two lines share one complex transform.
+void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
+                std::size_t nx);
 
 // ---- centering ------------------------------------------------------------
 

@@ -3,7 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "por/em/projection.hpp"
+#include "por/fft/fftnd.hpp"
 
 namespace por::metrics {
 
@@ -16,30 +16,46 @@ FscCurve fourier_shell_correlation(const em::Volume<double>& a,
     throw std::invalid_argument("fsc: volumes must be cubic");
   }
   const std::size_t l = a.nx();
-  const em::Volume<em::cdouble> fa = em::centered_fft3(a);
-  const em::Volume<em::cdouble> fb = em::centered_fft3(b);
+  const std::size_t hx = l / 2 + 1;
+  // Raw half spectra: the library's centering multiplies a and b by the
+  // same unit phase per frequency, which cancels in a * conj(b), |a|^2
+  // and |b|^2, and the kx < 0 half holds the conjugates of kx > 0.
+  std::vector<em::cdouble> fa(l * l * hx), fb(l * l * hx);
+  fft::rfft3d_half(a.data(), fa.data(), l, l, l);
+  fft::rfft3d_half(b.data(), fb.data(), l, l, l);
 
   const std::size_t nshells = l / 2;
   std::vector<double> cross(nshells, 0.0), pa(nshells, 0.0), pb(nshells, 0.0);
   std::vector<double> radius_sum(nshells, 0.0);
   std::vector<std::size_t> counts(nshells, 0);
 
-  const double c = std::floor(static_cast<double>(l) / 2.0);
+  // Raw index r is frequency r below l - floor(l/2), r - l from there on
+  // (the centered convention's range).
+  const std::size_t positive = l - l / 2;
+  const auto frequency = [&](std::size_t r) {
+    return r < positive ? static_cast<double>(r)
+                        : static_cast<double>(r) - static_cast<double>(l);
+  };
   for (std::size_t z = 0; z < l; ++z) {
-    const double kz = static_cast<double>(z) - c;
+    const double kz = frequency(z);
     for (std::size_t y = 0; y < l; ++y) {
-      const double ky = static_cast<double>(y) - c;
-      for (std::size_t x = 0; x < l; ++x) {
-        const double kx = static_cast<double>(x) - c;
+      const double ky = frequency(y);
+      const std::size_t row = (z * l + y) * hx;
+      for (std::size_t x = 0; x < hx; ++x) {
+        const double kx = static_cast<double>(x);
         const double radius = std::sqrt(kx * kx + ky * ky + kz * kz);
         const auto shell = static_cast<std::size_t>(std::floor(radius));
         if (shell >= nshells) continue;
-        const em::cdouble va = fa(z, y, x), vb = fb(z, y, x);
-        cross[shell] += (va * std::conj(vb)).real();
-        pa[shell] += std::norm(va);
-        pb[shell] += std::norm(vb);
-        radius_sum[shell] += radius;
-        ++counts[shell];
+        // Column kx > 0 also stands for its mirror -kx, unless (even l,
+        // kx = l/2) the mirror is the column itself.
+        const std::size_t copies = (x == 0 || 2 * x == l) ? 1 : 2;
+        const double weight = static_cast<double>(copies);
+        const em::cdouble va = fa[row + x], vb = fb[row + x];
+        cross[shell] += weight * (va * std::conj(vb)).real();
+        pa[shell] += weight * std::norm(va);
+        pb[shell] += weight * std::norm(vb);
+        radius_sum[shell] += weight * radius;
+        counts[shell] += copies;
       }
     }
   }

@@ -22,7 +22,9 @@ struct FscCurve {
 };
 
 /// Fourier shell correlation of two equally-sized real volumes.
-/// Shells are 1 Fourier-pixel wide up to the Nyquist radius.
+/// Shells are 1 Fourier-pixel wide up to the Nyquist radius.  Computed
+/// from the r2c half spectra (fft::rfft3d_half); each column kx > 0
+/// also counts for its Hermitian mirror -kx.
 [[nodiscard]] FscCurve fourier_shell_correlation(const em::Volume<double>& a,
                                                  const em::Volume<double>& b);
 

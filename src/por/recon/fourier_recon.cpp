@@ -1,9 +1,12 @@
 #include "por/recon/fourier_recon.hpp"
 
 #include <cmath>
+#include <numbers>
 #include <stdexcept>
 
 #include "por/em/projection.hpp"
+#include "por/recon/parallel_recon.hpp"
+#include "por/vmpi/runtime.hpp"
 
 namespace por::recon {
 
@@ -14,8 +17,7 @@ FourierAccumulator::FourierAccumulator(std::size_t edge,
     throw std::invalid_argument("FourierAccumulator: pad must be >= 1");
   }
   const std::size_t big = l * options.pad;
-  values = em::Volume<em::cdouble>(big, em::cdouble{0.0, 0.0});
-  weights = em::Volume<double>(big, 0.0);
+  cells = em::Volume<GridCell>(big, big, big / 2 + 1);
   if (options.r_max <= 0.0) {
     options.r_max = static_cast<double>(big) / 2.0 - 1.0;
   }
@@ -27,37 +29,48 @@ void FourierAccumulator::insert(const em::Image<double>& view,
   if (view.nx() != l || view.ny() != l) {
     throw std::invalid_argument("FourierAccumulator::insert: view size");
   }
-  em::Image<em::cdouble> spectrum =
+  const em::Image<em::cdouble> spectrum =
       em::centered_fft2(em::pad_image(view, options.pad));
+  const std::size_t big = spectrum.nx();
+  const double c = std::floor(static_cast<double>(big) / 2.0);
+  // The particle sits at +(cx, cy) off the box center; translating the
+  // image by (-cx, -cy) re-centers it.  That phase ramp is separable,
+  // exp(2 pi i ku cx / n) * exp(2 pi i kv cy / n), so it costs 2n
+  // sin/cos pairs and is applied only to the samples splatted below.
   // por-lint: allow(float-eq) exact-zero center skips the phase ramp
   // entirely (bit-identical fast path for centered particles).
-  if (center_x != 0.0 || center_y != 0.0) {
-    // The particle sits at +(cx, cy) off the box center; translating
-    // the image by (-cx, -cy) re-centers it.
-    em::apply_translation_phase(spectrum, -center_x, -center_y);
+  const bool shifted = center_x != 0.0 || center_y != 0.0;
+  std::vector<em::cdouble> ramp_u(shifted ? big : 0), ramp_v(shifted ? big : 0);
+  for (std::size_t i = 0; shifted && i < big; ++i) {
+    const double k = 2.0 * std::numbers::pi * (static_cast<double>(i) - c) /
+                     static_cast<double>(big);
+    ramp_u[i] = {std::cos(k * center_x), std::sin(k * center_x)};
+    ramp_v[i] = {std::cos(k * center_y), std::sin(k * center_y)};
   }
-  insert_spectrum(spectrum, o);
-}
 
-void FourierAccumulator::insert_spectrum(const em::Image<em::cdouble>& spectrum,
-                                         const em::Orientation& o) {
-  const std::size_t big = values.nx();
-  if (spectrum.nx() != big || spectrum.ny() != big) {
-    throw std::invalid_argument(
-        "FourierAccumulator::insert_spectrum: spectrum size");
-  }
   const em::Mat3 r = em::rotation_matrix(o);
   const em::Vec3 eu = r * em::Vec3{1, 0, 0};
   const em::Vec3 ev = r * em::Vec3{0, 1, 0};
-  const double c = std::floor(static_cast<double>(big) / 2.0);
   const long nbig = static_cast<long>(big);
-
+  const long ci = nbig / 2;
+  const auto inside = [&](long zz, long yy, long xx) {
+    return zz >= 0 && zz < nbig && yy >= 0 && yy < nbig && xx >= ci &&
+           xx < nbig;
+  };
+  const auto cell = [](long i) { return static_cast<std::size_t>(i); };
+  // A real view's centered spectrum is Hermitian, so the samples at
+  // -(ku, kv) splat the conjugates of these ones onto the mirror cells.
+  // Only the half plane ku > 0, ku = 0 < kv is visited; the DC sample
+  // is its own mirror and goes in at half weight, twice.
   for (std::size_t y = 0; y < big; ++y) {
     const double kv = static_cast<double>(y) - c;
-    for (std::size_t x = 0; x < big; ++x) {
+    for (std::size_t x = big / 2; x < big; ++x) {
+      if (x == big / 2 && y < big / 2) continue;
       const double ku = static_cast<double>(x) - c;
       if (std::sqrt(ku * ku + kv * kv) > options.r_max) continue;
-      const em::cdouble sample = spectrum(y, x);
+      const double share = (x == big / 2 && y == big / 2) ? 0.5 : 1.0;
+      const em::cdouble sample =
+          shifted ? spectrum(y, x) * (ramp_u[x] * ramp_v[y]) : spectrum(y, x);
       const em::Vec3 q = ku * eu + kv * ev;
       const double pz = q.z + c, py = q.y + c, px = q.x + c;
       const long iz = static_cast<long>(std::floor(pz));
@@ -68,59 +81,41 @@ void FourierAccumulator::insert_spectrum(const em::Image<em::cdouble>& spectrum,
       const double tx = px - static_cast<double>(ix);
       for (int dz = 0; dz < 2; ++dz) {
         const long zz = iz + dz;
-        if (zz < 0 || zz >= nbig) continue;
         const double wz = dz ? tz : 1.0 - tz;
         for (int dy = 0; dy < 2; ++dy) {
           const long yy = iy + dy;
-          if (yy < 0 || yy >= nbig) continue;
           const double wy = dy ? ty : 1.0 - ty;
           for (int dx = 0; dx < 2; ++dx) {
             const long xx = ix + dx;
-            if (xx < 0 || xx >= nbig) continue;
             const double w = wz * wy * (dx ? tx : 1.0 - tx);
             // por-lint: allow(float-eq) exact-zero weight skip
             if (w == 0.0) continue;
-            values(static_cast<std::size_t>(zz), static_cast<std::size_t>(yy),
-                   static_cast<std::size_t>(xx)) += w * sample;
-            weights(static_cast<std::size_t>(zz), static_cast<std::size_t>(yy),
-                    static_cast<std::size_t>(xx)) += w;
+            const double ws = share * w;
+            const em::cdouble contribution = ws * sample;
+            if (inside(zz, yy, xx)) {
+              GridCell& g = cells(cell(zz), cell(yy), cell(xx - ci));
+              g.value += contribution;
+              g.weight += ws;
+            }
+            const long mz = 2 * ci - zz, my = 2 * ci - yy, mx = 2 * ci - xx;
+            if (inside(mz, my, mx)) {
+              GridCell& g = cells(cell(mz), cell(my), cell(mx - ci));
+              g.value += std::conj(contribution);
+              g.weight += ws;
+            }
           }
         }
       }
     }
   }
-  ++view_count;
 }
 
 em::Volume<double> FourierAccumulator::finish() const {
-  const std::size_t big = values.nx();
-  em::Volume<em::cdouble> normalized(big, em::cdouble{0.0, 0.0});
-  for (std::size_t i = 0; i < normalized.size(); ++i) {
-    const double w = weights.storage()[i];
-    if (w >= options.weight_floor) {
-      normalized.storage()[i] = values.storage()[i] / w;
-    }
-  }
-  const em::Volume<double> padded =
-      em::centered_ifft3(normalized);
-  // No extra scale: by the discrete projection-slice theorem the 2D
-  // DFT of a projection equals the corresponding central section of
-  // the 3D DFT sample-for-sample, so the weight-normalized grid IS an
-  // estimate of the volume's DFT and the inverse transform restores
-  // density units directly (verified against rasterized phantoms in
-  // tests/test_recon.cpp).
-  return em::crop_volume(padded, l);
-}
-
-void FourierAccumulator::merge(const FourierAccumulator& other) {
-  if (other.values.size() != values.size()) {
-    throw std::invalid_argument("FourierAccumulator::merge: size mismatch");
-  }
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    values.storage()[i] += other.values.storage()[i];
-    weights.storage()[i] += other.weights.storage()[i];
-  }
-  view_count += other.view_count;
+  em::Volume<double> map;
+  (void)vmpi::run(1, [&](vmpi::Comm& comm) {
+    map = finish_slab(comm, l, options, cells.data());
+  });
+  return map;
 }
 
 em::Volume<double> fourier_reconstruct(

@@ -1,9 +1,11 @@
 // Tests for the v2 FFT engine: plan cache accounting, the batched
 // strided-line transform, real-to-complex forward transforms (including
-// the paper's odd Bluestein view sizes 331 and 511).
+// the paper's odd Bluestein view sizes 331 and 511) and the
+// complex-to-real row inverse.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 #include <vector>
 
@@ -179,6 +181,59 @@ TEST(Rfft3d, MatchesComplexTransform) {
     const double scale = 1.0 + max_mag(reference);
     EXPECT_LT(max_err(r2c, reference), 1e-12 * scale)
         << nz << "x" << ny << "x" << nx;
+  }
+}
+
+TEST(Rfft3d, HalfIsBitwiseTheStoredHalfOfTheFullTransform) {
+  for (const auto& [nz, ny, nx] :
+       {std::tuple<std::size_t, std::size_t, std::size_t>{8, 8, 8},
+        std::tuple<std::size_t, std::size_t, std::size_t>{6, 10, 5},
+        std::tuple<std::size_t, std::size_t, std::size_t>{9, 7, 5},
+        std::tuple<std::size_t, std::size_t, std::size_t>{12, 1, 8}}) {
+    const auto real = random_real(nz * ny * nx, nz * ny + nx);
+    std::vector<cdouble> full(real.size());
+    rfft3d_forward(real.data(), full.data(), nz, ny, nx);
+    const std::size_t hx = nx / 2 + 1;
+    std::vector<cdouble> half(nz * ny * hx);
+    rfft3d_half(real.data(), half.data(), nz, ny, nx);
+    for (std::size_t row = 0; row < nz * ny; ++row) {
+      for (std::size_t x = 0; x < hx; ++x) {
+        ASSERT_EQ(half[row * hx + x], full[row * nx + x])
+            << nz << "x" << ny << "x" << nx << " row " << row << " x " << x;
+      }
+    }
+  }
+}
+
+TEST(Irfft, RowsInvertTheHalfSpectrum) {
+  for (const std::size_t nx : {1, 2, 5, 8, 9, 16}) {
+    for (const std::size_t rows : {1, 2, 5}) {
+      const auto real = random_real(rows * nx, 10 * nx + rows);
+      const std::size_t hx = nx / 2 + 1;
+      std::vector<cdouble> half(rows * hx);
+      const Fft1D plan(nx);
+      for (std::size_t r = 0; r < rows; ++r) {
+        std::vector<cdouble> line(nx);
+        for (std::size_t i = 0; i < nx; ++i) line[i] = {real[r * nx + i], 0.0};
+        plan.forward(line.data());
+        std::copy_n(line.begin(), hx, half.begin() + r * hx);
+      }
+      std::vector<double> back(rows * nx);
+      irfft_rows(half.data(), back.data(), rows, nx);
+      for (std::size_t i = 0; i < back.size(); ++i) {
+        EXPECT_NEAR(back[i], real[i], 1e-13) << "nx " << nx << " rows " << rows;
+      }
+      // Bin 0 and the Nyquist bin are their own mirrors: only their real
+      // parts belong to a Hermitian spectrum, so their imaginary parts
+      // must not leak into the output.
+      for (std::size_t r = 0; r < rows; ++r) {
+        half[r * hx] += cdouble{0.0, 3.0};
+        if (nx % 2 == 0) half[r * hx + nx / 2] += cdouble{0.0, -2.0};
+      }
+      std::vector<double> again(rows * nx);
+      irfft_rows(half.data(), again.data(), rows, nx);
+      EXPECT_EQ(again, back) << "nx " << nx << " rows " << rows;
+    }
   }
 }
 

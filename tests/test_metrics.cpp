@@ -187,6 +187,77 @@ TEST(Fsc, LowPassedCopyLosesHighShellsOnly) {
   EXPECT_LT(curve.correlation[7], 0.5);
 }
 
+// The full-spectrum FSC as it was before the half-spectrum rewrite,
+// kept verbatim as the reference the rewrite is held to.
+FscCurve full_spectrum_fsc(const Volume<double>& a, const Volume<double>& b) {
+  const std::size_t l = a.nx();
+  const Volume<cdouble> fa = centered_fft3(a);
+  const Volume<cdouble> fb = centered_fft3(b);
+
+  const std::size_t nshells = l / 2;
+  std::vector<double> cross(nshells, 0.0), pa(nshells, 0.0), pb(nshells, 0.0);
+  std::vector<double> radius_sum(nshells, 0.0);
+  std::vector<std::size_t> counts(nshells, 0);
+
+  const double c = std::floor(static_cast<double>(l) / 2.0);
+  for (std::size_t z = 0; z < l; ++z) {
+    const double kz = static_cast<double>(z) - c;
+    for (std::size_t y = 0; y < l; ++y) {
+      const double ky = static_cast<double>(y) - c;
+      for (std::size_t x = 0; x < l; ++x) {
+        const double kx = static_cast<double>(x) - c;
+        const double radius = std::sqrt(kx * kx + ky * ky + kz * kz);
+        const auto shell = static_cast<std::size_t>(std::floor(radius));
+        if (shell >= nshells) continue;
+        const cdouble va = fa(z, y, x), vb = fb(z, y, x);
+        cross[shell] += (va * std::conj(vb)).real();
+        pa[shell] += std::norm(va);
+        pb[shell] += std::norm(vb);
+        radius_sum[shell] += radius;
+        ++counts[shell];
+      }
+    }
+  }
+
+  FscCurve curve;
+  curve.shell_radius.reserve(nshells);
+  curve.correlation.reserve(nshells);
+  for (std::size_t s = 0; s < nshells; ++s) {
+    if (counts[s] == 0) continue;
+    const double denom = std::sqrt(pa[s] * pb[s]);
+    curve.shell_radius.push_back(radius_sum[s] /
+                                 static_cast<double>(counts[s]));
+    curve.correlation.push_back(denom > 0.0 ? cross[s] / denom : 0.0);
+  }
+  return curve;
+}
+
+class FscEdges : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FscEdges, HalfSpectrumMatchesFullSpectrumReference) {
+  // Phantom plus independent noise per copy: every shell carries a
+  // different, nontrivial correlation.
+  const std::size_t l = GetParam();
+  const Volume<double> vol = por::test::small_phantom(l, 10).rasterize(l);
+  util::Rng rng(21);
+  Volume<double> a = vol, b = vol;
+  for (double& v : a.storage()) v += 0.05 * rng.gaussian();
+  for (double& v : b.storage()) v += 0.05 * rng.gaussian();
+  const FscCurve half = fourier_shell_correlation(a, b);
+  const FscCurve full = full_spectrum_fsc(a, b);
+  ASSERT_EQ(half.correlation.size(), full.correlation.size());
+  ASSERT_EQ(half.shell_radius.size(), full.shell_radius.size());
+  for (std::size_t s = 0; s < full.correlation.size(); ++s) {
+    EXPECT_NEAR(half.correlation[s], full.correlation[s], 1e-12)
+        << "shell " << s;
+    EXPECT_NEAR(half.shell_radius[s], full.shell_radius[s],
+                1e-12 * full.shell_radius[s])
+        << "shell " << s;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(EvenAndOdd, FscEdges, ::testing::Values(16, 17));
+
 TEST(Fsc, RejectsMismatchedVolumes) {
   EXPECT_THROW(
       (void)fourier_shell_correlation(Volume<double>(8), Volume<double>(9)),
