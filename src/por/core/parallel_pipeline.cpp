@@ -1,7 +1,5 @@
 #include "por/core/parallel_pipeline.hpp"
 
-#include <stdexcept>
-
 #include "por/io/master_io.hpp"
 #include "por/util/timer.hpp"
 
@@ -50,9 +48,6 @@ ParallelCycleReport parallel_cycle(
   std::vector<em::Image<double>> my_views;
   constexpr vmpi::Tag kReconViewsTag = 400;
   if (comm.is_root()) {
-    if (views_on_root.size() != all.size()) {
-      throw std::invalid_argument("parallel_cycle: view count mismatch");
-    }
     for (int r = comm.size() - 1; r >= 0; --r) {
       const std::size_t rb = io::block_begin(total, comm.size(), r);
       const std::size_t rs = io::block_share(total, comm.size(), r);

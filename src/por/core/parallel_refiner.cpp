@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -74,11 +75,44 @@ struct WorkerState {
   bool alive = true;  ///< false once the failure detector fired
 };
 
+/// Root's input checks: map and view edges against `l`, and one
+/// initial orientation (and center, when given) per view.
+void check_root_inputs(const em::Volume<double>& map, std::size_t l,
+                       const stream::ViewSource& source, std::size_t n_initial,
+                       std::size_t n_centers) {
+  if (map.nx() != l || !map.is_cube()) {
+    throw std::invalid_argument("parallel_refine: map edge mismatch");
+  }
+  // Every view buffer downstream is l x l: a stack of another edge
+  // would overrun them (or be matched on a prefix of each view).
+  if (source.count() > 0 && (source.nx() != l || source.ny() != l)) {
+    throw std::invalid_argument("parallel_refine: view edge mismatch");
+  }
+  if (n_initial != source.count() ||
+      (n_centers != 0 && n_centers != source.count())) {
+    throw std::invalid_argument("parallel_refine: input sizes disagree");
+  }
+}
+
+/// Every rank throws once root's verdict says its inputs failed: root
+/// rethrows its own exception, the others a runtime_error.  Root runs
+/// its checks before the first collective and sends the verdict on
+/// one, so no rank is left blocked on a root that has already thrown;
+/// vmpi::run rethrows the lowest-ranked error, so root's (and its
+/// corrupt or transient classification) is the one the caller sees.
+void throw_on_root_failure(bool root_failed,
+                           const std::exception_ptr& root_error) {
+  if (!root_failed) return;
+  if (root_error) std::rethrow_exception(root_error);
+  throw std::runtime_error("parallel_refine: the root rank rejected its input");
+}
+
 /// The shared steps (a)-(o) once the root holds the map and the
 /// orientations in memory and can reach the views through a
-/// stream::ViewSource (in-core vector, monolithic stack, or sharded
-/// stack — the protocol below never needs the whole stack resident).
-/// `source_on_root` must be non-null on the root rank only.
+/// stream::ViewSource (in-core vector or sharded stack — the protocol
+/// below never needs the whole stack resident).  `source_on_root` must
+/// be non-null on the root rank only, and root's inputs must already
+/// have passed check_root_inputs.
 ParallelRefineReport refine_distributed(
     vmpi::Comm& comm, const em::Volume<double>& map_on_root, std::size_t l,
     stream::ViewSource* source_on_root,
@@ -119,15 +153,6 @@ ParallelRefineReport refine_distributed(
   const fft::CubeCrop ball = FourierMatcher::ball(l, match);
   std::vector<em::cdouble> raw;
   if (comm.is_root()) {
-    if (map_on_root.nx() != l || !map_on_root.is_cube()) {
-      throw std::invalid_argument("parallel_refine: map edge mismatch");
-    }
-    // Every view buffer downstream is l x l: a stack of another edge
-    // would overrun them (or be matched on a prefix of each view).
-    if (source_on_root->count() > 0 &&
-        (source_on_root->nx() != l || source_on_root->ny() != l)) {
-      throw std::invalid_argument("parallel_refine: view edge mismatch");
-    }
     raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
               .storage();
   }
@@ -150,10 +175,6 @@ ParallelRefineReport refine_distributed(
     // ---- master: restore, distribute, listen, recover --------------------
     stream::ViewSource& source = *source_on_root;
     const std::size_t total_views = static_cast<std::size_t>(source.count());
-    if (initial_on_root.size() != total_views ||
-        (!centers_on_root.empty() && centers_on_root.size() != total_views)) {
-      throw std::invalid_argument("parallel_refine: input sizes disagree");
-    }
     const auto start_of = [&](std::uint64_t i) {
       return centers_on_root.empty()
                  ? ViewStart{initial_on_root[i]}
@@ -556,10 +577,23 @@ ParallelRefineReport parallel_refine(
     const std::vector<em::Orientation>& initial_on_root,
     const std::vector<std::pair<double, double>>& centers_on_root,
     const RefinerConfig& config) {
-  stream::MemoryViewSource source(views_on_root);
+  std::optional<stream::MemoryViewSource> source;
+  std::exception_ptr root_error;
+  if (comm.is_root()) {
+    try {
+      source.emplace(views_on_root);
+      check_root_inputs(map_on_root, l, *source, initial_on_root.size(),
+                        centers_on_root.size());
+    } catch (...) {
+      root_error = std::current_exception();
+    }
+  }
+  std::vector<int> verdict{root_error ? 1 : 0};
+  comm.bcast(0, verdict);
+  throw_on_root_failure(verdict[0] != 0, root_error);
   return refine_distributed(comm, map_on_root, l,
-                            comm.is_root() ? &source : nullptr,
-                            initial_on_root, centers_on_root, config);
+                            source ? &*source : nullptr, initial_on_root,
+                            centers_on_root, config);
 }
 
 ParallelRefineReport parallel_refine_files(
@@ -571,41 +605,45 @@ ParallelRefineReport parallel_refine_files(
   // block, through the ViewSource (DESIGN.md §14).  Reads classified
   // transient (shared-filesystem hiccups) are retried with capped
   // exponential backoff per config.resilience.io_retry; corrupt inputs
-  // are never retried — they throw immediately.
+  // are never retried — they throw immediately.  Every check runs
+  // before the `meta` bcast, which carries root's verdict.
   const resilience::RetryPolicy& retry = config.resilience.io_retry;
   em::Volume<double> map;
   std::unique_ptr<stream::ViewSource> source;
   std::vector<em::Orientation> initial;
   std::vector<std::pair<double, double>> centers;
   std::size_t l = 0;
+  std::exception_ptr root_error;
   if (comm.is_root()) {
-    map = resilience::with_retry(retry, "read_map",
-                                 [&] { return io::read_map(map_path); });
-    stream::ShardedStackOptions shard_options;
-    shard_options.max_resident_bytes =
-        config.stream.max_resident_mb * (std::size_t{1} << 20);
-    shard_options.quarantine_corrupt = config.resilience.quarantine_views;
-    source = resilience::with_retry(retry, "open_view_source", [&] {
-      return stream::open_view_source(stack_path, shard_options);
-    });
-    const auto records =
-        resilience::with_retry(retry, "read_orientations", [&] {
-          return io::read_orientations(orientations_in_path);
-        });
-    if (records.size() != source->count()) {
-      throw std::runtime_error(
-          "parallel_refine_files: stack and orientation file disagree");
+    try {
+      map = resilience::with_retry(retry, "read_map",
+                                   [&] { return io::read_map(map_path); });
+      stream::ShardedStackOptions shard_options;
+      shard_options.max_resident_bytes =
+          config.stream.max_resident_mb * (std::size_t{1} << 20);
+      shard_options.quarantine_corrupt = config.resilience.quarantine_views;
+      source = resilience::with_retry(retry, "open_view_source", [&] {
+        return stream::open_view_source(stack_path, shard_options);
+      });
+      const auto records =
+          resilience::with_retry(retry, "read_orientations", [&] {
+            return io::read_orientations(orientations_in_path);
+          });
+      initial.reserve(records.size());
+      centers.reserve(records.size());
+      for (const auto& rec : records) {
+        initial.push_back(rec.orientation);
+        centers.emplace_back(rec.center_x, rec.center_y);
+      }
+      l = map.nx();
+      check_root_inputs(map, l, *source, initial.size(), centers.size());
+    } catch (...) {
+      root_error = std::current_exception();
     }
-    initial.reserve(records.size());
-    centers.reserve(records.size());
-    for (const auto& rec : records) {
-      initial.push_back(rec.orientation);
-      centers.emplace_back(rec.center_x, rec.center_y);
-    }
-    l = map.nx();
   }
-  std::vector<std::size_t> meta{l};
+  std::vector<std::size_t> meta{l, root_error ? 1u : 0u};
   comm.bcast(0, meta);
+  throw_on_root_failure(meta[1] != 0, root_error);
   l = meta[0];
 
   ParallelRefineReport report = refine_distributed(

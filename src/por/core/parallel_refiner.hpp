@@ -73,8 +73,12 @@ struct ParallelRefineReport {
 /// In-memory SPMD driver: the root rank supplies the map, all views
 /// and all initial orientations; other ranks pass empty containers.
 /// `l` is the map/view edge; l * config.match.pad must be divisible by
-/// comm.size().  Views of another edge are rejected on the root with
-/// std::invalid_argument before any work, by both drivers.
+/// comm.size().  Both drivers check root's inputs (reads, counts, map
+/// and view edges) before the first collective and send the verdict
+/// on one: on failure root rethrows its own exception (for bad edges
+/// or counts std::invalid_argument) and every other rank throws
+/// std::runtime_error, so no rank is left waiting; vmpi::run, which
+/// rethrows the lowest-ranked error, hands the caller root's.
 [[nodiscard]] ParallelRefineReport parallel_refine(
     vmpi::Comm& comm, const em::Volume<double>& map_on_root, std::size_t l,
     const std::vector<em::Image<double>>& views_on_root,

@@ -1,7 +1,6 @@
 #include "por/em/noise.hpp"
 
 #include <cmath>
-#include <limits>
 
 namespace por::em {
 
@@ -23,16 +22,6 @@ void add_gaussian_noise(Image<double>& img, double snr, util::Rng& rng) {
   // all-constant image; adding zero-width noise is a no-op.
   if (sigma == 0.0) return;
   for (double& v : img.storage()) v += rng.gaussian(0.0, sigma);
-}
-
-void normalize(Image<double>& img) {
-  const double var = image_variance(img);
-  if (var <= std::numeric_limits<double>::min()) return;
-  double mean = 0.0;
-  for (double v : img.storage()) mean += v;
-  mean /= static_cast<double>(img.size());
-  const double inv_sigma = 1.0 / std::sqrt(var);
-  for (double& v : img.storage()) v = (v - mean) * inv_sigma;
 }
 
 }  // namespace por::em

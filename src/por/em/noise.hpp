@@ -19,8 +19,4 @@ namespace por::em {
 /// A non-positive or infinite snr leaves the image untouched.
 void add_gaussian_noise(Image<double>& img, double snr, util::Rng& rng);
 
-/// Normalize to zero mean / unit variance (standard preprocessing for
-/// boxed particles; a constant image is left unchanged).
-void normalize(Image<double>& img);
-
 }  // namespace por::em

@@ -50,19 +50,6 @@ Volume<double> pad_volume(const Volume<double>& vol, std::size_t factor) {
   return out;
 }
 
-Image<double> crop_image(const Image<double>& padded, std::size_t l) {
-  const std::size_t big = padded.nx();
-  if (padded.ny() != big || l > big) {
-    throw std::invalid_argument("crop_image: bad sizes");
-  }
-  const std::size_t off = center_offset(l, big);
-  Image<double> out(l, l);
-  for (std::size_t y = 0; y < l; ++y) {
-    std::memcpy(&out(y, 0), &padded(y + off, off), l * sizeof(double));
-  }
-  return out;
-}
-
 Volume<double> crop_volume(const Volume<double>& padded, std::size_t l) {
   const std::size_t big = padded.nx();
   if (!padded.is_cube() || l > big) {

@@ -31,10 +31,6 @@ inline constexpr std::size_t kDefaultPad = 2;
 [[nodiscard]] Volume<double> pad_volume(const Volume<double>& vol,
                                         std::size_t factor = kDefaultPad);
 
-/// Cut the centered l x l window back out of a padded image.
-[[nodiscard]] Image<double> crop_image(const Image<double>& padded,
-                                       std::size_t l);
-
 /// Cut the centered l^3 brick back out of a padded volume.
 [[nodiscard]] Volume<double> crop_volume(const Volume<double>& padded,
                                          std::size_t l);

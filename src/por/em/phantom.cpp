@@ -186,27 +186,4 @@ BlobModel make_with_symmetry(const PhantomSpec& spec,
   return model;
 }
 
-BlobModel make_phage_like(const PhantomSpec& spec) {
-  const double l = static_cast<double>(spec.l);
-  PhantomSpec head_spec = spec;
-  head_spec.l = spec.l;  // head sized like a (smaller) sindbis shell
-  BlobModel model;
-  // Icosahedral head, shifted toward +z.
-  BlobModel head = make_with_symmetry(head_spec, SymmetryGroup::icosahedral(), 2);
-  for (Blob b : head.blobs()) {
-    b.center = 0.55 * b.center + Vec3{0, 0, 0.18 * l};
-    model.add(b);
-  }
-  // C6 tail along -z.
-  const auto c6 = SymmetryGroup::cyclic(6);
-  for (int ring = 0; ring < 4; ++ring) {
-    const double z = -(0.05 + 0.09 * ring) * l;
-    model.add_symmetrized(
-        Blob{{0.06 * l, 0.0, z}, 0.025 * l, 0.9}, c6);
-  }
-  // Baseplate blob.
-  model.add(Blob{{0, 0, -0.42 * l}, 0.05 * l, 1.0});
-  return model;
-}
-
 }  // namespace por::em

@@ -93,10 +93,4 @@ struct PhantomSpec {
                                            const SymmetryGroup& group,
                                            std::size_t blobs_per_unit = 4);
 
-/// Tailed-phage-like particle: icosahedral head plus a C6 tail along
-/// -z; globally asymmetric but with detectable local symmetry —
-/// exercises the "can also determine the symmetry group" claim on a
-/// particle whose symmetry is broken.
-[[nodiscard]] BlobModel make_phage_like(const PhantomSpec& spec);
-
 }  // namespace por::em

@@ -177,12 +177,4 @@ void Fft1D::forward_strided(cdouble* base, std::size_t stride) const {
   for (std::size_t i = 0; i < n_; ++i) base[i * stride] = line[i];
 }
 
-void Fft1D::inverse_strided(cdouble* base, std::size_t stride) const {
-  util::ArenaScope scope(util::frame_arena());
-  cdouble* line = util::frame_arena().alloc_array<cdouble>(n_);
-  for (std::size_t i = 0; i < n_; ++i) line[i] = base[i * stride];
-  inverse(line);
-  for (std::size_t i = 0; i < n_; ++i) base[i * stride] = line[i];
-}
-
 }  // namespace por::fft

@@ -55,9 +55,8 @@ class Fft1D {
   /// In-place inverse DFT (includes the 1/N factor).
   void inverse(cdouble* data) const { transform(data, /*inverse=*/true); }
 
-  /// Strided execution helpers: gather a line, transform, scatter back.
+  /// Strided execution helper: gather a line, transform, scatter back.
   void forward_strided(cdouble* base, std::size_t stride) const;
-  void inverse_strided(cdouble* base, std::size_t stride) const;
 
  private:
   void transform(cdouble* data, bool inverse) const;

@@ -44,55 +44,6 @@ void fft_rows(cdouble* data, std::size_t rows, std::size_t n, bool inverse) {
   }
 }
 
-// ---- shifts ---------------------------------------------------------------
-
-/// dst[i] = src[(i + shift) % n] — a left-rotate, written as the two
-/// contiguous copies it decomposes into.
-void roll_line_into(cdouble* dst, const cdouble* src, std::size_t n,
-                    std::size_t shift) {
-  POR_EXPECT(shift <= n, "roll shift exceeds axis length:", shift, ">", n);
-  std::memcpy(dst, src + shift, (n - shift) * sizeof(cdouble));
-  std::memcpy(dst + (n - shift), src, shift * sizeof(cdouble));
-}
-
-/// In-place left-rotate of `nblocks` contiguous blocks of `block`
-/// elements each: new block b = old block (b + shift) % nblocks.  Two
-/// bulk copies through a scratch of the `shift` wrapped blocks instead
-/// of the seed's per-element strided gather loops.
-void roll_blocks(cdouble* data, std::size_t nblocks, std::size_t block,
-                 std::size_t shift) {
-  POR_EXPECT(shift <= nblocks, "roll shift exceeds block count:", shift, ">",
-             nblocks);
-  if (shift == 0 || nblocks == 0 || block == 0) return;
-  util::ArenaScope scope(util::frame_arena());
-  cdouble* head = util::frame_arena().alloc_array<cdouble>(shift * block);
-  std::memcpy(head, data, shift * block * sizeof(cdouble));
-  std::memmove(data, data + shift * block,
-               (nblocks - shift) * block * sizeof(cdouble));
-  std::memcpy(data + (nblocks - shift) * block, head,
-              shift * block * sizeof(cdouble));
-}
-
-/// Circular shift along x of an ny x nx array (each row rotated left by
-/// `shift`), via one reused row buffer.
-void roll_cols(cdouble* data, std::size_t ny, std::size_t nx,
-               std::size_t shift) {
-  if (shift == 0 || nx == 0) return;
-  util::ArenaScope scope(util::frame_arena());
-  cdouble* row = util::frame_arena().alloc_array<cdouble>(nx);
-  for (std::size_t y = 0; y < ny; ++y) {
-    roll_line_into(row, data + y * nx, nx, shift);
-    std::memcpy(data + y * nx, row, nx * sizeof(cdouble));
-  }
-}
-
-/// Circular shift along y of an ny x nx array: whole rows move, so this
-/// is a block rotate — no per-column gathers.
-void roll_rows(cdouble* data, std::size_t ny, std::size_t nx,
-               std::size_t shift) {
-  roll_blocks(data, ny, nx, shift);
-}
-
 // ---- r2c helpers ----------------------------------------------------------
 
 /// Row stage of a real-input 2D transform: every row of the real
@@ -366,32 +317,6 @@ void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
       for (std::size_t i = 0; i < nx; ++i) out1[i] = packed[i].imag();
     }
   }
-}
-
-// ---- centering ------------------------------------------------------------
-
-void fftshift2d(cdouble* data, std::size_t ny, std::size_t nx) {
-  roll_cols(data, ny, nx, (nx + 1) / 2);
-  roll_rows(data, ny, nx, (ny + 1) / 2);
-}
-
-void ifftshift2d(cdouble* data, std::size_t ny, std::size_t nx) {
-  roll_cols(data, ny, nx, nx / 2);
-  roll_rows(data, ny, nx, ny / 2);
-}
-
-void fftshift3d(cdouble* data, std::size_t nz, std::size_t ny,
-                std::size_t nx) {
-  for (std::size_t z = 0; z < nz; ++z) fftshift2d(data + z * ny * nx, ny, nx);
-  // The z shift moves whole planes: one block rotate instead of the
-  // seed's ny*nx strided line gathers.
-  roll_blocks(data, nz, ny * nx, (nz + 1) / 2);
-}
-
-void ifftshift3d(cdouble* data, std::size_t nz, std::size_t ny,
-                 std::size_t nx) {
-  for (std::size_t z = 0; z < nz; ++z) ifftshift2d(data + z * ny * nx, ny, nx);
-  roll_blocks(data, nz, ny * nx, nz / 2);
 }
 
 }  // namespace por::fft

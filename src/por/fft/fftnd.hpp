@@ -1,8 +1,8 @@
 // por/fft/fftnd.hpp
 //
-// 2D and 3D DFTs by row-column decomposition, plus the centering
-// (fftshift) helpers used when treating the transform as a lattice
-// centred on the zero frequency.
+// 2D and 3D DFTs by row-column decomposition.  Centering the
+// transform on the zero frequency goes through fft::fused_row /
+// centered_crop (por/fft/centering.hpp).
 //
 // v2 engine (see DESIGN.md §9):
 //   * every 1D plan comes from the process-wide PlanCache — twiddles
@@ -93,16 +93,5 @@ void rfft3d_half(const double* src, cdouble* dst, std::size_t nz,
 /// the Hermitian extension.  Two lines share one complex transform.
 void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
                 std::size_t nx);
-
-// ---- centering ------------------------------------------------------------
-
-/// Swap half-spaces so the zero frequency moves to (n/2, ...) — the
-/// centered layout used by the slice extractor.  fftshift2d followed by
-/// ifftshift2d is the identity (they differ for odd sizes).
-void fftshift2d(cdouble* data, std::size_t ny, std::size_t nx);
-void ifftshift2d(cdouble* data, std::size_t ny, std::size_t nx);
-void fftshift3d(cdouble* data, std::size_t nz, std::size_t ny, std::size_t nx);
-void ifftshift3d(cdouble* data, std::size_t nz, std::size_t ny,
-                 std::size_t nx);
 
 }  // namespace por::fft

@@ -1,4 +1,6 @@
 // por/mc/atomic.hpp
+// por-lint: allow(orphan-header) the model checker is a build-time tool,
+// built only under POR_MC for tests/mc; no workload links it.
 //
 // mc::atomic<T> — the instrumented std::atomic stand-in the model
 // checker substitutes through the POR_MC template hooks (DESIGN.md

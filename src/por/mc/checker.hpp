@@ -1,4 +1,6 @@
 // por/mc/checker.hpp
+// por-lint: allow(orphan-header) the model checker is a build-time tool,
+// built only under POR_MC for tests/mc; no workload links it.
 //
 // The por::mc explorer (DESIGN.md §13): deterministic model checking
 // for the lock-free protocols the rest of the system is built on.

@@ -1,4 +1,6 @@
 // por/mc/fiber.hpp
+// por-lint: allow(orphan-header) the model checker is a build-time tool,
+// built only under POR_MC for tests/mc; no workload links it.
 //
 // Cooperative fibers for the por::mc model checker (DESIGN.md §13).
 //

@@ -1,4 +1,6 @@
 // por/mc/mc.hpp — umbrella header for the por::mc model checker.
+// por-lint: allow(orphan-header) the model checker is a build-time tool,
+// built only under POR_MC for tests/mc; no workload links it.
 //
 // Pulls in the whole checker surface (DESIGN.md §13):
 //   fiber.hpp    — cooperative virtual-thread contexts

@@ -1,4 +1,6 @@
 // por/mc/model.hpp
+// por-lint: allow(orphan-header) the model checker is a build-time tool,
+// built only under POR_MC for tests/mc; no workload links it.
 //
 // The operational weak-memory model behind por::mc (DESIGN.md §13).
 //

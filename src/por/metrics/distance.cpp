@@ -51,33 +51,6 @@ double fourier_distance(const em::Image<em::cdouble>& f,
   return sum / static_cast<double>(f.size());
 }
 
-double fourier_correlation(const em::Image<em::cdouble>& f,
-                           const em::Image<em::cdouble>& c,
-                           const DistanceOptions& options) {
-  check_same_size(f, c);
-  double cross = 0.0, ff = 0.0, cc = 0.0;
-  for_each_weighted(f, options, [&](std::size_t y, std::size_t x, double w) {
-    cross += w * (f(y, x) * std::conj(c(y, x))).real();
-    ff += w * std::norm(f(y, x));
-    cc += w * std::norm(c(y, x));
-  });
-  const double denom = std::sqrt(ff * cc);
-  return denom > 0.0 ? cross / denom : 0.0;
-}
-
-double realspace_distance(const em::Image<double>& a,
-                          const em::Image<double>& b) {
-  if (a.ny() != b.ny() || a.nx() != b.nx()) {
-    throw std::invalid_argument("realspace_distance: images differ in size");
-  }
-  double sum = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = a.storage()[i] - b.storage()[i];
-    sum += d * d;
-  }
-  return sum / static_cast<double>(a.size());
-}
-
 double realspace_correlation(const em::Image<double>& a,
                              const em::Image<double>& b) {
   if (a.ny() != b.ny() || a.nx() != b.nx()) {

@@ -35,20 +35,6 @@ struct DistanceOptions {
                                       const em::Image<em::cdouble>& c,
                                       const DistanceOptions& options);
 
-/// Normalized cross-correlation of two centered spectra over the same
-/// annulus:  Re(sum F * conj(C)) / sqrt(sum|F|^2 * sum|C|^2), in
-/// [-1, 1]; 0 when either spectrum is empty on the annulus.  Used by
-/// the baseline matcher and the symmetry detector, where a scale-free
-/// score is preferable.
-[[nodiscard]] double fourier_correlation(const em::Image<em::cdouble>& f,
-                                         const em::Image<em::cdouble>& c,
-                                         const DistanceOptions& options);
-
-/// Plain real-space squared distance (1/l^2) * sum (a - b)^2 between
-/// images; the metric of the real-space baseline matcher.
-[[nodiscard]] double realspace_distance(const em::Image<double>& a,
-                                        const em::Image<double>& b);
-
 /// Real-space normalized cross-correlation coefficient of two images
 /// (zero-mean).
 [[nodiscard]] double realspace_correlation(const em::Image<double>& a,

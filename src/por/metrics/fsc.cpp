@@ -98,14 +98,6 @@ double radius_to_resolution_a(double radius, std::size_t l,
   return static_cast<double>(l) * pixel_size_a / radius;
 }
 
-double fsc_resolution_a(const em::Volume<double>& a,
-                        const em::Volume<double>& b, double pixel_size_a,
-                        double threshold) {
-  const FscCurve curve = fourier_shell_correlation(a, b);
-  return radius_to_resolution_a(crossing_radius(curve, threshold), a.nx(),
-                                pixel_size_a);
-}
-
 double volume_correlation(const em::Volume<double>& a,
                           const em::Volume<double>& b) {
   if (a.size() != b.size()) {

@@ -39,12 +39,6 @@ struct FscCurve {
 [[nodiscard]] double radius_to_resolution_a(double radius, std::size_t l,
                                             double pixel_size_a);
 
-/// Convenience: the resolution in Angstrom at the 0.5 crossing.
-[[nodiscard]] double fsc_resolution_a(const em::Volume<double>& a,
-                                      const em::Volume<double>& b,
-                                      double pixel_size_a,
-                                      double threshold = 0.5);
-
 /// Global real-space correlation coefficient of two volumes (zero
 /// mean), the scalar used when comparing a reconstruction against the
 /// ground-truth phantom map.

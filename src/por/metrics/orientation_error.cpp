@@ -4,8 +4,6 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "por/em/quaternion.hpp"
-
 namespace por::metrics {
 
 std::vector<double> orientation_errors_deg(
@@ -47,64 +45,6 @@ ErrorStats orientation_error_stats(const std::vector<em::Orientation>& estimated
                                    const std::vector<em::Orientation>& truth,
                                    const em::SymmetryGroup& symmetry) {
   return summarize(orientation_errors_deg(estimated, truth, symmetry));
-}
-
-namespace {
-
-/// The drift rotation G ~ mean of R_est * mate(R_truth)^T, where each
-/// truth is replaced by its symmetry mate closest to the estimate.
-em::Mat3 drift_rotation(const std::vector<em::Orientation>& estimated,
-                        const std::vector<em::Orientation>& truth,
-                        const em::SymmetryGroup& symmetry) {
-  if (estimated.size() != truth.size() || estimated.empty()) {
-    throw std::invalid_argument("drift_rotation: bad inputs");
-  }
-  std::vector<em::Mat3> relative;
-  relative.reserve(estimated.size());
-  for (std::size_t i = 0; i < estimated.size(); ++i) {
-    const em::Mat3 est = em::rotation_matrix(estimated[i]);
-    const em::Mat3 tru = em::rotation_matrix(truth[i]);
-    double best = 1e300;
-    em::Mat3 best_rel;
-    for (const auto& g : symmetry.operations()) {
-      const em::Mat3 mate = g * tru;
-      const double angle = em::geodesic_deg(est, mate);
-      if (angle < best) {
-        best = angle;
-        best_rel = est * mate.transposed();
-      }
-    }
-    relative.push_back(best_rel);
-  }
-  return em::mean_rotation(relative);
-}
-
-}  // namespace
-
-std::vector<double> drift_corrected_errors_deg(
-    const std::vector<em::Orientation>& estimated,
-    const std::vector<em::Orientation>& truth,
-    const em::SymmetryGroup& symmetry) {
-  const em::Mat3 drift = drift_rotation(estimated, truth, symmetry);
-  std::vector<double> errors;
-  errors.reserve(estimated.size());
-  for (std::size_t i = 0; i < estimated.size(); ++i) {
-    const em::Mat3 est = em::rotation_matrix(estimated[i]);
-    const em::Mat3 tru = em::rotation_matrix(truth[i]);
-    double best = 360.0;
-    for (const auto& g : symmetry.operations()) {
-      best = std::min(best, em::geodesic_deg(est, drift * (g * tru)));
-    }
-    errors.push_back(best);
-  }
-  return errors;
-}
-
-double estimated_drift_deg(const std::vector<em::Orientation>& estimated,
-                           const std::vector<em::Orientation>& truth,
-                           const em::SymmetryGroup& symmetry) {
-  return em::geodesic_deg(drift_rotation(estimated, truth, symmetry),
-                          em::Mat3::identity());
 }
 
 }  // namespace por::metrics

@@ -38,20 +38,4 @@ struct ErrorStats {
     const std::vector<em::Orientation>& truth,
     const em::SymmetryGroup& symmetry);
 
-/// Per-view errors with the common drift rotation removed: estimate
-/// the mean of g_i = R_est,i * R_truth,i^T (after resolving each view
-/// to its nearest symmetry mate), then report the residual scatter
-/// angle(R_est,i, G * R_truth,i).  Separates "the whole frame rotated"
-/// (irrelevant to map quality) from genuine per-view error.
-[[nodiscard]] std::vector<double> drift_corrected_errors_deg(
-    const std::vector<em::Orientation>& estimated,
-    const std::vector<em::Orientation>& truth,
-    const em::SymmetryGroup& symmetry);
-
-/// The drift rotation itself (degrees from identity), for reporting.
-[[nodiscard]] double estimated_drift_deg(
-    const std::vector<em::Orientation>& estimated,
-    const std::vector<em::Orientation>& truth,
-    const em::SymmetryGroup& symmetry);
-
 }  // namespace por::metrics

@@ -45,15 +45,6 @@ std::string json_escape(const std::string& s) {
   return out;
 }
 
-/// Prometheus metric names: [a-zA-Z_:][a-zA-Z0-9_:]*.
-std::string prom_sanitize(const std::string& name) {
-  std::string out = "por_";
-  for (char c : name) {
-    out += (std::isalnum(static_cast<unsigned char>(c)) != 0) ? c : '_';
-  }
-  return out;
-}
-
 // ---- minimal JSON parser (inverse of to_json) -----------------------------
 
 struct JsonValue {
@@ -272,59 +263,6 @@ const JsonValue* find(const JsonValue& object, const std::string& key) {
 }
 
 }  // namespace
-
-// ---- Prometheus ------------------------------------------------------------
-
-std::string to_prometheus(const Snapshot& snapshot) {
-  std::ostringstream os;
-  for (const auto& [name, value] : snapshot.counters) {
-    const std::string prom = prom_sanitize(name);
-    os << "# TYPE " << prom << " counter\n";
-    os << prom << " " << value << "\n";
-  }
-  for (const auto& [name, value] : snapshot.gauges) {
-    const std::string prom = prom_sanitize(name);
-    os << "# TYPE " << prom << " gauge\n";
-    os << prom << " " << fmt_double(value) << "\n";
-  }
-  for (const auto& [name, data] : snapshot.histograms) {
-    const std::string prom = prom_sanitize(name);
-    os << "# TYPE " << prom << " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::size_t i = 0; i < data.bounds.size(); ++i) {
-      cumulative += data.buckets[i];
-      os << prom << "_bucket{le=\"" << fmt_double(data.bounds[i]) << "\"} "
-         << cumulative << "\n";
-    }
-    os << prom << "_bucket{le=\"+Inf\"} " << data.count << "\n";
-    os << prom << "_sum " << fmt_double(data.sum) << "\n";
-    os << prom << "_count " << data.count << "\n";
-    // Pre-computed summary-style quantiles (interpolated from the
-    // buckets) so dashboards get p50/p95/p99 without PromQL.  Labels
-    // are spelled literally — %.17g would render 0.99 as
-    // 0.98999999999999999.
-    if (data.count > 0) {
-      static constexpr struct {
-        const char* label;
-        double q;
-      } kQuantiles[] = {{"0.5", 0.5}, {"0.95", 0.95}, {"0.99", 0.99}};
-      for (const auto& [label, q] : kQuantiles) {
-        os << prom << "_quantile{quantile=\"" << label << "\"} "
-           << fmt_double(histogram_quantile(data, q)) << "\n";
-      }
-    }
-  }
-  for (const auto& [name, data] : snapshot.spans) {
-    const std::string prom = prom_sanitize(name);
-    os << "# TYPE " << prom << "_seconds_total counter\n";
-    os << prom << "_seconds_total "
-       << fmt_double(static_cast<double>(data.total_ns) * 1e-9) << "\n";
-    os << prom << "_count " << data.count << "\n";
-    os << prom << "_seconds_max "
-       << fmt_double(static_cast<double>(data.max_ns) * 1e-9) << "\n";
-  }
-  return os.str();
-}
 
 // ---- JSON ------------------------------------------------------------------
 

@@ -1,10 +1,9 @@
 // por/obs/export.hpp
 //
-// Snapshot serialization: Prometheus text exposition format (for
-// scraping a long-running service) and a JSON document (the run-report
-// format, also used as the wire format when per-rank snapshots travel
-// over vmpi).  `snapshot_from_json` inverts `to_json` exactly, so a
-// snapshot round-trips losslessly — the RunReport gather relies on it.
+// Snapshot serialization as a JSON document: the run-report format,
+// also used as the wire format when per-rank snapshots travel over
+// vmpi.  `snapshot_from_json` inverts `to_json` exactly, so a snapshot
+// round-trips losslessly — the RunReport gather relies on it.
 #pragma once
 
 #include <string>
@@ -12,13 +11,6 @@
 #include "por/obs/registry.hpp"
 
 namespace por::obs {
-
-/// Prometheus text format (version 0.0.4).  Metric names are sanitized
-/// (dots and other non-[a-zA-Z0-9_] characters become underscores) and
-/// prefixed with "por_".  Histograms emit cumulative `_bucket{le=...}`
-/// series plus `_sum` / `_count`; spans emit `_count`, `_seconds_total`
-/// and `_seconds_max`.
-[[nodiscard]] std::string to_prometheus(const Snapshot& snapshot);
 
 /// JSON document with four top-level objects: "counters", "gauges",
 /// "histograms", "spans".  Deterministic key order (snapshots are

@@ -47,7 +47,7 @@
 // thread): serve.jobs.* counters, per-tenant serve.tenant.<name>.*
 // counters, queue-depth / running gauges, and the log-bucket
 // serve.job_latency_seconds histogram whose p50/p95/p99 land in every
-// JSON / Prometheus export.
+// JSON export.
 #pragma once
 
 #include <condition_variable>

@@ -44,12 +44,16 @@ long long CliParser::get_int(const std::string& name,
   queried_.insert(name);
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
+  // The whole value must parse: std::stoll alone reads "300x" as 300.
   try {
-    return std::stoll(it->second);
+    std::size_t used = 0;
+    const long long value = std::stoll(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + " expects an integer, got '" +
-                                it->second + "'");
+    // Not a number at all; rejected below.
   }
+  throw std::invalid_argument("--" + name + " expects an integer, got '" +
+                              it->second + "'");
 }
 
 double CliParser::get_double(const std::string& name, double fallback) const {
@@ -57,11 +61,14 @@ double CliParser::get_double(const std::string& name, double fallback) const {
   auto it = options_.find(name);
   if (it == options_.end()) return fallback;
   try {
-    return std::stod(it->second);
+    std::size_t used = 0;
+    const double value = std::stod(it->second, &used);
+    if (used == it->second.size()) return value;
   } catch (const std::exception&) {
-    throw std::invalid_argument("--" + name + " expects a number, got '" +
-                                it->second + "'");
+    // Not a number at all; rejected below.
   }
+  throw std::invalid_argument("--" + name + " expects a number, got '" +
+                              it->second + "'");
 }
 
 bool CliParser::get_bool(const std::string& name, bool fallback) const {

@@ -233,11 +233,6 @@ class Comm {
   template <typename T>
   [[nodiscard]] std::vector<T> scatter(int root, const std::vector<T>& all);
 
-  /// Variable-size scatter: root sends chunks[r] to rank r.
-  template <typename T>
-  [[nodiscard]] std::vector<T> scatterv(
-      int root, const std::vector<std::vector<T>>& chunks);
-
   /// Root receives every rank's `mine` concatenated in rank order.
   /// Non-root ranks get an empty vector.
   template <typename T>
@@ -318,24 +313,6 @@ std::vector<T> Comm::scatter(int root, const std::vector<T>& all) {
         mine = std::move(piece);
       } else {
         send(r, kScatterTag, piece);
-      }
-    }
-    return mine;
-  }
-  return recv<T>(root, kScatterTag);
-}
-
-template <typename T>
-std::vector<T> Comm::scatterv(int root,
-                              const std::vector<std::vector<T>>& chunks) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  if (rank_ == root) {
-    std::vector<T> mine;
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) {
-        mine = chunks[r];
-      } else {
-        send(r, kScatterTag, chunks[r]);
       }
     }
     return mine;

@@ -1,7 +1,6 @@
 #include "por/vmpi/runtime.hpp"
 
 #include <exception>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -19,16 +18,16 @@ RunReport run(int nranks, const FaultPlan& plan,
 
   detail::Context context(nranks, plan);
 
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
+  // One slot per rank, each written only by its own thread: the error
+  // rethrown below is chosen by rank, not by which thread threw first.
+  std::vector<std::exception_ptr> errors(static_cast<std::size_t>(nranks));
 
   auto rank_body = [&](int rank) {
     Comm comm(context, rank);
     try {
       rank_main(comm);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
+      errors[static_cast<std::size_t>(rank)] = std::current_exception();
     }
   };
 
@@ -50,7 +49,9 @@ RunReport run(int nranks, const FaultPlan& plan,
         context.recv_timeouts.load()};
   }
 
-  if (first_error) std::rethrow_exception(first_error);
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 
   return RunReport{context.traffic.messages(), context.traffic.bytes(),
                    context.traffic.barriers()};

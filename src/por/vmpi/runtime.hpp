@@ -20,9 +20,11 @@ struct RunReport {
 
 /// Spawn `nranks` threads, hand each a Comm bound to its rank, run
 /// `rank_main` on every rank, and join.  Exceptions thrown by any rank
-/// are captured and the first one is rethrown on the caller's thread
-/// after all ranks finish (a rank that throws mid-collective would
-/// deadlock its peers in real MPI too; tests exercise only the
+/// are captured and, after all ranks finish, the lowest-ranked one is
+/// rethrown on the caller's thread — deterministically, whatever order
+/// the ranks threw in, so the root's error wins over the errors its
+/// peers throw on hearing of it (a rank that throws mid-collective
+/// would deadlock its peers in real MPI too; tests exercise only the
 /// rethrow-after-completion contract).
 ///
 /// Returns the communication totals for the run.

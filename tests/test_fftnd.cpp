@@ -122,56 +122,4 @@ TEST(Fft3d, SeparableToneLandsInOneBin) {
   }
 }
 
-// ---- shifts -----------------------------------------------------------------
-
-TEST(Shift, Shift2dRoundTripEvenAndOdd) {
-  for (std::size_t ny : {8u, 9u}) {
-    for (std::size_t nx : {8u, 11u}) {
-      const auto x = random_field(ny * nx, ny + nx);
-      auto y = x;
-      fftshift2d(y.data(), ny, nx);
-      ifftshift2d(y.data(), ny, nx);
-      EXPECT_LT(max_err(y, x), 0.0 + 1e-15) << ny << "x" << nx;
-    }
-  }
-}
-
-TEST(Shift, Shift2dMovesOriginToCenter) {
-  const std::size_t n = 8;
-  std::vector<cdouble> x(n * n, {0, 0});
-  x[0] = {1, 0};  // value at index (0,0)
-  fftshift2d(x.data(), n, n);
-  EXPECT_NEAR(x[(n / 2) * n + n / 2].real(), 1.0, 1e-15);
-}
-
-TEST(Shift, Shift3dRoundTrip) {
-  for (std::size_t l : {6u, 7u}) {
-    const auto x = random_field(l * l * l, l);
-    auto y = x;
-    fftshift3d(y.data(), l, l, l);
-    ifftshift3d(y.data(), l, l, l);
-    EXPECT_LT(max_err(y, x), 1e-15) << "l=" << l;
-  }
-}
-
-TEST(Shift, Shift3dRoundTripNonCubicOdd) {
-  // Exercises the block-rotate z stage with nz != ny != nx and odd
-  // lengths on every axis (where fftshift and ifftshift differ).
-  const std::size_t nz = 5, ny = 6, nx = 7;
-  const auto x = random_field(nz * ny * nx, 99);
-  auto y = x;
-  fftshift3d(y.data(), nz, ny, nx);
-  ifftshift3d(y.data(), nz, ny, nx);
-  EXPECT_LT(max_err(y, x), 1e-15);
-}
-
-TEST(Shift, Shift3dMovesOriginToCenter) {
-  const std::size_t l = 6;
-  std::vector<cdouble> x(l * l * l, {0, 0});
-  x[0] = {1, 0};
-  fftshift3d(x.data(), l, l, l);
-  const std::size_t c = l / 2;
-  EXPECT_NEAR(x[(c * l + c) * l + c].real(), 1.0, 1e-15);
-}
-
 }  // namespace

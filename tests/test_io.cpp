@@ -7,7 +7,6 @@
 
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
-#include "por/io/pgm.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/sharded_stack.hpp"
 #include "por/util/rng.hpp"
@@ -202,55 +201,6 @@ TEST_F(IoTest, OrientationRejectsMalformedLine) {
 TEST_F(IoTest, OrientationRejectsMissingFile) {
   EXPECT_THROW((void)io::read_orientations(path("nope.txt")),
                std::runtime_error);
-}
-
-// ---- pgm --------------------------------------------------------------------
-
-TEST_F(IoTest, PgmWritesValidHeaderAndSize) {
-  em::Image<double> img = random_image(12, 6);
-  io::write_pgm(path("img.pgm"), img);
-  std::ifstream in(path("img.pgm"), std::ios::binary);
-  std::string magic;
-  std::size_t w = 0, h = 0;
-  int maxval = 0;
-  in >> magic >> w >> h >> maxval;
-  EXPECT_EQ(magic, "P5");
-  EXPECT_EQ(w, 12u);
-  EXPECT_EQ(h, 12u);
-  EXPECT_EQ(maxval, 255);
-  in.get();  // single whitespace after header
-  std::vector<char> pixels(12 * 12);
-  in.read(pixels.data(), static_cast<std::streamsize>(pixels.size()));
-  EXPECT_EQ(in.gcount(), static_cast<std::streamsize>(pixels.size()));
-}
-
-TEST_F(IoTest, PgmNormalizesFullRange) {
-  em::Image<double> img(2, 2);
-  img(0, 0) = -5.0;
-  img(1, 1) = 5.0;
-  io::write_pgm(path("range.pgm"), img);
-  std::ifstream in(path("range.pgm"), std::ios::binary);
-  std::string line;
-  std::getline(in, line);  // P5
-  std::getline(in, line);  // dims
-  std::getline(in, line);  // maxval
-  unsigned char pixels[4];
-  in.read(reinterpret_cast<char*>(pixels), 4);
-  EXPECT_EQ(pixels[0], 0);    // minimum maps to 0
-  EXPECT_EQ(pixels[3], 255);  // maximum maps to 255
-}
-
-TEST_F(IoTest, PgmSectionTakesCentralSlice) {
-  em::Volume<double> vol(6, 0.0);
-  vol(3, 2, 4) = 1.0;  // central z-slice = 3
-  EXPECT_NO_THROW(io::write_pgm_section(path("sec.pgm"), vol));
-  EXPECT_THROW(io::write_pgm_section(path("bad.pgm"), em::Volume<double>{}),
-               std::invalid_argument);
-}
-
-TEST_F(IoTest, PgmRejectsEmptyImage) {
-  EXPECT_THROW(io::write_pgm(path("e.pgm"), em::Image<double>{}),
-               std::invalid_argument);
 }
 
 }  // namespace

@@ -103,31 +103,7 @@ TEST(FourierDistance, RejectsSizeMismatch) {
       std::invalid_argument);
 }
 
-TEST(FourierCorrelation, PerfectAndAnti) {
-  const Image<cdouble> f = random_spectrum(12, 7);
-  Image<cdouble> neg(12, 12);
-  for (std::size_t i = 0; i < f.size(); ++i) {
-    neg.storage()[i] = -f.storage()[i];
-  }
-  DistanceOptions options;
-  EXPECT_NEAR(fourier_correlation(f, f, options), 1.0, 1e-12);
-  EXPECT_NEAR(fourier_correlation(f, neg, options), -1.0, 1e-12);
-}
-
-TEST(FourierCorrelation, ZeroSpectrumGivesZero) {
-  const Image<cdouble> f = random_spectrum(8, 9);
-  const Image<cdouble> zero(8, 8, {0, 0});
-  DistanceOptions options;
-  EXPECT_DOUBLE_EQ(fourier_correlation(f, zero, options), 0.0);
-}
-
 // ---- real-space -----------------------------------------------------------------
-
-TEST(RealspaceDistance, BasicProperties) {
-  Image<double> a(4, 4, 1.0), b(4, 4, 3.0);
-  EXPECT_DOUBLE_EQ(realspace_distance(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(realspace_distance(a, b), 4.0);  // (2^2 * 16)/16
-}
 
 TEST(RealspaceCorrelation, InvariantToAffineRescaling) {
   const BlobModel model = por::test::small_phantom(16, 8);
@@ -331,73 +307,6 @@ TEST(Summarize, StatisticsAreCorrect) {
 
 TEST(Summarize, OddCountMedian) {
   EXPECT_DOUBLE_EQ(summarize({3.0, 1.0, 2.0}).median, 2.0);
-}
-
-TEST(DriftCorrection, RemovesPureGlobalRotation) {
-  // Every estimate = drift * truth: raw errors are the drift angle,
-  // corrected errors vanish.
-  const Mat3 drift = rotation_matrix({3.0, 2.0, 355.0});
-  util::Rng rng(41);
-  std::vector<Orientation> truth, estimated;
-  for (int i = 0; i < 12; ++i) {
-    const Orientation t{rng.uniform(0, 180), rng.uniform(0, 360),
-                        rng.uniform(0, 360)};
-    truth.push_back(t);
-    estimated.push_back(euler_from_matrix(drift * rotation_matrix(t)));
-  }
-  const auto identity = SymmetryGroup::identity();
-  const auto raw = orientation_error_stats(estimated, truth, identity);
-  EXPECT_GT(raw.mean, 1.0);
-  const auto corrected =
-      summarize(drift_corrected_errors_deg(estimated, truth, identity));
-  EXPECT_LT(corrected.mean, 0.01);
-  EXPECT_NEAR(estimated_drift_deg(estimated, truth, identity), raw.mean, 0.1);
-}
-
-TEST(DriftCorrection, PreservesGenuineScatter) {
-  // Independent per-view noise has no common drift; correction must
-  // not hide it.
-  util::Rng rng(43);
-  std::vector<Orientation> truth, estimated;
-  for (int i = 0; i < 20; ++i) {
-    const Orientation t{rng.uniform(20, 160), rng.uniform(0, 360),
-                        rng.uniform(0, 360)};
-    truth.push_back(t);
-    estimated.push_back({t.theta + rng.uniform(-2, 2),
-                         t.phi + rng.uniform(-2, 2),
-                         t.omega + rng.uniform(-2, 2)});
-  }
-  const auto identity = SymmetryGroup::identity();
-  const auto raw = orientation_error_stats(estimated, truth, identity);
-  const auto corrected =
-      summarize(drift_corrected_errors_deg(estimated, truth, identity));
-  // Correction may trim a little (the accidental mean) but the scatter
-  // must remain the same order.
-  EXPECT_GT(corrected.mean, 0.5 * raw.mean);
-}
-
-TEST(DriftCorrection, WorksThroughSymmetryMates) {
-  const auto c4 = SymmetryGroup::cyclic(4);
-  const Mat3 drift = rotation_matrix({2.0, 1.0, 0.5});
-  util::Rng rng(47);
-  std::vector<Orientation> truth, estimated;
-  for (int i = 0; i < 10; ++i) {
-    const Orientation t{rng.uniform(20, 160), rng.uniform(0, 360),
-                        rng.uniform(0, 360)};
-    truth.push_back(t);
-    // Estimate = drift * (random symmetry mate of truth).
-    const auto& g = c4.operations()[rng.uniform_index(4)];
-    estimated.push_back(euler_from_matrix(drift * (g * rotation_matrix(t))));
-  }
-  const auto corrected =
-      summarize(drift_corrected_errors_deg(estimated, truth, c4));
-  EXPECT_LT(corrected.mean, 0.01);
-}
-
-TEST(DriftCorrection, RejectsEmptyInput) {
-  EXPECT_THROW((void)drift_corrected_errors_deg({}, {},
-                                                SymmetryGroup::identity()),
-               std::invalid_argument);
 }
 
 TEST(Summarize, EmptyIsAllZero) {

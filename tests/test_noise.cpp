@@ -65,23 +65,6 @@ TEST(AddNoise, ConstantImageUnchanged) {
   EXPECT_EQ(flat, Image<double>(8, 8, 1.0));
 }
 
-TEST(Normalize, ProducesZeroMeanUnitVariance) {
-  const BlobModel model = por::test::small_phantom(24, 10);
-  Image<double> img = model.project_analytic(24, {30, 30, 30});
-  normalize(img);
-  double mean = 0.0;
-  for (double v : img.storage()) mean += v;
-  mean /= static_cast<double>(img.size());
-  EXPECT_NEAR(mean, 0.0, 1e-10);
-  EXPECT_NEAR(image_variance(img), 1.0, 1e-10);
-}
-
-TEST(Normalize, ConstantImageLeftAlone) {
-  Image<double> flat(4, 4, 7.0);
-  normalize(flat);
-  EXPECT_EQ(flat, Image<double>(4, 4, 7.0));
-}
-
 TEST(AddNoise, DeterministicGivenSeed) {
   const BlobModel model = por::test::small_phantom(16, 5);
   Image<double> a = model.project_analytic(16, {0, 0, 0});

@@ -1,6 +1,6 @@
 // Tests for the por::obs observability subsystem: registry semantics
 // under concurrency, histogram bucketing, span aggregation + trace
-// nesting, Prometheus/JSON export (with exact round-trip), and the
+// nesting, JSON export (with exact round-trip), and the
 // cross-rank RunReport merge over a vmpi runtime.
 
 #include <gtest/gtest.h>
@@ -283,26 +283,6 @@ TEST(Span, AggregateSurvivesAcrossThreads) {
 }
 
 // ---- exporters --------------------------------------------------------------
-
-TEST(Export, PrometheusTextFormat) {
-  obs::MetricsRegistry registry;
-  registry.counter("fft.1d.transforms").add(3);
-  registry.gauge("pool.queue_depth").set(2.0);
-  // Bounds exactly representable in binary, so %.17g prints them short.
-  registry.histogram("wait", {0.25, 1.0}).observe(0.05);
-  registry.span_series("step.match").record(2'000'000'000);  // 2 s
-  const std::string text = obs::to_prometheus(registry.snapshot());
-  EXPECT_NE(text.find("# TYPE por_fft_1d_transforms counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("por_fft_1d_transforms 3"), std::string::npos);
-  EXPECT_NE(text.find("por_pool_queue_depth 2"), std::string::npos);
-  EXPECT_NE(text.find("por_wait_bucket{le=\"0.25\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("por_wait_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("por_step_match_seconds_total 2"), std::string::npos);
-  EXPECT_NE(text.find("por_step_match_count 1"), std::string::npos);
-  EXPECT_NE(text.find("por_wait_quantile{quantile=\"0.99\"}"),
-            std::string::npos);
-}
 
 TEST(Export, JsonCarriesHistogramQuantiles) {
   obs::MetricsRegistry registry;

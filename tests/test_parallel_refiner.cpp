@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <unistd.h>
 
 #include "por/core/parallel_pipeline.hpp"
@@ -8,6 +11,7 @@
 #include "por/metrics/fsc.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
+#include "por/resilience/error.hpp"
 #include "por/stream/sharded_stack.hpp"
 #include "por/vmpi/runtime.hpp"
 #include "test_helpers.hpp"
@@ -123,7 +127,7 @@ TEST(ParallelRefiner, RejectsIndivisiblePaddedEdge) {
       vmpi::run(3,
                 [&](vmpi::Comm& comm) {
                   // padded edge 32 is not divisible by 3; all ranks
-                  // throw before communicating.
+                  // throw before the 3D DFT.
                   (void)parallel_refine(comm, w.map, w.l, w.views, w.initials,
                                         w.centers, fast_config());
                 }),
@@ -182,6 +186,164 @@ TEST(ParallelCycle, ImprovedOrientationsImproveTheMap) {
   EXPECT_GE(metrics::volume_correlation(cycled, truth),
             metrics::volume_correlation(initial_map, truth) - 1e-6);
 }
+
+/// How one rank left a driver call.
+enum class Exit { kReturned, kTimedOut, kThrew };
+
+/// Run `call` on p ranks, each under a 2 s deadline and catching its
+/// own exception, so a rank left waiting on a peer that has thrown
+/// surfaces as kTimedOut instead of hanging the test.
+std::vector<Exit> exits_on_ranks(int p,
+                                 const std::function<void(vmpi::Comm&)>& call) {
+  std::vector<Exit> exits(static_cast<std::size_t>(p), Exit::kReturned);
+  vmpi::run(p, [&](vmpi::Comm& comm) {
+    comm.set_deadline(std::chrono::seconds(2));
+    Exit& mine = exits[static_cast<std::size_t>(comm.rank())];
+    try {
+      call(comm);
+    } catch (const vmpi::CommTimeout&) {
+      mine = Exit::kTimedOut;
+    } catch (const std::exception&) {
+      mine = Exit::kThrew;
+    }
+  });
+  return exits;
+}
+
+const char* describe(Exit exit) {
+  switch (exit) {
+    case Exit::kReturned: return "returned";
+    case Exit::kTimedOut: return "timed out waiting on a peer";
+    case Exit::kThrew: return "threw";
+  }
+  return "?";
+}
+
+/// fast_config with a padded edge (16 * 3 = 48) that 2 and 3 ranks
+/// both divide, so only the bad input can stop the run.
+RefinerConfig divisible_config() {
+  RefinerConfig config = fast_config();
+  config.match.pad = 3;
+  return config;
+}
+
+class RootInputErrorRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(RootInputErrorRanks, InMemoryDriverThrowsOnEveryRank) {
+  // 4 views, 3 initial orientations: root rejects its input.
+  Workload w(4);
+  w.initials.pop_back();
+  const std::vector<Exit> exits =
+      exits_on_ranks(GetParam(), [&](vmpi::Comm& comm) {
+        (void)parallel_refine(comm, w.map, w.l, w.views, w.initials, {},
+                              divisible_config());
+      });
+  for (std::size_t r = 0; r < exits.size(); ++r) {
+    EXPECT_EQ(exits[r], Exit::kThrew)
+        << "rank " << r << " " << describe(exits[r]);
+  }
+}
+
+TEST_P(RootInputErrorRanks, FileDriverThrowsOnEveryRank) {
+  const int p = GetParam();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("por_prefine_bad_" + std::to_string(::getpid()) + "_" +
+                        std::to_string(p));
+  fs::create_directories(dir);
+  Workload w(4);
+  const std::string map_path = (dir / "map.porm").string();
+  const std::string stack_path = (dir / "views.shards").string();
+  const std::string in_path = (dir / "init.txt").string();
+  io::write_map(map_path, w.map);
+  stream::write_sharded_stack(stack_path, w.views);
+  // 4-view stack, 3-record orientation file.
+  std::vector<io::ViewOrientation> records;
+  for (std::size_t i = 0; i + 1 < w.views.size(); ++i) {
+    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
+  }
+  io::write_orientations(in_path, records);
+
+  const std::vector<Exit> exits = exits_on_ranks(p, [&](vmpi::Comm& comm) {
+    (void)parallel_refine_files(comm, map_path, stack_path, in_path,
+                                (dir / "refined.txt").string(),
+                                divisible_config());
+  });
+  for (std::size_t r = 0; r < exits.size(); ++r) {
+    EXPECT_EQ(exits[r], Exit::kThrew)
+        << "rank " << r << " " << describe(exits[r]);
+  }
+  fs::remove_all(dir);
+}
+
+TEST_P(RootInputErrorRanks, RunRethrowsRootsErrorEveryTime) {
+  // Root's error, not the runtime_error its peers throw on hearing the
+  // verdict, is what vmpi::run hands back, however the rank threads
+  // interleave: repeat each bad input many times.
+  const int p = GetParam();
+  const fs::path dir = fs::temp_directory_path() /
+                       ("por_prefine_root_" + std::to_string(::getpid()) +
+                        "_" + std::to_string(p));
+  fs::create_directories(dir);
+  Workload w(4);  // 16 x 16 views
+  const std::string map_path = (dir / "map.porm").string();
+  const std::string map8_path = (dir / "map8.porm").string();
+  const std::string garbage_path = (dir / "garbage.porm").string();
+  const std::string stack_path = (dir / "views.shards").string();
+  const std::string in_path = (dir / "init.txt").string();
+  const std::string short_path = (dir / "short.txt").string();
+  io::write_map(map_path, w.map);
+  io::write_map(map8_path, w.model.rasterize(8));
+  std::ofstream(garbage_path) << "not a map";
+  stream::write_sharded_stack(stack_path, w.views);
+  std::vector<io::ViewOrientation> records;
+  for (std::size_t i = 0; i < w.views.size(); ++i) {
+    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
+  }
+  io::write_orientations(in_path, records);
+  records.pop_back();
+  io::write_orientations(short_path, records);
+  std::vector<Orientation> short_initials = w.initials;
+  short_initials.pop_back();
+
+  const auto files = [&](const std::string& map, const std::string& in) {
+    return [&, map, in] {
+      vmpi::run(p, [&](vmpi::Comm& comm) {
+        comm.set_deadline(std::chrono::seconds(2));
+        (void)parallel_refine_files(comm, map, stack_path, in,
+                                    (dir / "refined.txt").string(),
+                                    divisible_config());
+      });
+    };
+  };
+  const auto in_memory = [&] {
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      comm.set_deadline(std::chrono::seconds(2));
+      (void)parallel_refine(comm, w.map, w.l, w.views, short_initials, {},
+                            divisible_config());
+    });
+  };
+  const auto map_edge = files(map8_path, in_path);
+  const auto file_count = files(map_path, short_path);
+  const auto corrupt_map = files(garbage_path, in_path);
+  for (int trial = 0; trial < 100; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    EXPECT_THROW(map_edge(), std::invalid_argument);
+    EXPECT_THROW(file_count(), std::invalid_argument);
+    EXPECT_THROW(in_memory(), std::invalid_argument);
+    try {
+      corrupt_map();
+      ADD_FAILURE() << "a corrupt map was accepted";
+    } catch (const resilience::Error& error) {
+      EXPECT_EQ(error.kind(), resilience::ErrorKind::kCorrupt);
+    } catch (const std::exception& error) {
+      ADD_FAILURE() << "a peer's error won: " << error.what();
+    }
+  }
+  EXPECT_FALSE(fs::exists(dir / "refined.txt"));
+  fs::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, RootInputErrorRanks, ::testing::Values(2, 3));
 
 TEST(ParallelRefiner, FileBasedDriverRoundTrips) {
   const fs::path dir =

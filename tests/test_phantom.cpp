@@ -147,15 +147,4 @@ TEST(StockPhantoms, DeterministicForEqualSeeds) {
   }
 }
 
-TEST(StockPhantoms, PhageBreaksGlobalSymmetry) {
-  PhantomSpec spec;
-  spec.l = 24;
-  const BlobModel model = make_phage_like(spec);
-  const Volume<double> map = model.rasterize(24);
-  // The C6 tail keeps a 6-fold about z but a 2-fold about x must fail.
-  EXPECT_LT(por::metrics::volume_correlation(
-                map, rotate_volume(map, Mat3::rot_x(M_PI))),
-            0.9);
-}
-
 }  // namespace

@@ -8,7 +8,6 @@
 #include "por/em/projection.hpp"
 #include "por/io/master_io.hpp"
 #include "por/metrics/fsc.hpp"
-#include "por/recon/backprojection.hpp"
 #include "por/recon/fourier_recon.hpp"
 #include "por/recon/parallel_recon.hpp"
 #include "por/vmpi/runtime.hpp"
@@ -29,6 +28,20 @@ TEST(FourierRecon, RecoversPhantomFromManyViews) {
   const Volume<double> map =
       recon::fourier_reconstruct(set.views, set.orientations);
   EXPECT_GT(metrics::volume_correlation(map, truth), 0.97);
+}
+
+TEST(FourierRecon, BeatsBackprojectionFloorOnSparseSet) {
+  // A small, sparse set: l = 16 from 30 views.  The floor is what
+  // ramp-filtered real-space backprojection reached on this set
+  // (0.8369); the paper's Fourier method must stay above it.
+  const std::size_t l = 16;
+  const BlobModel model = small_phantom(l, 8);
+  const Volume<double> truth = model.rasterize(l);
+  const auto set = make_views(model, l, 30, 13);
+  EXPECT_GT(metrics::volume_correlation(
+                recon::fourier_reconstruct(set.views, set.orientations),
+                truth),
+            0.837);
 }
 
 TEST(FourierRecon, AmplitudeScaleIsUnity) {
@@ -265,43 +278,6 @@ TEST(Accumulator, StoresTheHalfGrid) {
   options.pad = 1;
   const recon::FourierAccumulator odd(7, options);
   EXPECT_EQ(odd.cells.nx(), 4u);
-}
-
-TEST(Backprojection, RecoversCoarseStructure) {
-  const std::size_t l = 16;
-  const BlobModel model = small_phantom(l, 8);
-  const Volume<double> truth = model.rasterize(l);
-  const auto set = make_views(model, l, 40, 11);
-  const Volume<double> map = recon::backproject(set.views, set.orientations);
-  EXPECT_GT(metrics::volume_correlation(map, truth), 0.7);
-}
-
-TEST(Backprojection, RampFilterSharpensMap) {
-  const std::size_t l = 16;
-  const BlobModel model = small_phantom(l, 8);
-  const Volume<double> truth = model.rasterize(l);
-  const auto set = make_views(model, l, 40, 12);
-  recon::BackprojectOptions with, without;
-  without.ramp_filter = false;
-  const double cc_with = metrics::volume_correlation(
-      recon::backproject(set.views, set.orientations, with), truth);
-  const double cc_without = metrics::volume_correlation(
-      recon::backproject(set.views, set.orientations, without), truth);
-  EXPECT_GT(cc_with, cc_without);
-}
-
-TEST(Backprojection, FourierMethodBeatsIt) {
-  // The paper's Cartesian Fourier reconstruction is the primary method;
-  // it must beat plain backprojection on the same data.
-  const std::size_t l = 16;
-  const BlobModel model = small_phantom(l, 8);
-  const Volume<double> truth = model.rasterize(l);
-  const auto set = make_views(model, l, 30, 13);
-  const double cc_fourier = metrics::volume_correlation(
-      recon::fourier_reconstruct(set.views, set.orientations), truth);
-  const double cc_bp = metrics::volume_correlation(
-      recon::backproject(set.views, set.orientations), truth);
-  EXPECT_GT(cc_fourier, cc_bp);
 }
 
 class ParallelReconRanks : public ::testing::TestWithParam<int> {};

@@ -791,8 +791,10 @@ TEST(StreamedDrivers, ViewEdgeMustMatchMapEdge) {
   write_initials(orient_in, w);
 
   RefinerConfig config = fast_config();
-  // Two ranks: the peer waiting on the root gives up at the deadline,
-  // after the root's own error, which vmpi::run rethrows.
+  // Two ranks: root rejects the stack before the first collective and
+  // its peer throws on hearing the verdict; vmpi::run rethrows root's
+  // error, the lowest-ranked one.  The deadline turns a peer left
+  // waiting into a failure instead of a hang.
   config.resilience.comm_deadline = std::chrono::milliseconds{500};
   for (const int p : {1, 2}) {
     SCOPED_TRACE(testing::Message() << p << " ranks");

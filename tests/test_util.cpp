@@ -162,9 +162,12 @@ TEST(Cli, PositionalArguments) {
 }
 
 TEST(Cli, RejectsMalformedNumbers) {
-  const char* argv[] = {"prog", "--n=abc"};
-  CliParser cli(2, argv);
+  const char* argv[] = {"prog", "--n=abc", "--views", "300x", "--r_map=6,5"};
+  CliParser cli(5, argv);
   EXPECT_THROW((void)cli.get_int("n", 0), std::invalid_argument);
+  // A valid prefix followed by garbage is not a number either.
+  EXPECT_THROW((void)cli.get_int("views", 0), std::invalid_argument);
+  EXPECT_THROW((void)cli.get_double("r_map", 0.0), std::invalid_argument);
 }
 
 TEST(Cli, AssertAllConsumedCatchesTypos) {

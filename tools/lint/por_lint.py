@@ -31,6 +31,15 @@ rules generic tools cannot express:
                     sibling .cpp — a contract that is only prose is not
                     machine-checked.
 
+  orphan-header     Every src/por/**/*.hpp must be reached by the
+                    #include closure of bench/, examples/ and
+                    perfbench/, where a reached header also pulls in
+                    its sibling .cpp.  A module no workload reaches is
+                    deleted, not kept alive by its own tests.  A header
+                    that is deliberately off that graph (a build-time
+                    tool) carries the waiver in its leading comment
+                    block.
+
   hot-path-alloc    Files marked ``// POR_HOT_PATH`` (first lines) carry
                     the zero-allocation steady-state contract
                     (por/util/arena.hpp): no raw ``new`` expressions and
@@ -63,6 +72,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from lint_common import Finding, add_output_args, emit  # noqa: E402
 
 SOURCE_DIRS = ("src", "bench", "examples")
+# The workloads: the orphan-header closure starts from every file here.
+WORKLOAD_DIRS = ("bench", "examples", "perfbench")
 TEST_DIRS = ("tests",)
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 
@@ -98,6 +109,7 @@ HOT_PATH_MARKER_RE = re.compile(r"^//\s*POR_HOT_PATH\b")
 # Raw new expressions; `new` in identifiers or comments does not match.
 HOT_NEW_RE = re.compile(r"\bnew\b(?!\s*[;,)\]])")
 HOT_VECTOR_RE = re.compile(r"\bstd::vector\s*<")
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 CONTRACT_MACRO_RE = re.compile(
     r"\b(POR_EXPECT|POR_ENSURE|POR_BOUNDS|POR_FINITE)\s*\("
 )
@@ -239,6 +251,69 @@ def check_contract_comments(root: Path, files: list[Path]) -> list[Finding]:
     return findings
 
 
+def resolve_include(root: Path, includer: Path, target: str) -> Path | None:
+    """A quoted include, searched next to the includer, then under src/."""
+    for base in (includer.parent, root / "src"):
+        candidate = (base / target).resolve()
+        if candidate.is_file():
+            return candidate
+    return None
+
+
+def workload_closure(root: Path) -> set[Path]:
+    """Every file the workloads reach: the quoted-#include closure of
+    WORKLOAD_DIRS, where a reached header also brings its sibling .cpp
+    (the definitions the workload links)."""
+    todo = [p.resolve() for d in WORKLOAD_DIRS if (root / d).is_dir()
+            for p in sorted((root / d).rglob("*"))
+            if p.suffix in CPP_SUFFIXES and p.is_file()]
+    reached: set[Path] = set()
+    while todo:
+        path = todo.pop()
+        if path in reached:
+            continue
+        reached.add(path)
+        sibling = path.with_suffix(".cpp")
+        if path.suffix != ".cpp" and sibling.is_file():
+            todo.append(sibling)
+        for line in path.read_text(encoding="utf-8",
+                                   errors="replace").splitlines():
+            match = INCLUDE_RE.match(line)
+            if match:
+                target = resolve_include(root, path, match.group(1))
+                if target is not None:
+                    todo.append(target)
+    return reached
+
+
+def check_orphan_headers(root: Path, files: list[Path]) -> list[Finding]:
+    reached = workload_closure(root)
+    findings: list[Finding] = []
+    for path in files:
+        rel = path.relative_to(root).as_posix()
+        if (not rel.startswith("src/por/") or path.suffix != ".hpp"
+                or path.resolve() in reached):
+            continue
+        lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
+        leading = []
+        for line in lines:
+            if not line.lstrip().startswith("//"):
+                break
+            leading.append(line)
+        reasons = [m.group(2).strip() for line in leading
+                   for m in WAIVER_RE.finditer(line)
+                   if m.group(1) == "orphan-header"]
+        if reasons and all(reasons):
+            continue
+        findings.append(
+            Finding(rel, 1, "orphan-header",
+                    "waiver without a reason — justify it" if reasons else
+                    "no bench, example or perfbench file reaches this header "
+                    "through #include; delete the module (and its tests) or "
+                    "give it a caller"))
+    return findings
+
+
 def collect_files(root: Path) -> list[Path]:
     files: list[Path] = []
     for d in SOURCE_DIRS + TEST_DIRS:
@@ -274,6 +349,7 @@ def main() -> int:
     for path in files:
         findings.extend(check_file(root, path))
     findings.extend(check_contract_comments(root, files))
+    findings.extend(check_orphan_headers(root, files))
 
     return emit("por_lint", findings, len(files),
                 fmt=args.format, json_out=args.json_out)
