@@ -7,28 +7,24 @@
 //   write    streaming generation throughput through ShardedStackWriter
 //            (the stack is never in memory — one shard of pixels is the
 //            writer's whole footprint),
-//   sweep    whole-stack streaming read throughput through a ViewCursor
-//            over a budgeted ShardedViewSource: every byte of every view
-//            flows through mmap -> prefetch arena -> consumer while the
-//            LRU keeps residency under the budget,
+//   sweep    whole-stack read throughput over a budgeted
+//            ShardedViewSource: a will_need hint per shard, then every
+//            view fetched in order, while the LRU keeps residency
+//            under the budget,
 //   refine   the paper workload: OrientationRefiner::refine() on views
-//            held in core vs refine_stream() on the same views streamed
+//            held in core vs refine_stream() on the same views read
 //            from the shards, same map, same initial orientations.
+//            Each leg runs kRefineReps times, alternating which leg
+//            goes first, and the legs are compared by their medians.
 //
 // Hard gates (exit 1, CI fails the job):
 //   * streamed refinement must be BITWISE identical to in-core —
-//     orientations, centers and distances, every view,
-//   * the streamed path's per-view (per-matching) time must be within
-//     --max_time_ratio of in-core (default 1.10: streaming may cost at
+//     orientations, centers and distances, every view, every run,
+//   * the streamed leg's median time must be within --max_time_ratio
+//     of the in-core leg's median (default 1.10: streaming may cost at
 //     most 10%),
-//   * the refine-phase prefetch stall fraction stalls/(hits+stalls)
-//     must stay under --max_stall_frac (default 0.05): refinement
-//     compute must hide the I/O.
-//
-// The raw sweep is reported but not stall-gated: with a trivial
-// consumer (a checksum) there is no compute to hide the copy behind,
-// so its stall fraction measures memory bandwidth, not pipeline
-// health.
+//   * the sweep's peak resident shard bytes must stay within
+//     --max_resident_mb.
 //
 // Defaults are the paper scale; CI smoke passes small flags instead
 // (see .github/workflows/ci.yml), so the committed BENCH_stream.json
@@ -38,13 +34,10 @@
 //        --views <count>       (default 7917)
 //        --shard_views <n>     (default 256 views per shard)
 //        --refine_views <n>    (default 24)
-//        --prefetch_depth <n>  (default 2)
-//        --batch_views <n>     (default 4, the refine chunk size)
 //        --max_resident_mb <n> (default 256)
 //        --r_map <px>          (default 16, the refine matching radius
 //                               — sets the per-view compute the
-//                               prefetch pipeline has to hide behind)
-//        --max_stall_frac <f>  (default 0.05)
+//                               reads are measured against)
 //        --max_time_ratio <f>  (default 1.10)
 //        --dir <path>          (default <tmp>/por_bench_stream; wiped)
 //        --keep                (keep the generated stack on disk)
@@ -65,7 +58,6 @@
 #include "por/obs/export.hpp"
 #include "por/obs/registry.hpp"
 #include "por/stream/sharded_stack.hpp"
-#include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/cli.hpp"
 #include "por/util/rng.hpp"
@@ -119,32 +111,36 @@ em::Volume<double> make_map(std::size_t l) {
   return map;
 }
 
-struct PrefetchCounters {
-  std::uint64_t hits = 0;
-  std::uint64_t stalls = 0;
-};
+// Runs per refine leg.  One ~0.9 s run per leg put the ratio anywhere
+// in 1.05-1.22 at paper scale; the median of five is stable enough to
+// gate at 1.10.
+constexpr int kRefineReps = 5;
 
-PrefetchCounters snapshot_prefetch() {
-  const auto snap = obs::current_registry().snapshot();
-  PrefetchCounters counters;
-  if (const auto it = snap.counters.find("stream.prefetch.hits");
-      it != snap.counters.end()) {
-    counters.hits = it->second;
-  }
-  if (const auto it = snap.counters.find("stream.prefetch.stalls");
-      it != snap.counters.end()) {
-    counters.stalls = it->second;
-  }
-  return counters;
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
 }
 
-double stall_fraction(const PrefetchCounters& before,
-                      const PrefetchCounters& after) {
-  const std::uint64_t hits = after.hits - before.hits;
-  const std::uint64_t stalls = after.stalls - before.stalls;
-  return (hits + stalls) > 0
-             ? static_cast<double>(stalls) / static_cast<double>(hits + stalls)
-             : 0.0;
+std::string json_array(const std::vector<double>& values) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    out += (i == 0 ? "" : ", ") + json_number(values[i]);
+  }
+  return out + "]";
+}
+
+bool bitwise_equal(const std::vector<core::ViewResult>& a,
+                   const std::vector<core::ViewResult>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::memcmp(&a[i].orientation, &b[i].orientation,
+                    sizeof(em::Orientation)) != 0 ||
+        a[i].center_x != b[i].center_x || a[i].center_y != b[i].center_y ||
+        a[i].final_distance != b[i].final_distance) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -158,14 +154,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(cli.get_int("shard_views", 256));
   const std::size_t refine_views =
       static_cast<std::size_t>(cli.get_int("refine_views", 24));
-  const std::size_t prefetch_depth =
-      static_cast<std::size_t>(cli.get_int("prefetch_depth", 2));
-  const std::size_t batch_views =
-      static_cast<std::size_t>(cli.get_int("batch_views", 4));
   const std::size_t max_resident_mb =
       static_cast<std::size_t>(cli.get_int("max_resident_mb", 256));
   const double r_map = cli.get_double("r_map", 16.0);
-  const double max_stall_frac = cli.get_double("max_stall_frac", 0.05);
   const double max_time_ratio = cli.get_double("max_time_ratio", 1.10);
   const std::string dir_flag = cli.get("dir", "");
   const bool keep = cli.get_bool("keep", false);
@@ -184,9 +175,9 @@ int main(int argc, char** argv) {
                           static_cast<double>(l * l) * sizeof(double) / 1e9;
   std::printf(
       "bench_stream: l=%zu views=%llu (%.2f GB raw) shard_views=%zu "
-      "budget=%zu MB depth=%zu batch=%zu\n",
+      "budget=%zu MB\n",
       l, static_cast<unsigned long long>(views), stack_gb, shard_views,
-      max_resident_mb, prefetch_depth, batch_views);
+      max_resident_mb);
 
   // ---- write: stream the synthetic stack to shards -------------------------
   double write_seconds = 0.0;
@@ -218,33 +209,29 @@ int main(int argc, char** argv) {
   read_options.views_per_shard = shard_views;
   read_options.max_resident_bytes = max_resident_mb << 20;
 
-  // ---- sweep: every view through the prefetching cursor --------------------
+  // ---- sweep: every view, one shard hint at a time -------------------------
   double sweep_seconds = 0.0;
-  double sweep_stall_frac = 0.0;
   double checksum = 0.0;
   std::size_t sweep_peak_resident = 0;
   {
     stream::ShardedViewSource source(base, read_options);
-    stream::PrefetchOptions prefetch;
-    prefetch.depth = prefetch_depth;
-    prefetch.batch_views = std::max<std::size_t>(batch_views, 32);
-    const PrefetchCounters before = snapshot_prefetch();
-    util::WallTimer timer;
-    stream::ViewCursor cursor(source, 0, views, prefetch);
     const std::size_t px = source.view_pixels();
-    while (const double* pixels = cursor.next()) {
+    std::vector<double> pixels(px);
+    util::WallTimer timer;
+    for (std::uint64_t i = 0; i < views; ++i) {
+      if (i % shard_views == 0) source.will_need(i, shard_views);
+      source.fetch(i, pixels.data());
       // Touch a sample of each view so the copy cannot be elided.
       checksum += pixels[0] + pixels[px / 2] + pixels[px - 1];
       sweep_peak_resident =
           std::max(sweep_peak_resident, source.shards().resident_bytes());
     }
     sweep_seconds = timer.seconds();
-    sweep_stall_frac = stall_fraction(before, snapshot_prefetch());
   }
   std::printf(
-      "  sweep: %.1f s  (%.2f GB/s)  stall_frac=%.3f  peak_resident=%.1f MB "
-      "(budget %zu)  checksum=%.6g\n",
-      sweep_seconds, stack_gb / sweep_seconds, sweep_stall_frac,
+      "  sweep: %.1f s  (%.2f GB/s)  peak_resident=%.1f MB (budget %zu)  "
+      "checksum=%.6g\n",
+      sweep_seconds, stack_gb / sweep_seconds,
       static_cast<double>(sweep_peak_resident) / 1e6, max_resident_mb,
       checksum);
 
@@ -254,8 +241,6 @@ int main(int argc, char** argv) {
                      core::SearchLevel{0.5, 5, 0.5, 3}};
   config.match.r_map = r_map;
   config.refine_centers = false;
-  config.stream.prefetch_depth = prefetch_depth;
-  config.stream.batch_views = batch_views;
   config.stream.max_resident_mb = max_resident_mb;
 
   std::printf("  building matcher (map %zu^3, padded DFT)...\n", l);
@@ -274,38 +259,46 @@ int main(int argc, char** argv) {
 
   stream::ShardedViewSource source(base, read_options);
 
-  // In-core: materialize the slice, then refine (untimed load).
+  // In-core: the slice materialized once (untimed load).  Streamed: the
+  // stack stays on disk and refine_stream fetches each view.
   const std::vector<em::Image<double>> in_core_views =
       source.shards().read_range(0, refine_views);
-  util::WallTimer in_core_timer;
-  const std::vector<core::ViewResult> in_core =
-      refiner.refine(in_core_views, initials);
-  const double in_core_seconds = in_core_timer.seconds();
-
-  // Streamed: the stack stays on disk; the cursor feeds the refiner.
-  const PrefetchCounters before = snapshot_prefetch();
-  util::WallTimer streamed_timer;
-  const std::vector<core::ViewResult> streamed =
-      refiner.refine_stream(source, 0, refine_views, initials);
-  const double streamed_seconds = streamed_timer.seconds();
-  const double refine_stall_frac = stall_fraction(before, snapshot_prefetch());
-
-  bool bitwise_identical = in_core.size() == streamed.size();
-  for (std::size_t i = 0; bitwise_identical && i < in_core.size(); ++i) {
-    bitwise_identical =
-        std::memcmp(&in_core[i].orientation, &streamed[i].orientation,
-                    sizeof(em::Orientation)) == 0 &&
-        in_core[i].center_x == streamed[i].center_x &&
-        in_core[i].center_y == streamed[i].center_y &&
-        in_core[i].final_distance == streamed[i].final_distance;
+  std::vector<core::ViewResult> in_core;
+  std::vector<double> in_core_runs, streamed_runs;
+  bool bitwise_identical = true;
+  const auto run_in_core = [&] {
+    util::WallTimer timer;
+    std::vector<core::ViewResult> results =
+        refiner.refine(in_core_views, initials);
+    in_core_runs.push_back(timer.seconds());
+    if (in_core.empty()) in_core = results;
+    bitwise_identical = bitwise_identical && bitwise_equal(in_core, results);
+  };
+  const auto run_streamed = [&] {
+    util::WallTimer timer;
+    const std::vector<core::ViewResult> results =
+        refiner.refine_stream(source, 0, refine_views, initials);
+    streamed_runs.push_back(timer.seconds());
+    bitwise_identical = bitwise_identical && bitwise_equal(in_core, results);
+  };
+  for (int rep = 0; rep < kRefineReps; ++rep) {
+    if (rep % 2 == 0) {
+      run_in_core();
+      run_streamed();
+    } else {
+      run_streamed();
+      run_in_core();
+    }
   }
+  const double in_core_seconds = median(in_core_runs);
+  const double streamed_seconds = median(streamed_runs);
   const double time_ratio =
       in_core_seconds > 0.0 ? streamed_seconds / in_core_seconds : 1.0;
   std::printf(
-      "  refine %zu views: in-core %.2f s, streamed %.2f s (ratio %.3f), "
-      "stall_frac=%.3f, bitwise %s\n",
-      refine_views, in_core_seconds, streamed_seconds, time_ratio,
-      refine_stall_frac, bitwise_identical ? "IDENTICAL" : "DIVERGED");
+      "  refine %zu views, median of %d: in-core %.2f s, streamed %.2f s "
+      "(ratio %.3f), bitwise %s\n",
+      refine_views, kRefineReps, in_core_seconds, streamed_seconds,
+      time_ratio, bitwise_identical ? "IDENTICAL" : "DIVERGED");
 
   // ---- report ---------------------------------------------------------------
   std::string json = "{\n";
@@ -317,15 +310,12 @@ int main(int argc, char** argv) {
           json_number(static_cast<double>(stored_bytes) / (stack_gb * 1e9)) +
           ",\n";
   json += "  \"max_resident_mb\": " + std::to_string(max_resident_mb) + ",\n";
-  json += "  \"prefetch_depth\": " + std::to_string(prefetch_depth) + ",\n";
-  json += "  \"batch_views\": " + std::to_string(batch_views) + ",\n";
   json += "  \"write_seconds\": " + json_number(write_seconds) + ",\n";
   json += "  \"write_gb_per_s\": " + json_number(stack_gb / write_seconds) +
           ",\n";
   json += "  \"sweep_seconds\": " + json_number(sweep_seconds) + ",\n";
   json += "  \"sweep_gb_per_s\": " + json_number(stack_gb / sweep_seconds) +
           ",\n";
-  json += "  \"sweep_stall_frac\": " + json_number(sweep_stall_frac) + ",\n";
   json += "  \"sweep_peak_resident_mb\": " +
           json_number(static_cast<double>(sweep_peak_resident) / 1e6) + ",\n";
   json += "  \"refine_views\": " + std::to_string(refine_views) + ",\n";
@@ -334,9 +324,9 @@ int main(int argc, char** argv) {
           ",\n";
   json += "  \"refine_streamed_seconds\": " + json_number(streamed_seconds) +
           ",\n";
+  json += "  \"refine_in_core_runs\": " + json_array(in_core_runs) + ",\n";
+  json += "  \"refine_streamed_runs\": " + json_array(streamed_runs) + ",\n";
   json += "  \"refine_time_ratio\": " + json_number(time_ratio) + ",\n";
-  json += "  \"refine_stall_frac\": " + json_number(refine_stall_frac) +
-          ",\n";
   json += "  \"bitwise_identical\": " +
           std::string(bitwise_identical ? "true" : "false") + "\n";
   json += "}\n";
@@ -359,14 +349,9 @@ int main(int argc, char** argv) {
   }
   if (!(time_ratio <= max_time_ratio)) {
     std::fprintf(stderr,
-                 "GATE FAILED: streamed/in-core time ratio %.3f > %.3f\n",
+                 "GATE FAILED: streamed/in-core median time ratio %.3f > "
+                 "%.3f\n",
                  time_ratio, max_time_ratio);
-    rc = 1;
-  }
-  if (!(refine_stall_frac <= max_stall_frac)) {
-    std::fprintf(stderr,
-                 "GATE FAILED: refine prefetch stall fraction %.3f > %.3f\n",
-                 refine_stall_frac, max_stall_frac);
     rc = 1;
   }
   if (sweep_peak_resident > (max_resident_mb << 20)) {

@@ -8,12 +8,12 @@
 //                  [--workdir /tmp/por_reo] [--cycles 2]
 //                  [--checkpoint true] [--resume true] [--io_retries 3]
 //                  [--kill_rank R] [--kill_at_step S] [--heartbeat_ms 500]
-//                  [--prefetch_depth 2] [--max_resident_mb 0]
+//                  [--max_resident_mb 0]
 //
 // Out-of-core (DESIGN.md §14): the view stack is written as a sharded
 // store under <workdir>/views.shards.* and every cycle refines through
-// core::parallel_refine_files, which streams it with --prefetch_depth
-// chunks in flight and bounds the master's resident view cache to
+// core::parallel_refine_files, which reads each view as it is refined
+// or shipped and bounds the master's resident view cache to
 // --max_resident_mb (0 = unbounded).
 //
 // Resilience (DESIGN.md §10): --checkpoint true records every refined
@@ -50,7 +50,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: reo_pipeline [--l 48] [--views 48] [--snr 2] [--ranks 4]\n\n    [--cycles 2] [--workdir /tmp/por_reo] [--checkpoint true] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
+        "usage: reo_pipeline [--l 48] [--views 48] [--snr 2] [--ranks 4]\n\n    [--cycles 2] [--workdir /tmp/por_reo] [--checkpoint true] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--max_resident_mb 0]\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
     return 0;
   }
@@ -67,8 +67,6 @@ int main(int argc, char** argv) {
   const std::uint64_t kill_at_step =
       static_cast<std::uint64_t>(cli.get_int("kill_at_step", 0));
   const int heartbeat_ms = static_cast<int>(cli.get_int("heartbeat_ms", 500));
-  const std::size_t prefetch_depth =
-      static_cast<std::size_t>(cli.get_int("prefetch_depth", 2));
   const std::size_t max_resident_mb =
       static_cast<std::size_t>(cli.get_int("max_resident_mb", 0));
   cli.assert_all_consumed();
@@ -109,9 +107,8 @@ int main(int argc, char** argv) {
   const std::string stack_path = workdir + "/views.shards";
   const std::string orient_path = workdir + "/orient_0.txt";
   stream::write_sharded_stack(stack_path, views);
-  std::printf("out-of-core: stack sharded at %s (prefetch_depth=%zu, "
-              "max_resident_mb=%zu)\n\n",
-              stack_path.c_str(), prefetch_depth, max_resident_mb);
+  std::printf("out-of-core: stack sharded at %s (max_resident_mb=%zu)\n\n",
+              stack_path.c_str(), max_resident_mb);
   io::write_orientations(orient_path, initial_records, "3-degree quantized");
 
   // ---- iterate: refine against current map, reconstruct, repeat ----
@@ -123,7 +120,6 @@ int main(int argc, char** argv) {
   refiner_config.refine_centers = false;
 
   // Streaming knobs (DESIGN.md §14).
-  refiner_config.stream.prefetch_depth = prefetch_depth;
   refiner_config.stream.max_resident_mb = max_resident_mb;
 
   // Resilience knobs (DESIGN.md §10).

@@ -20,8 +20,7 @@
 //                      [--checkpoint ckpt.porc] [--resume true]
 //                      [--io_retries 3] [--kill_rank R] [--kill_at_step S]
 //                      [--heartbeat_ms 500]
-//                      [--shards DIR] [--prefetch_depth 2]
-//                      [--max_resident_mb 0]
+//                      [--shards DIR] [--max_resident_mb 0]
 //
 // Out-of-core demo (DESIGN.md §14): --shards DIR writes the simulated
 // stack, the map and the initial orientations under DIR as a sharded
@@ -70,7 +69,7 @@ int main(int argc, char** argv) {
   util::CliParser cli(argc, argv);
   if (cli.has("help")) {
     std::printf(
-        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint ckpt.porc] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--prefetch_depth 2] [--max_resident_mb 0]\n\n"
+        "usage: sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]\n\n    [--refine_workers 1] [--r_map R]\n\n    [--metrics-out report.json] [--checkpoint ckpt.porc] [--resume true]\n\n    [--io_retries 1] [--kill_rank R --kill_at_step N] [--heartbeat_ms 500]\n\n    [--shards DIR] [--max_resident_mb 0]\n\n"
         "Environment:\n  POR_FORCE_ISA=sse2|avx2|avx512   pin the SIMD tier of the matching\n                                   kernels (default: best the CPU has;\n                                   clamped to what is available)\n");
     return 0;
   }
@@ -94,8 +93,6 @@ int main(int argc, char** argv) {
   // streaming driver instead of in-memory parallel_refine — the
   // master's view working set is then bounded by --max_resident_mb.
   const std::string shards_dir = cli.get("shards", "");
-  const std::size_t prefetch_depth =
-      static_cast<std::size_t>(cli.get_int("prefetch_depth", 2));
   const std::size_t max_resident_mb =
       static_cast<std::size_t>(cli.get_int("max_resident_mb", 0));
   cli.assert_all_consumed();
@@ -175,7 +172,6 @@ int main(int argc, char** argv) {
   refiner_config.refine_workers = refine_workers;
 
   // Streaming knobs (DESIGN.md §14) — harmless on the in-memory path.
-  refiner_config.stream.prefetch_depth = prefetch_depth;
   refiner_config.stream.max_resident_mb = max_resident_mb;
 
   // Resilience knobs (DESIGN.md §10).
@@ -213,9 +209,8 @@ int main(int argc, char** argv) {
     }
     io::write_orientations(shard_in, records,
                            "sindbis_pipeline: 3-degree-grid initials");
-    std::printf("out-of-core: stack sharded under %s (prefetch_depth=%zu, "
-                "max_resident_mb=%zu)\n",
-                shards_dir.c_str(), prefetch_depth, max_resident_mb);
+    std::printf("out-of-core: stack sharded under %s (max_resident_mb=%zu)\n",
+                shards_dir.c_str(), max_resident_mb);
   }
 
   std::printf("refining on %d vmpi ranks...\n", ranks);

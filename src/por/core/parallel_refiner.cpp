@@ -20,7 +20,6 @@
 #include "por/resilience/checkpoint.hpp"
 #include "por/resilience/retry.hpp"
 #include "por/serve/scheduler.hpp"
-#include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/log.hpp"
 #include "por/util/timer.hpp"
@@ -225,30 +224,16 @@ ParallelRefineReport refine_distributed(
       if (checkpoint) checkpoint->append(to_record(index, vr));
     };
     // Steps (d)-(l) on the master — its own block and any orphan it
-    // cannot delegate — through the refiner's one per-view loop.  A
-    // contiguous block (the common non-resume case) streams through a
-    // prefetching cursor, so the next chunk's pixels fault in while the
-    // current group is matched; a resumed block is fetched view by view.
-    // `listen` runs before every fetch.
+    // cannot delegate — through the refiner's one per-view loop, each
+    // view read from the source as it comes up.  `listen` runs before
+    // every fetch.
     const auto refine_local = [&](const std::vector<std::uint64_t>& idxs,
                                   const std::function<void()>& listen) {
-      std::optional<stream::ViewCursor> cursor;
-      if (idxs.size() > 1 && idxs.back() - idxs.front() + 1 == idxs.size()) {
-        stream::PrefetchOptions prefetch;
-        prefetch.depth = config.stream.prefetch_depth;
-        prefetch.batch_views = config.stream.batch_views;
-        cursor.emplace(source, idxs.front(), idxs.size(), prefetch);
-      }
       refiner.refine_each(
           idxs.size(),
           [&](std::size_t k, double* pixels) {
             if (listen) listen();
-            if (cursor) {
-              const double* next = cursor->next();
-              std::copy(next, next + l * l, pixels);
-            } else {
-              source.fetch(idxs[k], pixels);
-            }
+            source.fetch(idxs[k], pixels);
             return start_of(idxs[k]);
           },
           [&](std::size_t k, const ViewResult& vr) {
@@ -274,10 +259,9 @@ ParallelRefineReport refine_distributed(
       return init;
     };
     const auto pixels_for = [&](const std::vector<std::uint64_t>& idxs) {
-      // Ranged streaming (satellite of DESIGN.md §14): the master
-      // fetches exactly the block being shipped — at no point does it
-      // hold more than one assignment's pixels plus its own cursor
-      // window.
+      // Ranged streaming (DESIGN.md §14): the master fetches exactly
+      // the block being shipped — at no point does it hold more than
+      // one assignment's pixels plus its own group of views.
       if (!idxs.empty()) source.will_need(idxs.front(), idxs.size());
       std::vector<double> flat(idxs.size() * l * l);
       for (std::size_t k = 0; k < idxs.size(); ++k) {

@@ -91,7 +91,7 @@ struct ParallelRefineReport {
 /// ranged groups (paper step b — the stack is never loaded whole), and
 /// writes the refined orientation file at the end.  `stack_path` is a
 /// sharded-stack manifest, consumed through a stream::ViewSource with
-/// config.stream's prefetch/residency knobs; the results are
+/// config.stream's residency cap; the results are
 /// bitwise-identical to parallel_refine's.  The master's working set is
 /// bounded by config.stream.max_resident_mb instead of the stack size.
 [[nodiscard]] ParallelRefineReport parallel_refine_files(

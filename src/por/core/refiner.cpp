@@ -6,7 +6,6 @@
 #include "por/resilience/checkpoint.hpp"
 #include "por/resilience/quarantine.hpp"
 #include "por/serve/scheduler.hpp"
-#include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/timer.hpp"
 
@@ -83,6 +82,7 @@ std::unique_ptr<serve::Scheduler> OrientationRefiner::make_scheduler() const {
   if (config_.refine_workers == 1) return nullptr;
   serve::SchedulerOptions options;
   options.workers = static_cast<std::size_t>(config_.refine_workers);
+  // por-lint: allow(thread-spawn) the per-rank refine pool, one per call
   return std::make_unique<serve::Scheduler>(options);
 }
 
@@ -289,18 +289,15 @@ std::vector<ViewResult> OrientationRefiner::refine_stream(
   if (count > 0 && (source.nx() != l || source.ny() != l)) {
     throw std::invalid_argument("refine: view edge mismatch");
   }
-  stream::PrefetchOptions prefetch;
-  prefetch.depth = config_.stream.prefetch_depth;
-  prefetch.batch_views = config_.stream.batch_views;
-  stream::ViewCursor cursor(source, first, count, prefetch);
-
+  if (first + count > source.count()) {
+    throw std::invalid_argument("refine: view range beyond the source");
+  }
   std::vector<ViewResult> results(static_cast<std::size_t>(count));
   const auto scheduler = count > 1 ? make_scheduler() : nullptr;
   refine_each(
       results.size(),
       [&](std::size_t k, double* pixels) {
-        const double* next = cursor.next();
-        std::copy(next, next + l * l, pixels);
+        source.fetch(first + k, pixels);
         if (initial_centers.empty()) return ViewStart{initial_orientations[k]};
         return ViewStart{initial_orientations[k], initial_centers[k].first,
                          initial_centers[k].second};

@@ -70,15 +70,9 @@ struct ResilienceOptions {
 };
 
 /// Out-of-core streaming knobs (DESIGN.md §14): how the drivers read
-/// view stacks too large for memory.  The defaults stream with a
-/// two-deep prefetch pipeline and no residency cap — identical results
-/// to in-core at any setting (the pipeline only changes *when* pixels
-/// arrive, never *what* they are).
+/// view stacks too large for memory.  Results are identical to
+/// in-core at any setting.
 struct StreamOptions {
-  /// Chunks in flight in each ViewCursor (1 = synchronous).
-  std::size_t prefetch_depth = 2;
-  /// Views per prefetched chunk.
-  std::size_t batch_views = 32;
   /// Cap on resident (mmapped) shard bytes, in MiB; 0 = unlimited.
   /// The "Sindbis on a 2 GB box" knob.
   std::size_t max_resident_mb = 0;
@@ -207,9 +201,9 @@ class OrientationRefiner {
       const std::vector<std::pair<double, double>>& initial_centers = {}) const;
 
   /// refine_each over views [first, first + count) of a ViewSource,
-  /// consumed through a prefetching ViewCursor (config().stream) — the
-  /// whole stack is never resident — on make_scheduler() when there is
-  /// more than one view.  `initial_orientations[i]` /
+  /// each fetched by refine_each's fetch callback — the whole stack is
+  /// never resident — on make_scheduler() when there is more than one
+  /// view.  `initial_orientations[i]` /
   /// `initial_centers[i]` describe view `first + i`.
   [[nodiscard]] std::vector<ViewResult> refine_stream(
       stream::ViewSource& source, std::uint64_t first, std::uint64_t count,

@@ -42,9 +42,11 @@ std::vector<ViewOrientation> read_orientations(const std::string& path) {
     if (first == std::string::npos || line[first] == '#') continue;
     std::istringstream fields(line);
     ViewOrientation rec;
+    std::string extra;
     if (!(fields >> rec.view_index >> rec.orientation.theta >>
           rec.orientation.phi >> rec.orientation.omega >> rec.center_x >>
-          rec.center_y)) {
+          rec.center_y) ||
+        fields >> extra) {
       throw resilience::corrupt_error("read_orientations: malformed line " +
                                       std::to_string(line_number) + " in " +
                                       path);
@@ -57,6 +59,15 @@ std::vector<ViewOrientation> read_orientations(const std::string& path) {
         !std::isfinite(rec.center_x) || !std::isfinite(rec.center_y)) {
       throw resilience::corrupt_error(
           "read_orientations: non-finite value on line " +
+          std::to_string(line_number) + " in " + path);
+    }
+    // The drivers pair record k with view k; an index out of place
+    // would start a view from another view's orientation.
+    if (rec.view_index != records.size()) {
+      throw resilience::corrupt_error(
+          "read_orientations: record index " +
+          std::to_string(rec.view_index) + " at position " +
+          std::to_string(records.size()) + " on line " +
           std::to_string(line_number) + " in " + path);
     }
     records.push_back(rec);

@@ -31,8 +31,10 @@ void write_orientations(const std::string& path,
                         const std::vector<ViewOrientation>& records,
                         const std::string& comment = "");
 
-/// Read an orientation file; throws std::runtime_error on malformed
-/// lines.
+/// Read an orientation file.  Record k must carry index k.  Throws
+/// resilience::Error — kTransient when the file cannot be opened,
+/// kCorrupt on a malformed line, a trailing field, a non-finite value
+/// or an index out of place.
 [[nodiscard]] std::vector<ViewOrientation> read_orientations(
     const std::string& path);
 

@@ -140,17 +140,4 @@ void ShardMapping::will_need(std::size_t offset, std::size_t bytes) const {
 #endif
 }
 
-void ShardMapping::dont_need(std::size_t offset, std::size_t bytes) const {
-#if POR_STREAM_HAS_MMAP
-  if (!mapped_ || bytes == 0) return;
-  page_window(size_, offset, bytes);
-  if (bytes == 0) return;
-  (void)::madvise(const_cast<unsigned char*>(data_) + offset, bytes,
-                  MADV_DONTNEED);
-#else
-  (void)offset;
-  (void)bytes;
-#endif
-}
-
 }  // namespace por::stream

@@ -1,13 +1,13 @@
 // por/stream/shard_mapping.hpp
 //
 // ShardMapping — RAII read-only memory mapping of one shard file with
-// madvise(WILLNEED / DONTNEED) windowing (DESIGN.md §14).
+// an madvise(WILLNEED) hint (DESIGN.md §14).
 //
-// The streaming pipeline maps shards instead of read()ing them so that
-// a dataset larger than RAM costs page-cache pages, not anonymous
-// memory: the kernel reclaims cold shard pages under pressure and the
-// prefetcher's WILLNEED window pulls the next batch in ahead of the
-// consumer.  On non-Linux/posix builds (or when mmap fails) the class
+// The stream layer maps shards instead of read()ing them so that a
+// dataset larger than RAM costs page-cache pages, not anonymous
+// memory: the kernel reclaims cold shard pages under pressure, and the
+// master's WILLNEED hint pulls a block in before it reads the block
+// to ship it.  On non-Linux/posix builds (or when mmap fails) the class
 // degrades to a read()-backed heap buffer with identical bytes — the
 // reader layer asserts mmap-vs-read bit equality in tests.
 //
@@ -50,9 +50,6 @@ class ShardMapping {
   /// Hint the kernel to fault in [offset, offset + bytes) ahead of use.
   /// Best effort; a no-op on the read fallback.
   void will_need(std::size_t offset, std::size_t bytes) const;
-  /// Hint that [offset, offset + bytes) will not be touched again soon
-  /// (the pages become cheap reclaim targets).  Best effort.
-  void dont_need(std::size_t offset, std::size_t bytes) const;
 
  private:
   void reset();

@@ -386,18 +386,6 @@ std::vector<em::Image<double>> ShardedStack::read_range(std::uint64_t first,
   return views;
 }
 
-std::vector<em::Image<double>> ShardedStack::read_views(
-    const std::vector<std::uint64_t>& indices) {
-  std::vector<em::Image<double>> views;
-  views.reserve(indices.size());
-  for (const std::uint64_t index : indices) {
-    em::Image<double> view(ny_, nx_);
-    (void)read_view(index, view.data());
-    views.push_back(std::move(view));
-  }
-  return views;
-}
-
 void ShardedStack::will_need(std::uint64_t first, std::size_t n) {
   if (n == 0 || first >= count_) return;
   const std::uint64_t last = std::min<std::uint64_t>(first + n, count_) - 1;

@@ -132,12 +132,8 @@ class ShardedStack {
   [[nodiscard]] std::vector<em::Image<double>> read_range(std::uint64_t first,
                                                           std::size_t n);
 
-  /// Arbitrary view subset as Images, in the order given.
-  [[nodiscard]] std::vector<em::Image<double>> read_views(
-      const std::vector<std::uint64_t>& indices);
-
   /// madvise(WILLNEED) the payload window of views [first, first + n)
-  /// — the prefetcher calls this one batch ahead of the consumer.
+  /// — the master calls this before fetching a block it will ship.
   void will_need(std::uint64_t first, std::size_t n);
 
   // ---- accounting ---------------------------------------------------------

@@ -5,12 +5,6 @@
 
 namespace por::stream {
 
-em::Image<double> ViewSource::fetch_image(std::uint64_t index) {
-  em::Image<double> view(ny(), nx());
-  fetch(index, view.data());
-  return view;
-}
-
 // ---------------------------------------------------------------------------
 // MemoryViewSource
 // ---------------------------------------------------------------------------

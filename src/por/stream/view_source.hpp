@@ -35,9 +35,10 @@ class ViewSource {
 
   /// Copy view `index` (ny*nx doubles, row-major) into `dst`.  A
   /// quarantined view arrives NaN-filled (the refiner's finiteness
-  /// gate then skips it); anything else throws.  Implementations must
-  /// be safe to call from several threads at once — a ViewCursor's
-  /// background fill runs concurrently with direct fetches.
+  /// gate then skips it); anything else throws.  Every driver calls
+  /// it on the rank thread that refines or ships the view, so a
+  /// stream's counters land in that rank's registry.  Implementations
+  /// must be safe to call from several threads at once.
   virtual void fetch(std::uint64_t index, double* dst) = 0;
 
   /// Advisory: the caller will fetch [first, first + n) soon.
@@ -45,9 +46,6 @@ class ViewSource {
     (void)first;
     (void)n;
   }
-
-  /// Convenience: view `index` as a fresh Image.
-  [[nodiscard]] em::Image<double> fetch_image(std::uint64_t index);
 };
 
 /// Borrows an in-memory stack (must outlive the source).  Every view

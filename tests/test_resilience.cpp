@@ -573,6 +573,20 @@ TEST(CorruptCorpus, OrientationReaderRejectsEveryMalformation) {
     expect_error_kind(ErrorKind::kCorrupt,
                       [&] { (void)io::read_orientations(p.string()); });
   }
+  {  // record index out of place: view 0 would start from view 1's pose
+    const fs::path p = dir / "swapped.txt";
+    const std::string text = "1 10 20 30 0 0\n0 40 50 60 0 0\n";
+    write_raw(p, text.data(), text.size());
+    expect_error_kind(ErrorKind::kCorrupt,
+                      [&] { (void)io::read_orientations(p.string()); });
+  }
+  {  // a seventh field
+    const fs::path p = dir / "trailing.txt";
+    const std::string text = "0 10 20 30 0 0 7\n";
+    write_raw(p, text.data(), text.size());
+    expect_error_kind(ErrorKind::kCorrupt,
+                      [&] { (void)io::read_orientations(p.string()); });
+  }
 }
 
 // ---- vmpi fault injection -------------------------------------------------

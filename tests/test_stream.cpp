@@ -2,11 +2,10 @@
 // read(), write -> read -> write byte identity), the corrupt-shard
 // torture corpus (truncated / torn / bit-flipped / wrong-version bytes
 // are detected and either throw kCorrupt or quarantine under the
-// DESIGN.md §10 error taxonomy), cursor prefetch determinism at
-// several depths, and
-// end-to-end bitwise identity of the streamed refinement drivers
-// against their in-core equivalents — including single- vs
-// multi-shard stacks and resume-from-checkpoint over shards.
+// DESIGN.md §10 error taxonomy), end-to-end bitwise identity of the
+// streamed refinement drivers against their in-core equivalents —
+// including single- vs multi-shard stacks and resume-from-checkpoint
+// over shards — and the stream counters reaching the run report.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -23,12 +22,12 @@
 #include "por/core/refiner.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
+#include "por/obs/registry.hpp"
 #include "por/resilience/checkpoint.hpp"
 #include "por/resilience/crc32.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/shard_mapping.hpp"
 #include "por/stream/sharded_stack.hpp"
-#include "por/stream/view_cursor.hpp"
 #include "por/stream/view_source.hpp"
 #include "por/util/rng.hpp"
 #include "por/vmpi/runtime.hpp"
@@ -98,7 +97,6 @@ TEST(ShardMapping, MmapAndReadPathsAreBitwiseIdentical) {
   EXPECT_EQ(std::memcmp(via_read.data(), payload.data(), payload.size()), 0);
   // Advisory calls never fail, whatever the backing.
   via_mmap.will_need(0, payload.size());
-  via_mmap.dont_need(0, payload.size());
   via_read.will_need(4096, 100);
 }
 
@@ -218,11 +216,6 @@ TEST(ShardedStack, ReadRangeAndSubsetAndBounds) {
   for (std::size_t i = 0; i < middle.size(); ++i) {
     EXPECT_TRUE(images_bitwise_equal(middle[i], views[4 + i]));
   }
-  const auto subset = stack.read_views({12, 0, 7});
-  ASSERT_EQ(subset.size(), 3u);
-  EXPECT_TRUE(images_bitwise_equal(subset[0], views[12]));
-  EXPECT_TRUE(images_bitwise_equal(subset[1], views[0]));
-  EXPECT_TRUE(images_bitwise_equal(subset[2], views[7]));
 
   std::vector<double> scratch(stack.view_pixels());
   EXPECT_THROW((void)stack.read_view(13, scratch.data()), std::out_of_range);
@@ -467,84 +460,6 @@ TEST(ViewSource, AllBackingsProduceIdenticalPixels) {
   }
 }
 
-// ---- cursor ----------------------------------------------------------------
-
-class CursorDepths : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(CursorDepths, StreamsEveryViewInOrderBitwise) {
-  const std::size_t depth = GetParam();
-  const auto views = random_views(29, 8, 83);
-  MemoryViewSource source(views);
-
-  PrefetchOptions options;
-  options.depth = depth;
-  options.batch_views = 5;
-  ViewCursor cursor(source, 3, 24, options);
-  for (std::uint64_t i = 3; i < 27; ++i) {
-    const double* pixels = cursor.next();
-    ASSERT_NE(pixels, nullptr) << "view " << i;
-    EXPECT_EQ(cursor.current_index(), i);
-    EXPECT_EQ(std::memcmp(pixels, views[i].data(),
-                          source.view_pixels() * sizeof(double)),
-              0)
-        << "view " << i;
-  }
-  EXPECT_EQ(cursor.next(), nullptr);
-  EXPECT_EQ(cursor.next(), nullptr);  // exhausted stays exhausted
-  // Every non-cold chunk was either a hit or a stall: ceil(24/5) = 5
-  // chunks, chunk 0 is the cold start.
-  EXPECT_EQ(cursor.stats().hits + cursor.stats().stalls, 4u);
-}
-
-INSTANTIATE_TEST_SUITE_P(Depths, CursorDepths,
-                         ::testing::Values(1, 2, 4, 16),
-                         [](const auto& param_info) {
-                           return "depth" + std::to_string(param_info.param);
-                         });
-
-TEST(ViewCursor, SharedSchedulerAndShardedSourceStayOrdered) {
-  const fs::path dir = test_dir("cursor_sharded");
-  const auto views = random_views(21, 8, 89);
-  const std::string base = (dir / "v").string();
-  ShardedStackOptions stack_options;
-  stack_options.views_per_shard = 4;
-  write_sharded_stack(base, views, stack_options);
-  ShardedViewSource source(base, stack_options);
-
-  serve::SchedulerOptions scheduler_options;
-  scheduler_options.workers = 2;
-  serve::Scheduler scheduler(scheduler_options);
-  PrefetchOptions options;
-  options.depth = 3;
-  options.batch_views = 4;
-  options.scheduler = &scheduler;
-  ViewCursor cursor(source, 0, views.size(), options);
-  for (std::uint64_t i = 0; i < views.size(); ++i) {
-    const double* pixels = cursor.next();
-    ASSERT_NE(pixels, nullptr);
-    EXPECT_EQ(std::memcmp(pixels, views[i].data(),
-                          source.view_pixels() * sizeof(double)),
-              0)
-        << "view " << i;
-  }
-  EXPECT_EQ(cursor.next(), nullptr);
-}
-
-TEST(ViewCursor, FillErrorSurfacesOnTheConsumerThread) {
-  TortureStack t("cursor_error");
-  flip_byte(shard_path(t.base, 1), 0);  // view 7's payload
-  ShardedViewSource source(t.base);
-  PrefetchOptions options;
-  options.batch_views = 4;
-  ViewCursor cursor(source, 0, 12, options);
-  for (int i = 0; i < 4; ++i) EXPECT_NE(cursor.next(), nullptr);
-  EXPECT_THROW(
-      {
-        for (int i = 0; i < 8; ++i) (void)cursor.next();
-      },
-      resilience::Error);
-}
-
 // ---- streamed refinement == in-core refinement -----------------------------
 
 RefinerConfig fast_config() {
@@ -591,7 +506,6 @@ void expect_identical_results(const std::vector<ViewResult>& a,
 TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
   const Workload w(6);
   RefinerConfig config = fast_config();
-  config.stream.batch_views = 2;
   const OrientationRefiner serial(w.map, config);
   const auto in_core = serial.refine(w.views, w.initials, w.centers);
 
@@ -608,6 +522,40 @@ TEST(RefineStream, BitwiseIdenticalToInCoreRefine) {
     const auto streamed =
         refiner.refine_stream(source, 0, w.views.size(), w.initials, w.centers);
     expect_identical_results(in_core, streamed);
+
+    // A sub-range: initials[i] describes view first + i.
+    const std::vector<Orientation> mid_initials(w.initials.begin() + 1,
+                                                w.initials.begin() + 5);
+    const auto mid = refiner.refine_stream(source, 1, 4, mid_initials);
+    expect_identical_results(
+        std::vector<ViewResult>(in_core.begin() + 1, in_core.begin() + 5),
+        mid);
+    EXPECT_THROW((void)refiner.refine_stream(source, 3, 4, mid_initials),
+                 std::invalid_argument);
+  }
+}
+
+// A corrupt view read through refine_stream (no quarantine) throws on
+// the calling thread, whichever worker count refines the views.
+TEST(RefineStream, CorruptViewThrowsOnTheCallingThread) {
+  const Workload w(8);
+  const fs::path dir = test_dir("refine_stream_corrupt");
+  const std::string base = (dir / "v").string();
+  ShardedStackOptions stack_options;
+  stack_options.views_per_shard = 4;
+  write_sharded_stack(base, w.views, stack_options);
+  flip_byte(shard_path(base, 1), 0);  // view 7's payload
+  ShardedViewSource source(base);
+  RefinerConfig config = fast_config();
+  for (const int workers : {1, 3}) {
+    SCOPED_TRACE(testing::Message() << workers << " workers");
+    config.refine_workers = workers;
+    const OrientationRefiner refiner(w.map, config);
+    expect_corrupt(
+        [&] {
+          (void)refiner.refine_stream(source, 0, w.views.size(), w.initials);
+        },
+        "view CRC mismatch for view 7");
   }
 }
 
@@ -620,8 +568,8 @@ void write_initials(const std::string& path, const Workload& w) {
 }
 
 // The rank count is the test parameter; each case also runs at one and
-// three refine workers, where the master streams its contiguous block
-// through the cursor in groups of three.  The "monolithic" stack is a
+// three refine workers, where the master fetches its block in groups
+// of three.  The "monolithic" stack is a
 // single shard holding every view; the sharded one splits them three
 // to a shard.
 class StreamedDrivers : public ::testing::TestWithParam<int> {};
@@ -631,7 +579,6 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
   const fs::path dir = test_dir("drivers_p" + std::to_string(p));
   const Workload w(8);
   RefinerConfig config = fast_config();
-  config.stream.batch_views = 3;
   config.stream.max_resident_mb = 1;
 
   const std::string map_path = (dir / "map.porm").string();
@@ -704,13 +651,12 @@ TEST_P(StreamedDrivers, ShardedMonolithicAndInMemoryAgreeBitwise) {
 INSTANTIATE_TEST_SUITE_P(Ranks, StreamedDrivers, ::testing::Values(1, 4));
 
 // Resume over shards at one and three refine workers.  Keeping the
-// first half of the log leaves the master a contiguous block (cursor);
-// keeping every other record leaves it a scattered one (direct fetch).
+// first half of the log leaves the master a contiguous block; keeping
+// every other record leaves it a scattered one.
 TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
   const fs::path dir = test_dir("shard_resume");
   const Workload w(8);
   RefinerConfig config = fast_config();
-  config.stream.batch_views = 3;
 
   const std::string map_path = (dir / "map.porm").string();
   const std::string base = (dir / "v.shards").string();
@@ -774,6 +720,45 @@ TEST(StreamedDrivers, ResumeFromCheckpointOverShardsIsIdentical) {
     }
   }
 }
+
+// Every view is read on the thread of the rank that refines or ships
+// it, so the shard counters land in the rank registries the run report
+// merges and none leak into the process-global registry.
+class StreamReport : public ::testing::TestWithParam<int> {};
+
+TEST_P(StreamReport, ShardCountersLandInTheRunReport) {
+  const int p = GetParam();
+  const fs::path dir = test_dir("report_p" + std::to_string(p));
+  const Workload w(8);
+  const std::string map_path = (dir / "map.porm").string();
+  const std::string base = (dir / "v.shards").string();
+  const std::string orient_in = (dir / "in.txt").string();
+  io::write_map(map_path, w.map);
+  ShardedStackOptions stack_options;
+  stack_options.views_per_shard = 4;
+  write_sharded_stack(base, w.views, stack_options);
+  write_initials(orient_in, w);
+  const std::uint64_t shards = ShardedStack(base).shard_count();
+  ASSERT_EQ(shards, 2u);
+
+  const auto global_mapped = [] {
+    return obs::global_registry().snapshot().counters["stream.shards_mapped"];
+  };
+  const std::uint64_t global_before = global_mapped();
+  std::uint64_t merged = 0;
+  vmpi::run(p, [&](vmpi::Comm& comm) {
+    auto report = parallel_refine_files(comm, map_path, base, orient_in,
+                                        (dir / "out.txt").string(),
+                                        fast_config());
+    if (comm.is_root()) {
+      merged = report.obs.merged.counters["stream.shards_mapped"];
+    }
+  });
+  EXPECT_EQ(merged, shards);
+  EXPECT_EQ(global_mapped(), global_before);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, StreamReport, ::testing::Values(1, 2));
 
 // Every view buffer is map-edge sized: a stack of another edge must be
 // rejected before the first fetch, not matched on a prefix of each view

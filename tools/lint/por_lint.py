@@ -40,6 +40,14 @@ rules generic tools cannot express:
                     tool) carries the waiver in its leading comment
                     block.
 
+  thread-spawn      No std::thread / std::jthread / serve::Scheduler
+                    construction and no std::async call in src/por/
+                    outside serve/ and vmpi/: the scheduler is the one
+                    worker pool and vmpi ranks are the one other source
+                    of threads.  A deliberate extra thread (a rank's
+                    refine pool, a server loop) carries a waiver with
+                    its rationale.
+
   hot-path-alloc    Files marked ``// POR_HOT_PATH`` (first lines) carry
                     the zero-allocation steady-state contract
                     (por/util/arena.hpp): no raw ``new`` expressions and
@@ -110,6 +118,17 @@ HOT_PATH_MARKER_RE = re.compile(r"^//\s*POR_HOT_PATH\b")
 HOT_NEW_RE = re.compile(r"\bnew\b(?!\s*[;,)\]])")
 HOT_VECTOR_RE = re.compile(r"\bstd::vector\s*<")
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+# Thread spawns: a std::thread / std::jthread / serve::Scheduler
+# temporary, named object or make_unique/make_shared, and std::async.
+# A declaration without an initializer (a default-constructed member)
+# and a pointer or unique_ptr type start nothing.
+THREAD_TYPE = r"(?:std::j?thread|\b(?:serve::)?Scheduler)\b"
+THREAD_SPAWN_RE = re.compile(
+    r"(?:" + THREAD_TYPE + r"\s*(?:\w+\s*)?[({])"
+    r"|(?:\bmake_(?:unique|shared)\s*<\s*" + THREAD_TYPE + r"\s*>)"
+    r"|(?:\bstd::async\s*\()"
+)
+THREAD_SPAWN_ALLOWED_DIRS = ("src/por/serve/", "src/por/vmpi/")
 CONTRACT_MACRO_RE = re.compile(
     r"\b(POR_EXPECT|POR_ENSURE|POR_BOUNDS|POR_FINITE)\s*\("
 )
@@ -202,6 +221,17 @@ def check_file(root: Path, path: Path) -> list[Finding]:
                     "the general heap); use ArenaVector / arena "
                     "alloc_array, or waive construction-time tables with "
                     "a rationale",
+                )
+
+        # Rule: thread-spawn ----------------------------------------------
+        if (rel.startswith("src/por/")
+                and not rel.startswith(THREAD_SPAWN_ALLOWED_DIRS)):
+            if THREAD_SPAWN_RE.search(code):
+                report(
+                    "thread-spawn",
+                    "thread spawned outside serve/ and vmpi/; run the work "
+                    "on the caller's serve::Scheduler, or waive with the "
+                    "reason this one needs its own thread",
                 )
 
         # Rule: reinterpret-cast ------------------------------------------
