@@ -19,6 +19,19 @@
 // result; a max relative difference above 1e-12 makes the process
 // exit 1, so CI can gate on silent divergence.
 //
+// The "pruned" section races the transforms that compute only what
+// matching reads against the full paths they replace, at map and view
+// edge l3d/2 with pad 2 (padded edge l3d) and r_map = edge/8:
+//
+//   3D  fft::parallel_padded_fft3d at P = 1 and P = 4  vs
+//       centered_crop(fft3d_forward(to_complex(pad_volume(map))))
+//   2D  FourierMatcher::prepare_view (Wiener CTF)  vs
+//       correct_ctf(centered_fft2(pad_image(view)))
+//
+// It records lines transformed (the pruned ones from fft.nd.points)
+// and microseconds per call, and exits 1 on ANY differing bit: every
+// rank's ball, and the view spectrum on the disk box (zero outside).
+//
 // Timing protocol: each path runs --reps times, interleaved so slow
 // machine phases hit all paths; the reported seconds are the minimum
 // over reps (the standard noise-robust estimator on shared hardware).
@@ -33,19 +46,25 @@
 #include <cmath>
 #include <complex>
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <numbers>
 #include <string>
 #include <vector>
 
+#include "por/core/matcher.hpp"
+#include "por/em/pad.hpp"
+#include "por/em/projection.hpp"
 #include "por/fft/fft1d.hpp"
 #include "por/fft/fftnd.hpp"
+#include "por/fft/parallel_fft3d.hpp"
 #include "por/fft/plan_cache.hpp"
 #include "por/obs/export.hpp"
 #include "por/obs/registry.hpp"
 #include "por/util/cli.hpp"
 #include "por/util/rng.hpp"
 #include "por/util/timer.hpp"
+#include "por/vmpi/runtime.hpp"
 
 namespace {
 
@@ -234,6 +253,151 @@ std::string rep_list(const std::vector<double>& seconds) {
   return list + "]";
 }
 
+/// Points the calling thread's transforms add to fft.nd.points while
+/// `fn` runs, through a private registry.
+template <typename Fn>
+std::uint64_t nd_points_of(Fn&& fn) {
+  obs::MetricsRegistry registry;
+  const obs::RegistryScope scope(registry);
+  fn();
+  return registry.counter("fft.nd.points").value();
+}
+
+/// The pruned section (see the header): JSON object text, and the
+/// number of differing bits found in `differing`.
+std::string bench_pruned(std::size_t l3d, std::size_t reps,
+                         std::uint64_t& differing) {
+  const std::size_t l = std::max<std::size_t>(2, l3d / 2), pad = 2;
+  const std::size_t n = l * pad;
+  core::MatchOptions options;
+  options.pad = pad;
+  options.r_map = static_cast<double>(l) / 8.0;
+  options.ctf = em::CtfParams{};
+  options.ctf_correction = em::CtfCorrection::kWiener;
+  const fft::CubeCrop ball = core::FourierMatcher::ball(l, options);
+
+  // ---- 3D: the padded-ball collective vs the full padded transform ----
+  em::Volume<double> map(l);
+  map.storage() = random_real(l * l * l, 301);
+  const auto full_ball = [&] {
+    em::Volume<cdouble> padded = em::to_complex(em::pad_volume(map, pad));
+    fft::fft3d_forward(padded.data(), n, n, n);
+    return fft::centered_crop(padded.data(), n, ball);
+  };
+  const auto collective = [&](int p) {
+    std::vector<std::vector<cdouble>> per_rank(static_cast<std::size_t>(p));
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      const std::vector<double> none;
+      per_rank[static_cast<std::size_t>(comm.rank())] =
+          fft::parallel_padded_fft3d(comm,
+                                     comm.is_root() ? map.storage() : none, l,
+                                     pad, ball);
+    });
+    return per_rank;
+  };
+  const std::vector<cdouble> reference = full_ball();
+  for (const int p : {1, 4}) {
+    for (const auto& got : collective(p)) {
+      for (std::size_t i = 0; i < reference.size(); ++i) {
+        differing += i < got.size() &&
+                             std::memcmp(&got[i], &reference[i],
+                                         sizeof(cdouble)) == 0
+                         ? 0
+                         : 1;
+      }
+    }
+  }
+  std::uint64_t points_3d = 0;
+  vmpi::run(1, [&](vmpi::Comm& comm) {
+    points_3d = nd_points_of([&] {
+      (void)fft::parallel_padded_fft3d(comm, map.storage(), l, pad, ball);
+    });
+  });
+  std::vector<double> full3_s(reps), p1_s(reps), p4_s(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    util::WallTimer t0;
+    (void)full_ball();
+    full3_s[rep] = t0.seconds();
+    util::WallTimer t1;
+    (void)collective(1);
+    p1_s[rep] = t1.seconds();
+    util::WallTimer t2;
+    (void)collective(4);
+    p4_s[rep] = t2.seconds();
+  }
+
+  // ---- 2D: prepare_view vs the full padded view transform -------------
+  const core::FourierMatcher matcher(em::Volume<cdouble>(ball.edge), l,
+                                     options);
+  em::Image<double> view(l, l);
+  view.storage() = random_real(l * l, 302);
+  const auto full_view = [&] {
+    em::Image<cdouble> spectrum = em::centered_fft2(em::pad_image(view, pad));
+    em::correct_ctf(spectrum, *options.ctf, options.ctf_correction,
+                    options.wiener_snr);
+    return spectrum;
+  };
+  const em::Image<cdouble> full_spectrum = full_view();
+  const fft::CubeCrop box = matcher.view_box();
+  em::Image<cdouble> pruned_spectrum;
+  const std::uint64_t points_2d =
+      nd_points_of([&] { pruned_spectrum = matcher.prepare_view(view); });
+  for (std::size_t y = 0; y < n; ++y) {
+    for (std::size_t x = 0; x < n; ++x) {
+      const bool inside = y >= box.origin && y < box.origin + box.edge &&
+                          x >= box.origin && x < box.origin + box.edge;
+      const cdouble want = inside ? full_spectrum(y, x) : cdouble{};
+      differing +=
+          std::memcmp(&pruned_spectrum(y, x), &want, sizeof(cdouble)) == 0 ? 0
+                                                                           : 1;
+    }
+  }
+  std::vector<double> full2_s(reps), view_s(reps);
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    util::WallTimer t0;
+    (void)full_view();
+    full2_s[rep] = t0.seconds();
+    util::WallTimer t1;
+    (void)matcher.prepare_view(view);
+    view_s[rep] = t1.seconds();
+  }
+
+  // Full-path line counts: three passes of n^2 lines in 3D; in 2D the
+  // r2c row stage (two rows per line) plus the n/2 + 1 column lines.
+  const std::uint64_t lines_full_3d = 3 * n * n;
+  const std::uint64_t lines_full_2d = (n + 1) / 2 + n / 2 + 1;
+  std::printf(
+      "  pruned 3D l=%zu pad=%zu ball=%zu   lines %llu vs %llu   P=1: %.1f us"
+      "   P=4: %.1f us   full: %.1f us\n",
+      l, pad, ball.edge, static_cast<unsigned long long>(points_3d / n),
+      static_cast<unsigned long long>(lines_full_3d), min_of(p1_s) * 1e6,
+      min_of(p4_s) * 1e6, min_of(full3_s) * 1e6);
+  std::printf(
+      "  pruned 2D view %zu box=%zu   lines %llu vs %llu   prepare_view: %.1f"
+      " us   full: %.1f us   differing samples: %llu\n",
+      l, box.edge, static_cast<unsigned long long>(points_2d / n),
+      static_cast<unsigned long long>(lines_full_2d), min_of(view_s) * 1e6,
+      min_of(full2_s) * 1e6, static_cast<unsigned long long>(differing));
+
+  std::string json = "  \"pruned\": {\n";
+  json += "    \"edge\": " + std::to_string(l) + ",\n";
+  json += "    \"pad\": " + std::to_string(pad) + ",\n";
+  json += "    \"ball_edge\": " + std::to_string(ball.edge) + ",\n";
+  json += "    \"dft3d\": {\"lines_pruned\": " + std::to_string(points_3d / n) +
+          ", \"lines_full\": " + std::to_string(lines_full_3d) +
+          ", \"us_pruned_p1\": " + json_number(min_of(p1_s) * 1e6) +
+          ", \"us_pruned_p4\": " + json_number(min_of(p4_s) * 1e6) +
+          ", \"us_full\": " + json_number(min_of(full3_s) * 1e6) + "},\n";
+  json += "    \"view\": {\"box_edge\": " + std::to_string(box.edge) +
+          ", \"lines_pruned\": " + std::to_string(points_2d / n) +
+          ", \"lines_full\": " + std::to_string(lines_full_2d) +
+          ", \"us_pruned\": " + json_number(min_of(view_s) * 1e6) +
+          ", \"us_full\": " + json_number(min_of(full2_s) * 1e6) + "},\n";
+  json += "    \"differing_samples\": " + std::to_string(differing) + "\n";
+  json += "  },\n";
+  return json;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -361,6 +525,10 @@ int main(int argc, char** argv) {
   }
   json += "  ],\n";
 
+  // ---- pruned transforms vs the full paths (bitwise gate) ------------------
+  std::uint64_t differing_samples = 0;
+  json += bench_pruned(l3d, reps, differing_samples);
+
   // ---- plan cache accounting ----------------------------------------------
   const auto snapshot_counter = [](const char* name) {
     return obs::current_registry().counter(name).value();
@@ -382,6 +550,13 @@ int main(int argc, char** argv) {
     std::fprintf(stderr,
                  "bench_fft: FAIL max relative divergence %.3g > 1e-12\n",
                  worst_divergence);
+    return 1;
+  }
+  if (differing_samples != 0) {
+    std::fprintf(stderr,
+                 "bench_fft: FAIL %llu samples of the pruned transforms differ "
+                 "from the full paths\n",
+                 static_cast<unsigned long long>(differing_samples));
     return 1;
   }
   return 0;

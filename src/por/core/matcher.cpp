@@ -122,6 +122,8 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
   const long hi =
       std::min<long>(static_cast<long>(big) - 1,
                      static_cast<long>(std::ceil(c + r_max)));
+  view_box_ = {static_cast<std::size_t>(lo),
+               static_cast<std::size_t>(hi - lo + 1)};
   const bool radial = options_.weighting == metrics::Weighting::kRadial;
   for (long y = lo; y <= hi; ++y) {
     const double kv = static_cast<double>(y) - c;
@@ -240,10 +242,10 @@ em::Image<em::cdouble> FourierMatcher::prepare_view(
   }
   const obs::SpanTimer timer(*obs_prepare_view_);
   em::Image<em::cdouble> spectrum =
-      em::centered_fft2(em::pad_image(view, options_.pad));
+      em::padded_centered_fft2(view, options_.pad, view_box_);
   if (options_.ctf) {
     em::correct_ctf(spectrum, *options_.ctf, options_.ctf_correction,
-                    options_.wiener_snr);
+                    options_.wiener_snr, view_box_);
   }
   return spectrum;
 }

@@ -130,7 +130,7 @@ class FourierMatcher {
 
   /// Adopt an existing spectrum ball: the crop ball(l, options) of the
   /// padded centered 3D DFT (em::centered_fft3(padded, crop) or the
-  /// slab-parallel fft::parallel_fft3d_forward), edge
+  /// slab-parallel fft::parallel_padded_fft3d), edge
   /// ball(l, options).edge.
   FourierMatcher(em::Volume<em::cdouble> spectrum_ball, std::size_t l,
                  const MatchOptions& options);
@@ -152,8 +152,22 @@ class FourierMatcher {
 
   /// Step (d)+(e) for one view: padded centered 2D DFT, CTF-corrected
   /// per options().ctf.  The result is what `distance` expects.
+  ///
+  /// Box-only contract: the image is big x big (big = l * pad), but
+  /// only the bounding box of the r_map disk, [floor(c - r_map),
+  /// ceil(c + r_map)]^2 in padded pixels (clamped to the image,
+  /// c = floor(big / 2)), is computed — bitwise
+  /// correct_ctf(centered_fft2(pad_image(view, pad))) there — and every
+  /// pixel outside it is exactly zero.  distance, distance_reference,
+  /// SvmMatcher::distance and center refinement (through
+  /// annulus().index) read nothing outside that box; a caller that
+  /// needs the whole spectrum uses em::centered_fft2 and
+  /// em::correct_ctf.
   [[nodiscard]] em::Image<em::cdouble> prepare_view(
       const em::Image<double>& view) const;
+
+  /// The square of the padded view grid that prepare_view computes.
+  [[nodiscard]] fft::CubeCrop view_box() const { return view_box_; }
 
   /// One matching operation: d(F, C_o) over the r_map disk.
   /// Increments the matching counter.  Runs the precomputed-annulus /
@@ -223,6 +237,7 @@ class FourierMatcher {
   double padded_r_map_;
   double padded_r_min_;
   fft::CubeCrop ball_;                  ///< the crop the lattice holds
+  fft::CubeCrop view_box_;              ///< the square prepare_view computes
   std::vector<double> transfer_table_;  ///< envelope by padded radius px
 
   // --- precomputed hot-path state (immutable after construction) ----

@@ -11,7 +11,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "por/em/pad.hpp"
 #include "por/fft/parallel_fft3d.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
@@ -140,24 +139,14 @@ ParallelRefineReport refine_distributed(
   // yields a typed vmpi::CommTimeout instead of an eternal hang.
   const DeadlineGuard deadline_guard(comm, config.resilience.comm_deadline);
 
-  const std::size_t padded_edge = l * config.match.pad;
-  if (padded_edge % static_cast<std::size_t>(comm.size()) != 0) {
-    throw std::invalid_argument(
-        "parallel_refine: padded edge must divide by the rank count");
-  }
-
-  // ---- step (a): slab-parallel 3D DFT; all-gather of its r_map ball ----
+  // ---- step (a): pruned slab-parallel 3D DFT; all-gather of its ball ----
+  // The root scatters the unpadded map; no rank builds the padded cube.
   util::WallTimer dft_timer;
   const MatchOptions match = config.matcher_options();
   const fft::CubeCrop ball = FourierMatcher::ball(l, match);
-  std::vector<em::cdouble> raw;
-  if (comm.is_root()) {
-    raw = em::to_complex(em::pad_volume(map_on_root, config.match.pad))
-              .storage();
-  }
   em::Volume<em::cdouble> spectrum_ball(ball.edge);
-  spectrum_ball.storage() =
-      fft::parallel_fft3d_forward(comm, std::move(raw), padded_edge, ball);
+  spectrum_ball.storage() = fft::parallel_padded_fft3d(
+      comm, map_on_root.storage(), l, match.pad, ball);
   dft_span.record(static_cast<std::uint64_t>(dft_timer.seconds() * 1e9));
 
   // Every rank may be handed work (initially or by reassignment), so

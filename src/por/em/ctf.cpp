@@ -1,5 +1,6 @@
 #include "por/em/ctf.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -29,18 +30,20 @@ double ctf_value(const CtfParams& params, double s) {
 
 namespace {
 
-/// Visit every pixel of a centered spectrum with its spatial frequency
-/// magnitude in 1/Angstrom.
+/// Visit every pixel of a centered spectrum inside the rows [y0, y1)
+/// and columns [x0, x1) with its spatial frequency magnitude in
+/// 1/Angstrom.
 template <typename Fn>
 void for_each_frequency(Image<cdouble>& spec, const CtfParams& params,
-                        Fn&& fn) {
+                        std::size_t y0, std::size_t y1, std::size_t x0,
+                        std::size_t x1, Fn&& fn) {
   const std::size_t ny = spec.ny(), nx = spec.nx();
   const double cy = std::floor(static_cast<double>(ny) / 2.0);
   const double cx = std::floor(static_cast<double>(nx) / 2.0);
-  for (std::size_t y = 0; y < ny; ++y) {
+  for (std::size_t y = y0; y < y1; ++y) {
     const double fy = (static_cast<double>(y) - cy) /
                       (static_cast<double>(ny) * params.pixel_size_a);
-    for (std::size_t x = 0; x < nx; ++x) {
+    for (std::size_t x = x0; x < x1; ++x) {
       const double fx = (static_cast<double>(x) - cx) /
                         (static_cast<double>(nx) * params.pixel_size_a);
       fn(spec(y, x), std::sqrt(fx * fx + fy * fy));
@@ -51,17 +54,23 @@ void for_each_frequency(Image<cdouble>& spec, const CtfParams& params,
 }  // namespace
 
 void apply_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params) {
-  for_each_frequency(centered_spectrum, params,
-                     [&](cdouble& value, double s) { value *= ctf_value(params, s); });
+  for_each_frequency(centered_spectrum, params, 0, centered_spectrum.ny(), 0,
+                     centered_spectrum.nx(),
+                     [&](cdouble& value, double s) {
+                       value *= ctf_value(params, s);
+                     });
 }
 
-void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
-                 CtfCorrection mode, double snr) {
+namespace {
+
+void correct_rect(Image<cdouble>& centered_spectrum, const CtfParams& params,
+                  CtfCorrection mode, double snr, std::size_t y0,
+                  std::size_t y1, std::size_t x0, std::size_t x1) {
   if (mode == CtfCorrection::kWiener && snr <= 0.0) {
     throw std::invalid_argument("correct_ctf: Wiener filter needs snr > 0");
   }
   for_each_frequency(
-      centered_spectrum, params, [&](cdouble& value, double s) {
+      centered_spectrum, params, y0, y1, x0, x1, [&](cdouble& value, double s) {
         const double c = ctf_value(params, s);
         switch (mode) {
           case CtfCorrection::kPhaseFlip:
@@ -72,6 +81,24 @@ void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
             break;
         }
       });
+}
+
+}  // namespace
+
+void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
+                 CtfCorrection mode, double snr) {
+  correct_rect(centered_spectrum, params, mode, snr, 0, centered_spectrum.ny(),
+               0, centered_spectrum.nx());
+}
+
+void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
+                 CtfCorrection mode, double snr, fft::CubeCrop box) {
+  if (box.origin + box.edge > std::min(centered_spectrum.ny(),
+                                       centered_spectrum.nx())) {
+    throw std::invalid_argument("correct_ctf: box exceeds the spectrum");
+  }
+  correct_rect(centered_spectrum, params, mode, snr, box.origin,
+               box.origin + box.edge, box.origin, box.origin + box.edge);
 }
 
 }  // namespace por::em

@@ -12,6 +12,7 @@
 #pragma once
 
 #include "por/em/grid.hpp"
+#include "por/fft/centering.hpp"
 
 namespace por::em {
 
@@ -48,5 +49,12 @@ enum class CtfCorrection {
 /// filter only.
 void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
                  CtfCorrection mode, double snr = 10.0);
+
+/// correct_ctf on the square `box` of a square spectrum only (the
+/// pixels a matcher reads, em::padded_centered_fft2); every other pixel
+/// is left as it is.  Each corrected pixel gets the full-image
+/// arithmetic, bit for bit.
+void correct_ctf(Image<cdouble>& centered_spectrum, const CtfParams& params,
+                 CtfCorrection mode, double snr, fft::CubeCrop box);
 
 }  // namespace por::em

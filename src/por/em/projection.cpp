@@ -1,11 +1,13 @@
 #include "por/em/projection.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
 #include <vector>
 
 #include "por/em/interp.hpp"
+#include "por/em/pad.hpp"
 #include "por/util/contracts.hpp"
 
 namespace por::em {
@@ -74,6 +76,50 @@ Image<cdouble> centered_fft2(const Image<double>& img) {
   fft::rfft2d_forward(img.data(), spec.data(), spec.ny(), spec.nx());
   centerize2(spec);
   return spec;
+}
+
+Image<cdouble> padded_centered_fft2(const Image<double>& img, std::size_t pad,
+                                    fft::CubeCrop box) {
+  const std::size_t l = img.nx();
+  if (img.ny() != l) {
+    throw std::invalid_argument("padded_centered_fft2: image not square");
+  }
+  const Image<double> padded = pad_image(img, pad);
+  const std::size_t n = padded.nx();
+  if (box.origin + box.edge > n) {
+    throw std::invalid_argument("padded_centered_fft2: box exceeds the image");
+  }
+  Image<cdouble> out(n, n);
+  const std::size_t half = n / 2;
+  const std::size_t shift = (n + 1) / 2;  // fftshift
+  const std::size_t b = box.origin, e = box.edge;
+  // Raw column of centered x, and the half-spectrum column kx <= n/2
+  // it is read from (itself, or its Hermitian mirror n - kx).
+  const auto raw = [&](std::size_t x) { return (x + shift) % n; };
+  std::size_t cols = 0;
+  for (std::size_t x = b; x < b + e; ++x) {
+    const std::size_t xs = raw(x);
+    cols = std::max(cols, (xs <= half ? xs : n - xs) + 1);
+  }
+  std::vector<cdouble> spectrum(n * cols);
+  const std::size_t off = n / 2 - l / 2;  // pad_image's placement
+  fft::rfft2d_pruned(padded.data(), spectrum.data(), n, n, off, off + l, cols,
+                     cols);
+  // Gather each box row in centered order — rfft2d_forward's mirror
+  // fill for kx > n/2 — then center it with fused_row's arithmetic.
+  const std::vector<cdouble> phase = axis_phase(n, +1.0);
+  std::vector<cdouble> row(e);
+  for (std::size_t y = b; y < b + e; ++y) {
+    const std::size_t ys = raw(y);
+    const cdouble* direct = spectrum.data() + ys * cols;
+    const cdouble* mirror = spectrum.data() + ((n - ys) % n) * cols;
+    for (std::size_t i = 0; i < e; ++i) {
+      const std::size_t xs = raw(b + i);
+      row[i] = xs <= half ? direct[xs] : std::conj(mirror[n - xs]);
+    }
+    fft::phased_row(&out(y, b), row.data(), e, phase[y], phase.data() + b);
+  }
+  return out;
 }
 
 Image<double> centered_ifft2(const Image<cdouble>& spec) {

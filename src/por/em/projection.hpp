@@ -34,6 +34,17 @@ namespace por::em {
 /// frequency at (ny/2, nx/2).
 [[nodiscard]] Image<cdouble> centered_fft2(const Image<double>& img);
 
+/// centered_fft2(pad_image(img, pad)) on the square `box` of the padded
+/// spectrum only: every sample in box^2 is bitwise the full
+/// transform's, every other one is zero.  The transform is pruned
+/// (fft::rfft2d_pruned): row pairs run only where the padded image
+/// holds input, column lines only for the kx <= n/2 that the box reads
+/// directly or through the Hermitian mirror, and only the box is
+/// centered.  Step (d) for the matcher, which reads nothing else.
+[[nodiscard]] Image<cdouble> padded_centered_fft2(const Image<double>& img,
+                                                  std::size_t pad,
+                                                  fft::CubeCrop box);
+
 /// Inverse of centered_fft2 (returns the real part).
 [[nodiscard]] Image<double> centered_ifft2(const Image<cdouble>& spec);
 

@@ -6,10 +6,11 @@
 // and the cube crop of a centered spectrum that central-section
 // sampling inside a radius actually reads.
 //
-// Both the serial centered transforms (por/em/projection.cpp) and the
-// slab-parallel 3D DFT's replication step (parallel_fft3d.cpp) center
-// through fused_row, so a centered sample has the same bits whichever
-// path produced it.
+// The serial centered transforms (por/em/projection.cpp) center
+// through fused_row, and the pruned transforms (the slab-parallel 3D
+// DFT of parallel_fft3d.cpp, the matcher's view analysis) through
+// phased_row, its per-element arithmetic on a pre-gathered row, so a
+// centered sample has the same bits whichever path produced it.
 #pragma once
 
 #include <algorithm>
@@ -74,6 +75,18 @@ inline void fused_row(cdouble* dst, const cdouble* src, std::size_t nx,
     const std::size_t xs = x + shift - nx;
     POR_BOUNDS(xs, nx);
     dst[x - begin] = src[xs] * (row_factor * phase_x[phase_on_src ? xs : x]);
+  }
+}
+
+/// fused_row for a source row already gathered in centered column
+/// order (the pruned transforms keep only a crop's raw columns, in crop
+/// order): dst[i] = src[i] * (row_factor * phase_x[i]) for i < count —
+/// the same per-element arithmetic, so a pruned transform centers
+/// bitwise like the full one.
+inline void phased_row(cdouble* dst, const cdouble* src, std::size_t count,
+                       cdouble row_factor, const cdouble* phase_x) {
+  for (std::size_t i = 0; i < count; ++i) {
+    dst[i] = src[i] * (row_factor * phase_x[i]);
   }
 }
 

@@ -48,16 +48,16 @@ void fft_rows(cdouble* data, std::size_t rows, std::size_t n, bool inverse) {
 
 /// Row stage of a real-input 2D transform: every row of the real
 /// ny x nx array `src` is Fourier-transformed, packing two real rows
-/// per complex FFT, and its bins 0..nx/2 are written to row y of `dst`
-/// (rows `ld` apart; the bins above nx/2 are left untouched).  For rows
-/// x0, x1 the transform T of x0 + i*x1 splits by Hermitian symmetry as
+/// per complex FFT, and its bins 0..cols-1 (cols <= nx/2 + 1) are
+/// written to row y of `dst` (rows `ld` apart; the other bins are left
+/// untouched).  For rows x0, x1 the transform T of x0 + i*x1 splits by
+/// Hermitian symmetry as
 ///   X0[k] = (T[k] + conj(T[(n-k)%n])) / 2
 ///   X1[k] = (T[k] - conj(T[(n-k)%n])) / (2i)
 void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
-              std::size_t ld) {
+              std::size_t ld, std::size_t cols) {
   if (ny == 0 || nx == 0) return;
   const std::shared_ptr<const Fft1D> plan = cached_plan(nx);
-  const std::size_t half = nx / 2;
   const std::size_t pairs = ny / 2;
   const std::size_t jobs = pairs + (ny % 2);  // a trailing lone row, if odd
   for (std::size_t r = 0; r < jobs; ++r) {
@@ -73,7 +73,7 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
       plan->forward(packed);
       cdouble* out0 = dst + (2 * r) * ld;
       cdouble* out1 = dst + (2 * r + 1) * ld;
-      for (std::size_t k = 0; k <= half; ++k) {
+      for (std::size_t k = 0; k < cols; ++k) {
         const cdouble t = packed[k];
         const cdouble tm = std::conj(packed[(nx - k) % nx]);
         out0[k] = 0.5 * (t + tm);
@@ -85,7 +85,7 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
       const double* row = src + (ny - 1) * nx;
       for (std::size_t i = 0; i < nx; ++i) packed[i] = {row[i], 0.0};
       plan->forward(packed);
-      std::memcpy(dst + (ny - 1) * ld, packed, (half + 1) * sizeof(cdouble));
+      std::memcpy(dst + (ny - 1) * ld, packed, cols * sizeof(cdouble));
     }
   }
 }
@@ -113,7 +113,7 @@ void mirror_half_2d(cdouble* data, std::size_t ny, std::size_t nx) {
 /// rfft3d_half stores none (ld = nx/2 + 1).
 void r2c_plane_half(const double* src, cdouble* dst, std::size_t ny,
                     std::size_t nx, std::size_t ld) {
-  r2c_rows(src, dst, ny, nx, ld);
+  r2c_rows(src, dst, ny, nx, ld, nx / 2 + 1);
   fft1d_lines(dst, nx / 2 + 1, ny, ld, /*inverse=*/false);
 }
 
@@ -193,6 +193,32 @@ void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
   if (ny * nx == 0) return;
   r2c_plane_half(src, dst, ny, nx, nx);
   mirror_half_2d(dst, ny, nx);
+}
+
+void rfft2d_pruned(const double* src, cdouble* dst, std::size_t ny,
+                   std::size_t nx, std::size_t row_begin, std::size_t row_end,
+                   std::size_t cols, std::size_t ld) {
+  POR_EXPECT(row_begin <= row_end && row_end <= ny,
+             "rfft2d_pruned rows [", row_begin, ",", row_end, ") outside", ny);
+  POR_EXPECT(cols <= nx / 2 + 1 && cols <= ld,
+             "rfft2d_pruned columns", cols, "exceed the half spectrum or ld");
+  if (ny == 0 || nx == 0 || cols == 0) return;
+  // Rows pair up as (2r, 2r + 1), with a lone last row when ny is odd.
+  // Transform every pair that holds an input row — a pair straddling
+  // the input edge still runs as a pair — so [first, last) starts even
+  // and ends even or at ny.
+  const std::size_t first =
+      row_begin == row_end ? 0 : row_begin & ~std::size_t{1};
+  const std::size_t last =
+      row_begin == row_end ? 0 : std::min(ny, row_end + (row_end & 1));
+  r2c_rows(src + first * nx, dst + first * ld, last - first, nx, ld, cols);
+  for (std::size_t y = 0; y < ny; ++y) {
+    if (y < first || y >= last) {
+      std::fill(dst + y * ld, dst + y * ld + cols, cdouble{0.0, 0.0});
+    }
+  }
+  fft1d_lines(dst, cols, ny, ld, /*inverse=*/false);
+  detail::obs_handles().nd_points->add((last - first + 1) / 2 * nx + cols * ny);
 }
 
 // ---- 3D -------------------------------------------------------------------

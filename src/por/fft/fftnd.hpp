@@ -60,6 +60,20 @@ void fft2d_inverse(cdouble* data, std::size_t ny, std::size_t nx);
 void rfft2d_forward(const double* src, cdouble* dst, std::size_t ny,
                     std::size_t nx);
 
+/// rfft2d_forward's half spectrum, pruned at both ends (Markel's FFT
+/// pruning) for a zero-padded image: `src` (real ny x nx) is zero
+/// outside rows [row_begin, row_end), and only the bins kx < cols
+/// (cols <= nx/2 + 1) are wanted.  Writes bins 0..cols-1 of every row y
+/// to dst[y * ld ...] (ld >= cols), each bitwise the bin
+/// rfft2d_forward computes: r2c row pairs run only where a row of the
+/// pair holds input (a pair straddling row_begin or row_end still runs
+/// as a pair), the other rows are taken as zero, and column lines run
+/// only for kx < cols.  Adds the points of the lines it transforms to
+/// "fft.nd.points".  `src` and `dst` must not alias.
+void rfft2d_pruned(const double* src, cdouble* dst, std::size_t ny,
+                   std::size_t nx, std::size_t row_begin, std::size_t row_end,
+                   std::size_t cols, std::size_t ld);
+
 // ---- 3D -------------------------------------------------------------------
 
 /// In-place forward 3D DFT of an nz x ny x nx array.

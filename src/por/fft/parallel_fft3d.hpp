@@ -1,35 +1,48 @@
 // por/fft/parallel_fft3d.hpp
 //
 // The paper's Step (a): a slab-decomposed, distributed-memory parallel
-// 3D DFT that ends with every rank holding the part of the centered
-// transform that matching reads.
+// 3D DFT of the zero-padded density map that ends with every rank
+// holding the part of the centered transform that matching reads.
 //
-//   a.1  the master holds the electron density map D (l^3 voxels)
-//   a.2  the master scatters one z-slab of l/P xy-planes to each rank
-//   a.3  each rank runs a 2D DFT on every xy-plane of its z-slab
-//   a.4  a global exchange (all-to-all) re-slabs the data into y-slabs
-//   a.5  each rank runs 1D DFTs along z inside its y-slab
-//   a.6  an all-gather replicates the r_map ball of the centered 3D DFT
-//        on every rank
+// A matching reads only the r_map ball of the centered transform
+// (fft::ball_crop), and the padded map is mostly zeros: at l = 128 with
+// pad 2 the 256^3 input is 7/8 padding and the ball (edge 68 at
+// r_map = 16) is ~2% of the output.  The collective therefore prunes
+// both ends of every pass (Markel, "FFT pruning", 1971): a line is
+// transformed only if its input holds map data and its output reaches
+// the ball.  With n = l * pad and e = ball.edge:
 //
-// Replication (a.6) is the paper's deliberate space-for-communication
-// trade-off (§6): each subsequent matching step can then cut arbitrary
-// central sections without any further communication.  The paper
-// replicates the whole transform; a matching reads only samples inside
-// r_map, so a.6 replicates only the cube that holds them
-// (fft::ball_crop) — at r_map = l/8 about a fiftieth of the volume.
-// Each rank centers (fftshift + center phase, fft::fused_row) the rows
-// of its y-slab that fall in that cube while packing them, so no rank
-// ever centers or holds the full transform.
+//   a.1  the master holds the unpadded l^3 real map; no rank ever
+//        materializes the padded n^3 cube
+//   a.2  the master scatters the map by z-planes, rank r taking the
+//        io::block_share(l, P, r) planes from io::block_begin(l, P, r):
+//        l^3 doubles (16.8 MB at l = 128, against 268 MB of padded
+//        complex cube)
+//   a.3  per plane, in one reused n x n scratch: x-lines on the l rows
+//        that hold input, then y-lines on the e raw kx columns of the
+//        ball (at most two contiguous runs); keep the e x e (ky, kx)
+//        ball block
+//   a.4  one all-to-all of the compact blocks, re-slabbing by ball row
+//        (rank r takes block_share(e, P, r) rows): l * e^2 samples in
+//        total (9.5 MB at l = 128)
+//   a.5  z-lines on the e^2 ball (ky, kx) lines only
+//   a.6  center (fftshift + center phase, the per-element arithmetic
+//        of fft::fused_row) while packing, and all-gather the ball:
+//        (P - 1) * e^3 samples
 //
-// v2: the per-rank compute stages run on the plan-cached batched
-// engine of fftnd.hpp.  All packing/unpacking moves whole x-rows with
-// memcpy, the single-rank case short-circuits to the serial transform
-// (zero communication), and the collective is bit-identical to
-// fft::centered_crop of the serial fft3d_forward of the same volume:
-// the same 1D plans transform the same lines in the same per-line
-// operation order, and the centering is the same per-element
-// arithmetic, regardless of rank count.
+// Lines transformed in total: l^2 + l*e + e^2, against 3 * n^2 for
+// the full transform: ~29.7k instead of 196.6k 256-point lines at
+// l = 128.
+//
+// Bitwise contract.  Every computed line runs the same cached 1D plan
+// over the same values as fft3d_forward of the padded cube, and the
+// centering is fused_row's arithmetic, so the ball is bitwise
+//   centered_crop(fft3d_forward(to_complex(pad_volume(map, pad))), ball)
+// for any rank count.  A skipped line counts as +0.0 zeros, where the
+// full transform computes the plan's output on a zero line; for a
+// Bluestein length that output carries -0.0 components, but the next
+// pass sums them with the other inputs, so even the all-zero map keeps
+// the full transform's bits (test_parallel_fft pins it).
 #pragma once
 
 #include <cstddef>
@@ -37,20 +50,23 @@
 
 #include "por/fft/centering.hpp"
 #include "por/fft/fft1d.hpp"
-#include "por/fft/fftnd.hpp"
 #include "por/vmpi/comm.hpp"
 
 namespace por::fft {
 
-/// SPMD collective: every rank calls it; `full_on_root` is consumed on
-/// rank 0 and ignored elsewhere.  `l` is the cube edge and must be
-/// divisible by comm.size(); `ball` is a crop of the l^3 cube
-/// (typically fft::ball_crop of the matching radius).  Returns, on
-/// every rank, the forward 3D DFT in the centered convention
-/// restricted to `ball`: ball.edge^3 samples, layout (z, y, x) from
-/// ball.origin on — bitwise centered_crop(fft3d_forward(input), ball).
-[[nodiscard]] std::vector<cdouble> parallel_fft3d_forward(
-    vmpi::Comm& comm, std::vector<cdouble> full_on_root, std::size_t l,
-    CubeCrop ball);
+/// SPMD collective: every rank calls it with the same `l`, `pad` and
+/// `ball`; `map_on_root` (the unpadded l^3 real map, layout (z, y, x))
+/// is read on rank 0 and ignored elsewhere.  Any rank count works.
+/// `ball` is a crop of the padded n^3 spectrum, n = l * pad (typically
+/// fft::ball_crop of the matching radius).  Returns, on every rank, the
+/// forward 3D DFT of the map zero-padded as em::pad_volume does, in the
+/// centered convention, restricted to `ball`: ball.edge^3 samples,
+/// layout (z, y, x) from ball.origin on.  Adds the points of the lines
+/// it transforms to "fft.nd.points".  Throws std::invalid_argument on a
+/// zero edge or pad, a ball outside the padded cube, or (on the root) a
+/// map that does not hold l^3 voxels.
+[[nodiscard]] std::vector<cdouble> parallel_padded_fft3d(
+    vmpi::Comm& comm, const std::vector<double>& map_on_root, std::size_t l,
+    std::size_t pad, CubeCrop ball);
 
 }  // namespace por::fft

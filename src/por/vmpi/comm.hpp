@@ -26,6 +26,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "por/util/contracts.hpp"
 #include "por/vmpi/fault.hpp"
 #include "por/vmpi/traffic.hpp"
 
@@ -226,12 +227,14 @@ class Comm {
   template <typename T>
   void bcast(int root, std::vector<T>& data);
 
-  /// Root splits `all` into `size()` equal contiguous chunks (all.size()
-  /// must be divisible) and sends chunk r to rank r; returns this rank's
+  /// Root splits `all` into `size()` contiguous chunks, chunk r holding
+  /// counts[r] elements (the counts must sum to all.size(); only root
+  /// reads them), and sends chunk r to rank r; returns this rank's
   /// chunk.  This is the paper's step (a.2): the master distributes one
   /// z-slab of the density map to each node.
   template <typename T>
-  [[nodiscard]] std::vector<T> scatter(int root, const std::vector<T>& all);
+  [[nodiscard]] std::vector<T> scatter(int root, const std::vector<T>& all,
+                                       const std::vector<std::size_t>& counts);
 
   /// Root receives every rank's `mine` concatenated in rank order.
   /// Non-root ranks get an empty vector.
@@ -301,19 +304,24 @@ void Comm::bcast(int root, std::vector<T>& data) {
 }
 
 template <typename T>
-std::vector<T> Comm::scatter(int root, const std::vector<T>& all) {
+std::vector<T> Comm::scatter(int root, const std::vector<T>& all,
+                             const std::vector<std::size_t>& counts) {
   static_assert(std::is_trivially_copyable_v<T>);
   if (rank_ == root) {
-    const std::size_t chunk = all.size() / size();
+    POR_EXPECT(counts.size() == static_cast<std::size_t>(size()),
+               "scatter needs one count per rank:", counts.size());
     std::vector<T> mine;
+    std::size_t begin = 0;
     for (int r = 0; r < size(); ++r) {
-      std::vector<T> piece(all.begin() + r * chunk,
-                           all.begin() + (r + 1) * chunk);
+      const std::size_t count = counts[static_cast<std::size_t>(r)];
+      POR_EXPECT(begin + count <= all.size(), "scatter counts exceed",
+                 all.size(), "elements");
       if (r == root) {
-        mine = std::move(piece);
+        mine.assign(all.begin() + begin, all.begin() + begin + count);
       } else {
-        send(r, kScatterTag, piece);
+        send_bytes(r, kScatterTag, all.data() + begin, count * sizeof(T));
       }
+      begin += count;
     }
     return mine;
   }

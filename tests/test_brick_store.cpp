@@ -170,11 +170,15 @@ TEST(SvmMatcher, DistanceMatchesReplicatedMatcher) {
   const FourierMatcher replicated(map, options);
   const auto spectrum_vol = centered_fft3(pad_volume(map, options.pad));
   const Orientation view_o{40, 100, 20};
-  const auto view_spectrum =
-      replicated.prepare_view(model.project_analytic(l, view_o));
+  const Image<double> view = model.project_analytic(l, view_o);
+  const auto view_spectrum = replicated.prepare_view(view);
+  // prepare_view computes only the r_map disk box, all SvmMatcher reads:
+  // the full padded spectrum gives the same distance bits.
+  const auto full_spectrum = centered_fft2(pad_image(view, options.pad));
 
   for (int p : {1, 2, 3}) {
     std::vector<double> diffs(p, 1e300);
+    std::vector<int> box_only(p, 0);
     vmpi::run(p, [&](vmpi::Comm& comm) {
       BrickStoreConfig config;
       config.brick_edge = 8;
@@ -186,14 +190,19 @@ TEST(SvmMatcher, DistanceMatchesReplicatedMatcher) {
       double worst = 0.0;
       for (const Orientation o :
            {view_o, Orientation{42, 100, 20}, Orientation{40, 103, 25}}) {
-        worst = std::max(worst, std::abs(svm.distance(view_spectrum, o) -
-                                         replicated.distance(view_spectrum, o)));
+        const double pruned = svm.distance(view_spectrum, o);
+        worst = std::max(
+            worst, std::abs(pruned - replicated.distance(view_spectrum, o)));
+        const double full = svm.distance(full_spectrum, o);
+        box_only[comm.rank()] +=
+            std::memcmp(&pruned, &full, sizeof(double)) == 0 ? 1 : 0;
       }
       diffs[comm.rank()] = worst;
       store.stop_server();
     });
     for (int r = 0; r < p; ++r) {
       EXPECT_LT(diffs[r], 1e-12) << "P=" << p << " rank " << r;
+      EXPECT_EQ(box_only[r], 3) << "P=" << p << " rank " << r;
     }
   }
 }

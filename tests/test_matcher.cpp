@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <optional>
 
+#include "por/core/center_refine.hpp"
 #include "por/core/matcher.hpp"
 #include "por/em/projection.hpp"
+#include "por/obs/registry.hpp"
 #include "por/util/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -351,6 +355,123 @@ TEST(Matcher, CutWithCtfMatchesSliceTimesTransfer) {
         worst, std::abs(cut[i] - expected.storage()[matcher.annulus().index[i]]));
   }
   EXPECT_LT(worst, 1e-12);
+}
+
+/// The square prepare_view computes, derived here from its documented
+/// formula: [floor(c - r), ceil(c + r)] clamped to the padded grid.
+fft::CubeCrop disk_box(std::size_t big, double padded_r_map) {
+  const double c = std::floor(static_cast<double>(big) / 2.0);
+  const long lo =
+      std::max<long>(0, static_cast<long>(std::floor(c - padded_r_map)));
+  const long hi =
+      std::min<long>(static_cast<long>(big) - 1,
+                     static_cast<long>(std::ceil(c + padded_r_map)));
+  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi - lo + 1)};
+}
+
+bool same_bits(const cdouble& a, const cdouble& b) {
+  return std::memcmp(&a, &b, sizeof(cdouble)) == 0;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(Matcher, PrepareViewIsTheFullTransformOnTheDiskBox) {
+  // The pruned step (d)+(e) against the full one: on the r_map disk box
+  // every pixel carries the bits of correct_ctf(centered_fft2(pad_image))
+  // and every other pixel is exactly zero.  l = 25 with pad 2 puts the
+  // input's first row (13) in the pair (12, 13), across the pad
+  // boundary; pad 3 at l = 25 leaves a lone zero row (74) at the end.
+  util::Rng rng(17);
+  const std::optional<CtfCorrection> modes[] = {
+      std::nullopt, CtfCorrection::kPhaseFlip, CtfCorrection::kWiener};
+  for (const std::size_t l : {24u, 25u}) {
+    const BlobModel model = small_phantom(l, 8);
+    const Volume<double> map = model.rasterize(l);
+    Image<double> view(l, l);
+    for (auto& v : view.storage()) v = rng.uniform(-1.0, 1.0);
+    for (const std::size_t pad : {1u, 2u, 3u}) {
+      const std::size_t big = l * pad;
+      if (l == 25 && pad == 2) {
+        ASSERT_EQ((big / 2 - l / 2) % 2, 1u);
+      }
+      for (const auto& mode : modes) {
+        for (const double r_min : {0.0, 2.0}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "l " << l << " pad " << pad << " ctf "
+                       << (mode ? static_cast<int>(*mode) : -1) << " r_min "
+                       << r_min);
+          MatchOptions options;
+          options.pad = pad;
+          options.r_map = 6.0;
+          options.r_min = r_min;
+          if (mode) {
+            options.ctf = CtfParams{};
+            options.ctf_correction = *mode;
+          }
+          const FourierMatcher matcher(map, options);
+          Image<cdouble> full = centered_fft2(pad_image(view, pad));
+          if (mode) {
+            correct_ctf(full, *options.ctf, *mode, options.wiener_snr);
+          }
+          const Image<cdouble> pruned = matcher.prepare_view(view);
+          const fft::CubeCrop box = disk_box(big, matcher.padded_r_map());
+          ASSERT_EQ(matcher.view_box().origin, box.origin);
+          ASSERT_EQ(matcher.view_box().edge, box.edge);
+          ASSERT_EQ(pruned.ny(), big);
+          ASSERT_EQ(pruned.nx(), big);
+          std::size_t differing = 0, nonzero_outside = 0;
+          for (std::size_t y = 0; y < big; ++y) {
+            for (std::size_t x = 0; x < big; ++x) {
+              const bool inside =
+                  y >= box.origin && y < box.origin + box.edge &&
+                  x >= box.origin && x < box.origin + box.edge;
+              if (inside) {
+                differing += same_bits(pruned(y, x), full(y, x)) ? 0 : 1;
+              } else {
+                nonzero_outside += same_bits(pruned(y, x), cdouble{}) ? 0 : 1;
+              }
+            }
+          }
+          EXPECT_EQ(differing, 0u);
+          EXPECT_EQ(nonzero_outside, 0u);
+
+          // What the matcher computes from the spectrum does not move.
+          const Orientation o{33, 120, 250};
+          EXPECT_TRUE(same_bits(matcher.distance(pruned, o),
+                                matcher.distance(full, o)));
+          EXPECT_TRUE(same_bits(matcher.distance_reference(pruned, o),
+                                matcher.distance_reference(full, o)));
+          const std::vector<cdouble> cut = matcher.annulus_cut(o);
+          const core::CenterResult a =
+              core::refine_center(matcher, pruned, cut, 0.3, -0.2, 0.5);
+          const core::CenterResult b =
+              core::refine_center(matcher, full, cut, 0.3, -0.2, 0.5);
+          EXPECT_TRUE(same_bits(a.dx, b.dx));
+          EXPECT_TRUE(same_bits(a.dy, b.dy));
+          EXPECT_TRUE(same_bits(a.best_distance, b.best_distance));
+          EXPECT_EQ(a.evaluations, b.evaluations);
+        }
+      }
+    }
+  }
+}
+
+TEST(Matcher, PrepareViewCountsOnlyTheTransformedLines) {
+  // l = 32, pad 2: the 64 x 64 padded view has input rows 16..47, i.e.
+  // 16 row pairs; the r_map = 8 disk box (c = 32, r = 16) reads the
+  // half spectrum columns kx = 0..16 — 17 column lines.  Each line is
+  // 64 points: 33 lines against the full r2c transform's 32 + 33.
+  const std::size_t l = 32;
+  MatchOptions options;
+  options.r_map = 8.0;
+  const FourierMatcher matcher(small_phantom(l, 8).rasterize(l), options);
+  const Image<double> view(l, l, 1.0);
+  obs::MetricsRegistry registry;
+  obs::RegistryScope scope(registry);
+  (void)matcher.prepare_view(view);
+  EXPECT_EQ(registry.counter("fft.nd.points").value(), (16u + 17u) * 64u);
 }
 
 TEST(Matcher, RejectsBadConfiguration) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -121,17 +122,37 @@ TEST(ParallelRefiner, ReportsTimesAndMatchings) {
   }
 }
 
-TEST(ParallelRefiner, RejectsIndivisiblePaddedEdge) {
-  Workload w(2);
-  EXPECT_THROW(
-      vmpi::run(3,
-                [&](vmpi::Comm& comm) {
-                  // padded edge 32 is not divisible by 3; all ranks
-                  // throw before the 3D DFT.
-                  (void)parallel_refine(comm, w.map, w.l, w.views, w.initials,
-                                        w.centers, fast_config());
-                }),
-      std::invalid_argument);
+TEST(ParallelRefiner, AnyRankCountIsBitwiseOneRank) {
+  // The padded edge 32 does not divide by 3 or 5: the slab-parallel 3D
+  // DFT splits map planes and ball rows by block partition, so any rank
+  // count works and refines every view to the same bits as one rank.
+  Workload w(6);
+  const RefinerConfig config = fast_config();
+  const auto refine_on = [&](int p) {
+    std::vector<ViewResult> results;
+    vmpi::run(p, [&](vmpi::Comm& comm) {
+      auto report = parallel_refine(comm, w.map, w.l, w.views, w.initials,
+                                    w.centers, config);
+      if (comm.is_root()) results = report.results;
+    });
+    return results;
+  };
+  const std::vector<ViewResult> one = refine_on(1);
+  for (const int p : {3, 5}) {
+    SCOPED_TRACE(p);
+    const std::vector<ViewResult> many = refine_on(p);
+    ASSERT_EQ(many.size(), one.size());
+    for (std::size_t i = 0; i < one.size(); ++i) {
+      const double a[] = {one[i].orientation.theta, one[i].orientation.phi,
+                          one[i].orientation.omega, one[i].center_x,
+                          one[i].center_y, one[i].final_distance};
+      const double b[] = {many[i].orientation.theta, many[i].orientation.phi,
+                          many[i].orientation.omega, many[i].center_x,
+                          many[i].center_y, many[i].final_distance};
+      EXPECT_EQ(std::memcmp(a, b, sizeof(a)), 0) << "view " << i;
+      EXPECT_EQ(many[i].matchings, one[i].matchings) << "view " << i;
+    }
+  }
 }
 
 TEST(ParallelCycle, MapIsReplicatedAndMatchesSerialCycle) {
@@ -219,14 +240,6 @@ const char* describe(Exit exit) {
   return "?";
 }
 
-/// fast_config with a padded edge (16 * 3 = 48) that 2 and 3 ranks
-/// both divide, so only the bad input can stop the run.
-RefinerConfig divisible_config() {
-  RefinerConfig config = fast_config();
-  config.match.pad = 3;
-  return config;
-}
-
 class RootInputErrorRanks : public ::testing::TestWithParam<int> {};
 
 TEST_P(RootInputErrorRanks, InMemoryDriverThrowsOnEveryRank) {
@@ -236,7 +249,7 @@ TEST_P(RootInputErrorRanks, InMemoryDriverThrowsOnEveryRank) {
   const std::vector<Exit> exits =
       exits_on_ranks(GetParam(), [&](vmpi::Comm& comm) {
         (void)parallel_refine(comm, w.map, w.l, w.views, w.initials, {},
-                              divisible_config());
+                              fast_config());
       });
   for (std::size_t r = 0; r < exits.size(); ++r) {
     EXPECT_EQ(exits[r], Exit::kThrew)
@@ -266,7 +279,7 @@ TEST_P(RootInputErrorRanks, FileDriverThrowsOnEveryRank) {
   const std::vector<Exit> exits = exits_on_ranks(p, [&](vmpi::Comm& comm) {
     (void)parallel_refine_files(comm, map_path, stack_path, in_path,
                                 (dir / "refined.txt").string(),
-                                divisible_config());
+                                fast_config());
   });
   for (std::size_t r = 0; r < exits.size(); ++r) {
     EXPECT_EQ(exits[r], Exit::kThrew)
@@ -311,7 +324,7 @@ TEST_P(RootInputErrorRanks, RunRethrowsRootsErrorEveryTime) {
         comm.set_deadline(std::chrono::seconds(2));
         (void)parallel_refine_files(comm, map, stack_path, in,
                                     (dir / "refined.txt").string(),
-                                    divisible_config());
+                                    fast_config());
       });
     };
   };
@@ -319,7 +332,7 @@ TEST_P(RootInputErrorRanks, RunRethrowsRootsErrorEveryTime) {
     vmpi::run(p, [&](vmpi::Comm& comm) {
       comm.set_deadline(std::chrono::seconds(2));
       (void)parallel_refine(comm, w.map, w.l, w.views, short_initials, {},
-                            divisible_config());
+                            fast_config());
     });
   };
   const auto map_edge = files(map8_path, in_path);

@@ -110,9 +110,28 @@ TEST(Collectives, ScatterDealsEqualChunks) {
       all.resize(20);
       std::iota(all.begin(), all.end(), 0);
     }
-    const std::vector<int> mine = comm.scatter(0, all);
+    const std::vector<int> mine = comm.scatter(0, all, {5, 5, 5, 5});
     ASSERT_EQ(mine.size(), 5u);
     for (int i = 0; i < 5; ++i) EXPECT_EQ(mine[i], comm.rank() * 5 + i);
+  });
+}
+
+TEST(Collectives, ScatterDealsUnequalChunks) {
+  // Chunks of any size, including none.
+  run(4, [](Comm& comm) {
+    std::vector<int> all;
+    if (comm.is_root()) {
+      all.resize(10);
+      std::iota(all.begin(), all.end(), 0);
+    }
+    const std::vector<std::size_t> counts{3, 0, 5, 2};
+    const std::vector<int> mine = comm.scatter(0, all, counts);
+    std::size_t begin = 0;
+    for (int r = 0; r < comm.rank(); ++r) begin += counts[r];
+    ASSERT_EQ(mine.size(), counts[comm.rank()]);
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_EQ(mine[i], static_cast<int>(begin + i));
+    }
   });
 }
 
