@@ -14,8 +14,10 @@ namespace {
 /// spectrum copies).  `c` holds the cut's annulus samples in ring
 /// order.  Walks the matcher's precomputed AnnulusTable —
 /// frequencies, ring membership and weights are table lookups, so the
-/// per-evaluation work is one sincos + one complex multiply per ring
-/// pixel (no sqrt, no branch tests).
+/// per-evaluation work is one sincos + one complex multiply per table
+/// pixel (no sqrt, no branch tests).  The table holds the Hermitian
+/// half of the ring: a translated real view stays Hermitian, so each
+/// mirror's term equals its partner's and rides in the weight.
 double translated_distance(const em::Image<em::cdouble>& f,
                            const std::vector<em::cdouble>& c,
                            const AnnulusTable& ring, double dx, double dy) {

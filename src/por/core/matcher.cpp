@@ -115,9 +115,16 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
   const double r_max = padded_r_map_;
   const double r_min = padded_r_min_;
 
-  // Flatten the [r_min, r_max] ring.  Iteration order (y-major,
-  // x-minor over the disk bounding box) matches distance_reference, so
-  // the fast loop accumulates pixel terms in the identical order.
+  // Flatten the [r_min, r_max] ring on its Hermitian half: the views
+  // and the map are real and the transfer is radial, so the sample at
+  // -k is the conjugate of the one at +k in both the view spectrum and
+  // the cut (the trilinear corners of c - q mirror those of c + q, and
+  // r_max <= c - 0.5 keeps every mirror inside the ball).  Each term
+  // |F(k) - S(k)|^2 of the distance therefore appears twice; keep
+  // kv > 0, or kv = 0 and ku > 0, plus DC, and fold the dropped
+  // mirror into the weight column (2x, 1x for DC).  Iteration order
+  // stays y-major, x-minor over the disk bounding box, as in
+  // distance_reference.
   const long lo = std::max<long>(0, static_cast<long>(std::floor(c - r_max)));
   const long hi =
       std::min<long>(static_cast<long>(big) - 1,
@@ -125,16 +132,19 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
   view_box_ = {static_cast<std::size_t>(lo),
                static_cast<std::size_t>(hi - lo + 1)};
   const bool radial = options_.weighting == metrics::Weighting::kRadial;
+  const long mid = static_cast<long>(c);
   for (long y = lo; y <= hi; ++y) {
     const double kv = static_cast<double>(y) - c;
     for (long x = lo; x <= hi; ++x) {
       const double ku = static_cast<double>(x) - c;
+      if (y < mid || (y == mid && x < mid)) continue;  // the mirror half
       const double radius = std::sqrt(ku * ku + kv * kv);
       if (radius > r_max || radius < r_min) continue;
+      const double mirrors = y == mid && x == mid ? 1.0 : 2.0;  // DC: itself
       annulus_.ku.push_back(ku);
       annulus_.kv.push_back(kv);
       annulus_.transfer.push_back(cut_transfer(radius));
-      annulus_.weight.push_back(radial ? radius / r_max : 1.0);
+      annulus_.weight.push_back(mirrors * (radial ? radius / r_max : 1.0));
       // CONTRACT: every flattened view index must address a pixel of
       // the big x big padded view grid — checked here, once per
       // construction, so distance() can fetch without per-pixel
@@ -175,24 +185,22 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
     lattice_edge = soa_.edge;
   }
 
-  // Radius-vs-lattice guard, hoisted out of the per-sample loop: every
-  // cut sample coordinate is q_component + c with |q_component| <=
-  // radius <= r_max, so when r_max <= c - 0.5 every 2x2x2 base cell
+  // Radius-vs-lattice invariant, hoisted out of the per-sample loop:
+  // every cut sample coordinate is q_component + c with |q_component|
+  // <= radius <= r_max, so with r_max <= c - 0.5 every 2x2x2 base cell
   // lies in [0, big-1]^3 (with >= 0.5 px margin against rounding) and
-  // the staged cell fetch needs no bounds checks.  The constructor
-  // clamps r_map to Nyquist = big/2 - 1 <= c - 0.5, so this holds for
-  // every reachable configuration; the check stays as a defensive
-  // fallback to the scalar path.
-  fast_path_ = r_max <= c - 0.5;
-  // On the fast path every base cell the annulus can reach, shifted by
-  // the ball origin, must satisfy the interp contract: coordinates lie
-  // in [c - r_max, c + r_max] (up to rounding), and ball_crop keeps
-  // one cell of margin around floor of both ends, so the shifted base
-  // cells lie in [0, lattice_edge - 1] and their +1 corners at most in
-  // the lattice's zero pad.
-  POR_ENSURE(!fast_path_ || lattice_edge == ball_.edge,
-             "fast-path guard violated: r_max =", padded_r_map_, "c =", c,
-             "ball origin =", ball_.origin, "edge =", lattice_edge);
+  // the staged cell fetch needs no bounds checks; the same bound puts
+  // every annulus pixel's mirror inside the ball, which the half-disk
+  // fold above relies on.  The constructor clamps r_map to Nyquist =
+  // big/2 - 1 <= c - 0.5, so it holds for every configuration.
+  // Shifted by the ball origin, the reachable base cells then satisfy
+  // the interp contract: coordinates lie in [c - r_max, c + r_max] (up
+  // to rounding), and ball_crop keeps one cell of margin around floor
+  // of both ends, so the shifted base cells lie in [0, lattice_edge - 1]
+  // and their +1 corners at most in the lattice's zero pad.
+  POR_ENSURE(r_max <= c - 0.5 && lattice_edge == ball_.edge,
+             "radius-vs-lattice invariant violated: r_max =", padded_r_map_,
+             "c =", c, "ball origin =", ball_.origin, "edge =", lattice_edge);
 
   obs::MetricsRegistry& registry = obs::current_registry();
   registry.gauge("matcher.annulus_pixels")
@@ -252,8 +260,6 @@ em::Image<em::cdouble> FourierMatcher::prepare_view(
 
 double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
                                 const em::Orientation& o) const {
-  if (!fast_path_) return distance_reference(view_spectrum, o);
-
   const std::size_t big = l_ * options_.pad;
   if (view_spectrum.nx() != big || view_spectrum.ny() != big) {
     throw std::invalid_argument("distance: view spectrum size mismatch");
@@ -271,9 +277,10 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
   const simd::KernelTable& kt = *kernels_;
   const bool interleaved = kt.layout == simd::LatticeLayout::kInterleaved;
 
-  // The 2x2x2 fetches land on a rotated plane through a lattice far
-  // larger than cache (~34 MiB at L=64 pad=2), so the loop is memory-
-  // latency-bound.  Software-pipeline it in blocks through the
+  // The 2x2x2 fetches land on a rotated plane through the r_map ball
+  // (under 1 MiB at l = 64, r_map = 8, pad = 2, so mostly cache-
+  // resident), and every pixel's eight corners are a scattered gather.
+  // Software-pipeline the loop in blocks through the
   // dispatched kernel pair: the STAGE kernel resolves the NEXT block's
   // cells (q = ku*eu + kv*ev, truncation floor, flat base index —
   // exactly the arithmetic the scalar path's Vec3 + interp_trilinear
@@ -334,14 +341,11 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
   // ([complex.numbers]); the kernels read the view as interleaved
   // por-lint: allow(reinterpret-cast) (re, im) doubles, per the above.
   ab.view = reinterpret_cast<const double*>(view_spectrum.data());
-  // Without a CTF every transfer is exactly 1.0, and with uniform
-  // weighting every weight is exactly 1.0; a null column tells the
-  // kernel to skip the load+multiply — a bit-exact no-op elision.
+  // Without a CTF every transfer is exactly 1.0; a null column tells
+  // the kernel to skip the load+multiply — a bit-exact no-op elision.
+  // The weight column always applies: it carries the folded mirror.
   const double* transfer_col =
       transfer_table_.empty() ? nullptr : annulus_.transfer.data();
-  const double* weight_col = options_.weighting == metrics::Weighting::kRadial
-                                 ? annulus_.weight.data()
-                                 : nullptr;
 
   auto stage = [&](std::size_t start, std::size_t count, std::size_t slot) {
     sb.ku = annulus_.ku.data() + start;
@@ -370,7 +374,7 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
     ab.count = cur_count;
     ab.index = annulus_.index.data() + start;
     ab.transfer = transfer_col != nullptr ? transfer_col + start : nullptr;
-    ab.weight = weight_col != nullptr ? weight_col + start : nullptr;
+    ab.weight = annulus_.weight.data() + start;
     sum = interleaved
               ? kt.annulus_ilv(ilv_data, sb.stride_y, sb.stride_z, lat_size,
                                ab, sum)

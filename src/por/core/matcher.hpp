@@ -10,8 +10,9 @@
 //
 // Hot-path layout (see DESIGN.md §"Matcher data layout"): the inner
 // loop runs over an immutable precomputed AnnulusTable (one entry per
-// Fourier pixel inside the [r_min, r_map] ring, with radius, transfer
-// and weight folded in at construction) against one lattice of the
+// Fourier pixel of the Hermitian half of the [r_min, r_map] ring, with
+// radius, transfer and the mirror-folded weight precomputed at
+// construction) against one lattice of the
 // spectrum's r_map ball — the cube of the centered 3D DFT that cuts
 // inside r_map can read (fft::ball_crop) — through the branch-free
 // interior trilinear kernel of por/em/interp.hpp.  The original scalar
@@ -48,6 +49,10 @@ struct MatchOptions {
   std::size_t pad = em::kDefaultPad;  ///< spectrum oversampling factor
   double r_map = 0.0;  ///< matching radius in UNPADDED Fourier px (0 = Nyquist)
   double r_min = 0.0;  ///< exclude radii below this (unpadded Fourier px)
+  /// Per-pixel distance weight: 1 (uniform) or radius / r_map
+  /// (radial).  The matcher's annulus table stores it doubled for every
+  /// pixel whose Hermitian mirror it folds in (all but DC), so the
+  /// half-disk sum equals this weighting over the whole disk.
   metrics::Weighting weighting = metrics::Weighting::kUniform;
 
   /// CTF of the micrograph the views came from.  When set, step (e)
@@ -70,16 +75,21 @@ struct MatchOptions {
 };
 
 /// Flattened precomputed annulus: one entry per Fourier pixel of the
-/// big x big padded view grid that lies inside the [r_min, r_map]
-/// matching ring.  Built once per FourierMatcher; per matching the
-/// inner loop walks these arrays instead of re-deriving sqrt radii,
+/// Hermitian half of the [r_min, r_map] matching ring on the big x big
+/// padded view grid — kv > 0, or kv = 0 and ku > 0, plus DC when
+/// r_min = 0.  Views and map are real, so the dropped pixel -k of each
+/// pair would add the same term as +k; its share is folded into the
+/// weight column instead.  Built once per FourierMatcher; per matching
+/// the inner loop walks these arrays instead of re-deriving sqrt radii,
 /// ring-membership branches and transfer lerps per pixel.  Stored SoA
 /// so the distance loop vectorizes.
 struct AnnulusTable {
   std::vector<double> ku;             ///< centered frequency, x component
   std::vector<double> kv;             ///< centered frequency, y component
   std::vector<double> transfer;       ///< cut_transfer(radius) per pixel
-  std::vector<double> weight;         ///< distance weight per pixel
+  /// Distance weight per pixel with its mirror folded in: 2 x the
+  /// MatchOptions::weighting value, 1 x for DC.
+  std::vector<double> weight;
   std::vector<std::uint32_t> index;   ///< flat index into big x big spectra
 
   [[nodiscard]] std::size_t size() const { return ku.size(); }
@@ -171,15 +181,19 @@ class FourierMatcher {
 
   /// One matching operation: d(F, C_o) over the r_map disk.
   /// Increments the matching counter.  Runs the precomputed-annulus /
-  /// SoA fast path (equivalent to distance_reference within fp
-  /// summation-order noise, ~1e-15 relative); thread-safe.
+  /// SoA fast path over the Hermitian half disk (equivalent to the
+  /// full-disk distance_reference within fp rounding, ~1e-15
+  /// relative); thread-safe.
   [[nodiscard]] double distance(const em::Image<em::cdouble>& view_spectrum,
                                 const em::Orientation& o) const;
 
-  /// The original scalar matching loop: per-pixel sqrt + ring test +
-  /// transfer lerp + bounds-checked complex trilinear fetch.  Retained
-  /// as the equivalence oracle and the bench baseline.  Same counters
-  /// and same result (to fp tolerance) as distance().
+  /// The original scalar matching loop over the whole r_map disk:
+  /// per-pixel sqrt + ring test + transfer lerp + bounds-checked
+  /// complex trilinear fetch.  Retained as the equivalence oracle for
+  /// the paper's definition and the bench baseline.  Same matching
+  /// counter and same result (to fp tolerance) as distance(); it
+  /// counts the whole disk's interpolation fetches, about twice
+  /// distance()'s.
   [[nodiscard]] double distance_reference(
       const em::Image<em::cdouble>& view_spectrum,
       const em::Orientation& o) const;
@@ -249,15 +263,16 @@ class FourierMatcher {
   simd::Isa isa_ = simd::Isa::kSse2;   ///< tier snapshotted at construction
   const simd::KernelTable* kernels_ = nullptr;  ///< dispatched hot kernels
   AnnulusTable annulus_;             ///< flattened [r_min, r_map] ring
-  bool fast_path_ = false;           ///< radius-vs-lattice guard verdict
 
   mutable detail::MovableAtomicU64 matchings_;
 
   // Observability handles, resolved once against the registry current
   // on the constructing thread (the owning rank under vmpi):
   //   matcher.matchings       — one increment per distance() call
-  //   matcher.interp_fetches  — trilinear spectrum fetches inside the
-  //                             r_map disk (one bulk add per matching)
+  //   matcher.interp_fetches  — trilinear spectrum fetches (one bulk
+  //                             add per matching: the half disk for
+  //                             distance(), the whole disk for
+  //                             distance_reference())
   //   matcher.prepare_view    — span series timing step (d)+(e)
   //   matcher.table_build     — span series timing build_tables()
   //   matcher.annulus_pixels  — gauge: entries in the annulus table

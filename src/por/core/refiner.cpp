@@ -127,8 +127,9 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // on the box center, as the cuts assume.  Offsets are in pixels,
   // which are the same physical units on the padded grid.  With a zero
   // offset the prepared spectrum is used directly (no copy); otherwise
-  // the phase ramp is written into one reused buffer, on the matching
-  // annulus only — distance() reads nothing else of it.
+  // the phase ramp is written into one reused buffer, on the pixels of
+  // the matcher's annulus table only (the Hermitian half of the ring) —
+  // distance() reads nothing else of it.
   em::Image<em::cdouble> translated;
   const em::Image<em::cdouble>* centered = &spectrum;
   const auto apply_center = [&](double cx, double cy) {

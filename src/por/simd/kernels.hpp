@@ -75,9 +75,10 @@ struct StageBlock {
 };
 
 /// Consume half of one staged block: fused trilinear fetch + optional
-/// transfer + view diff + optional weight, accumulated pixel-
-/// sequentially.  transfer/weight are nullptr when the multiplier is
-/// uniformly 1.0 (bit-exact skip, same as the pre-dispatch matcher).
+/// transfer + view diff + weight, accumulated pixel-sequentially.
+/// transfer is nullptr when the multiplier is uniformly 1.0 (bit-exact
+/// skip); weight is always set (it carries the matcher's folded
+/// Hermitian mirror, so it is never uniformly 1.0).
 struct AnnulusBlock {
   const std::size_t* base = nullptr;
   const double* tz = nullptr;
@@ -87,7 +88,7 @@ struct AnnulusBlock {
   const double* view = nullptr;        ///< interleaved (re, im) pixels
   const std::uint32_t* index = nullptr;  ///< view cell index per pixel
   const double* transfer = nullptr;    ///< per-pixel multiplier or null
-  const double* weight = nullptr;      ///< per-pixel weight or null
+  const double* weight = nullptr;      ///< per-pixel weight
 };
 
 /// A single trilinear cell fetch (test/bench surface).

@@ -172,7 +172,7 @@ CellSample trilinear_split_avx512(const double* re, const double* im,
 /// One pixel of the consume loop: trilinear sample, optional transfer
 /// scale, view diff and squared-magnitude FMA into `a` — all in xmm
 /// [re, im] pairs, never dropping to scalar.
-template <bool kTransfer, bool kWeight>
+template <bool kTransfer>
 inline void consume_px_ilv(const double* lat, std::size_t stride_y,
                            std::size_t stride_z, const AnnulusBlock& blk,
                            std::size_t k, __m128d& a) {
@@ -182,14 +182,10 @@ inline void consume_px_ilv(const double* lat, std::size_t stride_y,
   const __m128d v =
       _mm_loadu_pd(blk.view + 2 * static_cast<std::size_t>(blk.index[k]));
   const __m128d d = _mm_sub_pd(v, s);
-  if constexpr (kWeight) {
-    a = _mm_fmadd_pd(_mm_mul_pd(d, d), _mm_set1_pd(blk.weight[k]), a);
-  } else {
-    a = _mm_fmadd_pd(d, d, a);
-  }
+  a = _mm_fmadd_pd(_mm_mul_pd(d, d), _mm_set1_pd(blk.weight[k]), a);
 }
 
-template <bool kTransfer, bool kWeight>
+template <bool kTransfer>
 double annulus_ilv_run(const double* lat, std::size_t stride_y,
                        std::size_t stride_z, std::size_t lat_cells,
                        const AnnulusBlock& blk, double acc) {
@@ -221,16 +217,13 @@ double annulus_ilv_run(const double* lat, std::size_t stride_y,
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * stride_z), _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * (stride_z + stride_y)),
                  _MM_HINT_T0);
-    consume_px_ilv<kTransfer, kWeight>(lat, stride_y, stride_z, blk, k, a0);
-    consume_px_ilv<kTransfer, kWeight>(lat, stride_y, stride_z, blk, k + 1,
-                                       a1);
-    consume_px_ilv<kTransfer, kWeight>(lat, stride_y, stride_z, blk, k + 2,
-                                       a2);
-    consume_px_ilv<kTransfer, kWeight>(lat, stride_y, stride_z, blk, k + 3,
-                                       a3);
+    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 1, a1);
+    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 2, a2);
+    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 3, a3);
   }
   for (; k < blk.count; ++k) {
-    consume_px_ilv<kTransfer, kWeight>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
   }
   const __m128d t = _mm_add_pd(_mm_add_pd(a0, a1), _mm_add_pd(a2, a3));
   return acc + _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
@@ -239,18 +232,11 @@ double annulus_ilv_run(const double* lat, std::size_t stride_y,
 double annulus_ilv_avx512(const double* lat, std::size_t stride_y,
                           std::size_t stride_z, std::size_t lat_cells,
                           const AnnulusBlock& blk, double acc) {
-  if (blk.transfer != nullptr) {
-    return blk.weight != nullptr
-               ? annulus_ilv_run<true, true>(lat, stride_y, stride_z,
-                                             lat_cells, blk, acc)
-               : annulus_ilv_run<true, false>(lat, stride_y, stride_z,
-                                              lat_cells, blk, acc);
-  }
-  return blk.weight != nullptr
-             ? annulus_ilv_run<false, true>(lat, stride_y, stride_z,
-                                            lat_cells, blk, acc)
-             : annulus_ilv_run<false, false>(lat, stride_y, stride_z,
-                                             lat_cells, blk, acc);
+  return blk.transfer != nullptr
+             ? annulus_ilv_run<true>(lat, stride_y, stride_z, lat_cells, blk,
+                                     acc)
+             : annulus_ilv_run<false>(lat, stride_y, stride_z, lat_cells, blk,
+                                      acc);
 }
 
 void fft_stage_avx512(double* d, std::size_t n, std::size_t half,

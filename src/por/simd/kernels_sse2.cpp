@@ -127,7 +127,7 @@ CellSample trilinear_split_sse2(const double* re, const double* im,
   return s;
 }
 
-template <bool kTransfer, bool kWeight>
+template <bool kTransfer>
 double annulus_split_run(const double* re, const double* im,
                          std::size_t stride_y, std::size_t stride_z,
                          std::size_t lat_size, const AnnulusBlock& blk,
@@ -149,9 +149,7 @@ double annulus_split_run(const double* re, const double* im,
     const double* v = blk.view + 2 * static_cast<std::size_t>(blk.index[k]);
     const double dre = v[0] - sre;
     const double dim = v[1] - sim;
-    double term = dre * dre + dim * dim;
-    if constexpr (kWeight) term *= blk.weight[k];
-    sum += term;
+    sum += (dre * dre + dim * dim) * blk.weight[k];
   }
   return sum;
 }
@@ -160,18 +158,11 @@ double annulus_split_sse2(const double* re, const double* im,
                           std::size_t stride_y, std::size_t stride_z,
                           std::size_t lat_size, const AnnulusBlock& blk,
                           double acc) {
-  if (blk.transfer != nullptr) {
-    return blk.weight != nullptr
-               ? annulus_split_run<true, true>(re, im, stride_y, stride_z,
-                                               lat_size, blk, acc)
-               : annulus_split_run<true, false>(re, im, stride_y, stride_z,
-                                                lat_size, blk, acc);
-  }
-  return blk.weight != nullptr
-             ? annulus_split_run<false, true>(re, im, stride_y, stride_z,
-                                              lat_size, blk, acc)
-             : annulus_split_run<false, false>(re, im, stride_y, stride_z,
-                                               lat_size, blk, acc);
+  return blk.transfer != nullptr
+             ? annulus_split_run<true>(re, im, stride_y, stride_z, lat_size,
+                                       blk, acc)
+             : annulus_split_run<false>(re, im, stride_y, stride_z, lat_size,
+                                        blk, acc);
 }
 
 void fft_stage_sse2(double* d, std::size_t n, std::size_t half,

@@ -6,6 +6,8 @@
 #include "por/em/grid.hpp"
 #include "por/em/orientation.hpp"
 #include "por/em/phantom.hpp"
+#include "por/simd/isa.hpp"
+#include "por/simd/kernels.hpp"
 #include "por/util/rng.hpp"
 
 namespace por::test {
@@ -18,6 +20,16 @@ inline em::BlobModel small_phantom(std::size_t l = 24,
   spec.l = l;
   spec.seed = seed;
   return em::make_asymmetric(spec, blobs);
+}
+
+/// The SIMD tiers this machine + binary can actually run.
+inline std::vector<simd::Isa> available_tiers() {
+  std::vector<simd::Isa> tiers;
+  for (const simd::Isa isa :
+       {simd::Isa::kSse2, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+    if (simd::kernel_table(isa).isa == isa) tiers.push_back(isa);
+  }
+  return tiers;
 }
 
 /// Random orientation with uniformly distributed view axis.

@@ -2,12 +2,16 @@
 
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "por/core/center_refine.hpp"
 #include "por/core/matcher.hpp"
 #include "por/em/projection.hpp"
 #include "por/obs/registry.hpp"
+#include "por/simd/isa.hpp"
 #include "por/util/rng.hpp"
 #include "test_helpers.hpp"
 
@@ -98,13 +102,19 @@ TEST(Matcher, SmallerRmapMeansSmallerDistanceValues) {
 }
 
 /// The annulus cut laid back onto the big x big grid (zero elsewhere),
-/// for comparisons against full-plane metrics.
+/// for comparisons against full-plane metrics.  The annulus holds the
+/// Hermitian half of the ring, so each sample's conjugate also goes to
+/// its mirror pixel (2c - y, 2c - x): the image carries the whole cut.
 Image<cdouble> cut_image(const FourierMatcher& matcher, const Orientation& o) {
   const std::size_t big = matcher.edge() * matcher.options().pad;
+  const std::size_t c = big / 2;
   Image<cdouble> image(big, big);
   const std::vector<cdouble> cut = matcher.annulus_cut(o);
   for (std::size_t i = 0; i < cut.size(); ++i) {
-    image.storage()[matcher.annulus().index[i]] = cut[i];
+    const std::size_t y = matcher.annulus().index[i] / big;
+    const std::size_t x = matcher.annulus().index[i] % big;
+    image(2 * c - y, 2 * c - x) = std::conj(cut[i]);
+    image(y, x) = cut[i];
   }
   return image;
 }
@@ -296,33 +306,203 @@ TEST(Matcher, FastPathMatchesReferenceWithCtfAndRadialWeighting) {
   }
 }
 
-TEST(Matcher, AnnulusTableMatchesRingMembership) {
-  const std::size_t l = 16;
-  const BlobModel model = small_phantom(l, 8);
-  MatchOptions options = options_for(l);
-  options.r_min = 1.5;
-  const FourierMatcher matcher(model.rasterize(l), options);
+/// One configuration of the half-disk equivalence sweep.
+struct FoldCase {
+  std::size_t l, pad;
+  double r_min;
+  metrics::Weighting weighting;
+  std::optional<CtfCorrection> ctf;
+};
 
-  const std::size_t big = l * options.pad;
-  const double c = std::floor(static_cast<double>(big) / 2.0);
-  const double r_max = matcher.padded_r_map();
-  const double r_min = options.r_min * static_cast<double>(options.pad);
-  std::size_t expected = 0;
-  for (std::size_t y = 0; y < big; ++y) {
-    for (std::size_t x = 0; x < big; ++x) {
-      const double radius = std::hypot(static_cast<double>(y) - c,
-                                       static_cast<double>(x) - c);
-      if (radius <= r_max && radius >= r_min) ++expected;
+std::vector<FoldCase> fold_cases() {
+  const std::optional<CtfCorrection> ctfs[] = {
+      std::nullopt, CtfCorrection::kPhaseFlip, CtfCorrection::kWiener};
+  std::vector<FoldCase> cases;
+  // l * pad = 32 (even), 15 and 45 (odd).
+  for (const auto& [l, pad] : {std::pair<std::size_t, std::size_t>{16, 2},
+                               {15, 1},
+                               {15, 3}}) {
+    for (const double r_min : {0.0, 2.0}) {
+      for (const metrics::Weighting w :
+           {metrics::Weighting::kUniform, metrics::Weighting::kRadial}) {
+        for (const auto& ctf : ctfs) cases.push_back({l, pad, r_min, w, ctf});
+      }
     }
   }
-  EXPECT_EQ(matcher.annulus().size(), expected);
-  // Entries carry valid flat indices and in-ring frequencies.
-  for (std::size_t i = 0; i < matcher.annulus().size(); ++i) {
-    EXPECT_LT(matcher.annulus().index[i], big * big);
-    const double radius =
-        std::hypot(matcher.annulus().ku[i], matcher.annulus().kv[i]);
-    EXPECT_LE(radius, r_max + 1e-12);
-    EXPECT_GE(radius, r_min - 1e-12);
+  return cases;
+}
+
+MatchOptions fold_options(const FoldCase& fc) {
+  MatchOptions options;
+  options.pad = fc.pad;
+  options.r_map = static_cast<double>(fc.l) / 2.0 - 1.5;
+  options.r_min = fc.r_min;
+  options.weighting = fc.weighting;
+  if (fc.ctf) {
+    CtfParams ctf;
+    ctf.defocus_a = 18000.0;
+    options.ctf = ctf;
+    options.ctf_correction = *fc.ctf;
+  }
+  return options;
+}
+
+/// A real view: the phantom's projection (off center) plus noise.
+Image<double> noisy_view(const BlobModel& model, std::size_t l,
+                         const Orientation& o, util::Rng& rng) {
+  Image<double> view = model.project_analytic(l, o, 0.6, -0.4);
+  for (double& v : view.storage()) v += rng.uniform(-0.5, 0.5);
+  return view;
+}
+
+::testing::Message fold_trace(const FoldCase& fc) {
+  return ::testing::Message()
+         << "l " << fc.l << " pad " << fc.pad << " r_min " << fc.r_min
+         << " radial " << (fc.weighting == metrics::Weighting::kRadial)
+         << " ctf " << (fc.ctf ? static_cast<int>(*fc.ctf) : -1);
+}
+
+TEST(Matcher, HalfDiskDistanceMatchesFullDiskReferenceOnEveryTier) {
+  // distance() sums the Hermitian half of the ring with each mirror
+  // folded into its weight; distance_reference() still walks the whole
+  // disk.  Real views, a real map and a radial transfer make the two
+  // equal up to rounding on every tier, ring and grid parity.
+  util::Rng rng(919);
+  for (const FoldCase& fc : fold_cases()) {
+    SCOPED_TRACE(fold_trace(fc));
+    const BlobModel model = small_phantom(fc.l, 8);
+    const Volume<double> map = model.rasterize(fc.l);
+    const Image<double> view = noisy_view(model, fc.l, {40, 100, 20}, rng);
+    for (const simd::Isa isa : por::test::available_tiers()) {
+      SCOPED_TRACE(simd::isa_name(isa));
+      MatchOptions options = fold_options(fc);
+      options.simd.isa = isa;
+      const FourierMatcher matcher(map, options);
+      ASSERT_EQ(matcher.isa(), isa);
+      const Image<cdouble> spectrum = matcher.prepare_view(view);
+      for (int i = 0; i < 4; ++i) {
+        const Orientation o = por::test::random_orientation(rng);
+        const double fast = matcher.distance(spectrum, o);
+        const double reference = matcher.distance_reference(spectrum, o);
+        EXPECT_LE(std::abs(fast - reference), 1e-12 * std::abs(reference))
+            << "orientation (" << o.theta << ", " << o.phi << ", " << o.omega
+            << ")";
+      }
+    }
+  }
+}
+
+TEST(Matcher, CenterRefinementOnHalfRingMatchesFullDiskBruteForce) {
+  // refine_center walks the folded half ring; its best distance must
+  // equal the translated distance summed over the whole disk against
+  // the full central slice, at the center it returns.
+  util::Rng rng(929);
+  for (const FoldCase& fc : fold_cases()) {
+    SCOPED_TRACE(fold_trace(fc));
+    const BlobModel model = small_phantom(fc.l, 8);
+    const Volume<double> map = model.rasterize(fc.l);
+    const MatchOptions options = fold_options(fc);
+    const FourierMatcher matcher(map, options);
+    const Orientation o{40, 100, 20};
+    const Image<cdouble> spectrum =
+        matcher.prepare_view(noisy_view(model, fc.l, o, rng));
+    const Image<cdouble> slice =
+        extract_central_slice(centered_fft3(pad_volume(map, fc.pad)), o);
+
+    const std::size_t big = fc.l * fc.pad;
+    const double c = std::floor(static_cast<double>(big) / 2.0);
+    const double r_max = matcher.padded_r_map();
+    const double r_min = fc.r_min * static_cast<double>(fc.pad);
+    const auto brute_force = [&](double dx, double dy) {
+      double sum = 0.0;
+      for (std::size_t y = 0; y < big; ++y) {
+        const double kv = static_cast<double>(y) - c;
+        for (std::size_t x = 0; x < big; ++x) {
+          const double ku = static_cast<double>(x) - c;
+          const double radius = std::sqrt(ku * ku + kv * kv);
+          if (radius > r_max || radius < r_min) continue;
+          const double angle = 2.0 * std::numbers::pi * (ku * dx + kv * dy) /
+                               static_cast<double>(big);
+          const cdouble shifted =
+              spectrum(y, x) * cdouble(std::cos(angle), std::sin(angle));
+          const cdouble cut = matcher.cut_transfer(radius) * slice(y, x);
+          const double weight =
+              fc.weighting == metrics::Weighting::kRadial ? radius / r_max
+                                                          : 1.0;
+          sum += weight * std::norm(shifted - cut);
+        }
+      }
+      return sum / static_cast<double>(big * big);
+    };
+
+    const std::vector<cdouble> cut = matcher.annulus_cut(o);
+    for (const double step : {1.0, 0.25}) {
+      const core::CenterResult found =
+          core::refine_center(matcher, spectrum, cut, 0.2, -0.1, step);
+      const double expected = brute_force(found.dx, found.dy);
+      EXPECT_LE(std::abs(found.best_distance - expected),
+                1e-12 * std::abs(expected))
+          << "step " << step << " center (" << found.dx << ", " << found.dy
+          << ")";
+    }
+  }
+}
+
+TEST(Matcher, AnnulusTableMatchesRingMembership) {
+  // The table holds the Hermitian half of the [r_min, r_map] ring —
+  // kv > 0, or kv = 0 and ku > 0, plus DC when the ring reaches it —
+  // each pixel once, with its dropped mirror folded into the weight.
+  const std::size_t l = 16;
+  const BlobModel model = small_phantom(l, 8);
+  for (const double ring_min : {0.0, 1.5}) {
+    for (const metrics::Weighting weighting :
+         {metrics::Weighting::kUniform, metrics::Weighting::kRadial}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "r_min " << ring_min << " radial "
+                   << (weighting == metrics::Weighting::kRadial));
+      MatchOptions options = options_for(l);
+      options.r_min = ring_min;
+      options.weighting = weighting;
+      const FourierMatcher matcher(model.rasterize(l), options);
+      const core::AnnulusTable& ring = matcher.annulus();
+
+      const std::size_t big = l * options.pad;
+      const double c = std::floor(static_cast<double>(big) / 2.0);
+      const double r_max = matcher.padded_r_map();
+      const double r_min = options.r_min * static_cast<double>(options.pad);
+      std::size_t full = 0;
+      for (std::size_t y = 0; y < big; ++y) {
+        for (std::size_t x = 0; x < big; ++x) {
+          const double radius = std::hypot(static_cast<double>(y) - c,
+                                           static_cast<double>(x) - c);
+          if (radius <= r_max && radius >= r_min) ++full;
+        }
+      }
+      // Every pixel but DC pairs with its mirror; DC is kept whole.
+      EXPECT_EQ(full % 2, ring_min == 0.0 ? 1u : 0u);
+      EXPECT_EQ(ring.size(), (full + 1) / 2);
+
+      std::vector<int> seen(big * big, 0);
+      for (std::size_t i = 0; i < ring.size(); ++i) {
+        ASSERT_LT(ring.index[i], big * big);
+        ++seen[ring.index[i]];
+        const double ku = ring.ku[i], kv = ring.kv[i];
+        EXPECT_EQ(static_cast<double>(ring.index[i] / big) - c, kv);
+        EXPECT_EQ(static_cast<double>(ring.index[i] % big) - c, ku);
+        const bool dc = ku == 0.0 && kv == 0.0;
+        EXPECT_TRUE(kv > 0.0 || (kv == 0.0 && ku > 0.0) || dc)
+            << "(ku, kv) = (" << ku << ", " << kv << ")";
+        const double radius = std::sqrt(ku * ku + kv * kv);
+        EXPECT_LE(radius, r_max + 1e-12);
+        EXPECT_GE(radius, r_min - 1e-12);
+        const double base =
+            weighting == metrics::Weighting::kRadial ? radius / r_max : 1.0;
+        EXPECT_EQ(ring.weight[i], (dc ? 1.0 : 2.0) * base);
+      }
+      for (std::size_t i = 0; i < seen.size(); ++i) {
+        EXPECT_LE(seen[i], 1) << "pixel " << i;
+      }
+    }
   }
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "por/core/refiner.hpp"
 #include "por/em/noise.hpp"
 #include "por/em/projection.hpp"
@@ -189,22 +191,29 @@ TEST(Refiner, MatchingCountReflectsScheduleAndSlides) {
 TEST(Refiner, RefineViewGoldenWithStartingCenter) {
   // Bitwise golden of one refine_view from a nonzero starting center,
   // recorded before the matcher kept only its spectrum ball and center
-  // refinement only its annulus: orientation, center, distance and the
-  // work counters must carry exactly the bits of the full-spectrum
-  // implementation.  The SSE2 tier is forced process-wide (FFT plans
-  // and matcher kernels) so the values hold on every host; the AVX
-  // tiers differ from it by FMA rounding.
+  // refinement only its annulus: orientation, center and the work
+  // counters must carry exactly the bits of the full-spectrum
+  // implementation.  The distance is summed over the Hermitian half
+  // disk with each mirror folded into the weight, so its last bits
+  // moved: final_distance is the half-disk golden, and it must stay
+  // within 1e-13 relative of the full-disk one.  The SSE2 tier is
+  // forced process-wide (FFT plans and matcher kernels) so the values
+  // hold on every host; the AVX tiers differ from it by FMA rounding.
+  // They hold when the test runs in a process of its own, as ctest
+  // runs it: after the other tests of this file in one process,
+  // final_distance differs in its last bits (an open defect).
   struct Golden {
-    double theta, phi, omega, center_x, center_y, final_distance;
+    double theta, phi, omega, center_x, center_y, final_distance,
+        full_disk_distance;
     std::uint64_t matchings, center_evals;
   };
   const Golden goldens[2] = {
       {0x1.f19999999999fp+5, 0x1.1d00000000007p+7, 0x1.b666666666669p+4,
-       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.f21038606d5b9p+1,
-       1949, 99},
+       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.f21038606d5bp+1,
+       0x1.f21038606d5b9p+1, 1949, 99},
       {0x1.eb33333333337p+5, 0x1.1d3333333333ap+7, 0x1.b666666666668p+4,
-       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.8a0b7666c467cp+4,
-       1817, 90},
+       0x1.9999999999999p-1, -0x1.4ccccccccccccp-1, 0x1.8a0b7666c467ep+4,
+       0x1.8a0b7666c467cp+4, 1817, 90},
   };
   const simd::Isa saved = simd::active_isa();
   simd::force_isa(simd::Isa::kSse2);
@@ -232,6 +241,8 @@ TEST(Refiner, RefineViewGoldenWithStartingCenter) {
     EXPECT_EQ(r.center_x, g.center_x);
     EXPECT_EQ(r.center_y, g.center_y);
     EXPECT_EQ(r.final_distance, g.final_distance);
+    EXPECT_LE(std::abs(g.final_distance - g.full_disk_distance),
+              1e-13 * g.full_disk_distance);
     EXPECT_EQ(r.matchings, g.matchings);
     EXPECT_EQ(r.center_evals, g.center_evals);
   }

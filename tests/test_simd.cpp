@@ -40,20 +40,13 @@
 #include "por/simd/kernels.hpp"
 #include "por/util/arena.hpp"
 #include "por/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
 using namespace por;
 
-/// The tiers this machine + binary can actually run.
-std::vector<simd::Isa> available_tiers() {
-  std::vector<simd::Isa> tiers;
-  for (const simd::Isa isa :
-       {simd::Isa::kSse2, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (simd::kernel_table(isa).isa == isa) tiers.push_back(isa);
-  }
-  return tiers;
-}
+using por::test::available_tiers;
 
 /// Restore the process-wide tier on scope exit (tests that force_isa
 /// must not leak their selection into later tests).
@@ -271,56 +264,50 @@ TEST(SimdKernels, AnnulusConsumeMatchesScalarOracle) {
   }
 
   for (const bool use_transfer : {false, true}) {
-    for (const bool use_weight : {false, true}) {
-      // Scalar oracle: the pre-dispatch pixel-sequential accumulation.
-      double expected = 0.25;  // nonzero running accumulator
-      for (std::size_t k = 0; k < count; ++k) {
-        const em::SplitSample s = em::interp_trilinear_cell(
-            split, cells.base[k], cells.tz[k], cells.ty[k], cells.tx[k]);
-        double sre = s.re, sim = s.im;
-        if (use_transfer) {
-          sre *= transfer[k];
-          sim *= transfer[k];
-        }
-        const double dre = view[2 * k] - sre;
-        const double dim = view[2 * k + 1] - sim;
-        double term = dre * dre + dim * dim;
-        if (use_weight) term *= weight[k];
-        expected += term;
+    // Scalar oracle: the pre-dispatch pixel-sequential accumulation.
+    double expected = 0.25;  // nonzero running accumulator
+    for (std::size_t k = 0; k < count; ++k) {
+      const em::SplitSample s = em::interp_trilinear_cell(
+          split, cells.base[k], cells.tz[k], cells.ty[k], cells.tx[k]);
+      double sre = s.re, sim = s.im;
+      if (use_transfer) {
+        sre *= transfer[k];
+        sim *= transfer[k];
       }
+      const double dre = view[2 * k] - sre;
+      const double dim = view[2 * k + 1] - sim;
+      expected += (dre * dre + dim * dim) * weight[k];
+    }
 
-      simd::AnnulusBlock blk;
-      blk.base = cells.base.data();
-      blk.tz = cells.tz.data();
-      blk.ty = cells.ty.data();
-      blk.tx = cells.tx.data();
-      blk.count = count;
-      blk.view = view.data();
-      blk.index = index.data();
-      blk.transfer = use_transfer ? transfer.data() : nullptr;
-      blk.weight = use_weight ? weight.data() : nullptr;
+    simd::AnnulusBlock blk;
+    blk.base = cells.base.data();
+    blk.tz = cells.tz.data();
+    blk.ty = cells.ty.data();
+    blk.tx = cells.tx.data();
+    blk.count = count;
+    blk.view = view.data();
+    blk.index = index.data();
+    blk.transfer = use_transfer ? transfer.data() : nullptr;
+    blk.weight = weight.data();
 
-      for (const simd::Isa isa : available_tiers()) {
-        const simd::KernelTable& kt = simd::kernel_table(isa);
-        double got = 0.0;
-        if (kt.layout == simd::LatticeLayout::kSplit) {
-          ASSERT_NE(kt.annulus_split, nullptr);
-          got = kt.annulus_split(split.re.data(), split.im.data(),
-                                 split.stride_y, split.stride_z,
-                                 split.re.size(), blk, 0.25);
-        } else {
-          ASSERT_NE(kt.annulus_ilv, nullptr);
-          got = kt.annulus_ilv(ilv.data.data(), ilv.stride_y, ilv.stride_z,
-                               ilv.cells(), blk, 0.25);
-        }
-        if (isa == simd::Isa::kSse2) {
-          EXPECT_EQ(got, expected)
-              << "transfer=" << use_transfer << " weight=" << use_weight;
-        } else {
-          EXPECT_LE(rel_diff(got, expected), kTol)
-              << "tier " << simd::isa_name(isa) << " transfer=" << use_transfer
-              << " weight=" << use_weight;
-        }
+    for (const simd::Isa isa : available_tiers()) {
+      const simd::KernelTable& kt = simd::kernel_table(isa);
+      double got = 0.0;
+      if (kt.layout == simd::LatticeLayout::kSplit) {
+        ASSERT_NE(kt.annulus_split, nullptr);
+        got = kt.annulus_split(split.re.data(), split.im.data(),
+                               split.stride_y, split.stride_z,
+                               split.re.size(), blk, 0.25);
+      } else {
+        ASSERT_NE(kt.annulus_ilv, nullptr);
+        got = kt.annulus_ilv(ilv.data.data(), ilv.stride_y, ilv.stride_z,
+                             ilv.cells(), blk, 0.25);
+      }
+      if (isa == simd::Isa::kSse2) {
+        EXPECT_EQ(got, expected) << "transfer=" << use_transfer;
+      } else {
+        EXPECT_LE(rel_diff(got, expected), kTol)
+            << "tier " << simd::isa_name(isa) << " transfer=" << use_transfer;
       }
     }
   }
