@@ -8,13 +8,18 @@
 #pragma once
 
 #include <cmath>
+#include <tuple>
+#include <utility>
 #include <vector>
 
+#include "por/core/pipeline.hpp"
 #include "por/em/ctf.hpp"
 #include "por/em/noise.hpp"
 #include "por/em/phantom.hpp"
 #include "por/em/projection.hpp"
+#include "por/stream/view_source.hpp"
 #include "por/util/rng.hpp"
+#include "por/vmpi/runtime.hpp"
 
 namespace por::bench {
 
@@ -86,6 +91,30 @@ inline Workload asymmetric_workload(const WorkloadSpec& spec) {
   em::PhantomSpec phantom;
   phantom.l = spec.l;
   return make_workload(em::make_asymmetric(phantom, 30), spec);
+}
+
+/// Step C (core::reconstruct_refined) over the workload's views at
+/// the given poses (no centers = all zero) on `ranks` vmpi ranks: the
+/// map and the odd/even FSC.
+inline core::Reconstruction reconstruct(
+    const Workload& w, const std::vector<em::Orientation>& orientations,
+    const std::vector<std::pair<double, double>>& centers = {},
+    int ranks = 1) {
+  std::vector<core::ViewResult> poses(w.views.size());
+  for (std::size_t i = 0; i < poses.size(); ++i) {
+    poses[i].orientation = orientations[i];
+    if (!centers.empty()) {
+      std::tie(poses[i].center_x, poses[i].center_y) = centers[i];
+    }
+  }
+  core::Reconstruction out;
+  vmpi::run(ranks, [&](vmpi::Comm& comm) {
+    stream::MemoryViewSource source(w.views);
+    core::Reconstruction mine = core::reconstruct_refined(
+        comm, w.l, &source, poses, core::RefinerConfig{});
+    if (comm.is_root()) out = std::move(mine);
+  });
+  return out;
 }
 
 }  // namespace por::bench

@@ -75,8 +75,7 @@ int main() {
   const core::RefinementPipeline pipeline(config);
   const core::PipelineResult refined = pipeline.run(w.views, w.initial);
 
-  const em::Volume<double> old_map =
-      recon::fourier_reconstruct(w.views, w.initial);
+  const em::Volume<double> old_map = bench::reconstruct(w, w.initial).map;
   const em::Volume<double>& new_map = refined.map;
 
   print_cross_section("ground truth", w.map);

@@ -37,10 +37,11 @@ inline int run_fsc_figure(const char* title, Workload& w,
   const core::RefinementPipeline pipeline(config);
   const core::PipelineResult result = pipeline.run(w.views, w.initial);
 
-  const auto old_curve =
-      core::RefinementPipeline::odd_even_fsc(w.views, w.initial, {}, {});
-  const auto new_curve = core::RefinementPipeline::odd_even_fsc(
-      w.views, result.orientations, result.centers, {});
+  const core::Reconstruction old_step_c = reconstruct(w, w.initial);
+  const core::Reconstruction new_step_c =
+      reconstruct(w, result.orientations, result.centers);
+  const metrics::FscCurve& old_curve = old_step_c.fsc;
+  const metrics::FscCurve& new_curve = new_step_c.fsc;
 
   util::Table table({"shell radius (px)", "resolution (A)", "cc old",
                      "cc new"});
@@ -54,8 +55,8 @@ inline int run_fsc_figure(const char* title, Workload& w,
   }
   std::printf("%s\n", table.render().c_str());
 
-  const double old_cross = metrics::crossing_radius(old_curve, 0.5);
-  const double new_cross = metrics::crossing_radius(new_curve, 0.5);
+  const double old_cross = old_step_c.fsc05_px;
+  const double new_cross = new_step_c.fsc05_px;
   const double old_res =
       metrics::radius_to_resolution_a(old_cross, w.l, pixel_size_a);
   const double new_res =

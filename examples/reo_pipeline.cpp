@@ -2,7 +2,10 @@
 // double-shelled orthoreovirus-like particle, exercising the FILE-based
 // distributed pipeline: the master node writes/reads map, view-stack
 // and orientation files exactly as the paper's programs did (steps a.1,
-// b, c, o), then iterates refinement and reconstruction.
+// b, c, o), then iterates refinement and reconstruction.  Each cycle is
+// one vmpi run: core::parallel_refine_files (step B), then
+// core::reconstruct_refined (step C and the odd/even FSC) over the same
+// sharded stack, leaving out any view step B quarantined.
 //
 //   ./reo_pipeline [--l 48] [--views 48] [--snr 2] [--ranks 4]
 //                  [--workdir /tmp/por_reo] [--cycles 2]
@@ -30,6 +33,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/pipeline.hpp"
@@ -39,6 +43,7 @@
 #include "por/io/orientation_io.hpp"
 #include "por/metrics/orientation_error.hpp"
 #include "por/stream/sharded_stack.hpp"
+#include "por/stream/view_source.hpp"
 #include "por/util/cli.hpp"
 #include "por/util/rng.hpp"
 #include "por/vmpi/runtime.hpp"
@@ -86,6 +91,7 @@ int main(int argc, char** argv) {
   util::Rng rng(811);
   std::vector<em::Image<double>> views;
   std::vector<em::Orientation> truth;
+  std::vector<em::Orientation> current;  // 3-degree initials, then refined
   std::vector<io::ViewOrientation> initial_records;
   for (int i = 0; i < view_count; ++i) {
     double theta, phi;
@@ -99,11 +105,13 @@ int main(int argc, char** argv) {
     // Rough initial orientation: truth quantized to a 3-degree grid,
     // the "rough estimation ... say at 3 degrees" of the paper.
     auto quantize = [](double deg) { return 3.0 * std::round(deg / 3.0); };
+    current.push_back(
+        em::Orientation{quantize(o.theta), quantize(o.phi), quantize(o.omega)});
     initial_records.push_back(io::ViewOrientation{
-        static_cast<std::size_t>(i),
-        em::Orientation{quantize(o.theta), quantize(o.phi), quantize(o.omega)},
-        0.0, 0.0});
+        static_cast<std::size_t>(i), current.back(), 0.0, 0.0});
   }
+  const auto initial_error = metrics::orientation_error_stats(current, truth,
+                                                              icos);
   const std::string stack_path = workdir + "/views.shards";
   const std::string orient_path = workdir + "/orient_0.txt";
   stream::write_sharded_stack(stack_path, views);
@@ -136,12 +144,27 @@ int main(int argc, char** argv) {
                 kill_rank, static_cast<unsigned long long>(kill_at_step));
   }
 
+  // Step C over the stack at the given poses; root keeps the map.
+  stream::ShardedStackOptions read_options;
+  read_options.max_resident_bytes = max_resident_mb * (std::size_t{1} << 20);
+  const auto reconstruct = [&](vmpi::Comm& comm,
+                               const std::vector<core::ViewResult>& poses) {
+    std::unique_ptr<stream::ViewSource> source;
+    if (comm.is_root()) {
+      source = stream::open_view_source(stack_path, read_options);
+    }
+    return core::reconstruct_refined(comm, l, source.get(), poses,
+                                     refiner_config);
+  };
+
   // Cycle 0 map: reconstruct from the quantized orientations.
-  std::vector<em::Orientation> current(view_count);
-  for (int i = 0; i < view_count; ++i) {
-    current[i] = initial_records[i].orientation;
-  }
-  em::Volume<double> map = recon::fourier_reconstruct(views, current);
+  std::vector<core::ViewResult> poses(view_count);
+  for (int i = 0; i < view_count; ++i) poses[i].orientation = current[i];
+  em::Volume<double> map;
+  vmpi::run(ranks, [&](vmpi::Comm& comm) {
+    core::Reconstruction next = reconstruct(comm, poses);
+    if (comm.is_root()) map = std::move(next.map);
+  });
   io::write_map(workdir + "/map_0.porm", map);
 
   for (int cycle = 1; cycle <= cycles; ++cycle) {
@@ -157,35 +180,34 @@ int main(int argc, char** argv) {
             ? workdir + "/ckpt_cycle_" + std::to_string(cycle) + ".porc"
             : std::string();
 
-    std::uint64_t restored = 0, reassigned = 0, dead = 0;
+    std::uint64_t restored = 0, reassigned = 0, dead = 0, quarantined = 0;
+    double crossing = 0.0;
     vmpi::run(ranks, fault_plan, [&](vmpi::Comm& comm) {
-      const auto r = core::parallel_refine_files(
+      core::ParallelRefineReport r = core::parallel_refine_files(
           comm, map_in, stack_path, orient_in, orient_out, refiner_config);
+      core::Reconstruction next = reconstruct(comm, r.results);
       if (comm.is_root()) {
         restored = r.restored_views;
         reassigned = r.reassigned_views;
         dead = r.dead_ranks;
+        quarantined = r.quarantined_views;
+        poses = std::move(r.results);
+        map = std::move(next.map);
+        crossing = next.fsc05_px;
       }
     });
-    if (restored + reassigned + dead > 0) {
+    if (restored + reassigned + dead + quarantined > 0) {
       std::printf("cycle %d resilience: restored=%llu reassigned=%llu "
-                  "dead_ranks=%llu\n",
+                  "dead_ranks=%llu quarantined=%llu\n",
                   cycle, static_cast<unsigned long long>(restored),
                   static_cast<unsigned long long>(reassigned),
-                  static_cast<unsigned long long>(dead));
+                  static_cast<unsigned long long>(dead),
+                  static_cast<unsigned long long>(quarantined));
     }
-
-    const auto refined = io::read_orientations(orient_out);
-    for (int i = 0; i < view_count; ++i) {
-      current[i] = refined[i].orientation;
-    }
-    map = recon::fourier_reconstruct(views, current);
+    for (int i = 0; i < view_count; ++i) current[i] = poses[i].orientation;
     io::write_map(workdir + "/map_" + std::to_string(cycle) + ".porm", map);
 
     const auto error = metrics::orientation_error_stats(current, truth, icos);
-    const auto curve =
-        core::RefinementPipeline::odd_even_fsc(views, current, {}, {});
-    const double crossing = metrics::crossing_radius(curve, 0.5);
     std::printf("cycle %d: orientation error mean=%.3f deg, FSC(0.5) radius "
                 "%.2f px (%.1f A), map cc vs truth %.4f\n",
                 cycle, error.mean, crossing,
@@ -193,15 +215,6 @@ int main(int argc, char** argv) {
                 metrics::volume_correlation(map, truth_map));
   }
 
-  const auto initial_error = metrics::orientation_error_stats(
-      [&] {
-        std::vector<em::Orientation> init(view_count);
-        for (int i = 0; i < view_count; ++i) {
-          init[i] = initial_records[i].orientation;
-        }
-        return init;
-      }(),
-      truth, icos);
   const auto final_error = metrics::orientation_error_stats(current, truth, icos);
   std::printf("\norientation error: initial mean %.3f deg -> final mean %.3f "
               "deg\n",

@@ -12,8 +12,9 @@
 //   3. assign "old" orientations with the exhaustive asymmetric-unit
 //      projection matcher (fixed coarse grid),
 //   4. refine with the new algorithm (distributed across vmpi ranks),
-//   5. reconstruct from old vs refined orientations and compare FSC
-//      curves and true-map correlations.
+//   5. reconstruct from old vs refined orientations through
+//      core::reconstruct_refined (Wiener-corrected views, odd/even FSC)
+//      and compare FSC curves and true-map correlations.
 //
 //   ./sindbis_pipeline [--l 48] [--views 60] [--snr 2] [--ranks 4]
 //                      [--refine_workers 1] [--metrics-out report.json]
@@ -47,12 +48,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 
 #include "por/core/parallel_refiner.hpp"
 #include "por/core/pipeline.hpp"
 #include "por/io/map_io.hpp"
 #include "por/io/orientation_io.hpp"
 #include "por/stream/sharded_stack.hpp"
+#include "por/stream/view_source.hpp"
 #include "por/em/noise.hpp"
 #include "por/em/phantom.hpp"
 #include "por/em/projection.hpp"
@@ -112,8 +115,7 @@ int main(int argc, char** argv) {
   ctf.defocus_a = 16000.0;
   util::Rng rng(403);
   const double wiener_snr = std::max(1.0, snr * 10.0);
-  std::vector<em::Image<double>> views;            // raw CTF'd views
-  std::vector<em::Image<double>> corrected_views;  // for reconstruction/FSC
+  std::vector<em::Image<double>> views;  // raw CTF'd views
   std::vector<em::Orientation> truth;
   for (int i = 0; i < view_count; ++i) {
     double theta, phi;
@@ -125,11 +127,6 @@ int main(int argc, char** argv) {
     em::apply_ctf(spectrum, ctf);
     em::Image<double> view = em::centered_ifft2(spectrum);
     em::add_gaussian_noise(view, snr, rng);
-    // Step (e) for reconstruction/FSC: a Wiener-corrected copy.  The
-    // refiner corrects its own copies internally (config.ctf below).
-    em::Image<em::cdouble> corrected = em::centered_fft2(view);
-    em::correct_ctf(corrected, ctf, em::CtfCorrection::kWiener, wiener_snr);
-    corrected_views.push_back(em::centered_ifft2(corrected));
     views.push_back(std::move(view));
     truth.push_back(o);
   }
@@ -190,6 +187,7 @@ int main(int argc, char** argv) {
 
   std::vector<em::Orientation> refined = old_orientations;
   std::vector<std::pair<double, double>> centers(views.size(), {0.0, 0.0});
+  std::vector<core::ViewResult> results;
 
   // Out-of-core staging: persist the simulated experiment under
   // --shards DIR and refine through the streaming sharded driver.
@@ -218,7 +216,6 @@ int main(int argc, char** argv) {
   std::uint64_t total_matchings = 0, total_slides = 0;
   std::uint64_t restored = 0, reassigned = 0, dead = 0, quarantined = 0;
   const auto report = [&] {
-    std::vector<core::ViewResult> results;
     auto rep = vmpi::RunReport{};
     rep = vmpi::run(ranks, fault_plan, [&](vmpi::Comm& comm) {
       auto r = shards_dir.empty()
@@ -241,7 +238,6 @@ int main(int argc, char** argv) {
     });
     for (std::size_t i = 0; i < results.size(); ++i) {
       refined[i] = results[i].orientation;
-      centers[i] = {results[i].center_x, results[i].center_y};
     }
     return rep;
   }();
@@ -270,16 +266,32 @@ int main(int argc, char** argv) {
   std::printf("refined orientations: error mean=%.3f deg median=%.3f deg\n\n",
               new_error.mean, new_error.median);
 
-  // ---- maps from old vs refined orientations ----
-  const em::Volume<double> old_map =
-      recon::fourier_reconstruct(corrected_views, old_orientations);
-  const em::Volume<double> new_map =
-      recon::fourier_reconstruct(corrected_views, refined, centers);
-
-  const auto old_curve = core::RefinementPipeline::odd_even_fsc(
-      corrected_views, old_orientations, {}, {});
-  const auto new_curve = core::RefinementPipeline::odd_even_fsc(
-      corrected_views, refined, centers, {});
+  // ---- step C: maps and odd/even FSC from old vs refined poses ----
+  // Both read the views the refinement read (the sharded stack under
+  // --shards) and apply the same Wiener correction (refiner_config.ctf).
+  std::vector<core::ViewResult> old_poses(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    old_poses[i].orientation = old_orientations[i];
+  }
+  core::Reconstruction old_step_c, new_step_c;
+  vmpi::run(ranks, [&](vmpi::Comm& comm) {
+    std::unique_ptr<stream::ViewSource> source;
+    if (comm.is_root()) {
+      source = shards_dir.empty()
+                   ? std::make_unique<stream::MemoryViewSource>(views)
+                   : stream::open_view_source(shard_base);
+    }
+    core::Reconstruction old_c = core::reconstruct_refined(
+        comm, l, source.get(), old_poses, refiner_config);
+    core::Reconstruction new_c = core::reconstruct_refined(
+        comm, l, source.get(), results, refiner_config);
+    if (comm.is_root()) {
+      old_step_c = std::move(old_c);
+      new_step_c = std::move(new_c);
+    }
+  });
+  const metrics::FscCurve& old_curve = old_step_c.fsc;
+  const metrics::FscCurve& new_curve = new_step_c.fsc;
 
   util::Table table({"shell radius (px)", "FSC old", "FSC new"});
   for (std::size_t s = 1; s < old_curve.correlation.size(); ++s) {
@@ -289,16 +301,16 @@ int main(int argc, char** argv) {
   }
   std::printf("%s\n", table.render().c_str());
 
-  const double old_cross = metrics::crossing_radius(old_curve, 0.5);
-  const double new_cross = metrics::crossing_radius(new_curve, 0.5);
+  const double old_cross = old_step_c.fsc05_px;
+  const double new_cross = new_step_c.fsc05_px;
   std::printf("FSC 0.5 crossing: old %.2f px (%.1f A), new %.2f px (%.1f A)\n",
               old_cross,
               metrics::radius_to_resolution_a(old_cross, l, ctf.pixel_size_a),
               new_cross,
               metrics::radius_to_resolution_a(new_cross, l, ctf.pixel_size_a));
   std::printf("map correlation vs ground truth: old %.4f, new %.4f\n",
-              metrics::volume_correlation(old_map, truth_map),
-              metrics::volume_correlation(new_map, truth_map));
+              metrics::volume_correlation(old_step_c.map, truth_map),
+              metrics::volume_correlation(new_step_c.map, truth_map));
   const bool improved = new_cross >= old_cross && new_error.mean < old_error.mean;
   std::printf("\nsindbis pipeline %s\n", improved ? "PASSED" : "FAILED");
   return improved ? 0 : 1;

@@ -5,11 +5,12 @@
 // cannot be further improved at a given resolution; then the
 // resolution is increased gradually."
 //
-// Each cycle refines orientations against the current map, then
-// reconstructs a new map from the refined orientations; resolution is
-// assessed with the odd/even split + FSC 0.5 protocol of Fig. 4, and
-// the matching radius r_map for the next cycle is raised toward the
-// measured resolution.
+// Each cycle refines orientations against the current map (step B,
+// core::parallel_refine), then reconstructs a new map from the refined
+// orientations (step C: reconstruct_refined below, the one place step C
+// runs); resolution is assessed with the odd/even split + FSC 0.5
+// protocol of Fig. 4, and the matching radius r_map for the next cycle
+// is raised toward the measured resolution.
 #pragma once
 
 #include <optional>
@@ -19,8 +20,38 @@
 #include "por/metrics/fsc.hpp"
 #include "por/metrics/orientation_error.hpp"
 #include "por/recon/fourier_recon.hpp"
+#include "por/vmpi/comm.hpp"
 
 namespace por::core {
+
+/// What step C hands the next cycle.
+struct Reconstruction {
+  /// The map from every kept view, identical on every rank.
+  em::Volume<double> map;
+  /// Shell correlation of the odd and the even half map, and where it
+  /// crosses 0.5 (Fourier px).  Root only.
+  metrics::FscCurve fsc;
+  double fsc05_px = 0.0;
+};
+
+/// Step C, an SPMD collective.  Root passes the view stack and one record
+/// of step B per view; no other rank's source or records are read.  `l`
+/// is the view edge.  Views whose record has quarantined != 0 stay out
+/// of all three maps.  Every rank takes its block (io::block_begin /
+/// block_share) of the kept views, which root re-reads and ships (as the
+/// paper's P3DR re-read the stack), applies step (e) as
+/// config.matcher_options() sets it up (CTF correction, mode, Wiener
+/// SNR), and runs recon::parallel_fourier_reconstruct over all its
+/// views, those with an odd global index and those with an even one.
+/// Root correlates the two half maps.
+///
+/// Root checks its inputs (a source, one record per view, l x l views)
+/// before the first collective, and every rank checks that each half
+/// set keeps a view; on failure every rank throws std::invalid_argument.
+[[nodiscard]] Reconstruction reconstruct_refined(
+    vmpi::Comm& comm, std::size_t l, stream::ViewSource* source_on_root,
+    const std::vector<ViewResult>& poses_on_root, const RefinerConfig& config,
+    const recon::ReconOptions& recon_options = {});
 
 struct PipelineConfig {
   int cycles = 3;
@@ -65,20 +96,16 @@ class RefinementPipeline {
   /// Run `config.cycles` alternations of refine + reconstruct,
   /// starting from `initial_map` (e.g. a coarse reconstruction from
   /// the initial orientations — pass std::nullopt to build exactly
-  /// that as cycle 0's map).
+  /// that as cycle 0's map).  Runs on one vmpi rank through the
+  /// distributed drivers: parallel_refine for step B, then
+  /// reconstruct_refined for step C and the odd/even FSC, so a view
+  /// step B quarantines stays out of the map.  Cycle 0 leaves out views
+  /// with non-finite pixels, which step B would quarantine.
   [[nodiscard]] PipelineResult run(
       const std::vector<em::Image<double>>& views,
       const std::vector<em::Orientation>& initial_orientations,
       const std::optional<em::Volume<double>>& initial_map = std::nullopt,
       const std::optional<GroundTruth>& truth = std::nullopt) const;
-
-  /// The odd/even split reconstruction + FSC of Fig. 4, exposed for
-  /// the figure benches: returns the shell curve of the two half maps.
-  [[nodiscard]] static metrics::FscCurve odd_even_fsc(
-      const std::vector<em::Image<double>>& views,
-      const std::vector<em::Orientation>& orientations,
-      const std::vector<std::pair<double, double>>& centers,
-      const recon::ReconOptions& options);
 
  private:
   PipelineConfig config_;

@@ -86,7 +86,10 @@ Fft1D::Fft1D(std::size_t n) : n_(n), pow2_(is_pow2(n)) {
     b[k] = chirp_[k];
     b[m_ - k] = chirp_[k];  // symmetric wrap for negative indices
   }
-  inner_->forward(b.data());
+  // The chirp spectrum is part of the plan, and plans are shared
+  // process-wide: transform it by the SSE2 tier whatever tier is active,
+  // so a plan carries the same bits whichever tier built it.
+  inner_->pow2_forward(b.data(), simd::kernel_table(simd::Isa::kSse2));
   chirp_fft_ = std::move(b);
 }
 
@@ -98,7 +101,7 @@ void Fft1D::transform(cdouble* data, bool inverse) const {
   obs.points_1d->add(n_);
   if (!inverse) {
     if (pow2_) {
-      pow2_forward(data);
+      pow2_forward(data, simd::active_kernels());
     } else {
       bluestein_forward(data);
     }
@@ -107,7 +110,7 @@ void Fft1D::transform(cdouble* data, bool inverse) const {
   // inverse(x) = conj(forward(conj(x))) / n
   for (std::size_t i = 0; i < n_; ++i) data[i] = std::conj(data[i]);
   if (pow2_) {
-    pow2_forward(data);
+    pow2_forward(data, simd::active_kernels());
   } else {
     bluestein_forward(data);
   }
@@ -115,7 +118,7 @@ void Fft1D::transform(cdouble* data, bool inverse) const {
   for (std::size_t i = 0; i < n_; ++i) data[i] = std::conj(data[i]) * scale;
 }
 
-void Fft1D::pow2_forward(cdouble* data) const {
+void Fft1D::pow2_forward(cdouble* data, const simd::KernelTable& kt) const {
   const std::size_t n = n_;
   // CONTRACT: the bit-reversal permutation and the twiddle tables are
   // built for exactly this n at construction; a mismatch would read
@@ -128,16 +131,16 @@ void Fft1D::pow2_forward(cdouble* data) const {
     const std::size_t j = bitrev_[i];
     if (i < j) std::swap(data[i], data[j]);
   }
-  // Butterfly stages run through the dispatched per-ISA kernel (the
-  // process-wide tier, re-read per transform — plans are shared and
-  // must not snapshot a stale table).  The kernels work on raw doubles:
+  // Butterfly stages run through the dispatched per-ISA kernel `kt`
+  // (the execute paths pass the process-wide tier, re-read per
+  // transform — plans are shared and must not snapshot a stale table).
+  // The kernels work on raw doubles:
   // std::complex<double> operator* lowers to a __muldc3 libcall
   // (NaN-recovery semantics) which dominates the whole transform; the
   // manual (ac - bd, ad + bc) form is the identical finite-case
   // arithmetic at a fraction of the cost.  std::complex<double> is
   // layout-compatible with double[2] by [complex.numbers.general], so
   // the casts are defined.
-  const simd::KernelTable& kt = simd::active_kernels();
   detail::obs_handles().simd_stage_dispatch->add();
   double* d = reinterpret_cast<double*>(data);
   const double* tw = reinterpret_cast<const double*>(stage_tw_.data());

@@ -17,6 +17,10 @@
 #include <memory>
 #include <vector>
 
+namespace por::simd {
+struct KernelTable;
+}  // namespace por::simd
+
 namespace por::fft {
 
 using cdouble = std::complex<double>;
@@ -61,8 +65,9 @@ class Fft1D {
  private:
   void transform(cdouble* data, bool inverse) const;
 
-  /// Radix-2 path; requires is_pow2(n_).
-  void pow2_forward(cdouble* data) const;
+  /// Radix-2 path through the butterfly kernel of `kt`; requires
+  /// is_pow2(n_).
+  void pow2_forward(cdouble* data, const simd::KernelTable& kt) const;
 
   /// Bluestein path (forward only; inverse goes through conjugation).
   void bluestein_forward(cdouble* data) const;

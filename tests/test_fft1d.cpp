@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 
 #include "por/fft/fft1d.hpp"
+#include "por/simd/isa.hpp"
 #include "por/util/rng.hpp"
+#include "test_helpers.hpp"
 
 namespace {
 
@@ -214,6 +217,31 @@ TEST(Fft1D, PlanIsReusable) {
     plan.inverse(y.data());
     EXPECT_LT(max_err(y, x), 1e-12 * n);
   }
+}
+
+TEST(Fft1D, BluesteinPlanCarriesNoTraceOfTheTierThatBuiltIt) {
+  // Plans are cached process-wide, so one built while a wide tier is
+  // active may later run under SSE2.  Length 48 takes the Bluestein
+  // path, whose chirp spectrum is computed at construction: a plan
+  // built under any tier must transform bitwise like one built under
+  // SSE2.
+  const por::simd::Isa saved = por::simd::active_isa();
+  const std::vector<cdouble> signal = random_signal(48, 23);
+  for (const por::simd::Isa builder : por::test::available_tiers()) {
+    SCOPED_TRACE(por::simd::isa_name(builder));
+    por::simd::force_isa(builder);
+    const Fft1D built(48);
+    por::simd::force_isa(por::simd::Isa::kSse2);
+    const Fft1D reference(48);
+    std::vector<cdouble> a = signal, b = signal;
+    built.forward(a.data());
+    reference.forward(b.data());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)), 0);
+    built.inverse(a.data());
+    reference.inverse(b.data());
+    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(cdouble)), 0);
+  }
+  por::simd::force_isa(saved);
 }
 
 }  // namespace

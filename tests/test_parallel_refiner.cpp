@@ -1,19 +1,27 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <memory>
+#include <optional>
 #include <unistd.h>
 
-#include "por/core/parallel_pipeline.hpp"
 #include "por/core/parallel_refiner.hpp"
-#include "por/metrics/fsc.hpp"
+#include "por/core/pipeline.hpp"
+#include "por/em/ctf.hpp"
+#include "por/em/projection.hpp"
 #include "por/io/map_io.hpp"
+#include "por/io/master_io.hpp"
 #include "por/io/orientation_io.hpp"
+#include "por/metrics/fsc.hpp"
+#include "por/recon/parallel_recon.hpp"
 #include "por/resilience/error.hpp"
 #include "por/stream/sharded_stack.hpp"
+#include "por/stream/view_source.hpp"
 #include "por/vmpi/runtime.hpp"
 #include "test_helpers.hpp"
 
@@ -155,58 +163,233 @@ TEST(ParallelRefiner, AnyRankCountIsBitwiseOneRank) {
   }
 }
 
-TEST(ParallelCycle, MapIsReplicatedAndMatchesSerialCycle) {
-  Workload w(8);
-  const RefinerConfig config = fast_config();
-
-  // Serial reference: refine then reconstruct by hand.
+/// Step B then step C on p ranks, as one cycle: the refined records
+/// and each rank's Reconstruction (fsc filled on root only).
+struct Cycle {
   std::vector<ViewResult> refined;
-  vmpi::run(1, [&](vmpi::Comm& comm) {
-    refined = parallel_refine(comm, w.map, w.l, w.views, w.initials,
-                              w.centers, config)
-                  .results;
-  });
-  std::vector<em::Orientation> orientations;
-  std::vector<std::pair<double, double>> centers;
-  for (const auto& r : refined) {
-    orientations.push_back(r.orientation);
-    centers.emplace_back(r.center_x, r.center_y);
-  }
-  const em::Volume<double> serial_map =
-      recon::fourier_reconstruct(w.views, orientations, centers);
+  std::vector<Reconstruction> per_rank;
+};
 
-  // Distributed cycle on 2 ranks: both ranks must hold the same map,
-  // equal to the serial one.
-  std::vector<em::Volume<double>> maps(2);
-  double recon_seconds = -1.0;
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto cycle = parallel_cycle(comm, w.map, w.l, w.views, w.initials,
-                                w.centers, config);
-    maps[comm.rank()] = std::move(cycle.map);
-    if (comm.is_root()) {
-      recon_seconds = cycle.reconstruction_seconds;
-      EXPECT_EQ(cycle.results.size(), w.views.size());
-    }
+Cycle run_cycle(const Workload& w, int p, const RefinerConfig& config) {
+  Cycle cycle;
+  cycle.per_rank.resize(static_cast<std::size_t>(p));
+  vmpi::run(p, [&](vmpi::Comm& comm) {
+    std::optional<stream::MemoryViewSource> source;
+    if (comm.is_root()) source.emplace(w.views);
+    auto report = parallel_refine(comm, w.map, w.l, w.views, w.initials,
+                                  w.centers, config);
+    cycle.per_rank[static_cast<std::size_t>(comm.rank())] =
+        reconstruct_refined(comm, w.l, source ? &*source : nullptr,
+                            report.results, config);
+    if (comm.is_root()) cycle.refined = std::move(report.results);
   });
-  EXPECT_GT(recon_seconds, 0.0);
-  EXPECT_LT(por::test::max_abs_diff(maps[0], maps[1]), 1e-12);
-  EXPECT_LT(por::test::max_abs_diff(maps[0], serial_map), 1e-9);
+  return cycle;
+}
+
+/// The serial reference map of `views` at `poses`, leaving out the
+/// quarantined records.
+Volume<double> serial_map(const std::vector<Image<double>>& views,
+                          const std::vector<ViewResult>& poses) {
+  std::vector<Image<double>> kept;
+  std::vector<Orientation> orientations;
+  std::vector<std::pair<double, double>> centers;
+  for (std::size_t i = 0; i < poses.size(); ++i) {
+    if (poses[i].quarantined != 0) continue;
+    kept.push_back(views[i]);
+    orientations.push_back(poses[i].orientation);
+    centers.emplace_back(poses[i].center_x, poses[i].center_y);
+  }
+  return recon::fourier_reconstruct(kept, orientations, centers);
+}
+
+bool same_bits(const Volume<double>& a, const Volume<double>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+}
+
+TEST(ParallelCycle, MapIsReplicatedAndMatchesSerialCycle) {
+  // Step B then reconstruct_refined on 2 ranks: both ranks hold the
+  // same map, equal to the serial reconstruction at the refined poses,
+  // and root holds the odd/even FSC.
+  Workload w(8);
+  const Cycle cycle = run_cycle(w, 2, fast_config());
+  ASSERT_EQ(cycle.refined.size(), w.views.size());
+  EXPECT_TRUE(same_bits(cycle.per_rank[0].map, cycle.per_rank[1].map));
+  EXPECT_LT(por::test::max_abs_diff(cycle.per_rank[0].map,
+                                    serial_map(w.views, cycle.refined)),
+            1e-9);
+  EXPECT_FALSE(cycle.per_rank[0].fsc.correlation.empty());
+  EXPECT_GT(cycle.per_rank[0].fsc05_px, 0.0);
 }
 
 TEST(ParallelCycle, ImprovedOrientationsImproveTheMap) {
   Workload w(10);
   const em::Volume<double> initial_map =
       recon::fourier_reconstruct(w.views, w.initials, w.centers);
-  em::Volume<double> cycled;
-  vmpi::run(2, [&](vmpi::Comm& comm) {
-    auto cycle = parallel_cycle(comm, w.map, w.l, w.views, w.initials,
-                                w.centers, fast_config());
-    if (comm.is_root()) cycled = std::move(cycle.map);
-  });
+  const em::Volume<double> cycled =
+      run_cycle(w, 2, fast_config()).per_rank[0].map;
   const em::Volume<double> truth = w.model.rasterize(w.l);
   EXPECT_GE(metrics::volume_correlation(cycled, truth),
             metrics::volume_correlation(initial_map, truth) - 1e-6);
 }
+
+TEST(ReconstructRefined, FileDriverQuarantinesACorruptViewAndStepCSkipsIt) {
+  // One flipped byte in a sharded stack: the file driver reads that
+  // view NaN-filled (quarantine_corrupt follows quarantine_views), the
+  // refiner quarantines it, and step C over the same stack leaves it
+  // out of the map and of both half maps.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("por_recon_refined_" + std::to_string(::getpid()));
+  fs::create_directories(dir);
+  Workload w(10);
+  const std::string map_path = (dir / "map.porm").string();
+  const std::string stack_path = (dir / "views.shards").string();
+  const std::string in_path = (dir / "init.txt").string();
+  const std::string out_path = (dir / "refined.txt").string();
+  io::write_map(map_path, w.map);
+  stream::ShardedStackOptions layout;
+  layout.views_per_shard = 4;
+  stream::write_sharded_stack(stack_path, w.views, layout);
+  std::vector<io::ViewOrientation> records;
+  for (std::size_t i = 0; i < w.views.size(); ++i) {
+    records.push_back(io::ViewOrientation{i, w.initials[i], 0.0, 0.0});
+  }
+  io::write_orientations(in_path, records);
+  {
+    // The last byte of shard 1 lies in the payload of view 7.
+    const std::string shard = stream::shard_path(stack_path, 1);
+    std::fstream file(shard, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(-1, std::ios::end);
+    const char byte = static_cast<char>(file.get() ^ 0x40);
+    file.seekp(-1, std::ios::end);
+    file.put(byte);
+  }
+  constexpr std::size_t kCorrupt = 7;
+
+  const RefinerConfig config = fast_config();
+  std::vector<ViewResult> refined;
+  std::vector<Reconstruction> per_rank(3);
+  vmpi::run(3, [&](vmpi::Comm& comm) {
+    std::unique_ptr<stream::ViewSource> source;
+    if (comm.is_root()) {
+      stream::ShardedStackOptions options;
+      options.quarantine_corrupt = true;
+      source = stream::open_view_source(stack_path, options);
+    }
+    auto report = parallel_refine_files(comm, map_path, stack_path, in_path,
+                                        out_path, config);
+    per_rank[static_cast<std::size_t>(comm.rank())] = reconstruct_refined(
+        comm, w.l, source.get(), report.results, config);
+    if (comm.is_root()) refined = std::move(report.results);
+  });
+  fs::remove_all(dir);
+
+  ASSERT_EQ(refined.size(), w.views.size());
+  for (std::size_t i = 0; i < refined.size(); ++i) {
+    EXPECT_EQ(refined[i].quarantined != 0, i == kCorrupt) << "view " << i;
+  }
+  const Reconstruction& root = per_rank[0];
+  for (const double v : root.map.storage()) ASSERT_TRUE(std::isfinite(v));
+  for (const Reconstruction& rank : per_rank) {
+    EXPECT_TRUE(same_bits(rank.map, root.map));
+  }
+  EXPECT_LT(por::test::max_abs_diff(root.map, serial_map(w.views, refined)),
+            1e-12);
+  EXPECT_TRUE(std::isfinite(root.fsc05_px));
+  EXPECT_GT(root.fsc05_px, 0.0);
+}
+
+/// Step C as perfbench's adapter runs it: every rank reads its block of
+/// all m views, Wiener-corrects each, and splats the full set and its
+/// odd and even halves by global index; root correlates the halves.
+Reconstruction adapter_recipe(vmpi::Comm& comm, const Workload& w,
+                              const std::vector<ViewResult>& poses,
+                              const CtfParams& ctf, double snr,
+                              const recon::ReconOptions& options) {
+  struct Set {
+    std::vector<Image<double>> views;
+    std::vector<Orientation> orientations;
+    std::vector<std::pair<double, double>> centers;
+    void add(const Image<double>& v, const ViewResult& p) {
+      views.push_back(v);
+      orientations.push_back(p.orientation);
+      centers.emplace_back(p.center_x, p.center_y);
+    }
+  } all, odd, even;
+  const std::size_t m = w.views.size();
+  const std::size_t begin = io::block_begin(m, comm.size(), comm.rank());
+  const std::size_t share = io::block_share(m, comm.size(), comm.rank());
+  for (std::size_t i = begin; i < begin + share; ++i) {
+    Image<cdouble> spectrum = centered_fft2(w.views[i]);
+    correct_ctf(spectrum, ctf, CtfCorrection::kWiener, snr);
+    const Image<double> corrected = centered_ifft2(spectrum);
+    all.add(corrected, poses[i]);
+    (i % 2 == 0 ? even : odd).add(corrected, poses[i]);
+  }
+  Reconstruction out;
+  out.map = recon::parallel_fourier_reconstruct(
+      comm, w.l, all.views, all.orientations, all.centers, options);
+  const Volume<double> odd_map = recon::parallel_fourier_reconstruct(
+      comm, w.l, odd.views, odd.orientations, odd.centers, options);
+  const Volume<double> even_map = recon::parallel_fourier_reconstruct(
+      comm, w.l, even.views, even.orientations, even.centers, options);
+  if (comm.is_root()) {
+    out.fsc05_px = metrics::crossing_radius(
+        metrics::fourier_shell_correlation(odd_map, even_map), 0.5);
+  }
+  return out;
+}
+
+class ReconstructRefinedRanks : public ::testing::TestWithParam<int> {};
+
+TEST_P(ReconstructRefinedRanks, BitwiseTheAdapterRecipe) {
+  // With no view quarantined, reconstruct_refined is the same
+  // arithmetic as the benchmark's step C: same block partition, parity
+  // split, Wiener correction and three reductions.
+  const int p = GetParam();
+  Workload w(11);
+  CtfParams ctf;
+  ctf.pixel_size_a = 2.8;
+  ctf.defocus_a = 16000.0;
+  util::Rng rng(5);
+  std::vector<ViewResult> poses(w.views.size());
+  for (std::size_t i = 0; i < w.views.size(); ++i) {
+    Image<cdouble> spectrum = centered_fft2(w.views[i]);
+    apply_ctf(spectrum, ctf);
+    w.views[i] = centered_ifft2(spectrum);
+    poses[i].orientation = w.truths[i];
+    poses[i].center_x = rng.uniform(-0.5, 0.5);
+    poses[i].center_y = rng.uniform(-0.5, 0.5);
+  }
+  RefinerConfig config = fast_config();
+  config.ctf = ctf;
+  config.ctf_correction = CtfCorrection::kWiener;
+  config.wiener_snr = 20.0;
+  recon::ReconOptions options;
+  options.pad = 1;
+
+  std::vector<Reconstruction> library(static_cast<std::size_t>(p));
+  std::vector<Reconstruction> recipe(static_cast<std::size_t>(p));
+  vmpi::run(p, [&](vmpi::Comm& comm) {
+    std::optional<stream::MemoryViewSource> source;
+    if (comm.is_root()) source.emplace(w.views);
+    const auto r = static_cast<std::size_t>(comm.rank());
+    library[r] = reconstruct_refined(
+        comm, w.l, source ? &*source : nullptr,
+        comm.is_root() ? poses : std::vector<ViewResult>{}, config, options);
+    recipe[r] = adapter_recipe(comm, w, poses, ctf, config.wiener_snr, options);
+  });
+  for (int r = 0; r < p; ++r) {
+    SCOPED_TRACE(r);
+    EXPECT_TRUE(same_bits(library[static_cast<std::size_t>(r)].map,
+                          recipe[static_cast<std::size_t>(r)].map));
+  }
+  EXPECT_EQ(library[0].fsc05_px, recipe[0].fsc05_px);
+  EXPECT_GT(library[0].fsc05_px, 0.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(Ranks, ReconstructRefinedRanks,
+                         ::testing::Values(1, 3, 4));
 
 /// How one rank left a driver call.
 enum class Exit { kReturned, kTimedOut, kThrew };
@@ -392,6 +575,26 @@ TEST(ParallelRefiner, FileBasedDriverRoundTrips) {
   }
   EXPECT_LT(refined_err, init_err);
   fs::remove_all(dir);
+}
+
+TEST(ReconstructRefined, EveryRankThrowsWhenAHalfSetIsEmpty) {
+  // Two views, the even one quarantined: the even half map would have
+  // no view, so no FSC can be read.
+  Workload w(2);
+  std::vector<ViewResult> poses(2);
+  poses[0].quarantined = 1;
+  const std::vector<Exit> exits = exits_on_ranks(2, [&](vmpi::Comm& comm) {
+    std::optional<stream::MemoryViewSource> source;
+    if (comm.is_root()) source.emplace(w.views);
+    (void)reconstruct_refined(comm, w.l, source ? &*source : nullptr,
+                              comm.is_root() ? poses
+                                             : std::vector<ViewResult>{},
+                              fast_config());
+  });
+  for (std::size_t r = 0; r < exits.size(); ++r) {
+    EXPECT_EQ(exits[r], Exit::kThrew)
+        << "rank " << r << " " << describe(exits[r]);
+  }
 }
 
 }  // namespace

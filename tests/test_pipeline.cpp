@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+
 #include "por/core/pipeline.hpp"
 #include "por/em/noise.hpp"
+#include "por/stream/view_source.hpp"
+#include "por/vmpi/runtime.hpp"
 #include "test_helpers.hpp"
 
 namespace {
@@ -19,6 +25,24 @@ PipelineConfig fast_pipeline() {
   config.refiner.refine_centers = false;
   config.initial_r_map = 6.0;
   return config;
+}
+
+/// Step C (map and odd/even FSC) over `views` at `orientations`, on one
+/// rank.
+Reconstruction reconstruct_at(const std::vector<Image<double>>& views,
+                              const std::vector<Orientation>& orientations,
+                              const recon::ReconOptions& options) {
+  std::vector<ViewResult> poses(views.size());
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    poses[i].orientation = orientations[i];
+  }
+  Reconstruction out;
+  vmpi::run(1, [&](vmpi::Comm& comm) {
+    stream::MemoryViewSource source(views);
+    out = reconstruct_refined(comm, views.front().nx(), &source, poses,
+                              RefinerConfig{}, options);
+  });
+  return out;
 }
 
 struct PipelineWorkload {
@@ -82,9 +106,8 @@ TEST(Pipeline, FinalFscBeatsInitialMapFsc) {
 
   // FSC of the half-maps built from the INITIAL (perturbed)
   // orientations.
-  const auto initial_curve = RefinementPipeline::odd_even_fsc(
-      w.views, w.initials, {}, config.recon);
-  const double initial_crossing = metrics::crossing_radius(initial_curve, 0.5);
+  const double initial_crossing =
+      reconstruct_at(w.views, w.initials, config.recon).fsc05_px;
 
   const PipelineResult result = pipeline.run(w.views, w.initials);
   EXPECT_GE(result.cycles.back().fsc_radius, initial_crossing);
@@ -132,10 +155,47 @@ TEST(Pipeline, RejectsBadInputs) {
   EXPECT_THROW((void)pipeline.run({}, {}), std::invalid_argument);
 }
 
+TEST(Pipeline, QuarantinedViewStaysOutOfTheMap) {
+  // One NaN pixel in one of 16 views: step B quarantines that view in
+  // every cycle (and cycle 0 leaves it out of the starting map), so
+  // each map is the map of the other 15 views and the FSC stays finite.
+  PipelineWorkload w(16, 1.0);
+  constexpr std::size_t kBad = 5;
+  w.views[kBad](3, 4) = std::numeric_limits<double>::quiet_NaN();
+  const PipelineConfig config = fast_pipeline();
+  const PipelineResult result =
+      RefinementPipeline(config).run(w.views, w.initials);
+
+  ASSERT_EQ(result.cycles.size(), 2u);
+  for (const CycleReport& cycle : result.cycles) {
+    EXPECT_TRUE(std::isfinite(cycle.fsc_radius));
+    EXPECT_GT(cycle.fsc_radius, 0.0);
+  }
+  for (const double v : result.map.storage()) ASSERT_TRUE(std::isfinite(v));
+  // Quarantined records keep the initial pose.
+  EXPECT_EQ(result.orientations[kBad].theta, w.initials[kBad].theta);
+  EXPECT_EQ(result.orientations[kBad].omega, w.initials[kBad].omega);
+
+  std::vector<Image<double>> kept;
+  std::vector<Orientation> orientations;
+  std::vector<std::pair<double, double>> centers;
+  for (std::size_t i = 0; i < w.views.size(); ++i) {
+    if (i == kBad) continue;
+    kept.push_back(w.views[i]);
+    orientations.push_back(result.orientations[i]);
+    centers.push_back(result.centers[i]);
+  }
+  const Volume<double> reference =
+      recon::fourier_reconstruct(kept, orientations, centers, config.recon);
+  double peak = 0.0;
+  for (const double v : reference.storage()) peak = std::max(peak, std::abs(v));
+  EXPECT_LT(por::test::max_abs_diff(result.map, reference), 1e-12 * peak);
+}
+
 TEST(OddEvenFsc, SplitsViewsInHalf) {
   PipelineWorkload w(20, 0.0);
-  const auto curve = RefinementPipeline::odd_even_fsc(
-      w.views, w.truths, {}, recon::ReconOptions{});
+  const metrics::FscCurve curve =
+      reconstruct_at(w.views, w.truths, recon::ReconOptions{}).fsc;
   ASSERT_FALSE(curve.correlation.empty());
   // With exact orientations both halves reconstruct the same particle:
   // correlation near 1 at low shells.

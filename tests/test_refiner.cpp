@@ -199,9 +199,6 @@ TEST(Refiner, RefineViewGoldenWithStartingCenter) {
   // within 1e-13 relative of the full-disk one.  The SSE2 tier is
   // forced process-wide (FFT plans and matcher kernels) so the values
   // hold on every host; the AVX tiers differ from it by FMA rounding.
-  // They hold when the test runs in a process of its own, as ctest
-  // runs it: after the other tests of this file in one process,
-  // final_distance differs in its last bits (an open defect).
   struct Golden {
     double theta, phi, omega, center_x, center_y, final_distance,
         full_disk_distance;
