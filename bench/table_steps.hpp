@@ -2,7 +2,10 @@
 // angular-resolution stages of the refinement (1, 0.1, 0.01, 0.002
 // degrees with the paper's per-level search ranges 3, 9, 9, 10) as
 // separate distributed passes, feeding orientations forward, and print
-// the per-step wall times in the paper's row layout.
+// the per-step wall times in the paper's row layout.  A stage whose
+// angular step falls below the resolution floor at this box's matching
+// radius (core::searches_angles) refines the center only; the "Mode"
+// row says which stages did.
 #pragma once
 
 #include <algorithm>
@@ -36,13 +39,18 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
   };
   std::vector<StageRow> stages;
 
+  // Every stage uses the same matching radius: l/2 - 4 unpadded px.
+  core::MatchOptions match;
+  match.r_map = static_cast<double>(w.l) / 2.0 - 4.0;
+  const double r_pad = core::FourierMatcher::padded_matching_radius(w.l, match);
+
   std::vector<em::Orientation> current = w.initial;
   std::vector<std::pair<double, double>> centers(w.views.size(), {0.0, 0.0});
 
   for (const core::SearchLevel& level : schedule) {
     core::RefinerConfig config;
     config.schedule = {level};
-    config.match.r_map = static_cast<double>(w.l) / 2.0 - 4.0;
+    config.match = match;
     config.refine_centers = true;
     config.max_passes_per_level = 1;  // one pass per stage, as tabulated
 
@@ -98,6 +106,14 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
       cells.push_back(std::to_string(level.angular_width));
     }
     table.add_row(cells);
+    cells = {"Mode (step x r_pad, px)"};
+    for (const auto& level : schedule) {
+      const double step = level.angular_step_deg;
+      cells.push_back(
+          (core::searches_angles(step, r_pad) ? "angular " : "center-only ") +
+          util::fmt(core::angular_step_px(step, r_pad), 4));
+    }
+    table.add_row(cells);
   }
   time_row("3D DFT (s)", &StageRow::dft);
   time_row("Read image (s)", &StageRow::read);
@@ -118,6 +134,10 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
     table.add_row(cells);
     cells = {"Effective search range"};
     for (std::size_t k = 0; k < stages.size(); ++k) {
+      if (!core::searches_angles(schedule[k].angular_step_deg, r_pad)) {
+        cells.push_back("-");  // a center-only stage has no window
+        continue;
+      }
       // Paper: "at 0.01 instead of 9 matchings (search range) we needed
       // 15" — the window widened by (width-1)/2 per slide on the worst
       // view; report the mean-widened span.
@@ -131,6 +151,9 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
     table.add_row(cells);
   }
   std::printf("%s\n", table.render().c_str());
+  std::printf("resolution floor: %.3f px at padded r_map = %.0f px; a stage "
+              "below it refines the center only\n",
+              core::kResolutionFloorPx, r_pad);
 
   // ---- the paper's claims ----
   double refine_share_worst = 1.0;

@@ -30,9 +30,10 @@ double resolve_padded_radius(double unpadded, std::size_t pad,
   return unpadded * static_cast<double>(pad);
 }
 
-/// The matching radius in padded Fourier px: options.r_map (0 = the
-/// unpadded Nyquist radius) clamped to Nyquist.
-double padded_matching_radius(std::size_t l, const MatchOptions& options) {
+}  // namespace
+
+double FourierMatcher::padded_matching_radius(std::size_t l,
+                                              const MatchOptions& options) {
   if (options.pad < 1) {
     throw std::invalid_argument("FourierMatcher: pad must be >= 1");
   }
@@ -42,8 +43,6 @@ double padded_matching_radius(std::size_t l, const MatchOptions& options) {
       resolve_padded_radius(options.r_map, options.pad, nyquist_padded),
       nyquist_padded);
 }
-
-}  // namespace
 
 fft::CubeCrop FourierMatcher::ball(std::size_t l, const MatchOptions& options) {
   return fft::ball_crop(l * options.pad, padded_matching_radius(l, options));

@@ -151,6 +151,12 @@ class FourierMatcher {
   [[nodiscard]] static fft::CubeCrop ball(std::size_t l,
                                           const MatchOptions& options);
 
+  /// The matching radius in padded Fourier px that a matcher with these
+  /// options uses: options.r_map (0 = the unpadded Nyquist radius)
+  /// times the pad, clamped to the padded Nyquist radius.
+  [[nodiscard]] static double padded_matching_radius(
+      std::size_t l, const MatchOptions& options);
+
   FourierMatcher(FourierMatcher&&) noexcept;
   FourierMatcher& operator=(FourierMatcher&&) noexcept;
   FourierMatcher(const FourierMatcher&) = delete;

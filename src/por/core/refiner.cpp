@@ -11,7 +11,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 namespace por::core {
@@ -146,29 +145,67 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   };
   apply_center(center_x, center_y);
 
+  // Steps (k)-(l): center refinement at `level`'s center grid against
+  // the cut at the current orientation, re-applying an improved center
+  // to the matching spectrum.  Returns how far the center moved.
+  const auto center_pass = [&](const SearchLevel& level, ScoreCache* cache) {
+    util::WallTimer center_timer;
+    const std::vector<em::cdouble> best_cut =
+        matcher_.annulus_cut(result.orientation);
+    const CenterResult center = refine_center(
+        matcher_, spectrum, best_cut, result.center_x, result.center_y,
+        level.center_step_px, level.center_width, config_.max_slides);
+    const double center_moved = std::hypot(center.dx - result.center_x,
+                                           center.dy - result.center_y);
+    const bool center_changed =
+        center.dx != result.center_x || center.dy != result.center_y;
+    result.center_x = center.dx;
+    result.center_y = center.dy;
+    result.center_evals += center.evaluations;
+    if (center_changed) {
+      // The cached scores were measured against the old spectrum.
+      apply_center(result.center_x, result.center_y);
+      if (cache != nullptr) cache->clear();
+    }
+    obs_center_span_->record(
+        static_cast<std::uint64_t>(center_timer.seconds() * 1e9));
+    return center_moved;
+  };
+
   // Step (n): iterate the levels of the multi-resolution schedule.
   const int passes =
       config_.refine_centers ? std::max(1, config_.max_passes_per_level) : 1;
   for (const SearchLevel& level : config_.schedule) {
+    if (!searches_angles(level.angular_step_deg, matcher_.padded_r_map())) {
+      // Below the resolution floor no step of this level's angular grid
+      // moves a matched sample measurably, so the level refines the
+      // center only (the orientation, hence the cut, stays fixed), then
+      // re-scores the pose it reports.
+      if (config_.refine_centers) {
+        for (int pass = 0; pass < passes; ++pass) {
+          if (cancel != nullptr) cancel->check();
+          if (center_pass(level, nullptr) < 0.25 * level.center_step_px) break;
+        }
+      }
+      result.final_distance = matcher_.distance(*centered, result.orientation);
+      ++result.matchings;
+      continue;
+    }
+
     // Score cache for this level's angular grid: the
     // orientation<->center passes below re-visit the same grid points
     // against the same matching spectrum, and the sliding window
     // overlaps itself.  quantum = step/4 keeps distinct grid points
     // on distinct keys (see score_cache.hpp).  Invalidated whenever
     // the center correction changes the matching spectrum.
-    std::optional<ScoreCache> cache;
-    if (level.angular_step_deg > 0.0) {
-      cache.emplace(level.angular_step_deg / 4.0);
-    }
+    ScoreCache cache(level.angular_step_deg / 4.0);
     for (int pass = 0; pass < passes; ++pass) {
       // Steps (f)-(j): sliding-window angular search at this resolution.
       util::WallTimer refine_timer;
       const SearchDomain domain{result.orientation, level.angular_step_deg,
                                 level.angular_width};
-      const WindowResult window =
-          sliding_window_search(matcher_, *centered, domain,
-                                config_.max_slides,
-                                cache ? &*cache : nullptr, cancel);
+      const WindowResult window = sliding_window_search(
+          matcher_, *centered, domain, config_.max_slides, &cache, cancel);
       const double moved_deg =
           em::geodesic_deg(result.orientation, window.best);
       result.orientation = window.best;
@@ -185,28 +222,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
       // of a pass, so poll between the two.
       if (cancel != nullptr) cancel->check();
 
-      // Steps (k)-(l): center refinement against the best cut.
-      util::WallTimer center_timer;
-      const std::vector<em::cdouble> best_cut =
-          matcher_.annulus_cut(result.orientation);
-      const CenterResult center = refine_center(
-          matcher_, spectrum, best_cut, result.center_x, result.center_y,
-          level.center_step_px, level.center_width, config_.max_slides);
-      const double center_moved = std::hypot(center.dx - result.center_x,
-                                             center.dy - result.center_y);
-      const bool center_changed =
-          center.dx != result.center_x || center.dy != result.center_y;
-      result.center_x = center.dx;
-      result.center_y = center.dy;
-      result.center_evals += center.evaluations;
-      if (center_changed) {
-        // Re-apply the improved center to the matching spectrum; the
-        // cached scores were measured against the old spectrum.
-        apply_center(result.center_x, result.center_y);
-        if (cache) cache->clear();
-      }
-      obs_center_span_->record(
-          static_cast<std::uint64_t>(center_timer.seconds() * 1e9));
+      const double center_moved = center_pass(level, &cache);
 
       // The angular search and the center search are coupled; stop
       // alternating once a pass changes neither appreciably.

@@ -162,7 +162,10 @@ class OrientationRefiner {
   /// the slab-parallel 3D DFT).
   OrientationRefiner(FourierMatcher matcher, const RefinerConfig& config);
 
-  /// Steps (d)-(l) for one view.  `cancel`, when non-null, is polled
+  /// Steps (d)-(l) for one view.  A level whose angular step falls
+  /// below the resolution floor at this matcher's radius
+  /// (searches_angles, search_domain.hpp) refines the center only.
+  /// `cancel`, when non-null, is polled
   /// cooperatively between passes and inside sliding_window_search
   /// (por/core/cancel.hpp); a fired token unwinds with core::Cancelled
   /// — the serving layer maps it to the kCancelled / kTimedOut job

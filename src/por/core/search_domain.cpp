@@ -29,6 +29,14 @@ std::vector<SearchLevel> paper_schedule() {
   };
 }
 
+double angular_step_px(double step_deg, double padded_r_map) {
+  return em::deg2rad(step_deg) * padded_r_map;
+}
+
+bool searches_angles(double step_deg, double padded_r_map) {
+  return angular_step_px(step_deg, padded_r_map) >= kResolutionFloorPx;
+}
+
 std::vector<SearchLevel> schedule_down_to(double finest_deg) {
   std::vector<SearchLevel> schedule;
   for (const auto& level : paper_schedule()) {

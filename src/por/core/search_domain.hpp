@@ -68,6 +68,21 @@ struct SearchLevel {
 /// and delta_center = 1, 0.1, 0.01, 0.002 pixels.
 [[nodiscard]] std::vector<SearchLevel> paper_schedule();
 
+/// The resolution floor of the angular search, in padded pixels: an
+/// angular step that moves the outermost matched Fourier sample by
+/// less than this is finer than the matching can resolve.
+inline constexpr double kResolutionFloorPx = 0.01;
+
+/// How far (padded pixels) an angular step of `step_deg` moves the
+/// outermost matched sample, at padded radius `padded_r_map`.
+[[nodiscard]] double angular_step_px(double step_deg, double padded_r_map);
+
+/// Does a level of angular step `step_deg` search angles at padded
+/// matching radius `padded_r_map`?  Below kResolutionFloorPx the level
+/// refines the center only (OrientationRefiner::refine_view).  The
+/// verdict depends on the level and the matching radius alone.
+[[nodiscard]] bool searches_angles(double step_deg, double padded_r_map);
+
 /// A truncated schedule for small test problems (levels with angular
 /// steps >= `coarsest` down to `finest`).
 [[nodiscard]] std::vector<SearchLevel> schedule_down_to(double finest_deg);

@@ -104,7 +104,7 @@ TEST(PlanCache, ClearDropsPlansButOutstandingHandlesStayValid) {
 
 TEST(Fft1dLines, MatchesPerLineStridedTransforms) {
   // Column pattern of a 2D pass: count=nx lines of length ny, stride nx.
-  for (const auto [count, n] :
+  for (const auto& [count, n] :
        {std::pair<std::size_t, std::size_t>{8, 16},
         std::pair<std::size_t, std::size_t>{31, 9},   // partial last tile
         std::pair<std::size_t, std::size_t>{16, 21},  // Bluestein length
@@ -167,7 +167,7 @@ TEST(Rfft2d, PaperOddViewSizesMatchComplexTransform) {
 }
 
 TEST(Rfft3d, MatchesComplexTransform) {
-  for (const auto [nz, ny, nx] :
+  for (const auto& [nz, ny, nx] :
        {std::tuple<std::size_t, std::size_t, std::size_t>{8, 8, 8},
         std::tuple<std::size_t, std::size_t, std::size_t>{6, 10, 5},
         std::tuple<std::size_t, std::size_t, std::size_t>{9, 7, 5},

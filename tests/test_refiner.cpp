@@ -188,6 +188,97 @@ TEST(Refiner, MatchingCountReflectsScheduleAndSlides) {
   EXPECT_EQ(result.window_slides, 0);
 }
 
+TEST(Refiner, BelowFloorLevelRefinesTheCenterOnly) {
+  // At l = 24, r_map = 8 (padded radius 16 px) a 0.01 deg level is below
+  // the resolution floor: appended to a schedule, it must leave the
+  // orientation alone and spend no window slides and no cache hits,
+  // only center evaluations and the one matching that re-scores the
+  // pose it reports.
+  const std::size_t l = 24;
+  const BlobModel model = small_phantom(l, 15);
+  RefinerConfig coarse = fast_config();
+  RefinerConfig with_fine = coarse;
+  const SearchLevel fine{0.01, 9, 0.01, 3};
+  with_fine.schedule.push_back(fine);
+  const OrientationRefiner a(model.rasterize(l), coarse);
+  const OrientationRefiner b(model.rasterize(l), with_fine);
+  ASSERT_FALSE(searches_angles(fine.angular_step_deg,
+                               b.matcher().padded_r_map()));
+
+  util::Rng rng(29);
+  const Orientation truth = por::test::random_orientation(rng);
+  const Image<double> view = model.project_analytic(l, truth, 0.37, -0.21);
+  const Orientation start{truth.theta + 1.0, truth.phi - 1.0,
+                          truth.omega + 0.5};
+  const ViewResult ra = a.refine_view(view, start);
+  const ViewResult rb = b.refine_view(view, start);
+
+  EXPECT_EQ(rb.orientation.theta, ra.orientation.theta);
+  EXPECT_EQ(rb.orientation.phi, ra.orientation.phi);
+  EXPECT_EQ(rb.orientation.omega, ra.orientation.omega);
+  EXPECT_EQ(rb.window_slides, ra.window_slides);
+  EXPECT_EQ(rb.cache_hits, ra.cache_hits);
+  EXPECT_EQ(rb.matchings, ra.matchings + 1);
+  EXPECT_GT(rb.center_evals, ra.center_evals);
+
+  // final_distance is the distance of the pose the record reports.
+  const FourierMatcher& matcher = b.matcher();
+  const Image<cdouble> spectrum = matcher.prepare_view(view);
+  Image<cdouble> centered;
+  translate_phase_into(centered, spectrum, -rb.center_x, -rb.center_y);
+  const double expected = matcher.distance(centered, rb.orientation);
+  EXPECT_NEAR(rb.final_distance, expected, 1e-12 * expected);
+
+  // Without center refinement the level only re-scores the pose.
+  coarse.refine_centers = false;
+  with_fine.refine_centers = false;
+  const ViewResult rc =
+      OrientationRefiner(model.rasterize(l), coarse).refine_view(view, start);
+  const ViewResult rd = OrientationRefiner(model.rasterize(l), with_fine)
+                            .refine_view(view, start);
+  EXPECT_EQ(rd.orientation.theta, rc.orientation.theta);
+  EXPECT_EQ(rd.orientation.phi, rc.orientation.phi);
+  EXPECT_EQ(rd.orientation.omega, rc.orientation.omega);
+  EXPECT_EQ(rd.final_distance, rc.final_distance);
+  EXPECT_EQ(rd.matchings, rc.matchings + 1);
+  EXPECT_EQ(rd.center_evals, 0u);
+}
+
+TEST(Refiner, ScheduleOfOnlyBelowFloorLevelsStillScoresThePose) {
+  // No level searches angles: the record keeps the starting orientation
+  // with a finite distance, one matching per level.
+  const std::size_t l = 24;
+  const BlobModel model = small_phantom(l, 15);
+  RefinerConfig config = fast_config();
+  config.schedule = {SearchLevel{0.01, 9, 0.01, 3},
+                     SearchLevel{0.002, 10, 0.002, 3}};
+  const OrientationRefiner refiner(model.rasterize(l), config);
+  const Orientation truth{63.0, 141.0, 27.0};
+  const ViewResult r =
+      refiner.refine_view(model.project_analytic(l, truth, 0.02, 0.0), truth);
+  EXPECT_EQ(r.orientation.theta, truth.theta);
+  EXPECT_EQ(r.orientation.phi, truth.phi);
+  EXPECT_EQ(r.orientation.omega, truth.omega);
+  EXPECT_EQ(r.matchings, 2u);
+  EXPECT_EQ(r.window_slides, 0);
+  EXPECT_GT(r.center_evals, 0u);
+  EXPECT_TRUE(std::isfinite(r.final_distance));
+  EXPECT_EQ(r.quarantined, 0u);
+}
+
+TEST(Refiner, GoldenScheduleSearchesAnglesAtEveryLevel) {
+  // The bitwise golden below runs fast_config() at padded radius 16 px,
+  // where every level is above the resolution floor: it pins the
+  // angular path exactly as it was before the floor existed.
+  const BlobModel model = small_phantom(24, 15);
+  const OrientationRefiner refiner(model.rasterize(24), fast_config());
+  for (const SearchLevel& level : fast_config().schedule) {
+    EXPECT_TRUE(searches_angles(level.angular_step_deg,
+                                refiner.matcher().padded_r_map()))
+        << level.angular_step_deg;
+  }
+}
+
 TEST(Refiner, RefineViewGoldenWithStartingCenter) {
   // Bitwise golden of one refine_view from a nonzero starting center,
   // recorded before the matcher kept only its spectrum ball and center

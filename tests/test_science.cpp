@@ -1,0 +1,182 @@
+// Science gate: one seeded, CI-sized B->C cycle through the public
+// drivers, scored against the phantom's ground truth and checked
+// against committed numbers.  Every other gate checks that the code
+// agrees with itself (bitwise, or to 1e-12); this one fails when the
+// answer gets worse: orientation error (symmetry-aware, mean and p95),
+// mean center error and the odd/even FSC 0.5 crossing.
+//
+// The cycle mirrors the benchmark's cycle_paper at a smaller box:
+// icosahedral phantom, CTF-modulated views at SNR 2 with Wiener
+// correction, initial orientations snapped to a 3 deg grid, centers up
+// to 1 px off, the default schedule and r_map = l / 8.  The numbers are
+// deterministic per seed, so the tolerances only absorb floating-point
+// differences between compilers and SIMD tiers.  A change that moves a
+// number on purpose re-records it here and says so in CHANGES.md.
+#include <gtest/gtest.h>
+
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <optional>
+#include <ostream>
+#include <vector>
+
+#include "por/core/parallel_refiner.hpp"
+#include "por/core/pipeline.hpp"
+#include "por/em/ctf.hpp"
+#include "por/em/noise.hpp"
+#include "por/em/phantom.hpp"
+#include "por/em/projection.hpp"
+#include "por/em/symmetry.hpp"
+#include "por/metrics/fsc.hpp"
+#include "por/metrics/orientation_error.hpp"
+#include "por/stream/view_source.hpp"
+#include "por/util/rng.hpp"
+#include "por/vmpi/runtime.hpp"
+
+namespace {
+
+using namespace por;
+
+constexpr std::size_t kEdge = 64;
+constexpr std::size_t kViews = 96;
+constexpr int kRanks = 2;
+
+/// The science numbers of one cycle.
+struct Science {
+  double orient_mean_deg = 0.0;
+  double orient_p95_deg = 0.0;
+  double center_mean_px = 0.0;
+  double fsc05_px = 0.0;
+};
+
+/// |a - b| within `rel` of the larger magnitude.
+bool is_near_scaled(double a, double b, double rel) {
+  return std::fabs(a - b) <= rel * std::max(std::fabs(a), std::fabs(b));
+}
+
+double quantile(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(std::floor(pos));
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
+em::CtfParams microscope() {
+  em::CtfParams ctf;
+  ctf.pixel_size_a = 2.8;
+  ctf.defocus_a = 16000.0;
+  return ctf;
+}
+
+Science run_cycle(std::uint64_t seed) {
+  em::PhantomSpec spec;
+  spec.l = kEdge;
+  const em::BlobModel particle = em::make_sindbis_like(spec);
+  const em::Volume<double> map = particle.rasterize(kEdge);
+
+  util::Rng rng(seed);
+  const auto snap = [](double deg) { return 3.0 * std::round(deg / 3.0); };
+  std::vector<em::Image<double>> views;
+  std::vector<em::Orientation> truth, initial;
+  std::vector<std::pair<double, double>> true_centers;
+  for (std::size_t i = 0; i < kViews; ++i) {
+    double theta = 0.0, phi = 0.0;
+    rng.sphere_point(theta, phi);
+    const em::Orientation o{em::rad2deg(theta), em::rad2deg(phi),
+                            rng.uniform(0.0, 360.0)};
+    const double dx = rng.uniform(-1.0, 1.0);
+    const double dy = rng.uniform(-1.0, 1.0);
+    em::Image<em::cdouble> spectrum =
+        em::centered_fft2(particle.project_analytic(kEdge, o, dx, dy));
+    em::apply_ctf(spectrum, microscope());
+    em::Image<double> view = em::centered_ifft2(spectrum);
+    em::add_gaussian_noise(view, 2.0, rng);
+    views.push_back(std::move(view));
+    truth.push_back(o);
+    true_centers.emplace_back(dx, dy);
+    initial.push_back({snap(o.theta), snap(o.phi), snap(o.omega)});
+  }
+
+  core::RefinerConfig config;  // paper_schedule() and its passes
+  config.match.r_map = static_cast<double>(kEdge) / 8.0;
+  config.ctf = microscope();
+  config.ctf_correction = em::CtfCorrection::kWiener;
+  config.wiener_snr = 20.0;
+
+  std::vector<core::ViewResult> refined;
+  double fsc05 = 0.0;
+  vmpi::run(kRanks, [&](vmpi::Comm& comm) {
+    std::optional<stream::MemoryViewSource> source;
+    if (comm.is_root()) source.emplace(views);
+    auto report = core::parallel_refine(comm, map, kEdge, views, initial, {},
+                                        config);
+    const core::Reconstruction next = core::reconstruct_refined(
+        comm, kEdge, source ? &*source : nullptr, report.results, config);
+    if (!comm.is_root()) return;
+    refined = std::move(report.results);
+    fsc05 = next.fsc05_px;
+  });
+
+  std::vector<em::Orientation> estimated;
+  double center_sum = 0.0;
+  for (std::size_t i = 0; i < refined.size(); ++i) {
+    estimated.push_back(refined[i].orientation);
+    center_sum += std::hypot(refined[i].center_x - true_centers[i].first,
+                             refined[i].center_y - true_centers[i].second);
+  }
+  const std::vector<double> errors = metrics::orientation_errors_deg(
+      estimated, truth, em::SymmetryGroup::icosahedral());
+  Science s;
+  double sum = 0.0;
+  for (const double e : errors) sum += e;
+  s.orient_mean_deg = sum / static_cast<double>(errors.size());
+  s.orient_p95_deg = quantile(errors, 0.95);
+  s.center_mean_px = center_sum / static_cast<double>(refined.size());
+  s.fsc05_px = fsc05;
+  return s;
+}
+
+struct Golden {
+  std::uint64_t seed;
+  Science expected;
+};
+
+void PrintTo(const Golden& golden, std::ostream* os) {
+  *os << "seed " << golden.seed;
+}
+
+class ScienceGate : public ::testing::TestWithParam<Golden> {};
+
+TEST_P(ScienceGate, CycleMatchesCommittedScience) {
+  const Golden& golden = GetParam();
+  const Science got = run_cycle(golden.seed);
+  std::printf("seed %llu: orient mean %.6f p95 %.6f deg, center %.6f px, "
+              "fsc05 %.6f px\n",
+              static_cast<unsigned long long>(golden.seed),
+              got.orient_mean_deg, got.orient_p95_deg, got.center_mean_px,
+              got.fsc05_px);
+  const Science& want = golden.expected;
+  EXPECT_TRUE(is_near_scaled(got.orient_mean_deg, want.orient_mean_deg, 0.03))
+      << got.orient_mean_deg << " vs " << want.orient_mean_deg;
+  EXPECT_TRUE(is_near_scaled(got.orient_p95_deg, want.orient_p95_deg, 0.05))
+      << got.orient_p95_deg << " vs " << want.orient_p95_deg;
+  EXPECT_TRUE(is_near_scaled(got.center_mean_px, want.center_mean_px, 0.03))
+      << got.center_mean_px << " vs " << want.center_mean_px;
+  EXPECT_TRUE(is_near_scaled(got.fsc05_px, want.fsc05_px, 0.01))
+      << got.fsc05_px << " vs " << want.fsc05_px;
+}
+
+// Recorded with the resolution floor of search_domain.hpp.
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, ScienceGate,
+    ::testing::Values(Golden{7, {0.707938, 1.365386, 0.043762, 9.972729}},
+                      Golden{13, {0.631367, 1.560610, 0.050754, 9.975195}},
+                      Golden{21, {0.686477, 1.618055, 0.049925, 9.967738}}),
+    [](const ::testing::TestParamInfo<Golden>& param) {
+      return "Seed" + std::to_string(param.param.seed);
+    });
+
+}  // namespace

@@ -86,6 +86,39 @@ TEST(Schedule, DownToTruncates) {
   EXPECT_THROW((void)schedule_down_to(10.0), std::invalid_argument);
 }
 
+// ---- resolution floor ----------------------------------------------------------
+
+TEST(ResolutionFloor, PaperScheduleVerdictsFollowThePaddedRadius) {
+  // At l = 64, r_map = 8 (padded radius 16 px) the 0.01 and 0.002 deg
+  // steps move the outermost matched sample by 0.0028 and 0.00056 px:
+  // those two levels refine the center only.  At l = 331 with the
+  // Tables' r_map = l/2 - 4 (padded radius 323 px) even 0.002 deg moves
+  // it 0.011 px, so all four levels search angles.
+  int angular_at_16 = 0, angular_at_323 = 0;
+  for (const SearchLevel& level : paper_schedule()) {
+    angular_at_16 += searches_angles(level.angular_step_deg, 16.0) ? 1 : 0;
+    angular_at_323 += searches_angles(level.angular_step_deg, 323.0) ? 1 : 0;
+  }
+  EXPECT_EQ(angular_at_16, 2);
+  EXPECT_EQ(angular_at_323, 4);
+  EXPECT_TRUE(searches_angles(0.1, 16.0));
+  EXPECT_FALSE(searches_angles(0.01, 16.0));
+  EXPECT_NEAR(angular_step_px(0.01, 16.0), 0.0028, 1e-4);
+  EXPECT_NEAR(angular_step_px(0.002, 323.0), 0.0113, 1e-4);
+}
+
+TEST(ResolutionFloor, FloorSplitsStepsAroundItAndZeroNeverSearches) {
+  // Steps a hair above / below the one that moves the sample by
+  // kResolutionFloorPx fall on either side of the rule.
+  const double r_pad = 20.0;
+  const double at_floor_deg =
+      kResolutionFloorPx / r_pad * 180.0 / 3.141592653589793;
+  EXPECT_TRUE(searches_angles(at_floor_deg * (1.0 + 1e-12), r_pad));
+  EXPECT_FALSE(searches_angles(at_floor_deg * (1.0 - 1e-9), r_pad));
+  EXPECT_FALSE(searches_angles(0.0, r_pad));
+  EXPECT_FALSE(searches_angles(1.0, 0.0));
+}
+
 // ---- cardinality formulas ----------------------------------------------------------
 
 TEST(Cardinality, PaperSection3Example) {

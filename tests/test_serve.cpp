@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <ctime>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -500,15 +501,30 @@ TEST(RefineService, BoundedQueueShedsLoad) {
   const em::BlobModel model = small_phantom(l, 12);
   const auto set = make_views(model, l, 4, /*seed=*/37);
 
+  // Hold the single worker until the burst is in: every job carries a
+  // deadline, so the worker reads the clock before its first view, and
+  // on a scheduler worker that read blocks until `burst_in` is set.
+  std::promise<void> burst_in;
+  const std::shared_future<void> released = burst_in.get_future().share();
   ServiceOptions options;
   options.workers = 1;
   options.max_running = 1;
   options.queue_capacity = 2;
+  options.default_deadline_ns = 3'600'000'000'000ULL;
+  options.clock_ns = [released] {
+    if (Scheduler::current_worker() != Scheduler::kNotAWorker) {
+      released.wait();
+    }
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count());
+  };
   RefineService service(options);
   service.register_model("phantom", model.rasterize(l), serve_test_config());
 
-  // Burst far past running-cap + queue-capacity: at least one submit
-  // must be shed (jobs take milliseconds, submissions microseconds).
+  // Burst past running-cap + queue-capacity while no job can finish:
+  // at most 1 running + 2 queued are admitted, the rest are shed.
   int accepted = 0, shed = 0;
   std::vector<std::uint64_t> ids;
   for (int j = 0; j < 8; ++j) {
@@ -522,7 +538,8 @@ TEST(RefineService, BoundedQueueShedsLoad) {
       ++shed;
     }
   }
-  EXPECT_GE(shed, 1);
+  burst_in.set_value();
+  EXPECT_GE(shed, 5);
   EXPECT_GE(accepted, 1);
   for (const std::uint64_t id : ids) {
     EXPECT_EQ(service.wait(id).state, JobState::kDone);
