@@ -6,13 +6,14 @@
 //   scalar   — distance_reference(): per-pixel sqrt + ring test +
 //              transfer lerp + bounds-checked trilinear fetch,
 //   fast     — distance() on EVERY simd tier this machine + binary
-//              supports (sse2 / avx2 / avx512, forced per matcher via
-//              SimdOptions::isa), staged through the dispatched
-//              stage/consume kernel pair,
+//              supports (sse2 / avx2 / avx512, each pinned with
+//              simd::force_isa() while its matcher is built), staged
+//              through the dispatched stage/consume kernel pair,
 // verifies every tier's equivalence against the scalar oracle on the
 // spot, measures the sliding-window score-cache hit rate on a forced
 // multi-slide search, counts general-heap allocations on the warmed
-// steady-state search path (must be ZERO — the por::arena contract),
+// steady-state search path (must be ZERO: the search scratch and the
+// score-cache table are reused once warm, DESIGN.md §12),
 // and writes everything to BENCH_matcher.json (override with
 // --out <path>) so CI can chart ns/matching over time.
 //
@@ -60,7 +61,7 @@
 // ---------------------------------------------------------------------------
 // Counting global operator new/delete: the oracle for the "zero
 // general-heap allocations on the warmed steady-state search path"
-// contract (por/util/arena.hpp).  Counting is gated so only the probed
+// contract (DESIGN.md §12).  Counting is gated so only the probed
 // region pays the (relaxed) atomic increment.
 // ---------------------------------------------------------------------------
 
@@ -133,18 +134,22 @@ int main(int argc, char** argv) {
   }
   const simd::Isa best = tiers.back();
 
-  // One matcher per tier (SimdOptions::isa pins the dispatch, bypassing
-  // POR_FORCE_ISA — the bench measures every tier regardless of the
-  // environment).  The best tier doubles as the "fast" path and drives
-  // the scalar comparison + window probes.
+  // One matcher per tier.  A matcher snapshots the process-wide tier
+  // at construction, and force_isa() is clamped only to the hardware,
+  // so pinning each tier while its matcher is built measures every
+  // tier whatever POR_FORCE_ISA says.  The tier is restored afterwards.
+  // The best tier doubles as the "fast" path and drives the scalar
+  // comparison + window probes.
   util::WallTimer build_timer;
   std::vector<std::unique_ptr<core::FourierMatcher>> matchers;
+  const simd::Isa process_isa = simd::active_isa();
   for (const simd::Isa isa : tiers) {
+    simd::force_isa(isa);
     core::MatchOptions options;
     options.pad = pad;
-    options.simd.isa = isa;
     matchers.push_back(std::make_unique<core::FourierMatcher>(lattice, options));
   }
+  simd::force_isa(process_isa);
   const double build_seconds =
       build_timer.seconds() / static_cast<double>(tiers.size());
   const core::FourierMatcher& matcher = *matchers.back();
@@ -240,11 +245,12 @@ int main(int argc, char** argv) {
       cache_total > 0.0 ? static_cast<double>(cache.hits()) / cache_total
                         : 0.0;
 
-  // Steady-state allocation probe: the search above warmed the frame
-  // arena, the score-cache table, and the obs handle caches; repeated
-  // serial searches on the warmed matcher must now run entirely out of
-  // warm arena chunks.  clear() keeps the cache's capacity, so each
-  // pass re-scores the full window through distance() + insert().
+  // Steady-state allocation probe: the search above warmed the
+  // thread-local search scratch, the score-cache table, and the obs
+  // handle caches; repeated serial searches on the warmed matcher must
+  // now reuse them without touching the heap.  clear() keeps the
+  // cache's capacity, so each pass re-scores the full window through
+  // distance() + insert().
   std::uint64_t steady_state_allocs = 0;
   {
     cache.clear();

@@ -169,11 +169,12 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
         "FourierMatcher: empty matching annulus (r_min above r_map)");
   }
 
-  // Snapshot the dispatched kernel tier for this instance (process-
-  // wide selection capped by options_.simd), then build ONLY the
-  // lattice layout that tier consumes: split re/im planes for the
-  // SSE2 tier, the interleaved copy for the AVX tiers.
-  isa_ = simd::resolve_isa(options_.simd);
+  // Snapshot the process-wide dispatched kernel tier (POR_FORCE_ISA or
+  // simd::force_isa()) for this instance, so a later force_isa() does
+  // not affect it, then build ONLY the lattice layout that tier
+  // consumes: split re/im planes for the SSE2 tier, the interleaved
+  // copy for the AVX tiers.
+  isa_ = simd::active_isa();
   kernels_ = &simd::kernel_table(isa_);
   std::size_t lattice_edge = 0;
   if (kernels_->layout == simd::LatticeLayout::kInterleaved) {

@@ -65,13 +65,6 @@ struct MatchOptions {
   std::optional<em::CtfParams> ctf;
   em::CtfCorrection ctf_correction = em::CtfCorrection::kPhaseFlip;
   double wiener_snr = 10.0;
-
-  /// Per-matcher ISA cap for the dispatched hot kernels (por/simd).
-  /// Default: follow the process-wide selection (detect_best_isa()
-  /// capped by POR_FORCE_ISA).  The matcher snapshots its kernel table
-  /// — and builds the matching lattice layout — at CONSTRUCTION, so a
-  /// later simd::force_isa() does not affect existing matchers.
-  simd::SimdOptions simd;
 };
 
 /// Flattened precomputed annulus: one entry per Fourier pixel of the
@@ -236,9 +229,8 @@ class FourierMatcher {
   /// its translated-distance loop).
   [[nodiscard]] const AnnulusTable& annulus() const { return annulus_; }
 
-  /// The ISA tier this matcher's kernels were snapshotted at (resolved
-  /// from options().simd and the process-wide selection, clamped to
-  /// hardware/build support at construction).
+  /// The ISA tier this matcher's kernels were snapshotted at: the
+  /// process-wide selection (simd::active_isa()) at construction.
   [[nodiscard]] simd::Isa isa() const { return isa_; }
 
  private:

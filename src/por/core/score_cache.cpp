@@ -1,11 +1,12 @@
 // POR_HOT_PATH
 //
-// Probed once per candidate; the table lives in a private arena
+// Probed once per candidate; the table only allocates when it doubles
 // (hot-path-alloc lint enforces the zero-allocation steady state).
 #include "por/core/score_cache.hpp"
 
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 #include "por/util/contracts.hpp"
 
@@ -31,16 +32,11 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 ScoreCache::ScoreCache(double quantum_deg, std::size_t initial_capacity)
-    : quantum_deg_(quantum_deg),
-      // Size the first chunk for the initial table plus one doubling so
-      // a typical search warms up with a single upstream allocation.
-      arena_(round_up_pow2(initial_capacity) * 3 * sizeof(Entry)) {
+    : quantum_deg_(quantum_deg) {
   if (!(quantum_deg > 0.0)) {
     throw std::invalid_argument("ScoreCache: quantum must be positive");
   }
-  capacity_ = round_up_pow2(initial_capacity);
-  entries_ = arena_.alloc_array<Entry>(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) entries_[i] = Entry{};
+  entries_.resize(round_up_pow2(initial_capacity));
 }
 
 ScoreCache::Key ScoreCache::quantize(const em::Orientation& o) const {
@@ -60,11 +56,11 @@ std::size_t ScoreCache::probe(const Key& key) const {
   // CONTRACT: the probe loop terminates only if the table has at least
   // one free slot; insert() grows at 0.7 load so this always holds,
   // but a future resize bug would otherwise spin forever.
-  POR_EXPECT(size_ < capacity_,
+  POR_EXPECT(size_ < entries_.size(),
              "open-addressing probe requires a free slot: size =", size_,
-             "capacity =", capacity_);
-  const std::size_t mask = capacity_ - 1;
-  const contracts::checked_span<const Entry> entries(entries_, capacity_);
+             "capacity =", entries_.size());
+  const std::size_t mask = entries_.size() - 1;
+  const contracts::checked_span<const Entry> entries(entries_);
   std::size_t slot = hash(key) & mask;
   while (entries[slot].used && !(entries[slot].key == key)) {
     slot = (slot + 1) & mask;
@@ -90,39 +86,34 @@ void ScoreCache::insert(const em::Orientation& o, double distance) {
     entries_[slot].key = key;
     ++size_;
     // Keep the load factor under ~0.7 so probe chains stay short.
-    if (size_ * 10 >= capacity_ * 7) grow();
+    if (size_ * 10 >= entries_.size() * 7) grow();
   }
   // Post-insert load-factor invariant: the grow above restores
   // size/capacity < 0.7, which is what keeps probe chains short AND
   // guarantees probe() termination (a free slot always exists).
-  POR_ENSURE(size_ * 10 < capacity_ * 7,
+  POR_ENSURE(size_ * 10 < entries_.size() * 7,
              "load factor invariant violated: size =", size_,
-             "capacity =", capacity_);
+             "capacity =", entries_.size());
   // Re-probe after a potential grow (slot indices change).
   entries_[probe(key)].value = distance;
 }
 
 void ScoreCache::clear() {
-  for (std::size_t i = 0; i < capacity_; ++i) entries_[i].used = false;
+  for (Entry& e : entries_) e.used = false;
   size_ = 0;
 }
 
 void ScoreCache::grow() {
-  const Entry* old = entries_;
-  const std::size_t old_capacity = capacity_;
-  // Bump-allocate the doubled table out of the private arena; the old
-  // table is abandoned in place (monotonic — see score_cache.hpp).
-  capacity_ = old_capacity * 2;
-  entries_ = arena_.alloc_array<Entry>(capacity_);
-  for (std::size_t i = 0; i < capacity_; ++i) entries_[i] = Entry{};
+  // por-lint: allow(hot-path-alloc) amortized doubling; clear() keeps it
+  const std::vector<Entry> old =
+      std::exchange(entries_, std::vector<Entry>(entries_.size() * 2));
   // Power-of-two capacity is what makes `hash & (capacity - 1)` a
   // valid slot map; doubling preserves it.
-  POR_ENSURE((capacity_ & (capacity_ - 1)) == 0,
-             "capacity must stay a power of two:", capacity_);
-  for (std::size_t i = 0; i < old_capacity; ++i) {
-    if (!old[i].used) continue;
-    const std::size_t slot = probe(old[i].key);
-    entries_[slot] = old[i];
+  POR_ENSURE((entries_.size() & (entries_.size() - 1)) == 0,
+             "capacity must stay a power of two:", entries_.size());
+  for (const Entry& e : old) {
+    if (!e.used) continue;
+    entries_[probe(e.key)] = e;
   }
 }
 

@@ -30,9 +30,9 @@
 
 #include <cstdint>
 #include <optional>
+#include <vector>
 
 #include "por/em/orientation.hpp"
-#include "por/util/arena.hpp"
 
 namespace por::core {
 
@@ -60,7 +60,7 @@ class ScoreCache {
   void clear();
 
   [[nodiscard]] std::size_t size() const { return size_; }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const { return entries_.size(); }
   [[nodiscard]] double quantum_deg() const { return quantum_deg_; }
   [[nodiscard]] std::uint64_t hits() const { return hits_; }
   [[nodiscard]] std::uint64_t misses() const { return misses_; }
@@ -84,17 +84,10 @@ class ScoreCache {
   void grow();
 
   double quantum_deg_;
-  // The table lives in a PRIVATE arena (arena ownership rule 2,
-  // DESIGN.md §12): the cache grows mid-search, interleaved with the
-  // sliding window's frame-arena scopes, so borrowing frame_arena()
-  // would break the LIFO discipline.  grow() bump-allocates the doubled
-  // table and abandons the old one — monotonic waste bounded by the
-  // geometric series (< 1x the final table), reclaimed only when the
-  // cache itself dies, in exchange for zero general-heap traffic after
-  // the arena's chunks warm up.
-  util::Arena arena_;
-  Entry* entries_ = nullptr;   ///< `capacity_` slots, arena-backed
-  std::size_t capacity_ = 0;   ///< always a power of two
+  /// The table; its size is the capacity, always a power of two.
+  /// grow() doubles it and clear() keeps it, so a cache re-used across
+  /// warmed searches never touches the heap.
+  std::vector<Entry> entries_;
   std::size_t size_ = 0;
   mutable std::uint64_t hits_ = 0;
   mutable std::uint64_t misses_ = 0;

@@ -1,14 +1,14 @@
 // POR_HOT_PATH
 //
-// One search per refine step; all scratch on the frame arena
+// One search per refine step; all scratch in thread-local vectors
 // (hot-path-alloc lint enforces the zero-allocation steady state).
 #include "por/core/sliding_window.hpp"
 
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "por/obs/registry.hpp"
-#include "por/util/arena.hpp"
 #include "por/util/contracts.hpp"
 
 namespace por::core {
@@ -63,14 +63,19 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
   const std::size_t count =
       static_cast<std::size_t>(w) * static_cast<std::size_t>(w) *
       static_cast<std::size_t>(w);
-  // Search scratch lives on the calling thread's frame arena: after the
-  // first search of a given width the chunks are warm and repeated
-  // searches never touch the general heap.
-  util::ArenaScope scope(util::frame_arena());
-  util::ArenaVector<em::Orientation> candidates(util::frame_arena(), count);
-  util::ArenaVector<double> scores(util::frame_arena());
-  util::ArenaVector<std::size_t> missing(util::frame_arena(), count);
-  scores.resize_uninit(count);
+  // Search scratch lives in the calling thread's vectors, which only
+  // grow: after the first search of a given width repeated searches
+  // never touch the general heap.  Nothing below re-enters the search.
+  // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
+  thread_local std::vector<em::Orientation> candidate_buf;
+  // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
+  thread_local std::vector<double> score_buf;
+  // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
+  thread_local std::vector<std::size_t> missing_buf;
+  candidate_buf.reserve(count);
+  missing_buf.reserve(count);
+  if (score_buf.size() < count) score_buf.resize(count);
+  const contracts::checked_span<double> scores(score_buf.data(), count);
 
   for (int round = 0;; ++round) {
     // Cooperative cancellation: the round boundary is the coarse poll,
@@ -79,38 +84,41 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
 
     // Step (g): enumerate the w^3 candidate grid (theta-major, same
     // order as SearchDomain::enumerate, which fixes tie-breaking).
-    candidates.clear();
+    candidate_buf.clear();
     for (int it = 0; it < w; ++it) {
       for (int ip = 0; ip < w; ++ip) {
         for (int io = 0; io < w; ++io) {
-          candidates.push_back(
+          candidate_buf.push_back(
               em::Orientation{domain.center.theta + domain.offset(it),
                               domain.center.phi + domain.offset(ip),
                               domain.center.omega + domain.offset(io)});
         }
       }
     }
+    const contracts::checked_span<const em::Orientation> candidates(
+        candidate_buf);
 
     // Resolve candidates against the score cache; overlapping slide
     // windows and repeated passes re-use old scores here instead of
     // re-running the matching kernel.
-    missing.clear();
+    missing_buf.clear();
     if (cache != nullptr) {
       for (std::size_t i = 0; i < count; ++i) {
         if (const std::optional<double> hit = cache->lookup(candidates[i])) {
           scores[i] = *hit;
         } else {
-          missing.push_back(i);
+          missing_buf.push_back(i);
         }
       }
       const std::uint64_t hits =
-          static_cast<std::uint64_t>(count - missing.size());
+          static_cast<std::uint64_t>(count - missing_buf.size());
       result.cache_hits += hits;
       obs.hits->add(hits);
-      obs.misses->add(static_cast<std::uint64_t>(missing.size()));
+      obs.misses->add(static_cast<std::uint64_t>(missing_buf.size()));
     } else {
-      for (std::size_t i = 0; i < count; ++i) missing.push_back(i);
+      for (std::size_t i = 0; i < count; ++i) missing_buf.push_back(i);
     }
+    const contracts::checked_span<const std::size_t> missing(missing_buf);
 
     // Step (h): score the remaining candidates.
     for (std::size_t mi = 0; mi < missing.size(); ++mi) {
@@ -138,15 +146,13 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
     // <, first wins) as the original serial triple loop.
     double best_distance = std::numeric_limits<double>::infinity();
     std::size_t best_index = 0;
-    const contracts::checked_span<const double> scores_view(scores.data(),
-                                                            scores.size());
     for (std::size_t i = 0; i < count; ++i) {
       // A NaN score would poison the strict-< argmin silently (NaN
       // never compares less, so the candidate vanishes); matching
       // distances are finite by construction.
-      POR_FINITE(scores_view[i]);
-      if (scores_view[i] < best_distance) {
-        best_distance = scores_view[i];
+      POR_FINITE(scores[i]);
+      if (scores[i] < best_distance) {
+        best_distance = scores[i];
         best_index = i;
       }
     }

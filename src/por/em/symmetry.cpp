@@ -68,7 +68,9 @@ SymmetryGroup SymmetryGroup::cyclic(int n) {
   for (int k = 0; k < n; ++k) {
     ops.push_back(Mat3::rot_z(2.0 * std::numbers::pi * k / n));
   }
-  return SymmetryGroup("C" + std::to_string(n), std::move(ops));
+  std::string name = "C";
+  name += std::to_string(n);
+  return SymmetryGroup(std::move(name), std::move(ops));
 }
 
 SymmetryGroup SymmetryGroup::dihedral(int n) {
@@ -76,7 +78,9 @@ SymmetryGroup SymmetryGroup::dihedral(int n) {
   std::vector<Mat3> ops = close_group(
       {Mat3::rot_z(2.0 * std::numbers::pi / n), Mat3::rot_x(std::numbers::pi)},
       4 * static_cast<std::size_t>(n));
-  return SymmetryGroup("D" + std::to_string(n), std::move(ops));
+  std::string name = "D";
+  name += std::to_string(n);
+  return SymmetryGroup(std::move(name), std::move(ops));
 }
 
 SymmetryGroup SymmetryGroup::tetrahedral() {

@@ -1,8 +1,9 @@
 // POR_HOT_PATH
 //
 // Executed per line of every 2D/3D transform; execute-path scratch
-// is frame-arena only.  Plan construction (tables below) runs once
-// per length and carries hot-path-alloc waivers.
+// is one thread-local vector per site that only grows.  Plan
+// construction (tables below) runs once per length.  Both carry
+// hot-path-alloc waivers.
 #include "por/fft/fft1d.hpp"
 
 #include <cmath>
@@ -12,7 +13,6 @@
 
 #include "por/fft/obs_handles.hpp"
 #include "por/simd/kernels.hpp"
-#include "por/util/arena.hpp"
 #include "por/util/contracts.hpp"
 
 namespace por::fft {
@@ -152,11 +152,14 @@ void Fft1D::pow2_forward(cdouble* data, const simd::KernelTable& kt) const {
 void Fft1D::bluestein_forward(cdouble* data) const {
   POR_ENSURE(chirp_.size() == n_ && chirp_fft_.size() == m_ && m_ >= 2 * n_ - 1,
              "Bluestein tables out of sync: n =", n_, "m =", m_);
-  // Convolution scratch comes from the calling thread's frame arena:
-  // after the first transform of a given size the chunks are warm and
-  // repeated transforms never touch the general heap.
-  util::ArenaScope scope(util::frame_arena());
-  cdouble* a = util::frame_arena().alloc_array<cdouble>(m_);
+  // Convolution scratch is the calling thread's own buffer, which only
+  // grows: after the first transform of a given size repeated
+  // transforms never touch the general heap.  inner_ is a power-of-two
+  // plan, so nothing below re-enters this buffer.
+  // por-lint: allow(hot-path-alloc) thread-local scratch, only grows
+  thread_local std::vector<cdouble> scratch;
+  if (scratch.size() < m_) scratch.resize(m_);
+  cdouble* a = scratch.data();
   // The pointwise complex products run through the dispatched per-ISA
   // kernels (manual (ac - bd, ad + bc) arithmetic — see pow2_forward
   // for the __muldc3 rationale and the layout-compatibility note).
@@ -173,8 +176,12 @@ void Fft1D::bluestein_forward(cdouble* data) const {
 }
 
 void Fft1D::forward_strided(cdouble* base, std::size_t stride) const {
-  util::ArenaScope scope(util::frame_arena());
-  cdouble* line = util::frame_arena().alloc_array<cdouble>(n_);
+  // One gathered line; forward() may run Bluestein, which has its own
+  // buffer.
+  // por-lint: allow(hot-path-alloc) thread-local scratch, only grows
+  thread_local std::vector<cdouble> scratch;
+  if (scratch.size() < n_) scratch.resize(n_);
+  cdouble* line = scratch.data();
   for (std::size_t i = 0; i < n_; ++i) line[i] = base[i * stride];
   forward(line);
   for (std::size_t i = 0; i < n_; ++i) base[i * stride] = line[i];

@@ -8,7 +8,6 @@
 #include "por/fft/obs_handles.hpp"
 #include "por/fft/plan_cache.hpp"
 #include "por/obs/registry.hpp"
-#include "por/util/arena.hpp"
 #include "por/util/contracts.hpp"
 
 namespace por::fft {
@@ -60,12 +59,12 @@ void r2c_rows(const double* src, cdouble* dst, std::size_t ny, std::size_t nx,
   const std::shared_ptr<const Fft1D> plan = cached_plan(nx);
   const std::size_t pairs = ny / 2;
   const std::size_t jobs = pairs + (ny % 2);  // a trailing lone row, if odd
+  // The packed row is the calling thread's own buffer, which only
+  // grows: repeated transforms never touch the general heap.
+  thread_local std::vector<cdouble> scratch;
+  if (scratch.size() < nx) scratch.resize(nx);
+  cdouble* packed = scratch.data();
   for (std::size_t r = 0; r < jobs; ++r) {
-    // Scratch from the calling thread's frame arena: repeated
-    // transforms reuse the warm chunks without touching the general
-    // heap.
-    util::ArenaScope scope(util::frame_arena());
-    cdouble* packed = util::frame_arena().alloc_array<cdouble>(nx);
     if (r < pairs) {
       const double* row0 = src + (2 * r) * nx;
       const double* row1 = src + (2 * r + 1) * nx;
@@ -132,16 +131,19 @@ void fft1d_lines(cdouble* base, std::size_t count, std::size_t n,
              stride);
   const std::shared_ptr<const Fft1D> plan = cached_plan(n);
   const std::size_t tiles = (count + kLineTile - 1) / kLineTile;
+  // The tile is the calling thread's own buffer, which only grows:
+  // warm after the first tile, zero general-heap traffic in the steady
+  // state.  The plan's Bluestein path has a buffer of its own.
+  thread_local std::vector<cdouble> tile_buf;
+  const std::size_t tile_elems = std::min(kLineTile, count) * n;
+  if (tile_buf.size() < tile_elems) tile_buf.resize(tile_elems);
+  cdouble* scratch = tile_buf.data();
   for (std::size_t tile = 0; tile < tiles; ++tile) {
     const std::size_t j0 = tile * kLineTile;
     const std::size_t width = std::min(kLineTile, count - j0);
     // Gather `width` strided lines into contiguous rows of scratch
     // (scratch[t][i] = line (j0+t), element i): each inner iteration
-    // reads one contiguous chunk of `width` complex values.  The tile
-    // comes from the frame arena — warm after the first tile,
-    // zero general-heap traffic in the steady state.
-    util::ArenaScope scope(util::frame_arena());
-    cdouble* scratch = util::frame_arena().alloc_array<cdouble>(width * n);
+    // reads one contiguous chunk of `width` complex values.
     cdouble* tile_base = base + j0;
     for (std::size_t i = 0; i < n; ++i) {
       const cdouble* chunk = tile_base + i * stride;
@@ -319,6 +321,11 @@ void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
   // even nx, bin nx/2 are their own mirrors, so only their real parts
   // belong to a Hermitian spectrum.
   const std::size_t last = (nx - 1) / 2;  // highest bin with a distinct mirror
+  // The packed line is the calling thread's own buffer, which only
+  // grows: repeated transforms never touch the general heap.
+  thread_local std::vector<cdouble> scratch;
+  if (scratch.size() < nx) scratch.resize(nx);
+  cdouble* packed = scratch.data();
   for (std::size_t r = 0; r < rows; r += 2) {
     const bool pair = r + 1 < rows;
     const cdouble* a = src + r * hx;
@@ -326,8 +333,6 @@ void irfft_rows(const cdouble* src, double* dst, std::size_t rows,
     const auto bin = [&](std::size_t k) {
       return pair ? b[k] : cdouble{0.0, 0.0};
     };
-    util::ArenaScope scope(util::frame_arena());
-    cdouble* packed = util::frame_arena().alloc_array<cdouble>(nx);
     packed[0] = {a[0].real(), bin(0).real()};
     for (std::size_t k = 1; k <= last; ++k) {
       const cdouble ak = a[k], bk = bin(k);

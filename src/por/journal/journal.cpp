@@ -372,7 +372,7 @@ void Journal::append(std::uint32_t type, const void* payload,
   appends_->add();
   segment_bytes_ += frame.size();
   dirty_ = true;
-  if (durable && options_.fsync_durable_appends) {
+  if (durable) {
     sync_hook_point(SyncOp::kFsync, path);
     if (!resilience::fsync_path(path)) {
       throw resilience::transient_error("journal: fsync failed for " + path);

@@ -55,12 +55,6 @@ namespace por::journal {
 struct JournalOptions {
   /// Rotate the active segment once its size reaches this.
   std::size_t max_segment_bytes = 4u << 20;
-  /// fsync the active segment on every append(..., durable=true) call.
-  /// Appends with durable=false are flushed to the kernel (surviving a
-  /// process kill) but not fsync'd (an OS crash may drop them); the
-  /// service journals job SUBMISSION durably — that is the ack the
-  /// client holds us to — and lifecycle transitions cheaply.
-  bool fsync_durable_appends = true;
 };
 
 /// One replayed record: the type tag and the raw payload bytes.
@@ -93,8 +87,12 @@ class Journal {
   void discard_replayed() { replayed_ = ReplayResult{}; }
 
   /// Append one record.  `durable` appends are fsync'd before
-  /// returning (per options; see JournalOptions) — the caller may
-  /// acknowledge the event to its client the moment this returns.
+  /// returning — the caller may acknowledge the event to its client
+  /// the moment this returns.  Appends with durable=false are flushed
+  /// to the kernel (surviving a process kill) but not fsync'd (an OS
+  /// crash may drop them); the service journals job SUBMISSION
+  /// durably — that is the ack the client holds us to — and lifecycle
+  /// transitions cheaply.
   /// Throws resilience::Error{kTransient} on I/O failure; the journal
   /// is still consistent (the torn tail will be healed on reopen).
   void append(std::uint32_t type, const void* payload, std::size_t bytes,

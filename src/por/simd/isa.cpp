@@ -152,11 +152,6 @@ Isa force_isa(Isa isa) {
   return capped;
 }
 
-Isa resolve_isa(const SimdOptions& options) {
-  if (options.isa) return clamp_to_available(*options.isa);
-  return active_isa();
-}
-
 const KernelTable& kernel_table(Isa isa) {
   const Isa capped = clamp_to_available(isa);
   const KernelTable* table = nullptr;

@@ -13,8 +13,8 @@
 //      best tier the machine supports,
 //   2. the POR_FORCE_ISA environment variable ("sse2" | "avx2" |
 //      "avx512") caps it process-wide,
-//   3. a per-matcher SimdOptions::isa knob caps it per instance
-//      (benches measure every tier side by side this way).
+//   3. force_isa() rebinds it in-process (tests and benches pin each
+//      tier this way before building the matchers that should use it).
 //
 // A request above what the hardware supports clamps DOWN with a
 // one-time stderr notice — forcing never enables an unsupported path.
@@ -48,7 +48,7 @@ enum class Isa : int {
 
 /// The process-wide selected tier: detect_best_isa() capped by
 /// POR_FORCE_ISA.  Resolved once on first use; every dispatch site
-/// (FFT plans, matchers built without an explicit knob) reads this.
+/// (FFT plans, matchers) reads this.
 [[nodiscard]] Isa active_isa();
 
 /// Rebind the process-wide tier (clamped to detect_best_isa()).
@@ -57,15 +57,5 @@ enum class Isa : int {
 /// table (and builds the matching lattice layout) at construction and
 /// never re-reads the global.  Returns the tier actually selected.
 Isa force_isa(Isa isa);
-
-/// Per-instance ISA knob, threaded through MatchOptions.
-struct SimdOptions {
-  /// Cap for this instance; nullopt = follow active_isa().  Requests
-  /// above hardware support clamp down, like POR_FORCE_ISA.
-  std::optional<Isa> isa;
-};
-
-/// The tier an instance configured with `options` should use.
-[[nodiscard]] Isa resolve_isa(const SimdOptions& options);
 
 }  // namespace por::simd

@@ -367,6 +367,9 @@ TEST(Matcher, HalfDiskDistanceMatchesFullDiskReferenceOnEveryTier) {
   // folded into its weight; distance_reference() still walks the whole
   // disk.  Real views, a real map and a radial transfer make the two
   // equal up to rounding on every tier, ring and grid parity.
+  // Each tier is pinned process-wide before its matcher is built (the
+  // matcher snapshots simd::active_isa() at construction).
+  const simd::Isa saved = simd::active_isa();
   util::Rng rng(919);
   for (const FoldCase& fc : fold_cases()) {
     SCOPED_TRACE(fold_trace(fc));
@@ -375,9 +378,9 @@ TEST(Matcher, HalfDiskDistanceMatchesFullDiskReferenceOnEveryTier) {
     const Image<double> view = noisy_view(model, fc.l, {40, 100, 20}, rng);
     for (const simd::Isa isa : por::test::available_tiers()) {
       SCOPED_TRACE(simd::isa_name(isa));
-      MatchOptions options = fold_options(fc);
-      options.simd.isa = isa;
-      const FourierMatcher matcher(map, options);
+      simd::force_isa(isa);
+      const FourierMatcher matcher(map, fold_options(fc));
+      simd::force_isa(saved);
       ASSERT_EQ(matcher.isa(), isa);
       const Image<cdouble> spectrum = matcher.prepare_view(view);
       for (int i = 0; i < 4; ++i) {

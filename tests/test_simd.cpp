@@ -1,9 +1,10 @@
-// test_simd — the por::simd dispatch layer and the por::util arena.
+// test_simd — the por::simd dispatch layer and the hot paths' zero-
+// allocation steady state.
 //
 // Four concerns, mirroring DESIGN.md §12:
 //   1. ISA selection: CPUID detection, POR_FORCE_ISA override (probed
-//      in a child process so the once-per-process cache stays honest),
-//      force_isa clamping, and the SimdOptions::isa knob.
+//      in a child process so the once-per-process cache stays honest)
+//      and force_isa clamping.
 //   2. Kernel equivalence: every compiled tier's trilinear / annulus /
 //      butterfly / pointwise kernels against the scalar reference on
 //      randomized lattices (boundary cells included).  The SSE2 tier
@@ -11,19 +12,22 @@
 //      tiers are held to the 1e-12 FMA-contraction budget.
 //   3. End-to-end: per-tier FourierMatcher::distance vs
 //      distance_reference.
-//   4. Arena semantics: mark/rewind, alignment, exhaustion fallback,
-//      warm steady state under a CountingUpstream, ArenaVector, and
-//      the ScoreCache no-regrowth contract.
+//   4. Steady state: with global operator new counted, a warmed
+//      sliding-window search and the warmed FFT scratch sites make no
+//      heap allocation, and ScoreCache::clear keeps its capacity.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <cstdlib>
+#include <functional>
+#include <new>
 #include <numbers>
 #include <string>
-#include <thread>
 #include <vector>
 
 #if defined(__linux__)
@@ -32,15 +36,41 @@
 
 #include "por/core/matcher.hpp"
 #include "por/core/score_cache.hpp"
+#include "por/core/sliding_window.hpp"
 #include "por/em/grid.hpp"
 #include "por/em/interp.hpp"
 #include "por/em/phantom.hpp"
 #include "por/fft/fft1d.hpp"
+#include "por/fft/fftnd.hpp"
 #include "por/simd/isa.hpp"
 #include "por/simd/kernels.hpp"
-#include "por/util/arena.hpp"
 #include "por/util/rng.hpp"
 #include "test_helpers.hpp"
+
+// Counting global operator new/delete, the oracle for the steady-state
+// tests of section 4 (the same probe bench_matcher gates on).  Counting
+// is gated so only the probed region pays the relaxed atomic increment.
+namespace {
+// por-atomic-file: stat — test-local alloc counters; the test thread
+// flips the gate, atomicity alone is enough.
+std::atomic<bool> g_count_heap{false};
+std::atomic<std::uint64_t> g_heap_allocs{0};
+
+void* counted_alloc(std::size_t size) {
+  if (g_count_heap.load(std::memory_order_relaxed)) {
+    g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+}  // namespace
+
+void* operator new(std::size_t size) { return counted_alloc(size); }
+void* operator new[](std::size_t size) { return counted_alloc(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace {
 
@@ -136,18 +166,6 @@ TEST(SimdIsa, ForceIsaClampsToAvailable) {
   const simd::Isa widest = simd::force_isa(simd::Isa::kAvx512);
   EXPECT_EQ(widest, simd::kernel_table(simd::Isa::kAvx512).isa);
   EXPECT_EQ(simd::active_kernels().isa, widest);
-}
-
-TEST(SimdIsa, ResolveIsaPrefersExplicitKnob) {
-  IsaGuard guard;
-  simd::force_isa(simd::Isa::kSse2);
-  simd::SimdOptions options;
-  options.isa = simd::detect_best_isa();
-  // The knob wins over the forced/process-wide selection, clamped.
-  EXPECT_EQ(simd::resolve_isa(options),
-            simd::kernel_table(simd::detect_best_isa()).isa);
-  options.isa.reset();
-  EXPECT_EQ(simd::resolve_isa(options), simd::Isa::kSse2);
 }
 
 // POR_FORCE_ISA is read once per process, so the override is probed in
@@ -397,17 +415,22 @@ TEST(SimdMatcher, EveryTierMatchesReferenceDistance) {
   const em::BlobModel model = em::make_sindbis_like(phantom);
   const em::Volume<double> lattice = model.rasterize(phantom.l);
 
+  // Each matcher snapshots the process-wide tier at construction, so
+  // pin each tier before building its matchers.
   std::vector<std::unique_ptr<core::FourierMatcher>> matchers;
-  for (const simd::Isa isa : available_tiers()) {
-    for (const metrics::Weighting w :
-         {metrics::Weighting::kUniform, metrics::Weighting::kRadial}) {
-      core::MatchOptions options;
-      options.pad = 2;
-      options.simd.isa = isa;
-      options.weighting = w;
-      matchers.push_back(
-          std::make_unique<core::FourierMatcher>(lattice, options));
-      EXPECT_EQ(matchers.back()->isa(), isa);
+  {
+    IsaGuard guard;
+    for (const simd::Isa isa : available_tiers()) {
+      simd::force_isa(isa);
+      for (const metrics::Weighting w :
+           {metrics::Weighting::kUniform, metrics::Weighting::kRadial}) {
+        core::MatchOptions options;
+        options.pad = 2;
+        options.weighting = w;
+        matchers.push_back(
+            std::make_unique<core::FourierMatcher>(lattice, options));
+        EXPECT_EQ(matchers.back()->isa(), isa);
+      }
     }
   }
 
@@ -428,111 +451,80 @@ TEST(SimdMatcher, EveryTierMatchesReferenceDistance) {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Arena semantics
+// 4. Steady state: no heap allocation once the hot paths are warm
 // ---------------------------------------------------------------------------
 
-TEST(Arena, MarkRewindReusesStorage) {
-  util::Arena arena(1024);
-  const util::Arena::Mark m0 = arena.mark();
-  double* first = arena.alloc_array<double>(16);
-  ASSERT_NE(first, nullptr);
-  EXPECT_EQ(arena.live_bytes(), 16 * sizeof(double));
-  EXPECT_EQ(arena.allocation_count(), 1u);
-  arena.rewind(m0);
-  EXPECT_EQ(arena.live_bytes(), 0u);
-  // Same request after a rewind lands on the same warm storage.
-  double* again = arena.alloc_array<double>(16);
-  EXPECT_EQ(again, first);
+/// Heap allocations `fn` makes (the counting gate is open only while
+/// it runs).
+template <typename Fn>
+std::uint64_t heap_allocs_during(Fn&& fn) {
+  g_heap_allocs.store(0, std::memory_order_relaxed);
+  g_count_heap.store(true, std::memory_order_relaxed);
+  fn();
+  g_count_heap.store(false, std::memory_order_relaxed);
+  return g_heap_allocs.load(std::memory_order_relaxed);
 }
 
-TEST(Arena, ScopesNestLifo) {
-  util::Arena arena(1024);
-  {
-    util::ArenaScope outer(arena);
-    (void)arena.alloc_array<char>(100);
-    {
-      util::ArenaScope inner(arena);
-      (void)arena.alloc_array<char>(200);
-      EXPECT_EQ(arena.live_bytes(), 300u);
+TEST(HotPathAlloc, WarmSlidingWindowSearchNeverAllocates) {
+  em::PhantomSpec phantom;
+  phantom.l = 16;
+  const em::BlobModel model = em::make_sindbis_like(phantom);
+  core::MatchOptions options;
+  options.pad = 2;
+  const core::FourierMatcher matcher(model.rasterize(phantom.l), options);
+  const em::Orientation truth{48.0, 160.0, 72.0};
+  const em::Image<em::cdouble> spectrum =
+      matcher.prepare_view(model.project_analytic(phantom.l, truth));
+  // Off-truth, so the window slides through overlapping domains.
+  const core::SearchDomain domain{
+      em::Orientation{truth.theta + 3.0, truth.phi, truth.omega}, 1.0, 3};
+  core::ScoreCache cache(1.0 / 4.0);
+  const core::WindowResult warm =
+      core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
+  ASSERT_GT(warm.slides, 0);
+  // clear() keeps the table, so each pass re-scores the full window
+  // through distance() + insert().
+  const std::uint64_t allocs = heap_allocs_during([&] {
+    for (int pass = 0; pass < 3; ++pass) {
+      cache.clear();
+      (void)core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
     }
-    EXPECT_EQ(arena.live_bytes(), 100u);
+  });
+  EXPECT_EQ(allocs, 0u);
+}
+
+TEST(HotPathAlloc, WarmFftScratchNeverAllocates) {
+  // 90 is not a power of two: forward() runs Bluestein, so every
+  // scratch site below also exercises the nested convolution buffer.
+  constexpr std::size_t n = 90;
+  constexpr std::size_t lines = 20;  // more than one fft1d_lines tile
+  const fft::Fft1D plan(n);
+  util::Rng rng(2024);
+  std::vector<fft::cdouble> grid(n * lines);
+  for (fft::cdouble& v : grid) {
+    v = fft::cdouble(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
   }
-  EXPECT_EQ(arena.live_bytes(), 0u);
-}
-
-TEST(Arena, RespectsAlignment) {
-  util::Arena arena(4096);
-  (void)arena.alloc_array<char>(3);  // misalign the bump pointer
-  void* p64 = arena.allocate(128, 64);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p64) % 64, 0u);
-  (void)arena.alloc_array<char>(1);
-  double* d = arena.alloc_array<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d) % alignof(double), 0u);
-}
-
-TEST(Arena, ExhaustionFallsBackToUpstream) {
-  util::CountingUpstream counting(util::heap_upstream());
-  util::Arena arena(64, &counting);
-  // Far larger than the first chunk: the arena must pull a bigger
-  // chunk from upstream instead of failing.
-  constexpr std::size_t kBig = 1 << 20;
-  char* big = arena.alloc_array<char>(kBig);
-  ASSERT_NE(big, nullptr);
-  big[0] = 1;
-  big[kBig - 1] = 2;  // the whole span is addressable
-  EXPECT_GE(counting.allocations(), 1u);
-  EXPECT_GE(arena.capacity_bytes(), kBig);
-}
-
-TEST(Arena, WarmSteadyStateNeverRefills) {
-  util::CountingUpstream counting(util::heap_upstream());
-  util::Arena arena(256, &counting);
-  const auto pass = [&] {
-    util::ArenaScope scope(arena);
-    (void)arena.alloc_array<double>(300);
-    (void)arena.alloc_array<std::size_t>(100);
-    (void)arena.allocate(4096, 64);
+  std::vector<fft::cdouble> half(lines * (n / 2 + 1));
+  std::vector<double> real_rows(lines * n);
+  struct Site {
+    const char* name;
+    std::function<void()> pass;
   };
-  pass();  // warm-up sizes the chunks
-  const std::uint64_t warm = counting.allocations();
-  EXPECT_GE(warm, 1u);
-  for (int i = 0; i < 10; ++i) pass();
-  EXPECT_EQ(counting.allocations(), warm)
-      << "steady-state passes must reuse warm chunks";
-}
-
-TEST(Arena, FrameArenaIsPerThread) {
-  util::Arena& mine = util::frame_arena();
-  EXPECT_EQ(&mine, &util::frame_arena());
-  util::Arena* other = nullptr;
-  std::thread worker([&] { other = &util::frame_arena(); });
-  worker.join();
-  EXPECT_NE(other, nullptr);
-  EXPECT_NE(other, &mine);
-}
-
-TEST(ArenaVector, GrowthAndAssignment) {
-  util::Arena arena(256);
-  util::ArenaScope scope(arena);
-  util::ArenaVector<int> v(arena);
-  EXPECT_TRUE(v.empty());
-  for (int i = 0; i < 100; ++i) v.push_back(i * 3);
-  ASSERT_EQ(v.size(), 100u);
-  EXPECT_GE(v.capacity(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i * 3);
-  v.clear();
-  EXPECT_EQ(v.size(), 0u);
-  v.assign_default(8);
-  ASSERT_EQ(v.size(), 8u);
-  for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(v[i], 0);
-  v.resize_uninit(16);
-  EXPECT_EQ(v.size(), 16u);
-  // reserve keeps existing contents across regrowth.
-  v.clear();
-  v.push_back(42);
-  v.reserve(1000);
-  ASSERT_EQ(v.size(), 1u);
-  EXPECT_EQ(v[0], 42);
+  const Site sites[] = {
+      {"forward", [&] { plan.forward(grid.data()); }},
+      {"forward_strided", [&] { plan.forward_strided(grid.data(), lines); }},
+      {"fft1d_lines",
+       [&] { fft::fft1d_lines(grid.data(), lines, n, lines, false); }},
+      {"irfft_rows",
+       [&] { fft::irfft_rows(half.data(), real_rows.data(), lines, n); }},
+  };
+  for (const Site& site : sites) {
+    site.pass();  // warm-up sizes the site's buffer (and the plan cache)
+    const std::uint64_t allocs = heap_allocs_during([&] {
+      for (int rep = 0; rep < 3; ++rep) site.pass();
+    });
+    EXPECT_EQ(allocs, 0u) << site.name;
+  }
 }
 
 TEST(ScoreCache, ClearKeepsCapacityForSteadyState) {
