@@ -10,11 +10,11 @@
 //              simd::force_isa() while its matcher is built), staged
 //              through the dispatched stage/consume kernel pair,
 // verifies every tier's equivalence against the scalar oracle on the
-// spot, measures the sliding-window score-cache hit rate on a forced
-// multi-slide search, counts general-heap allocations on the warmed
-// steady-state search path (must be ZERO: the search scratch and the
-// score-cache table are reused once warm, DESIGN.md §12),
-// and writes everything to BENCH_matcher.json (override with
+// spot, runs a forced multi-slide search, times one 0.1 deg w = 9
+// window (the descent search against the exhaustive loop it
+// replaced), counts general-heap allocations on the warmed steady-state
+// search path (must be ZERO: the search scratch is reused once warm,
+// DESIGN.md §12), and writes everything to BENCH_matcher.json (override with
 // --out <path>) so CI can chart ns/matching over time.
 //
 // Exit status: 1 if any tier diverges from the scalar oracle by more
@@ -47,7 +47,6 @@
 #include <vector>
 
 #include "por/core/matcher.hpp"
-#include "por/core/score_cache.hpp"
 #include "por/core/sliding_window.hpp"
 #include "por/em/phantom.hpp"
 #include "por/obs/export.hpp"
@@ -98,6 +97,38 @@ std::string json_number(double v) {
 }
 
 constexpr double kMaxRelDiff = 1e-12;  ///< fast-vs-scalar gate
+
+/// The window search sliding_window_search replaced, kept as the
+/// baseline of the window row: every candidate of every round through
+/// distance(), argmin strict < in candidate order, the same slide rule.
+core::WindowResult exhaustive_window(const core::FourierMatcher& matcher,
+                                     const em::Image<em::cdouble>& spectrum,
+                                     core::SearchDomain domain) {
+  core::WindowResult result;
+  const int w = domain.width;
+  for (int round = 0;; ++round) {
+    const std::vector<em::Orientation> grid = domain.enumerate();
+    std::size_t best = 0;
+    double best_distance = 0.0;
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+      const double d = matcher.distance(spectrum, grid[i]);
+      if (i == 0 || d < best_distance) {
+        best_distance = d;
+        best = i;
+      }
+    }
+    result.matchings += grid.size();
+    result.best = grid[best];
+    result.best_distance = best_distance;
+    const int it = static_cast<int>(best) / (w * w);
+    const int ip = (static_cast<int>(best) / w) % w;
+    const int io = static_cast<int>(best) % w;
+    if (!domain.on_edge(it, ip, io) || round >= 8) break;
+    domain = domain.recentered(result.best);
+    ++result.slides;
+  }
+  return result;
+}
 
 }  // namespace
 
@@ -232,37 +263,55 @@ int main(int argc, char** argv) {
   const double fetches_per_matching =
       static_cast<double>(matcher.annulus().size());
 
-  // Score-cache hit rate on a forced multi-slide search: start the
-  // window off-truth so it slides through overlapping domains.
-  core::ScoreCache cache(1.0 / 4.0);
+  // A forced multi-slide search: start the window off-truth so it
+  // slides through overlapping domains.
   const core::SearchDomain domain{
       em::Orientation{truth.theta + 3.0, truth.phi, truth.omega}, 1.0, 3};
   const core::WindowResult window =
-      core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
-  const double cache_total =
-      static_cast<double>(cache.hits() + cache.misses());
-  const double hit_rate =
-      cache_total > 0.0 ? static_cast<double>(cache.hits()) / cache_total
-                        : 0.0;
+      core::sliding_window_search(matcher, spectrum, domain);
 
   // Steady-state allocation probe: the search above warmed the
-  // thread-local search scratch, the score-cache table, and the obs
-  // handle caches; repeated serial searches on the warmed matcher must
-  // now reuse them without touching the heap.  clear() keeps the
-  // cache's capacity, so each pass re-scores the full window through
-  // distance() + insert().
+  // thread-local search scratch and the obs handle caches; repeated
+  // serial searches on the warmed matcher must now reuse them without
+  // touching the heap.
   std::uint64_t steady_state_allocs = 0;
   {
-    cache.clear();
     g_heap_allocs.store(0, std::memory_order_relaxed);
     g_count_heap.store(true, std::memory_order_relaxed);
     for (int pass = 0; pass < 3; ++pass) {
-      cache.clear();
-      (void)core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
+      (void)core::sliding_window_search(matcher, spectrum, domain);
     }
     g_count_heap.store(false, std::memory_order_relaxed);
     steady_state_allocs = g_heap_allocs.load(std::memory_order_relaxed);
   }
+
+  // One 0.1 deg, w = 9 window at cycle_paper's matching radius
+  // (r_map = l / 8), started 0.3 deg off the truth in every angle: the
+  // descent of sliding_window_search against the exhaustive loop it
+  // replaced, minimum over reps, alternating.
+  core::MatchOptions window_options;
+  window_options.pad = pad;
+  window_options.r_map = static_cast<double>(l) / 8.0;
+  const core::FourierMatcher window_matcher(lattice, window_options);
+  const em::Image<em::cdouble> window_view =
+      window_matcher.prepare_view(model.project_analytic(l, truth));
+  const core::SearchDomain fine{
+      em::Orientation{truth.theta + 0.3, truth.phi - 0.3, truth.omega + 0.3},
+      0.1, 9};
+  core::WindowResult descent, exhaustive;
+  std::vector<double> descent_s, exhaustive_s;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    util::WallTimer descent_timer;
+    descent = core::sliding_window_search(window_matcher, window_view, fine);
+    descent_s.push_back(descent_timer.seconds());
+    util::WallTimer exhaustive_timer;
+    exhaustive = exhaustive_window(window_matcher, window_view, fine);
+    exhaustive_s.push_back(exhaustive_timer.seconds());
+  }
+  const double descent_us = min_seconds(descent_s) * 1e6;
+  const double exhaustive_us = min_seconds(exhaustive_s) * 1e6;
+  const bool window_agrees = descent.best == exhaustive.best &&
+                             descent.best_distance == exhaustive.best_distance;
 
   // ---- opt-in paper-size pass (--paper_sizes) ------------------------------
   // Times the best tier + scalar at the paper's view edges on a cheap
@@ -383,11 +432,15 @@ int main(int argc, char** argv) {
               ns_scalar, speedup);
   std::printf("  steady-state heap allocations (3 warmed searches): %llu\n",
               static_cast<unsigned long long>(steady_state_allocs));
-  std::printf("  window: slides=%d cache hits=%llu misses=%llu (%.1f%%)\n",
-              window.slides,
-              static_cast<unsigned long long>(cache.hits()),
-              static_cast<unsigned long long>(cache.misses()),
-              hit_rate * 100.0);
+  std::printf("  window: slides=%d matchings=%llu\n", window.slides,
+              static_cast<unsigned long long>(window.matchings));
+
+  std::printf("  0.1 deg w=9 window: descent %.0f us (%llu matchings), "
+              "exhaustive %.0f us (%llu matchings), same winner: %s\n",
+              descent_us, static_cast<unsigned long long>(descent.matchings),
+              exhaustive_us,
+              static_cast<unsigned long long>(exhaustive.matchings),
+              window_agrees ? "yes" : "no");
 
   std::string json = "{\n";
   json += paper_json;
@@ -426,9 +479,18 @@ int main(int argc, char** argv) {
   json += "  \"steady_state_allocs\": " +
           std::to_string(steady_state_allocs) + ",\n";
   json += "  \"window_slides\": " + std::to_string(window.slides) + ",\n";
-  json += "  \"cache_hits\": " + std::to_string(cache.hits()) + ",\n";
-  json += "  \"cache_misses\": " + std::to_string(cache.misses()) + ",\n";
-  json += "  \"cache_hit_rate\": " + json_number(hit_rate) + "\n";
+  json += "  \"window_matchings\": " + std::to_string(window.matchings) +
+          ",\n";
+  json += "  \"window_0p1deg_w9_descent_us\": " + json_number(descent_us) +
+          ",\n";
+  json += "  \"window_0p1deg_w9_descent_matchings\": " +
+          std::to_string(descent.matchings) + ",\n";
+  json += "  \"window_0p1deg_w9_exhaustive_us\": " +
+          json_number(exhaustive_us) + ",\n";
+  json += "  \"window_0p1deg_w9_exhaustive_matchings\": " +
+          std::to_string(exhaustive.matchings) + ",\n";
+  json += "  \"window_0p1deg_w9_same_winner\": " +
+          std::string(window_agrees ? "true" : "false") + "\n";
   json += "}\n";
   obs::write_text_file(out, json);
   std::printf("  wrote %s\n", out.c_str());

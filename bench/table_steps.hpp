@@ -5,7 +5,9 @@
 // the per-step wall times in the paper's row layout.  A stage whose
 // angular step falls below the resolution floor at this box's matching
 // radius (core::searches_angles) refines the center only; the "Mode"
-// row says which stages did.
+// row says which stages did.  "Matching operations" counts distance()
+// calls: a window search descends its grid instead of scoring all w^3
+// candidates, so a stage spends far fewer than w^3 per view and round.
 #pragma once
 
 #include <algorithm>
@@ -35,7 +37,7 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
   struct StageRow {
     double dft = 0.0, read = 0.0, fft = 0.0, refine = 0.0, center = 0.0;
     double total = 0.0;
-    std::uint64_t matchings = 0, slides = 0;
+    std::uint64_t matchings = 0, slides = 0, center_evals = 0;
   };
   std::vector<StageRow> stages;
 
@@ -64,9 +66,11 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
         report = std::move(r);
       }
     });
+    std::uint64_t center_evals = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
       current[i] = results[i].orientation;
       centers[i] = {results[i].center_x, results[i].center_y};
+      center_evals += results[i].center_evals;
     }
 
     // Seconds in span "step.<name>", max over ranks: the slowest rank
@@ -90,6 +94,7 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
     row.total = row.dft + row.read + row.fft + row.refine + row.center;
     row.matchings = report.total_matchings;
     row.slides = report.total_slides;
+    row.center_evals = center_evals;
     stages.push_back(row);
   }
 
@@ -125,6 +130,12 @@ inline int run_step_table(const char* title, Workload& w, int ranks) {
     std::vector<std::string> cells{"Matching operations"};
     for (const auto& s : stages) {
       cells.push_back(util::fmt_grouped(static_cast<long long>(s.matchings)));
+    }
+    table.add_row(cells);
+    cells = {"Center evaluations"};
+    for (const auto& s : stages) {
+      cells.push_back(
+          util::fmt_grouped(static_cast<long long>(s.center_evals)));
     }
     table.add_row(cells);
     cells = {"Window slides"};

@@ -6,7 +6,7 @@
 // hot path: the controller flips the flag or arms a deadline, the hot
 // path polls check() at natural preemption points — scheduler chunk
 // boundaries (one view), sliding-window rounds, and every
-// kCancelCheckStride scored candidates inside the w^3 loop — and
+// kCancelCheckStride matchings inside a window round — and
 // unwinds with the structured Cancelled exception instead of silently
 // burning workers on a job nobody wants anymore.
 //

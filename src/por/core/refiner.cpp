@@ -148,7 +148,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // Steps (k)-(l): center refinement at `level`'s center grid against
   // the cut at the current orientation, re-applying an improved center
   // to the matching spectrum.  Returns how far the center moved.
-  const auto center_pass = [&](const SearchLevel& level, ScoreCache* cache) {
+  const auto center_pass = [&](const SearchLevel& level) {
     util::WallTimer center_timer;
     const std::vector<em::cdouble> best_cut =
         matcher_.annulus_cut(result.orientation);
@@ -162,11 +162,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
     result.center_x = center.dx;
     result.center_y = center.dy;
     result.center_evals += center.evaluations;
-    if (center_changed) {
-      // The cached scores were measured against the old spectrum.
-      apply_center(result.center_x, result.center_y);
-      if (cache != nullptr) cache->clear();
-    }
+    if (center_changed) apply_center(result.center_x, result.center_y);
     obs_center_span_->record(
         static_cast<std::uint64_t>(center_timer.seconds() * 1e9));
     return center_moved;
@@ -184,7 +180,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
       if (config_.refine_centers) {
         for (int pass = 0; pass < passes; ++pass) {
           if (cancel != nullptr) cancel->check();
-          if (center_pass(level, nullptr) < 0.25 * level.center_step_px) break;
+          if (center_pass(level) < 0.25 * level.center_step_px) break;
         }
       }
       result.final_distance = matcher_.distance(*centered, result.orientation);
@@ -192,26 +188,18 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
       continue;
     }
 
-    // Score cache for this level's angular grid: the
-    // orientation<->center passes below re-visit the same grid points
-    // against the same matching spectrum, and the sliding window
-    // overlaps itself.  quantum = step/4 keeps distinct grid points
-    // on distinct keys (see score_cache.hpp).  Invalidated whenever
-    // the center correction changes the matching spectrum.
-    ScoreCache cache(level.angular_step_deg / 4.0);
     for (int pass = 0; pass < passes; ++pass) {
       // Steps (f)-(j): sliding-window angular search at this resolution.
       util::WallTimer refine_timer;
       const SearchDomain domain{result.orientation, level.angular_step_deg,
                                 level.angular_width};
       const WindowResult window = sliding_window_search(
-          matcher_, *centered, domain, config_.max_slides, &cache, cancel);
+          matcher_, *centered, domain, config_.max_slides, cancel);
       const double moved_deg =
           em::geodesic_deg(result.orientation, window.best);
       result.orientation = window.best;
       result.final_distance = window.best_distance;
       result.matchings += window.matchings;
-      result.cache_hits += window.cache_hits;
       result.window_slides += window.slides;
       obs_orient_span_->record(
           static_cast<std::uint64_t>(refine_timer.seconds() * 1e9));
@@ -222,7 +210,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
       // of a pass, so poll between the two.
       if (cancel != nullptr) cancel->check();
 
-      const double center_moved = center_pass(level, &cache);
+      const double center_moved = center_pass(level);
 
       // The angular search and the center search are coupled; stop
       // alternating once a pass changes neither appreciably.

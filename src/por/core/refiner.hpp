@@ -125,7 +125,10 @@ struct ViewResult {
   double center_y = 0.0;
   double final_distance = 0.0;
   std::uint64_t matchings = 0;       ///< angular matchings spent
-  std::uint64_t cache_hits = 0;      ///< matchings avoided by the score cache
+  /// Always 0: the window search's score cache is gone.  The field
+  /// keeps the checkpoint record's layout (a restored record from an
+  /// older run may carry its count).
+  std::uint64_t cache_hits = 0;
   std::uint64_t center_evals = 0;    ///< center positions tried
   int window_slides = 0;             ///< total slides over all levels
   /// Non-zero when the view was quarantined (non-finite pixels or a

@@ -4,6 +4,7 @@
 // (hot-path-alloc lint enforces the zero-allocation steady state).
 #include "por/core/sliding_window.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -15,18 +16,13 @@ namespace por::core {
 
 namespace {
 
-/// Thread-local, registry-keyed cache of the window counters (same
-/// pattern as por/fft/obs_handles.hpp).  All four metric names exceed
-/// libstdc++'s 15-char SSO, so resolving them per search used to heap-
-/// allocate four temporary std::strings — on the steady-state matching
-/// path that is the difference between zero and nonzero general-heap
-/// allocations (the bench_matcher gate).
+/// Thread-local, registry-keyed handles of the window counters (same
+/// pattern as por/fft/obs_handles.hpp): a name is resolved once per
+/// thread and registry, not under the registry's lock on every search.
 struct WindowObs {
   std::uint64_t registry_id = 0;
   obs::Counter* searches = nullptr;  ///< "window.searches"
   obs::Counter* slides = nullptr;    ///< "window.slides"
-  obs::Counter* hits = nullptr;      ///< "window.cache_hits"
-  obs::Counter* misses = nullptr;    ///< "window.cache_misses"
 };
 
 WindowObs& window_obs() {
@@ -36,8 +32,6 @@ WindowObs& window_obs() {
     handles.registry_id = registry.id();
     handles.searches = &registry.counter("window.searches");
     handles.slides = &registry.counter("window.slides");
-    handles.hits = &registry.counter("window.cache_hits");
-    handles.misses = &registry.counter("window.cache_misses");
   }
   return handles;
 }
@@ -47,7 +41,7 @@ WindowObs& window_obs() {
 WindowResult sliding_window_search(const FourierMatcher& matcher,
                                    const em::Image<em::cdouble>& view_spectrum,
                                    const SearchDomain& initial_domain,
-                                   int max_slides, ScoreCache* cache,
+                                   int max_slides,
                                    const CancelToken* cancel) {
   WindowObs& obs = window_obs();
   obs.searches->add();
@@ -60,9 +54,8 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
   SearchDomain domain = initial_domain;
 
   const int w = domain.width;
-  const std::size_t count =
-      static_cast<std::size_t>(w) * static_cast<std::size_t>(w) *
-      static_cast<std::size_t>(w);
+  const std::size_t wu = static_cast<std::size_t>(w);
+  const std::size_t count = wu * wu * wu;
   // Search scratch lives in the calling thread's vectors, which only
   // grow: after the first search of a given width repeated searches
   // never touch the general heap.  Nothing below re-enters the search.
@@ -71,11 +64,12 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
   // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
   thread_local std::vector<double> score_buf;
   // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
-  thread_local std::vector<std::size_t> missing_buf;
+  thread_local std::vector<char> scored_buf;
   candidate_buf.reserve(count);
-  missing_buf.reserve(count);
   if (score_buf.size() < count) score_buf.resize(count);
+  if (scored_buf.size() < count) scored_buf.resize(count);
   const contracts::checked_span<double> scores(score_buf.data(), count);
+  const contracts::checked_span<char> scored(scored_buf.data(), count);
 
   for (int round = 0;; ++round) {
     // Cooperative cancellation: the round boundary is the coarse poll,
@@ -97,61 +91,74 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
     }
     const contracts::checked_span<const em::Orientation> candidates(
         candidate_buf);
+    std::fill(scored_buf.begin(), scored_buf.begin() + count, char{0});
 
-    // Resolve candidates against the score cache; overlapping slide
-    // windows and repeated passes re-use old scores here instead of
-    // re-running the matching kernel.
-    missing_buf.clear();
-    if (cache != nullptr) {
-      for (std::size_t i = 0; i < count; ++i) {
-        if (const std::optional<double> hit = cache->lookup(candidates[i])) {
-          scores[i] = *hit;
-        } else {
-          missing_buf.push_back(i);
-        }
-      }
-      const std::uint64_t hits =
-          static_cast<std::uint64_t>(count - missing_buf.size());
-      result.cache_hits += hits;
-      obs.hits->add(hits);
-      obs.misses->add(static_cast<std::uint64_t>(missing_buf.size()));
-    } else {
-      for (std::size_t i = 0; i < count; ++i) missing_buf.push_back(i);
-    }
-    const contracts::checked_span<const std::size_t> missing(missing_buf);
-
-    // Step (h): score the remaining candidates.
-    for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-      if (cancel != nullptr && (mi % kCancelCheckStride) == 0 && mi != 0) {
+    // Step (h): score candidate i with one matching, once per round.
+    std::size_t matched = 0;
+    const auto score = [&](std::size_t i) {
+      if (scored[i] != 0) return;
+      scored[i] = 1;
+      if (cancel != nullptr && matched % kCancelCheckStride == 0 &&
+          matched != 0) {
         cancel->check();
       }
-      const std::size_t i = missing[mi];
+      ++matched;
       scores[i] = matcher.distance(view_spectrum, candidates[i]);
-    }
-    if (cache != nullptr) {
-      for (std::size_t mi = 0; mi < missing.size(); ++mi) {
-        const std::size_t i = missing[mi];
-        cache->insert(candidates[i], scores[i]);
-      }
-    }
-    // Count this search's own matchings (one distance() per missing
-    // candidate) rather than a before/after delta of the matcher's
-    // shared counter: concurrent searches on one matcher (the serve
-    // scheduler refines many views against a shared refiner) would
-    // bleed into each other's deltas and break the bitwise-identical
-    // per-view statistics.
-    result.matchings += static_cast<std::uint64_t>(missing.size());
-
-    // Reduce in candidate order — bitwise the same selection (strict
-    // <, first wins) as the original serial triple loop.
-    double best_distance = std::numeric_limits<double>::infinity();
-    std::size_t best_index = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      // A NaN score would poison the strict-< argmin silently (NaN
+      // A NaN score would poison the strict-< comparisons silently (NaN
       // never compares less, so the candidate vanishes); matching
       // distances are finite by construction.
       POR_FINITE(scores[i]);
-      if (scores[i] < best_distance) {
+    };
+
+    // Steepest descent on the grid from the window's center (for an
+    // even width, the grid point just below it): score the current
+    // point's 3 x 3 x 3 neighbourhood (clipped to the window) and move
+    // to its best point (strict <; a tie keeps the point held) until no
+    // neighbour improves.  Each move lowers the distance, so the
+    // stopping point is the minimum of every scored candidate; on a
+    // window whose distance has one grid minimum it is the minimum of
+    // the whole w^3 grid, at a fraction of its matchings (EXPERIMENTS.md,
+    // "§4 window search").
+    const int h = (w - 1) / 2;
+    std::size_t current = (static_cast<std::size_t>(h) * wu +
+                           static_cast<std::size_t>(h)) * wu +
+                          static_cast<std::size_t>(h);
+    score(current);
+    for (;;) {
+      const int ct = static_cast<int>(current / (wu * wu));
+      const int cp = static_cast<int>((current / wu) % wu);
+      const int co = static_cast<int>(current % wu);
+      std::size_t next = current;
+      for (int it = std::max(ct - 1, 0); it <= std::min(ct + 1, w - 1); ++it) {
+        for (int ip = std::max(cp - 1, 0); ip <= std::min(cp + 1, w - 1);
+             ++ip) {
+          for (int io = std::max(co - 1, 0); io <= std::min(co + 1, w - 1);
+               ++io) {
+            const std::size_t i = (static_cast<std::size_t>(it) * wu +
+                                   static_cast<std::size_t>(ip)) * wu +
+                                  static_cast<std::size_t>(io);
+            score(i);
+            if (scores[i] < scores[next]) next = i;
+          }
+        }
+      }
+      if (next == current) break;
+      current = next;
+    }
+    // Count this search's own matchings rather than a before/after
+    // delta of the matcher's shared counter: concurrent searches on one
+    // matcher (the serve scheduler refines many views against a shared
+    // refiner) would bleed into each other's deltas and break the
+    // bitwise-identical per-view statistics.
+    result.matchings += static_cast<std::uint64_t>(matched);
+
+    // The winner: the minimum over the scored candidates in candidate
+    // order (strict <, first wins) — the descent's stopping point, with
+    // exact ties going to the lower index as in the exhaustive loop.
+    double best_distance = std::numeric_limits<double>::infinity();
+    std::size_t best_index = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      if (scored[i] != 0 && scores[i] < best_distance) {
         best_distance = scores[i];
         best_index = i;
       }

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "por/obs/registry.hpp"
+#include "por/obs/span.hpp"
 #include "por/resilience/error.hpp"
 #include "por/resilience/sync_hooks.hpp"
 
@@ -59,6 +60,10 @@ bool fsync_path(const std::string& path) {
 
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer) {
+  // One span over the whole durable write, fsyncs included: on a
+  // filesystem that discards freed blocks synchronously the directory
+  // fsync after replacing a large file is the slow step (DESIGN.md §10).
+  const obs::ScopedSpan span("resilience.atomic_write");
   const std::string temp = make_temp_path(path);
   // The whole sequence runs under one remove-on-unwind guard: the
   // injection seam (sync_hook_point, see sync_hooks.hpp) may throw at

@@ -23,7 +23,8 @@ namespace por::resilience {
 /// and an Error is thrown: kTransient for OS-level write/rename
 /// failures (a retry may succeed on a flaky mount), while exceptions
 /// thrown by `writer` itself propagate unchanged.  Increments the
-/// "resilience.io.atomic_writes" counter on success.
+/// "resilience.io.atomic_writes" counter on success; the whole write,
+/// fsyncs included, is timed as the span "resilience.atomic_write".
 void atomic_write_file(const std::string& path,
                        const std::function<void(std::ostream&)>& writer);
 

@@ -5,8 +5,8 @@
 // The matcher hot path (PR 2) is built on unchecked invariants: the
 // truncation-floor trilinear kernel requires non-negative coordinates,
 // the branch-free 2x2x2 fetch requires every base cell inside the
-// logical cube, the ScoreCache probe loop requires a free slot, the
-// vmpi typed receives require payload/element agreement.  These macros
+// logical cube, the vmpi typed receives require payload/element
+// agreement.  These macros
 // make every such contract *machine-checked* in instrumented builds and
 // *zero-cost* in release builds:
 //

@@ -14,7 +14,7 @@
 //      distance_reference.
 //   4. Steady state: with global operator new counted, a warmed
 //      sliding-window search and the warmed FFT scratch sites make no
-//      heap allocation, and ScoreCache::clear keeps its capacity.
+//      heap allocation.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +35,6 @@
 #endif
 
 #include "por/core/matcher.hpp"
-#include "por/core/score_cache.hpp"
 #include "por/core/sliding_window.hpp"
 #include "por/em/grid.hpp"
 #include "por/em/interp.hpp"
@@ -478,16 +477,14 @@ TEST(HotPathAlloc, WarmSlidingWindowSearchNeverAllocates) {
   // Off-truth, so the window slides through overlapping domains.
   const core::SearchDomain domain{
       em::Orientation{truth.theta + 3.0, truth.phi, truth.omega}, 1.0, 3};
-  core::ScoreCache cache(1.0 / 4.0);
   const core::WindowResult warm =
-      core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
+      core::sliding_window_search(matcher, spectrum, domain);
   ASSERT_GT(warm.slides, 0);
-  // clear() keeps the table, so each pass re-scores the full window
-  // through distance() + insert().
+  // The warm-up sized the thread's search scratch; each pass re-scores
+  // the same windows through distance().
   const std::uint64_t allocs = heap_allocs_during([&] {
     for (int pass = 0; pass < 3; ++pass) {
-      cache.clear();
-      (void)core::sliding_window_search(matcher, spectrum, domain, 8, &cache);
+      (void)core::sliding_window_search(matcher, spectrum, domain);
     }
   });
   EXPECT_EQ(allocs, 0u);
@@ -524,34 +521,6 @@ TEST(HotPathAlloc, WarmFftScratchNeverAllocates) {
       for (int rep = 0; rep < 3; ++rep) site.pass();
     });
     EXPECT_EQ(allocs, 0u) << site.name;
-  }
-}
-
-TEST(ScoreCache, ClearKeepsCapacityForSteadyState) {
-  core::ScoreCache cache(0.25, 16);
-  util::Rng rng(1111);
-  std::vector<em::Orientation> keys;
-  for (int i = 0; i < 40; ++i) {
-    keys.push_back(em::Orientation{static_cast<double>(i), 2.0 * i, 3.0 * i});
-  }
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    cache.insert(keys[i], static_cast<double>(i));
-  }
-  const std::size_t grown = cache.capacity();
-  EXPECT_GT(grown, 16u);  // the inserts forced at least one doubling
-  cache.clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.capacity(), grown);
-  // Re-inserting the same working set cannot regrow the table — this
-  // is what makes repeated warmed searches allocation-free.
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    cache.insert(keys[i], static_cast<double>(i) + 0.5);
-  }
-  EXPECT_EQ(cache.capacity(), grown);
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    const auto hit = cache.lookup(keys[i]);
-    ASSERT_TRUE(hit.has_value());
-    EXPECT_EQ(*hit, static_cast<double>(i) + 0.5);
   }
 }
 
