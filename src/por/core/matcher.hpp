@@ -167,11 +167,10 @@ class FourierMatcher {
   /// ceil(c + r_map)]^2 in padded pixels (clamped to the image,
   /// c = floor(big / 2)), is computed — bitwise
   /// correct_ctf(centered_fft2(pad_image(view, pad))) there — and every
-  /// pixel outside it is exactly zero.  distance, distance_reference,
-  /// SvmMatcher::distance and center refinement (through
-  /// annulus().index) read nothing outside that box; a caller that
-  /// needs the whole spectrum uses em::centered_fft2 and
-  /// em::correct_ctf.
+  /// pixel outside it is exactly zero.  distance, distance_reference
+  /// and center refinement (through annulus().index) read nothing
+  /// outside that box; a caller that needs the whole spectrum uses
+  /// em::centered_fft2 and em::correct_ctf.
   [[nodiscard]] em::Image<em::cdouble> prepare_view(
       const em::Image<double>& view) const;
 

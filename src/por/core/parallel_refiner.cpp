@@ -594,7 +594,7 @@ ParallelRefineReport parallel_refine_files(
       stream::ShardedStackOptions shard_options;
       shard_options.max_resident_bytes =
           config.stream.max_resident_mb * (std::size_t{1} << 20);
-      shard_options.quarantine_corrupt = config.resilience.quarantine_views;
+      shard_options.quarantine_corrupt = true;
       source = resilience::with_retry(retry, "open_view_source", [&] {
         return stream::open_view_source(stack_path, shard_options);
       });

@@ -160,11 +160,10 @@ PipelineResult RefinementPipeline::run(
       result.map = *initial_map;
     } else {
       std::vector<ViewResult> initial(views.size());
-      const bool gate = config_.refiner.resilience.quarantine_views;
       for (std::size_t i = 0; i < views.size(); ++i) {
         initial[i].orientation = initial_orientations[i];
         initial[i].quarantined =
-            gate && !resilience::all_finite(views[i].data(), views[i].size());
+            !resilience::all_finite(views[i].data(), views[i].size());
       }
       result.map = reconstruct_refined(comm, l, &source, initial,
                                        config_.refiner, config_.recon)

@@ -100,8 +100,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // poison the whole run's statistics.  Quarantine it — return the
   // initial parameters untouched, flagged, so the drivers can keep it
   // out of the reconstruction and the run report can count it.
-  if (config_.resilience.quarantine_views &&
-      !resilience::all_finite(view.data(), view.size())) {
+  if (!resilience::all_finite(view.data(), view.size())) {
     obs_quarantined_->add();
     ViewResult bad;
     bad.orientation = initial;
@@ -225,8 +224,7 @@ ViewResult OrientationRefiner::refine_view(const em::Image<double>& view,
   // distance non-finite (overflow in a pathological spectrum).  Such a
   // "refined" orientation is meaningless — flag the view instead of
   // letting the non-finite score propagate into run statistics.
-  if (config_.resilience.quarantine_views &&
-      !std::isfinite(result.final_distance)) {
+  if (!std::isfinite(result.final_distance)) {
     obs_quarantined_->add();
     ViewResult bad;
     bad.orientation = initial;

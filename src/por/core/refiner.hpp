@@ -64,9 +64,6 @@ struct ResilienceOptions {
   /// Retry policy for the file driver's reads (map, stack,
   /// orientations).  max_attempts = 1 disables retries.
   resilience::RetryPolicy io_retry{};
-  /// Quarantine views with non-finite pixels / match scores instead of
-  /// letting them poison the run (see por/resilience/quarantine.hpp).
-  bool quarantine_views = true;
 };
 
 /// Out-of-core streaming knobs (DESIGN.md §14): how the drivers read
@@ -134,7 +131,7 @@ struct ViewResult {
   /// Non-zero when the view was quarantined (non-finite pixels or a
   /// non-finite match score): the record carries the *initial*
   /// orientation/center untouched and the view must be excluded from
-  /// reconstruction (see ResilienceOptions::quarantine_views).
+  /// reconstruction (see por/resilience/quarantine.hpp).
   std::uint32_t quarantined = 0;
 };
 

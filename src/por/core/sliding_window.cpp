@@ -60,37 +60,29 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
   // grow: after the first search of a given width repeated searches
   // never touch the general heap.  Nothing below re-enters the search.
   // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
-  thread_local std::vector<em::Orientation> candidate_buf;
-  // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
   thread_local std::vector<double> score_buf;
   // por-lint: allow(hot-path-alloc) thread-local scratch, grows once per width
   thread_local std::vector<char> scored_buf;
-  candidate_buf.reserve(count);
   if (score_buf.size() < count) score_buf.resize(count);
   if (scored_buf.size() < count) scored_buf.resize(count);
   const contracts::checked_span<double> scores(score_buf.data(), count);
   const contracts::checked_span<char> scored(scored_buf.data(), count);
+
+  // Step (g): candidate i of the w^3 grid, built when it is used
+  // (theta-major, same order and arithmetic as SearchDomain::enumerate,
+  // which fixes tie-breaking).
+  const auto candidate = [&](std::size_t i) {
+    return em::Orientation{
+        domain.center.theta + domain.offset(static_cast<int>(i / (wu * wu))),
+        domain.center.phi + domain.offset(static_cast<int>((i / wu) % wu)),
+        domain.center.omega + domain.offset(static_cast<int>(i % wu))};
+  };
 
   for (int round = 0;; ++round) {
     // Cooperative cancellation: the round boundary is the coarse poll,
     // the stride check below the fine one.
     if (cancel != nullptr) cancel->check();
 
-    // Step (g): enumerate the w^3 candidate grid (theta-major, same
-    // order as SearchDomain::enumerate, which fixes tie-breaking).
-    candidate_buf.clear();
-    for (int it = 0; it < w; ++it) {
-      for (int ip = 0; ip < w; ++ip) {
-        for (int io = 0; io < w; ++io) {
-          candidate_buf.push_back(
-              em::Orientation{domain.center.theta + domain.offset(it),
-                              domain.center.phi + domain.offset(ip),
-                              domain.center.omega + domain.offset(io)});
-        }
-      }
-    }
-    const contracts::checked_span<const em::Orientation> candidates(
-        candidate_buf);
     std::fill(scored_buf.begin(), scored_buf.begin() + count, char{0});
 
     // Step (h): score candidate i with one matching, once per round.
@@ -103,7 +95,7 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
         cancel->check();
       }
       ++matched;
-      scores[i] = matcher.distance(view_spectrum, candidates[i]);
+      scores[i] = matcher.distance(view_spectrum, candidate(i));
       // A NaN score would poison the strict-< comparisons silently (NaN
       // never compares less, so the candidate vanishes); matching
       // distances are finite by construction.
@@ -167,7 +159,7 @@ WindowResult sliding_window_search(const FourierMatcher& matcher,
     const int best_it = static_cast<int>(best_index) / (w * w);
     const int best_ip = (static_cast<int>(best_index) / w) % w;
     const int best_io = static_cast<int>(best_index) % w;
-    result.best = candidates[best_index];
+    result.best = candidate(best_index);
     result.best_distance = best_distance;
 
     // Step (i): slide if the best fit touches the edge.

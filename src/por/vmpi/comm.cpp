@@ -99,36 +99,6 @@ std::vector<std::byte> Comm::recv_bytes(int src, Tag tag) {
   return payload;
 }
 
-std::vector<std::byte> Comm::recv_any_bytes(Tag tag, int& src) {
-  POR_EXPECT(tag >= kReduceTag, "tag below the reserved range:", tag);
-  std::unique_lock<std::mutex> lock(context_.mutex);
-  auto find_ready = [&]() -> std::deque<std::vector<std::byte>>* {
-    for (int candidate = 0; candidate < context_.size; ++candidate) {
-      auto it = context_.mailboxes.find({candidate, rank_, tag});
-      if (it != context_.mailboxes.end() && !it->second.empty()) {
-        src = candidate;
-        return &it->second;
-      }
-    }
-    return nullptr;
-  };
-  std::deque<std::vector<std::byte>>* queue = nullptr;
-  const auto ready = [&] {
-    queue = find_ready();
-    return queue != nullptr;
-  };
-  if (deadline_.count() <= 0) {
-    context_.message_arrived.wait(lock, ready);
-  } else if (!context_.message_arrived.wait_for(lock, deadline_, ready)) {
-    // por-atomic: stat — timeout counter
-    context_.recv_timeouts.fetch_add(1, std::memory_order_relaxed);
-    throw CommTimeout(kAnyRank, rank_, tag, deadline_);
-  }
-  std::vector<std::byte> payload = std::move(queue->front());
-  queue->pop_front();
-  return payload;
-}
-
 std::optional<std::vector<std::byte>> Comm::try_recv_any_bytes(
     Tag tag, int& src, std::chrono::milliseconds timeout) {
   POR_EXPECT(tag >= kReduceTag, "tag below the reserved range:", tag);

@@ -148,14 +148,9 @@ class Comm {
   /// (set_deadline): throws CommTimeout once it expires.
   [[nodiscard]] std::vector<std::byte> recv_bytes(int src, Tag tag);
 
-  /// Block until a message with `tag` arrives from ANY source (the
-  /// MPI_ANY_SOURCE pattern); `src` receives the sender's rank.  Used
-  /// by request servers (e.g. the shared-virtual-memory brick store)
-  /// that cannot know who will ask next.  Honors the default deadline.
-  [[nodiscard]] std::vector<std::byte> recv_any_bytes(Tag tag, int& src);
-
-  /// Wait up to `timeout` for a message with `tag` from any source;
-  /// returns std::nullopt on expiry instead of throwing.  `timeout`
+  /// Wait up to `timeout` for a message with `tag` from ANY source (the
+  /// MPI_ANY_SOURCE pattern; `src` receives the sender's rank); returns
+  /// std::nullopt on expiry instead of throwing.  `timeout`
   /// <= 0 is a non-blocking mailbox poll.  This is the master's
   /// heartbeat listen primitive: silence is an observable outcome, not
   /// an error.

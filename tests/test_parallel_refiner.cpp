@@ -235,7 +235,7 @@ TEST(ParallelCycle, ImprovedOrientationsImproveTheMap) {
 
 TEST(ReconstructRefined, FileDriverQuarantinesACorruptViewAndStepCSkipsIt) {
   // One flipped byte in a sharded stack: the file driver reads that
-  // view NaN-filled (quarantine_corrupt follows quarantine_views), the
+  // view NaN-filled (it always opens stacks with quarantine_corrupt), the
   // refiner quarantines it, and step C over the same stack leaves it
   // out of the map and of both half maps.
   const fs::path dir = fs::temp_directory_path() /

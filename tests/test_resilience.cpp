@@ -1009,8 +1009,7 @@ TEST(Quarantine, NonFiniteViewIsFlaggedNotPoisonous) {
   obs::MetricsRegistry registry;
   obs::RegistryScope scope(registry);
   const Workload w(2);
-  RefinerConfig config = fast_config();
-  const OrientationRefiner refiner(w.map, config);
+  const OrientationRefiner refiner(w.map, fast_config());
 
   Image<double> poisoned = w.views[0];
   poisoned.storage()[5] = std::numeric_limits<double>::quiet_NaN();
@@ -1022,11 +1021,6 @@ TEST(Quarantine, NonFiniteViewIsFlaggedNotPoisonous) {
   EXPECT_EQ(result.center_y, -0.5);
   EXPECT_EQ(registry.snapshot().counters.at("resilience.views.quarantined"),
             1u);
-
-  // Quarantine off reproduces the legacy behavior (no flag).
-  config.resilience.quarantine_views = false;
-  const OrientationRefiner legacy(w.map, config);
-  EXPECT_EQ(legacy.refine_view(w.views[1], w.initials[1]).quarantined, 0u);
 }
 
 TEST(Quarantine, ParallelRunCountsAndSkipsBadViews) {

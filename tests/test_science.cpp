@@ -17,8 +17,9 @@
 // number on purpose re-records it here and says so in CHANGES.md.
 //
 // The same runs gate the work: the deterministic cost counters
-// (matchings, center evaluations, window slides, and the refinement's
-// vmpi bytes and messages) must not grow past their committed values.
+// (matchings, center evaluations, window slides, the refinement's vmpi
+// bytes and messages, and its FFT points) must not grow past their
+// committed values.
 // They are the time-regression gate in units that do not drift with the
 // host; a change that lowers one re-records it.
 //
@@ -70,6 +71,7 @@ struct Work {
   std::uint64_t slides = 0;        ///< window slides
   std::uint64_t vmpi_bytes = 0;    ///< refinement traffic
   std::uint64_t vmpi_messages = 0;
+  std::uint64_t fft_points = 0;    ///< refinement transform points
 };
 
 /// The science numbers of one cycle.
@@ -156,6 +158,7 @@ Science run_cycle(std::uint64_t seed, Phantom phantom) {
     const auto& counters = report.obs.merged.counters;
     work.vmpi_bytes = counters.at("vmpi.sent_bytes");
     work.vmpi_messages = counters.at("vmpi.sent_messages");
+    work.fft_points = counters.at("fft.nd.points");
   });
   for (const core::ViewResult& r : refined) {
     work.center_evals += r.center_evals;
@@ -207,18 +210,20 @@ TEST_P(ScienceGate, CycleMatchesCommittedScience) {
               got.fsc05_px);
   const Work& w = got.work;
   std::printf("  work: %llu matchings, %llu center evals, %llu slides, "
-              "%llu vmpi bytes, %llu vmpi messages\n",
+              "%llu vmpi bytes, %llu vmpi messages, %llu fft points\n",
               static_cast<unsigned long long>(w.matchings),
               static_cast<unsigned long long>(w.center_evals),
               static_cast<unsigned long long>(w.slides),
               static_cast<unsigned long long>(w.vmpi_bytes),
-              static_cast<unsigned long long>(w.vmpi_messages));
+              static_cast<unsigned long long>(w.vmpi_messages),
+              static_cast<unsigned long long>(w.fft_points));
   const Science& want = golden.expected;
   EXPECT_LE(w.matchings, want.work.matchings);
   EXPECT_LE(w.center_evals, want.work.center_evals);
   EXPECT_LE(w.slides, want.work.slides);
   EXPECT_LE(w.vmpi_bytes, want.work.vmpi_bytes);
   EXPECT_LE(w.vmpi_messages, want.work.vmpi_messages);
+  EXPECT_LE(w.fft_points, want.work.fft_points);
   EXPECT_TRUE(is_near_scaled(got.orient_mean_deg, want.orient_mean_deg, 0.03))
       << got.orient_mean_deg << " vs " << want.orient_mean_deg;
   EXPECT_TRUE(is_near_scaled(got.orient_p95_deg, want.orient_p95_deg, 0.05))
@@ -235,19 +240,19 @@ TEST_P(ScienceGate, CycleMatchesCommittedScience) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, ScienceGate,
     ::testing::Values(Golden{7, {0.707938, 1.365386, 0.043762, 9.972729,
-                                  {29057, 15921, 275, 4038136, 62}}},
+                                  {29057, 15921, 275, 4038136, 62, 1587200}}},
                       Golden{13, {0.631367, 1.560610, 0.050754, 9.975195,
-                                   {31405, 15912, 329, 4038136, 62}}},
+                                   {31405, 15912, 329, 4038136, 62, 1587200}}},
                       Golden{21, {0.686477, 1.618055, 0.049925, 9.967738,
-                                   {29076, 15858, 285, 4038136, 62}}},
+                                   {29076, 15858, 285, 4038136, 62, 1587200}}},
                       Golden{7, {0.313866, 0.601702, 0.049760, 9.756371,
-                                  {37820, 15984, 404, 4038136, 62}},
+                                  {37820, 15984, 404, 4038136, 62, 1587200}},
                              Phantom::kAsymmetric},
                       Golden{13, {0.338992, 0.628869, 0.043946, 9.781360,
-                                   {40286, 16074, 464, 4038136, 62}},
+                                   {40286, 16074, 464, 4038136, 62, 1587200}},
                              Phantom::kAsymmetric},
                       Golden{21, {0.364468, 0.682688, 0.047939, 9.790750,
-                                   {40246, 16173, 453, 4038136, 62}},
+                                   {40246, 16173, 453, 4038136, 62, 1587200}},
                              Phantom::kAsymmetric}),
     [](const ::testing::TestParamInfo<Golden>& param) {
       const bool asymmetric = param.param.phantom == Phantom::kAsymmetric;

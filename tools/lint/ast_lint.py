@@ -110,7 +110,7 @@ RECV_RE = re.compile(
     r"\b(?:try_)?recv(?:_value|_bytes|_any_bytes|_any_value)?"
     r"\s*(?:<[^<>]*>)?\s*\(")
 BLOCKING_RECV_RE = re.compile(
-    r"(?:\.|->)\s*(recv(?:_value|_bytes|_any_bytes)?)\s*[<(]")
+    r"(?:\.|->)\s*(recv(?:_value|_bytes)?)\s*[<(]")
 FAULT_MARKER_RE = re.compile(r"\bRankKilled\b|\bfault_point\s*\(")
 COLLECTIVE_RE = re.compile(
     r"(?:\.|->)\s*(barrier|bcast|allreduce|allgather|reduce|scatter|"
