@@ -171,19 +171,10 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
 
   // Snapshot the process-wide dispatched kernel tier (POR_FORCE_ISA or
   // simd::force_isa()) for this instance, so a later force_isa() does
-  // not affect it, then build ONLY the lattice layout that tier
-  // consumes: split re/im planes for the SSE2 tier, the interleaved
-  // copy for the AVX tiers.
+  // not affect it.
   isa_ = simd::active_isa();
   kernels_ = &simd::kernel_table(isa_);
-  std::size_t lattice_edge = 0;
-  if (kernels_->layout == simd::LatticeLayout::kInterleaved) {
-    ilv_ = em::InterleavedComplexLattice(spectrum_ball);
-    lattice_edge = ilv_.edge;
-  } else {
-    soa_ = em::SplitComplexLattice(spectrum_ball);
-    lattice_edge = soa_.edge;
-  }
+  lattice_ = em::InterleavedComplexLattice(spectrum_ball);
 
   // Radius-vs-lattice invariant, hoisted out of the per-sample loop:
   // every cut sample coordinate is q_component + c with |q_component|
@@ -194,13 +185,14 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
   // fold above relies on.  The constructor clamps r_map to Nyquist =
   // big/2 - 1 <= c - 0.5, so it holds for every configuration.
   // Shifted by the ball origin, the reachable base cells then satisfy
-  // the interp contract: coordinates lie in [c - r_max, c + r_max] (up
-  // to rounding), and ball_crop keeps one cell of margin around floor
-  // of both ends, so the shifted base cells lie in [0, lattice_edge - 1]
-  // and their +1 corners at most in the lattice's zero pad.
-  POR_ENSURE(r_max <= c - 0.5 && lattice_edge == ball_.edge,
+  // the kernels' contract: coordinates lie in [c - r_max, c + r_max]
+  // (up to rounding), and ball_crop keeps one cell of margin around
+  // floor of both ends, so the shifted base cells lie in
+  // [0, lattice_.edge - 1] and their +1 corners at most in the
+  // lattice's zero pad.
+  POR_ENSURE(r_max <= c - 0.5 && lattice_.edge == ball_.edge,
              "radius-vs-lattice invariant violated: r_max =", padded_r_map_,
-             "c =", c, "ball origin =", ball_.origin, "edge =", lattice_edge);
+             "c =", c, "ball origin =", ball_.origin, "edge =", lattice_.edge);
 
   obs::MetricsRegistry& registry = obs::current_registry();
   registry.gauge("matcher.annulus_pixels")
@@ -212,8 +204,7 @@ void FourierMatcher::build_tables(const em::Volume<em::cdouble>& spectrum_ball) 
 em::cdouble FourierMatcher::sample_ball(double z, double y, double x) const {
   const long origin = static_cast<long>(ball_.origin);
   const long edge = static_cast<long>(ball_.edge);
-  const contracts::checked_span<const double> re(soa_.re), im(soa_.im),
-      ilv(ilv_.data);
+  const contracts::checked_span<const double> lat(lattice_.data);
   return em::interp_trilinear_with(z, y, x, [&](long iz, long iy, long ix) {
     iz -= origin;
     iy -= origin;
@@ -222,14 +213,10 @@ em::cdouble FourierMatcher::sample_ball(double z, double y, double x) const {
         ix >= edge) {
       return em::cdouble{0.0, 0.0};
     }
-    // Both lattices share the (edge + 1)-padded cell strides.
-    const std::size_t stride_y = ball_.edge + 1;
-    const std::size_t cell =
-        (static_cast<std::size_t>(iz) * stride_y +
-         static_cast<std::size_t>(iy)) * stride_y +
-        static_cast<std::size_t>(ix);
-    return ilv.empty() ? em::cdouble(re[cell], im[cell])
-                       : em::cdouble(ilv[2 * cell], ilv[2 * cell + 1]);
+    const std::size_t cell = static_cast<std::size_t>(iz) * lattice_.stride_z +
+                             static_cast<std::size_t>(iy) * lattice_.stride_y +
+                             static_cast<std::size_t>(ix);
+    return em::cdouble(lat[2 * cell], lat[2 * cell + 1]);
   });
 }
 
@@ -275,7 +262,6 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
 
   const std::size_t n = annulus_.size();
   const simd::KernelTable& kt = *kernels_;
-  const bool interleaved = kt.layout == simd::LatticeLayout::kInterleaved;
 
   // The 2x2x2 fetches land on a rotated plane through the r_map ball
   // (under 1 MiB at l = 64, r_map = 8, pad = 2, so mostly cache-
@@ -312,28 +298,9 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
   sb.evx = ev.x;
   sb.c = c;
   sb.last_line = &last_line;
-  const double* soa_re = nullptr;
-  const double* soa_im = nullptr;
-  const double* ilv_data = nullptr;
-  std::size_t lat_size = 0;
-  if (interleaved) {
-    ilv_data = ilv_.data.data();
-    lat_size = ilv_.cells();
-    sb.stride_y = ilv_.stride_y;
-    sb.stride_z = ilv_.stride_z;
-    sb.pf_a = ilv_data;
-    sb.pf_b = nullptr;
-    sb.pf_scale = 2;  // doubles per interleaved complex cell
-  } else {
-    soa_re = soa_.re.data();
-    soa_im = soa_.im.data();
-    lat_size = soa_.re.size();
-    sb.stride_y = soa_.stride_y;
-    sb.stride_z = soa_.stride_z;
-    sb.pf_a = soa_re;
-    sb.pf_b = soa_im;
-    sb.pf_scale = 1;
-  }
+  sb.lat = lattice_.data.data();
+  sb.stride_y = lattice_.stride_y;
+  sb.stride_z = lattice_.stride_z;
   sb.origin_cell = ball_.origin * (sb.stride_z + sb.stride_y + 1);
 
   simd::AnnulusBlock ab;
@@ -375,11 +342,8 @@ double FourierMatcher::distance(const em::Image<em::cdouble>& view_spectrum,
     ab.index = annulus_.index.data() + start;
     ab.transfer = transfer_col != nullptr ? transfer_col + start : nullptr;
     ab.weight = annulus_.weight.data() + start;
-    sum = interleaved
-              ? kt.annulus_ilv(ilv_data, sb.stride_y, sb.stride_z, lat_size,
-                               ab, sum)
-              : kt.annulus_split(soa_re, soa_im, sb.stride_y, sb.stride_z,
-                                 lat_size, ab, sum);
+    sum = kt.annulus(sb.lat, sb.stride_y, sb.stride_z, lattice_.cells(), ab,
+                     sum);
     start = next_start;
     cur_count = next_count;
     cur ^= 1;

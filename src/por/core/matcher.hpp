@@ -12,10 +12,10 @@
 // loop runs over an immutable precomputed AnnulusTable (one entry per
 // Fourier pixel of the Hermitian half of the [r_min, r_map] ring, with
 // radius, transfer and the mirror-folded weight precomputed at
-// construction) against one lattice of the
+// construction) against the interleaved lattice of the
 // spectrum's r_map ball — the cube of the centered 3D DFT that cuts
 // inside r_map can read (fft::ball_crop) — through the branch-free
-// interior trilinear kernel of por/em/interp.hpp.  The original scalar
+// trilinear kernels of por/simd.  The original scalar
 // loop is retained as distance_reference() — the equivalence oracle
 // for tests and the baseline for bench/bench_matcher.
 #pragma once
@@ -112,12 +112,12 @@ struct MovableAtomicU64 {
 /// Matches view spectra against central sections of one density map.
 ///
 /// The matcher holds one copy of the spectrum: the r_map ball of the
-/// padded centered 3D DFT (ball(l, options)), in the lattice layout of
-/// its kernel tier.  The paper replicates the whole transform on every
-/// node; a matching reads only samples inside r_map, so this ball is
-/// all that needs replicating.  Construction from a density map
-/// computes it serially; core::parallel_refine builds it with the
-/// slab-parallel 3D DFT and hands it in.
+/// padded centered 3D DFT (ball(l, options)), as the interleaved
+/// lattice every kernel tier reads.  The paper replicates the whole
+/// transform on every node; a matching reads only samples inside
+/// r_map, so this ball is all that needs replicating.  Construction
+/// from a density map computes it serially; core::parallel_refine
+/// builds it with the slab-parallel 3D DFT and hands it in.
 // CONTRACT: the annulus table's flattened view indices address the
 // big x big padded grid, its five columns stay the same length, and on
 // the fast path r_max <= c - 0.5 so every trilinear base cell lies
@@ -233,9 +233,8 @@ class FourierMatcher {
   [[nodiscard]] simd::Isa isa() const { return isa_; }
 
  private:
-  /// Build annulus_ and, from `spectrum_ball`, the one lattice layout
-  /// the snapshotted kernel tier consumes (split-complex for SSE2,
-  /// interleaved for the AVX tiers); record build time + table size.
+  /// Build annulus_ and, from `spectrum_ball`, the interleaved lattice
+  /// every kernel tier consumes; record build time + table size.
   void build_tables(const em::Volume<em::cdouble>& spectrum_ball);
 
   /// Reference trilinear sample of the ball at full-spectrum
@@ -252,11 +251,7 @@ class FourierMatcher {
   std::vector<double> transfer_table_;  ///< envelope by padded radius px
 
   // --- precomputed hot-path state (immutable after construction) ----
-  // Exactly one lattice is populated, matching kernels_->layout: the
-  // SSE2 tier reads the split planes, the AVX tiers the interleaved
-  // copy (one wide load per (x, x+1) corner pair).
-  em::SplitComplexLattice soa_;      ///< split-complex ball (SSE2 tier)
-  em::InterleavedComplexLattice ilv_;  ///< interleaved ball (AVX tiers)
+  em::InterleavedComplexLattice lattice_;  ///< the ball, every tier
   simd::Isa isa_ = simd::Isa::kSse2;   ///< tier snapshotted at construction
   const simd::KernelTable* kernels_ = nullptr;  ///< dispatched hot kernels
   AnnulusTable annulus_;             ///< flattened [r_min, r_map] ring

@@ -168,83 +168,26 @@ inline void advise_huge_pages(double* data, std::size_t count) {
 
 }  // namespace detail
 
-/// Split-complex (SoA) copy of a cubic complex volume, padded by one
-/// zero plane/row/column per axis.
+/// Interleaved (re, im) copy of a cubic complex volume, padded by one
+/// zero plane/row/column per axis: the matcher's spectrum ball, read
+/// by every kernel tier (por/simd).
 ///
-/// Purpose: the matcher's trilinear inner loop.  Interleaved
-/// std::complex storage forces the compiler to shuffle re/im pairs;
-/// splitting the spectrum into two contiguous double planes gives a
-/// straight FMA-vectorizable gather.  The +1 zero padding makes the
+/// With re and im adjacent in memory, an (x, x+1) corner pair is 32
+/// contiguous bytes (one 256-bit load on the AVX tiers), so a
+/// trilinear cell is four corner rows.  The +1 zero padding makes the
 /// *branch-free* 2x2x2 fetch exact and memory-safe for any base cell
 /// (iz, iy, ix) in [0, edge-1]^3: a neighbor index that steps off the
 /// lattice lands in the zero pad, which is precisely the "samples
 /// outside the lattice are zero" convention of por/em/interp.hpp.
 ///
-/// Layout: (z, y, x) -> (z * (edge+1) + y) * (edge+1) + x over
-/// (edge+1)^3 doubles per component.
-///
-/// CONTRACT: re and im each hold exactly (edge+1)^3 doubles and every
-/// element beyond the logical [0, edge)^3 cube is 0.0 (POR_ENSURE in
-/// the constructor); the branch-free fetch's memory-safety proof in
-/// por/em/interp.hpp starts from this pad.
-struct SplitComplexLattice {
-  std::size_t edge = 0;      ///< logical cube edge (n)
-  std::size_t stride_y = 0;  ///< edge + 1
-  std::size_t stride_z = 0;  ///< (edge + 1)^2
-  std::vector<double> re;    ///< (edge+1)^3, zero beyond [0, edge)^3
-  std::vector<double> im;
-
-  SplitComplexLattice() = default;
-
-  /// Build from a cubic complex volume (throws on non-cube input).
-  explicit SplitComplexLattice(const Volume<cdouble>& vol) {
-    if (!vol.is_cube()) {
-      throw std::invalid_argument("SplitComplexLattice: volume must be cubic");
-    }
-    edge = vol.nx();
-    stride_y = edge + 1;
-    stride_z = stride_y * stride_y;
-    re.assign(stride_z * stride_y, 0.0);
-    im.assign(stride_z * stride_y, 0.0);
-    const cdouble* src = vol.data();
-    for (std::size_t z = 0; z < edge; ++z) {
-      for (std::size_t y = 0; y < edge; ++y) {
-        const std::size_t dst_row = z * stride_z + y * stride_y;
-        const std::size_t src_row = (z * edge + y) * edge;
-        for (std::size_t x = 0; x < edge; ++x) {
-          re[dst_row + x] = src[src_row + x].real();
-          im[dst_row + x] = src[src_row + x].imag();
-        }
-      }
-    }
-    POR_ENSURE(re.size() == stride_z * stride_y &&
-                   im.size() == stride_z * stride_y,
-               "padded plane size mismatch: edge =", edge);
-    detail::advise_huge_pages(re.data(), re.size());
-    detail::advise_huge_pages(im.data(), im.size());
-  }
-
-  [[nodiscard]] bool empty() const { return re.empty(); }
-};
-
-/// Interleaved (re, im) copy of a cubic complex volume with the same
-/// one-cell zero padding as SplitComplexLattice.
-///
-/// Purpose: the AVX2/AVX-512 matcher tiers (por/simd).  With re and im
-/// adjacent in memory, one 256-bit load covers BOTH components of an
-/// (x, x+1) corner pair, so a trilinear cell costs 4 corner loads
-/// instead of the split layout's 8 — half the cache lines, half the
-/// prefetches.  The split layout remains the SSE2-tier (and scalar
-/// reference) representation.
-///
 /// Layout: cell (z, y, x) -> complex index (z*(edge+1) + y)*(edge+1)+x;
 /// data[2*i] = re, data[2*i + 1] = im.  stride_y/stride_z are in
-/// complex CELLS and numerically equal to the split lattice's strides.
+/// complex CELLS.
 ///
 /// CONTRACT: data holds exactly 2*(edge+1)^3 doubles and every cell
-/// beyond the logical [0, edge)^3 cube is (0, 0) — the same pad that
-/// makes the branch-free 2x2x2 fetch memory-safe (see
-/// SplitComplexLattice and por/em/interp.hpp).
+/// beyond the logical [0, edge)^3 cube is (0, 0) (POR_ENSURE in the
+/// constructor); the kernels' POR_BOUNDS check on the +1,+1,+1 corner
+/// against cells() starts from this pad.
 struct InterleavedComplexLattice {
   std::size_t edge = 0;      ///< logical cube edge (n)
   std::size_t stride_y = 0;  ///< edge + 1, in complex cells

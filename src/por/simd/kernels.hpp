@@ -3,9 +3,11 @@
 // The dispatch table: per-ISA implementations of the three hot-kernel
 // families (DESIGN.md §12).
 //
-//   * matcher — staging (annulus pixel -> lattice cell addressing +
-//     corner-line prefetch) and the fused trilinear-interpolate /
-//     correlate / accumulate consume loop, over a 256-cell block.
+//   * matcher — staging (annulus pixel -> lattice cell addressing, plus
+//     the SSE2 tier's corner-line prefetch) and the fused trilinear-
+//     interpolate / correlate / accumulate consume loop, over a
+//     256-cell block of the interleaved spectrum lattice
+//     (em::InterleavedComplexLattice, the one layout every tier reads).
 //   * fft — one radix-2 butterfly stage over the whole buffer against
 //     a contiguous per-stage twiddle table, and the Bluestein pointwise
 //     complex products.
@@ -16,9 +18,12 @@
 // matching -m flags (kernels_sse2.cpp / kernels_avx2.cpp /
 // kernels_avx512.cpp); a tier whose flags the compiler lacks compiles
 // to a null table and kernel_table() falls down a tier.  The SSE2 tier
-// reproduces the pre-dispatch code paths BIT-IDENTICALLY; the wider
-// tiers use FMA and differ by last-ulp rounding only, gated by the
-// 1e-12 fast-vs-reference harness (tests/test_simd.cpp, bench_matcher).
+// reproduces the pre-dispatch code paths BIT-IDENTICALLY: its cell
+// fetch keeps the per-lane operations and association of the original
+// packed SSE2 sequence (tests/test_simd.cpp pins it against a scalar
+// oracle written in that association).  The wider tiers use FMA and
+// differ by last-ulp rounding only, gated by the 1e-12 fast-vs-
+// reference harness (tests/test_simd.cpp, bench_matcher).
 //
 // Tolerance policy (FMA contraction): see DESIGN.md §12.  The SSE2
 // tier sums pixel-sequentially, bit-identical to the pre-dispatch
@@ -35,16 +40,9 @@
 
 namespace por::simd {
 
-/// Which lattice representation a tier's matcher kernels consume.
-/// SSE2 keeps the split re/im planes (SplitComplexLattice); the AVX
-/// tiers read an interleaved (re, im) pair lattice so one wide load
-/// covers both components of an (x, x+1) corner pair — half the cache
-/// lines per trilinear cell.
-enum class LatticeLayout { kSplit, kInterleaved };
-
 /// One staged block of annulus pixels resolved to lattice cells, SoA
 /// so the staging kernel can vectorize.  `base` is in lattice CELLS
-/// (split: doubles per plane; interleaved: complex pairs).
+/// (complex (re, im) pairs).
 struct StageBlock {
   const double* ku = nullptr;  ///< annulus column, block-offset
   const double* kv = nullptr;
@@ -65,12 +63,9 @@ struct StageBlock {
   double* tx = nullptr;
   /// Corner-line prefetch (SSE2 tier only — the AVX tiers prefetch a
   /// short distance ahead inside their consume loops instead): the
-  /// plane(s) backing the lattice (split: re + im; interleaved: data +
-  /// nullptr) and the doubles-per-cell scale (1 or 2).  last_line
-  /// dedups across consecutive blocks.
-  const double* pf_a = nullptr;
-  const double* pf_b = nullptr;
-  unsigned pf_scale = 1;
+  /// interleaved lattice data.  last_line dedups across consecutive
+  /// blocks.
+  const double* lat = nullptr;
   std::size_t* last_line = nullptr;
 };
 
@@ -102,20 +97,12 @@ using StageFn = void (*)(const StageBlock& blk);
 /// the caller's block pipeline then sums terms in exactly the sequence
 /// a single continuous loop would (no per-block regrouping), which is
 /// what keeps the SSE2 tier bit-identical to the pre-dispatch code.
-using AnnulusSplitFn = double (*)(const double* re, const double* im,
-                                  std::size_t stride_y, std::size_t stride_z,
-                                  std::size_t lat_size, const AnnulusBlock& blk,
-                                  double acc);
-using AnnulusIlvFn = double (*)(const double* lat, std::size_t stride_y,
-                                std::size_t stride_z, std::size_t lat_cells,
-                                const AnnulusBlock& blk, double acc);
-using TrilinearSplitFn = CellSample (*)(const double* re, const double* im,
-                                        std::size_t stride_y,
-                                        std::size_t stride_z, std::size_t base,
-                                        double tz, double ty, double tx);
-using TrilinearIlvFn = CellSample (*)(const double* lat, std::size_t stride_y,
-                                      std::size_t stride_z, std::size_t base,
-                                      double tz, double ty, double tx);
+using AnnulusFn = double (*)(const double* lat, std::size_t stride_y,
+                             std::size_t stride_z, std::size_t lat_cells,
+                             const AnnulusBlock& blk, double acc);
+using TrilinearFn = CellSample (*)(const double* lat, std::size_t stride_y,
+                                   std::size_t stride_z, std::size_t base,
+                                   double tz, double ty, double tx);
 
 /// One radix-2 butterfly stage over the whole length-n buffer `d`
 /// (interleaved complex doubles): for every block of 2*half complexes,
@@ -131,16 +118,12 @@ using CmulFn = void (*)(double* a, const double* b, std::size_t n);
 using CmulConjFn = void (*)(double* dst, const double* src, const double* c,
                             std::size_t n);
 
-/// One tier's complete kernel set.  Exactly one of annulus_split /
-/// annulus_ilv is non-null, matching `layout`.
+/// One tier's complete kernel set.
 struct KernelTable {
   Isa isa = Isa::kSse2;
-  LatticeLayout layout = LatticeLayout::kSplit;
   StageFn stage = nullptr;
-  AnnulusSplitFn annulus_split = nullptr;
-  AnnulusIlvFn annulus_ilv = nullptr;
-  TrilinearSplitFn trilinear_split = nullptr;  ///< every tier provides it
-  TrilinearIlvFn trilinear_ilv = nullptr;      ///< AVX tiers only
+  AnnulusFn annulus = nullptr;
+  TrilinearFn trilinear = nullptr;
   FftStageFn fft_stage = nullptr;
   CmulFn cmul = nullptr;
   CmulConjFn cmul_conj = nullptr;

@@ -1,9 +1,8 @@
 // POR_HOT_PATH
 //
-// AVX2 + FMA kernel tier.  Matcher kernels consume the INTERLEAVED
+// AVX2 + FMA kernel tier.  Matcher kernels consume the interleaved
 // (re, im) lattice: one 256-bit load covers both components of an
-// (x, x+1) corner pair, so a trilinear cell is 4 corner loads instead
-// of the split layout's 8 — half the cache lines and prefetches.
+// (x, x+1) corner pair, so a trilinear cell is 4 corner loads.
 //
 // Tolerance policy (DESIGN.md §12): this tier uses FMA, a vector
 // association inside each cell, and four rotating accumulators in the
@@ -57,9 +56,9 @@ void stage_avx2(const StageBlock& blk) {
 /// Fetch one trilinear cell from the interleaved lattice.  Returns the
 /// (re, im) accumulator still packed as [re@x0, im@x0, re@x1, im@x1];
 /// callers reduce the two 128-bit halves.
-inline __m256d cell_acc_ilv(const double* lat, std::size_t stride_y,
-                            std::size_t stride_z, std::size_t base, double tz,
-                            double ty, double tx) {
+inline __m256d cell_acc(const double* lat, std::size_t stride_y,
+                        std::size_t stride_z, std::size_t base, double tz,
+                        double ty, double tx) {
   const double* p = lat + 2 * base;
   const __m256d row00 = _mm256_loadu_pd(p);
   const __m256d row01 = _mm256_loadu_pd(p + 2 * stride_y);
@@ -84,63 +83,25 @@ inline __m128d reduce_cell(__m256d acc) {
                     _mm256_extractf128_pd(acc, 1));
 }
 
-CellSample trilinear_ilv_avx2(const double* lat, std::size_t stride_y,
-                              std::size_t stride_z, std::size_t base,
-                              double tz, double ty, double tx) {
-  const __m128d s = reduce_cell(cell_acc_ilv(lat, stride_y, stride_z, base,
-                                             tz, ty, tx));
+CellSample trilinear_avx2(const double* lat, std::size_t stride_y,
+                          std::size_t stride_z, std::size_t base,
+                          double tz, double ty, double tx) {
+  const __m128d s =
+      reduce_cell(cell_acc(lat, stride_y, stride_z, base, tz, ty, tx));
   CellSample out;
   out.re = _mm_cvtsd_f64(s);
   out.im = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
   return out;
 }
 
-/// Split-layout single-cell fetch: the SSE2 intrinsic sequence compiled
-/// in this TU.  Intrinsic muls/adds never contract, so this remains
-/// bit-identical to the SSE2 tier (just VEX-encoded) — the test surface
-/// relies on that.
-CellSample trilinear_split_avx2(const double* re, const double* im,
-                                std::size_t stride_y, std::size_t stride_z,
-                                std::size_t base, double tz, double ty,
-                                double tx) {
-  const std::size_t i000 = base;
-  const std::size_t i010 = base + stride_y;
-  const std::size_t i100 = base + stride_z;
-  const std::size_t i110 = base + stride_z + stride_y;
-  const double wz0 = 1.0 - tz, wy0 = 1.0 - ty, wx0 = 1.0 - tx;
-  const double w00 = wz0 * wy0, w01 = wz0 * ty;
-  const double w10 = tz * wy0, w11 = tz * ty;
-  const __m128d wx = _mm_set_pd(tx, wx0);
-  const __m128d w00v = _mm_mul_pd(_mm_set1_pd(w00), wx);
-  const __m128d w01v = _mm_mul_pd(_mm_set1_pd(w01), wx);
-  const __m128d w10v = _mm_mul_pd(_mm_set1_pd(w10), wx);
-  const __m128d w11v = _mm_mul_pd(_mm_set1_pd(w11), wx);
-  const __m128d re_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(re + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(re + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(re + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(re + i110))));
-  const __m128d im_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(im + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(im + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(im + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(im + i110))));
-  const __m128d packed = _mm_add_pd(_mm_unpacklo_pd(re_acc, im_acc),
-                                    _mm_unpackhi_pd(re_acc, im_acc));
-  CellSample s;
-  s.re = _mm_cvtsd_f64(packed);
-  s.im = _mm_cvtsd_f64(_mm_unpackhi_pd(packed, packed));
-  return s;
-}
-
 /// One pixel of the consume loop, all in xmm [re, im] pairs (see the
 /// AVX-512 tier for the rotating-accumulator rationale).
 template <bool kTransfer>
-inline void consume_px_ilv(const double* lat, std::size_t stride_y,
-                           std::size_t stride_z, const AnnulusBlock& blk,
-                           std::size_t k, __m128d& a) {
-  __m128d s = reduce_cell(cell_acc_ilv(lat, stride_y, stride_z, blk.base[k],
-                                       blk.tz[k], blk.ty[k], blk.tx[k]));
+inline void consume_px(const double* lat, std::size_t stride_y,
+                       std::size_t stride_z, const AnnulusBlock& blk,
+                       std::size_t k, __m128d& a) {
+  __m128d s = reduce_cell(cell_acc(lat, stride_y, stride_z, blk.base[k],
+                                   blk.tz[k], blk.ty[k], blk.tx[k]));
   if constexpr (kTransfer) s = _mm_mul_pd(s, _mm_set1_pd(blk.transfer[k]));
   const __m128d v =
       _mm_loadu_pd(blk.view + 2 * static_cast<std::size_t>(blk.index[k]));
@@ -149,9 +110,9 @@ inline void consume_px_ilv(const double* lat, std::size_t stride_y,
 }
 
 template <bool kTransfer>
-double annulus_ilv_run(const double* lat, std::size_t stride_y,
-                       std::size_t stride_z, std::size_t lat_cells,
-                       const AnnulusBlock& blk, double acc) {
+double annulus_run(const double* lat, std::size_t stride_y,
+                   std::size_t stride_z, std::size_t lat_cells,
+                   const AnnulusBlock& blk, double acc) {
 #if POR_CONTRACTS_ENABLED
   for (std::size_t j = 0; j < blk.count; ++j) {
     POR_BOUNDS(blk.base[j] + stride_z + stride_y + 1, lat_cells);
@@ -176,26 +137,25 @@ double annulus_ilv_run(const double* lat, std::size_t stride_y,
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * stride_z), _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * (stride_z + stride_y)),
                  _MM_HINT_T0);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 1, a1);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 2, a2);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 3, a3);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 1, a1);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 2, a2);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 3, a3);
   }
   for (; k < blk.count; ++k) {
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
   }
   const __m128d t = _mm_add_pd(_mm_add_pd(a0, a1), _mm_add_pd(a2, a3));
   return acc + _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
 }
 
-double annulus_ilv_avx2(const double* lat, std::size_t stride_y,
-                        std::size_t stride_z, std::size_t lat_cells,
-                        const AnnulusBlock& blk, double acc) {
+double annulus_avx2(const double* lat, std::size_t stride_y,
+                    std::size_t stride_z, std::size_t lat_cells,
+                    const AnnulusBlock& blk, double acc) {
   return blk.transfer != nullptr
-             ? annulus_ilv_run<true>(lat, stride_y, stride_z, lat_cells, blk,
-                                     acc)
-             : annulus_ilv_run<false>(lat, stride_y, stride_z, lat_cells, blk,
-                                      acc);
+             ? annulus_run<true>(lat, stride_y, stride_z, lat_cells, blk, acc)
+             : annulus_run<false>(lat, stride_y, stride_z, lat_cells, blk,
+                                  acc);
 }
 
 void fft_stage_avx2(double* d, std::size_t n, std::size_t half,
@@ -274,12 +234,9 @@ void cmul_conj_avx2(double* dst, const double* src, const double* c,
 
 const KernelTable kAvx2Table = {
     Isa::kAvx2,
-    LatticeLayout::kInterleaved,
     &stage_avx2,
-    nullptr,
-    &annulus_ilv_avx2,
-    &trilinear_split_avx2,
-    &trilinear_ilv_avx2,
+    &annulus_avx2,
+    &trilinear_avx2,
     &fft_stage_avx2,
     &cmul_avx2,
     &cmul_conj_avx2,

@@ -77,7 +77,7 @@ void stage_avx512(const StageBlock& blk) {
   // corner lines here overran L1 and the prefetch uops competed with
   // the consume loop's demand loads for fill buffers — measurably
   // SLOWER than letting the consume loop prefetch a short distance
-  // ahead (see annulus_ilv_run) with the hardware stream prefetchers
+  // ahead (see annulus_run) with the hardware stream prefetchers
   // covering the four forward-strided corner-row streams.
 }
 
@@ -88,9 +88,9 @@ void stage_avx512(const StageBlock& blk) {
 /// inserts) to keep shuffle-port pressure down — the weight product is
 /// associated (wx*wy)*wz here, ulp-level different from the scalar
 /// oracle's (wz*wy)*wx and covered by the 1e-12 gate (DESIGN.md §12).
-inline __m128d cell_reduce_ilv(const double* lat, std::size_t stride_y,
-                               std::size_t stride_z, std::size_t base,
-                               double tz, double ty, double tx) {
+inline __m128d cell_reduce(const double* lat, std::size_t stride_y,
+                           std::size_t stride_z, std::size_t base,
+                           double tz, double ty, double tx) {
   const double* p = lat + 2 * base;
   const __m512d rows_a = _mm512_insertf64x4(
       _mm512_zextpd256_pd512(_mm256_loadu_pd(p)),
@@ -123,61 +123,25 @@ inline __m128d cell_reduce_ilv(const double* lat, std::size_t stride_y,
                     _mm256_extractf128_pd(half, 1));
 }
 
-CellSample trilinear_ilv_avx512(const double* lat, std::size_t stride_y,
-                                std::size_t stride_z, std::size_t base,
-                                double tz, double ty, double tx) {
-  const __m128d s = cell_reduce_ilv(lat, stride_y, stride_z, base, tz, ty, tx);
+CellSample trilinear_avx512(const double* lat, std::size_t stride_y,
+                            std::size_t stride_z, std::size_t base,
+                            double tz, double ty, double tx) {
+  const __m128d s = cell_reduce(lat, stride_y, stride_z, base, tz, ty, tx);
   CellSample out;
   out.re = _mm_cvtsd_f64(s);
   out.im = _mm_cvtsd_f64(_mm_unpackhi_pd(s, s));
   return out;
 }
 
-/// Split-layout single-cell fetch — the SSE2 intrinsic sequence, bit-
-/// identical to that tier (intrinsics never contract).
-CellSample trilinear_split_avx512(const double* re, const double* im,
-                                  std::size_t stride_y, std::size_t stride_z,
-                                  std::size_t base, double tz, double ty,
-                                  double tx) {
-  const std::size_t i000 = base;
-  const std::size_t i010 = base + stride_y;
-  const std::size_t i100 = base + stride_z;
-  const std::size_t i110 = base + stride_z + stride_y;
-  const double wz0 = 1.0 - tz, wy0 = 1.0 - ty, wx0 = 1.0 - tx;
-  const double w00 = wz0 * wy0, w01 = wz0 * ty;
-  const double w10 = tz * wy0, w11 = tz * ty;
-  const __m128d wx = _mm_set_pd(tx, wx0);
-  const __m128d w00v = _mm_mul_pd(_mm_set1_pd(w00), wx);
-  const __m128d w01v = _mm_mul_pd(_mm_set1_pd(w01), wx);
-  const __m128d w10v = _mm_mul_pd(_mm_set1_pd(w10), wx);
-  const __m128d w11v = _mm_mul_pd(_mm_set1_pd(w11), wx);
-  const __m128d re_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(re + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(re + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(re + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(re + i110))));
-  const __m128d im_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(im + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(im + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(im + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(im + i110))));
-  const __m128d packed = _mm_add_pd(_mm_unpacklo_pd(re_acc, im_acc),
-                                    _mm_unpackhi_pd(re_acc, im_acc));
-  CellSample s;
-  s.re = _mm_cvtsd_f64(packed);
-  s.im = _mm_cvtsd_f64(_mm_unpackhi_pd(packed, packed));
-  return s;
-}
-
 /// One pixel of the consume loop: trilinear sample, optional transfer
 /// scale, view diff and squared-magnitude FMA into `a` — all in xmm
 /// [re, im] pairs, never dropping to scalar.
 template <bool kTransfer>
-inline void consume_px_ilv(const double* lat, std::size_t stride_y,
-                           std::size_t stride_z, const AnnulusBlock& blk,
-                           std::size_t k, __m128d& a) {
-  __m128d s = cell_reduce_ilv(lat, stride_y, stride_z, blk.base[k], blk.tz[k],
-                              blk.ty[k], blk.tx[k]);
+inline void consume_px(const double* lat, std::size_t stride_y,
+                       std::size_t stride_z, const AnnulusBlock& blk,
+                       std::size_t k, __m128d& a) {
+  __m128d s = cell_reduce(lat, stride_y, stride_z, blk.base[k], blk.tz[k],
+                          blk.ty[k], blk.tx[k]);
   if constexpr (kTransfer) s = _mm_mul_pd(s, _mm_set1_pd(blk.transfer[k]));
   const __m128d v =
       _mm_loadu_pd(blk.view + 2 * static_cast<std::size_t>(blk.index[k]));
@@ -186,9 +150,9 @@ inline void consume_px_ilv(const double* lat, std::size_t stride_y,
 }
 
 template <bool kTransfer>
-double annulus_ilv_run(const double* lat, std::size_t stride_y,
-                       std::size_t stride_z, std::size_t lat_cells,
-                       const AnnulusBlock& blk, double acc) {
+double annulus_run(const double* lat, std::size_t stride_y,
+                   std::size_t stride_z, std::size_t lat_cells,
+                   const AnnulusBlock& blk, double acc) {
 #if POR_CONTRACTS_ENABLED
   for (std::size_t j = 0; j < blk.count; ++j) {
     POR_BOUNDS(blk.base[j] + stride_z + stride_y + 1, lat_cells);
@@ -217,26 +181,25 @@ double annulus_ilv_run(const double* lat, std::size_t stride_y,
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * stride_z), _MM_HINT_T0);
     _mm_prefetch(reinterpret_cast<const char*>(pp + 2 * (stride_z + stride_y)),
                  _MM_HINT_T0);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 1, a1);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 2, a2);
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k + 3, a3);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 1, a1);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 2, a2);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k + 3, a3);
   }
   for (; k < blk.count; ++k) {
-    consume_px_ilv<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
+    consume_px<kTransfer>(lat, stride_y, stride_z, blk, k, a0);
   }
   const __m128d t = _mm_add_pd(_mm_add_pd(a0, a1), _mm_add_pd(a2, a3));
   return acc + _mm_cvtsd_f64(t) + _mm_cvtsd_f64(_mm_unpackhi_pd(t, t));
 }
 
-double annulus_ilv_avx512(const double* lat, std::size_t stride_y,
-                          std::size_t stride_z, std::size_t lat_cells,
-                          const AnnulusBlock& blk, double acc) {
+double annulus_avx512(const double* lat, std::size_t stride_y,
+                      std::size_t stride_z, std::size_t lat_cells,
+                      const AnnulusBlock& blk, double acc) {
   return blk.transfer != nullptr
-             ? annulus_ilv_run<true>(lat, stride_y, stride_z, lat_cells, blk,
-                                     acc)
-             : annulus_ilv_run<false>(lat, stride_y, stride_z, lat_cells, blk,
-                                      acc);
+             ? annulus_run<true>(lat, stride_y, stride_z, lat_cells, blk, acc)
+             : annulus_run<false>(lat, stride_y, stride_z, lat_cells, blk,
+                                  acc);
 }
 
 void fft_stage_avx512(double* d, std::size_t n, std::size_t half,
@@ -329,12 +292,9 @@ void cmul_conj_avx512(double* dst, const double* src, const double* c,
 
 const KernelTable kAvx512Table = {
     Isa::kAvx512,
-    LatticeLayout::kInterleaved,
     &stage_avx512,
-    nullptr,
-    &annulus_ilv_avx512,
-    &trilinear_split_avx512,
-    &trilinear_ilv_avx512,
+    &annulus_avx512,
+    &trilinear_avx512,
     &fft_stage_avx512,
     &cmul_avx512,
     &cmul_conj_avx512,

@@ -1,24 +1,19 @@
 // POR_HOT_PATH
 //
 // SSE2 (baseline) kernel tier.  Compiled with the default flags, so it
-// runs on every x86-64; on non-x86 the same entry points compile to
-// the portable scalar bodies.  This tier is the BIT-IDENTICAL
-// continuation of the pre-dispatch hot paths: the annulus consume loop
-// reproduces por/em/interp.hpp's interp_trilinear_cell SSE2 sequence
-// and matcher.cpp's historical accumulation ordering exactly, and the
-// butterfly stage reproduces fft1d.cpp's raw-double loop (the
+// runs on every x86-64, and written in plain C++ so the same bodies
+// serve any other target.  This tier is the BIT-IDENTICAL continuation
+// of the pre-dispatch hot paths: the cell fetch keeps the per-lane
+// operations and association of the original packed SSE2 sequence,
+// the annulus consume loop matcher.cpp's historical accumulation
+// ordering, and the butterfly stage fft1d.cpp's raw-double loop (the
 // contiguous twiddle table holds the very same doubles the strided
-// root walk used to read).  tests/test_simd.cpp asserts the
-// bit-equality against em::interp_trilinear_cell.
+// root walk used to read).  tests/test_simd.cpp asserts the fetch's
+// bits against a scalar oracle written in the same association.
 
 #include "por/simd/kernels.hpp"
 
 #include "por/util/contracts.hpp"
-
-#if defined(__SSE2__) || defined(_M_X64)
-#define POR_KERNEL_SSE2 1
-#include <emmintrin.h>
-#endif
 
 namespace por::simd {
 
@@ -43,103 +38,66 @@ void stage_sse2(const StageBlock& blk) {
     blk.ty[k] = y - static_cast<double>(iy);
     blk.tx[k] = x - static_cast<double>(ix);
 #if defined(__GNUC__) || defined(__clang__)
-    // Neighboring annulus pixels usually land in the same 64-byte
-    // line; when the base line repeats, all corner lines repeat with
-    // it, so skip the whole batch instead of burning load-port slots
-    // on duplicate prefetches.
-    const std::size_t line = (base * blk.pf_scale) >> 3;
+    // Prefetch the cell's four corner rows one block ahead of the
+    // consume loop (dropping it costs this tier ~1.4x per matching,
+    // EXPERIMENTS.md "SSE2 staging prefetch").  Neighboring annulus
+    // pixels usually land in the same 64-byte line (four complex
+    // cells); when the base line repeats, all corner lines repeat with
+    // it, so skip the whole batch instead of burning load-port slots on
+    // duplicates.
+    const std::size_t line = base >> 2;
     if (line != last_line) {
       last_line = line;
-      const std::size_t sy = blk.stride_y * blk.pf_scale;
-      const std::size_t sz = blk.stride_z * blk.pf_scale;
-      const std::size_t b = base * blk.pf_scale;
-      __builtin_prefetch(blk.pf_a + b, 0, 3);
-      __builtin_prefetch(blk.pf_a + b + sy, 0, 3);
-      __builtin_prefetch(blk.pf_a + b + sz, 0, 3);
-      __builtin_prefetch(blk.pf_a + b + sz + sy, 0, 3);
-      if (blk.pf_b != nullptr) {
-        __builtin_prefetch(blk.pf_b + b, 0, 3);
-        __builtin_prefetch(blk.pf_b + b + sy, 0, 3);
-        __builtin_prefetch(blk.pf_b + b + sz, 0, 3);
-        __builtin_prefetch(blk.pf_b + b + sz + sy, 0, 3);
-      }
+      const double* p = blk.lat + 2 * base;
+      __builtin_prefetch(p, 0, 3);
+      __builtin_prefetch(p + 2 * blk.stride_y, 0, 3);
+      __builtin_prefetch(p + 2 * blk.stride_z, 0, 3);
+      __builtin_prefetch(p + 2 * (blk.stride_z + blk.stride_y), 0, 3);
     }
 #endif
   }
   *blk.last_line = last_line;
 }
 
-CellSample trilinear_split_sse2(const double* re, const double* im,
-                                std::size_t stride_y, std::size_t stride_z,
-                                std::size_t base, double tz, double ty,
-                                double tx) {
-  const std::size_t i000 = base;
-  const std::size_t i010 = base + stride_y;
-  const std::size_t i100 = base + stride_z;
-  const std::size_t i110 = base + stride_z + stride_y;
+/// Trilinear fetch of one cell of the interleaved lattice.  Each row
+/// pointer addresses an (x, x+1) corner pair [re0, im0, re1, im1].
+/// The association is the original packed sequence's: the x0 lane and
+/// the x1 lane each sum their four rows as ((z0y0 + z0y1) + (z1y0 +
+/// z1y1)), with corner weights ((wz*wy)*wx), and the two lanes are
+/// added last.  This TU is built without FMA, so nothing contracts.
+CellSample trilinear_sse2(const double* lat, std::size_t stride_y,
+                          std::size_t stride_z, std::size_t base, double tz,
+                          double ty, double tx) {
+  const double* r00 = lat + 2 * base;
+  const double* r01 = lat + 2 * (base + stride_y);
+  const double* r10 = lat + 2 * (base + stride_z);
+  const double* r11 = lat + 2 * (base + stride_z + stride_y);
 
-  // Weight products in the reference's association order ((wz*wy)*wx).
-  const double wz0 = 1.0 - tz, wz1 = tz;
-  const double wy0 = 1.0 - ty, wy1 = ty;
-  const double wx0 = 1.0 - tx, wx1 = tx;
-  const double w00 = wz0 * wy0, w01 = wz0 * wy1;
-  const double w10 = wz1 * wy0, w11 = wz1 * wy1;
+  const double wz0 = 1.0 - tz, wy0 = 1.0 - ty, wx0 = 1.0 - tx;
+  const double w00 = wz0 * wy0, w01 = wz0 * ty;
+  const double w10 = tz * wy0, w11 = tz * ty;
+  const double a0 = w00 * wx0, a1 = w01 * wx0, a2 = w10 * wx0, a3 = w11 * wx0;
+  const double b0 = w00 * tx, b1 = w01 * tx, b2 = w10 * tx, b3 = w11 * tx;
 
   CellSample s;
-#if POR_KERNEL_SSE2
-  // The (x, x+1) corner pairs are contiguous in each plane, so the
-  // eight corners of a plane are four unaligned 16-byte loads.  This
-  // is em::interp_trilinear_cell's SSE2 sequence verbatim — same
-  // operations, same association — kept bit-identical by test_simd.
-  const __m128d wx = _mm_set_pd(wx1, wx0);  // lane0 = wx0, lane1 = wx1
-  const __m128d w00v = _mm_mul_pd(_mm_set1_pd(w00), wx);
-  const __m128d w01v = _mm_mul_pd(_mm_set1_pd(w01), wx);
-  const __m128d w10v = _mm_mul_pd(_mm_set1_pd(w10), wx);
-  const __m128d w11v = _mm_mul_pd(_mm_set1_pd(w11), wx);
-  const __m128d re_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(re + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(re + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(re + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(re + i110))));
-  const __m128d im_acc = _mm_add_pd(
-      _mm_add_pd(_mm_mul_pd(w00v, _mm_loadu_pd(im + i000)),
-                 _mm_mul_pd(w01v, _mm_loadu_pd(im + i010))),
-      _mm_add_pd(_mm_mul_pd(w10v, _mm_loadu_pd(im + i100)),
-                 _mm_mul_pd(w11v, _mm_loadu_pd(im + i110))));
-  const __m128d packed = _mm_add_pd(_mm_unpacklo_pd(re_acc, im_acc),
-                                    _mm_unpackhi_pd(re_acc, im_acc));
-  s.re = _mm_cvtsd_f64(packed);
-  s.im = _mm_cvtsd_f64(_mm_unpackhi_pd(packed, packed));
-#else
-  const double w000 = w00 * wx0, w001 = w00 * wx1;
-  const double w010 = w01 * wx0, w011 = w01 * wx1;
-  const double w100 = w10 * wx0, w101 = w10 * wx1;
-  const double w110 = w11 * wx0, w111 = w11 * wx1;
-  s.re = ((w000 * re[i000] + w001 * re[i000 + 1]) +
-          (w010 * re[i010] + w011 * re[i010 + 1])) +
-         ((w100 * re[i100] + w101 * re[i100 + 1]) +
-          (w110 * re[i110] + w111 * re[i110 + 1]));
-  s.im = ((w000 * im[i000] + w001 * im[i000 + 1]) +
-          (w010 * im[i010] + w011 * im[i010 + 1])) +
-         ((w100 * im[i100] + w101 * im[i100 + 1]) +
-          (w110 * im[i110] + w111 * im[i110 + 1]));
-#endif
+  s.re = ((a0 * r00[0] + a1 * r01[0]) + (a2 * r10[0] + a3 * r11[0])) +
+         ((b0 * r00[2] + b1 * r01[2]) + (b2 * r10[2] + b3 * r11[2]));
+  s.im = ((a0 * r00[1] + a1 * r01[1]) + (a2 * r10[1] + a3 * r11[1])) +
+         ((b0 * r00[3] + b1 * r01[3]) + (b2 * r10[3] + b3 * r11[3]));
   return s;
 }
 
 template <bool kTransfer>
-double annulus_split_run(const double* re, const double* im,
-                         std::size_t stride_y, std::size_t stride_z,
-                         std::size_t lat_size, const AnnulusBlock& blk,
-                         double acc) {
+double annulus_run(const double* lat, std::size_t stride_y,
+                   std::size_t stride_z, std::size_t lat_cells,
+                   const AnnulusBlock& blk, double acc) {
   double sum = acc;
   for (std::size_t k = 0; k < blk.count; ++k) {
-    // The +1,+1,+1 corner is the largest index the fetch touches; if
-    // it is inside the padded plane, all eight corners are.
-    POR_BOUNDS(blk.base[k] + stride_z + stride_y + 1, lat_size);
-    const CellSample s = trilinear_split_sse2(re, im, stride_y, stride_z,
-                                              blk.base[k], blk.tz[k],
-                                              blk.ty[k], blk.tx[k]);
+    // The +1,+1,+1 corner is the largest cell the fetch touches; if it
+    // is inside the padded lattice, all eight corners are.
+    POR_BOUNDS(blk.base[k] + stride_z + stride_y + 1, lat_cells);
+    const CellSample s = trilinear_sse2(lat, stride_y, stride_z, blk.base[k],
+                                        blk.tz[k], blk.ty[k], blk.tx[k]);
     double sre = s.re, sim = s.im;
     if constexpr (kTransfer) {
       const double t = blk.transfer[k];
@@ -154,15 +112,13 @@ double annulus_split_run(const double* re, const double* im,
   return sum;
 }
 
-double annulus_split_sse2(const double* re, const double* im,
-                          std::size_t stride_y, std::size_t stride_z,
-                          std::size_t lat_size, const AnnulusBlock& blk,
-                          double acc) {
+double annulus_sse2(const double* lat, std::size_t stride_y,
+                    std::size_t stride_z, std::size_t lat_cells,
+                    const AnnulusBlock& blk, double acc) {
   return blk.transfer != nullptr
-             ? annulus_split_run<true>(re, im, stride_y, stride_z, lat_size,
-                                       blk, acc)
-             : annulus_split_run<false>(re, im, stride_y, stride_z, lat_size,
-                                        blk, acc);
+             ? annulus_run<true>(lat, stride_y, stride_z, lat_cells, blk, acc)
+             : annulus_run<false>(lat, stride_y, stride_z, lat_cells, blk,
+                                  acc);
 }
 
 void fft_stage_sse2(double* d, std::size_t n, std::size_t half,
@@ -211,12 +167,9 @@ void cmul_conj_sse2(double* dst, const double* src, const double* c,
 
 const KernelTable kSse2Table = {
     Isa::kSse2,
-    LatticeLayout::kSplit,
     &stage_sse2,
-    &annulus_split_sse2,
-    nullptr,
-    &trilinear_split_sse2,
-    nullptr,
+    &annulus_sse2,
+    &trilinear_sse2,
     &fft_stage_sse2,
     &cmul_sse2,
     &cmul_conj_sse2,

@@ -16,14 +16,15 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <type_traits>
 #include <vector>
 
 #include "por/em/grid.hpp"
-#include "por/em/interp.hpp"
 #include "por/obs/registry.hpp"
 #include "por/obs/span.hpp"
+#include "por/simd/kernels.hpp"
 #include "por/util/contracts.hpp"
 
 namespace {
@@ -155,22 +156,37 @@ TEST(ContractsDeathTest, ReportIncludesActiveObsSpanStack) {
       "refine_step > window_search");
 }
 
-// Regression for the PR 2 matcher fast path: the truncation-floor
-// kernel must never see a negative coordinate (truncation toward zero
-// would silently sample the wrong cell) nor a base cell outside the
-// logical cube.  The contract turns both silent corruptions into
-// aborts.
-TEST(ContractsDeathTest, InterpTrilinearInteriorOutOfDomainDies) {
+// The matcher's branch-free cell fetch trusts the zero pad only as far
+// as the padded lattice reaches: a staged base whose +1,+1,+1 corner
+// lies at or past cells() (a truncation toward zero of a negative
+// coordinate, or a base cell outside the logical cube) must abort on
+// the SSE2 tier's per-pixel bounds check, not read past the lattice.
+TEST(ContractsDeathTest, AnnulusCornerPastLatticeDies) {
   const std::size_t l = 4;
   por::em::Volume<por::em::cdouble> vol(l);
   for (auto& c : vol.storage()) c = por::em::cdouble(1.0, -1.0);
-  const por::em::SplitComplexLattice lat(vol);
+  const por::em::InterleavedComplexLattice lat(vol);
 
-  EXPECT_DEATH((void)por::em::interp_trilinear_interior(lat, -0.5, 1.0, 1.0),
-               "truncation-floor domain violated");
-  EXPECT_DEATH(
-      (void)por::em::interp_trilinear_interior(lat, 1.0, 1.0, 64.0),
-      "base cell outside lattice");
+  const std::size_t base = lat.cells() - (lat.stride_z + lat.stride_y + 1);
+  const double t = 0.5, view[2] = {0.0, 0.0}, weight = 1.0;
+  const std::uint32_t index = 0;
+  por::simd::AnnulusBlock blk;
+  blk.base = &base;
+  blk.tz = blk.ty = blk.tx = &t;
+  blk.count = 1;
+  blk.view = view;
+  blk.index = &index;
+  blk.weight = &weight;
+  const por::simd::KernelTable& kt =
+      por::simd::kernel_table(por::simd::Isa::kSse2);
+  EXPECT_DEATH((void)kt.annulus(lat.data.data(), lat.stride_y, lat.stride_z,
+                                lat.cells(), blk, 0.0),
+               "CONTRACT VIOLATION \\(bounds\\)");
+  // One cell lower, the corner is the last padded cell: no abort.
+  const std::size_t inside = base - 1;
+  blk.base = &inside;
+  (void)kt.annulus(lat.data.data(), lat.stride_y, lat.stride_z, lat.cells(),
+                   blk, 0.0);
 }
 
 #else  // !POR_CONTRACTS_ENABLED

@@ -147,4 +147,49 @@ TEST(Pad, RejectsBadArguments) {
                std::invalid_argument);
 }
 
+TEST(Lattice, InterleavedMirrorsVolume) {
+  const std::size_t l = 9;
+  Volume<cdouble> vol(l);
+  for (std::size_t z = 0; z < l; ++z) {
+    for (std::size_t y = 0; y < l; ++y) {
+      for (std::size_t x = 0; x < l; ++x) {
+        const double v = static_cast<double>((z * l + y) * l + x) + 1.0;
+        vol(z, y, x) = cdouble(v, -0.5 * v);
+      }
+    }
+  }
+  const InterleavedComplexLattice lat(vol);
+  EXPECT_EQ(lat.edge, l);
+  EXPECT_EQ(lat.stride_y, l + 1);
+  EXPECT_EQ(lat.stride_z, (l + 1) * (l + 1));
+  EXPECT_EQ(lat.cells(), (l + 1) * (l + 1) * (l + 1));
+  ASSERT_EQ(lat.data.size(), 2 * lat.cells());
+  for (std::size_t z = 0; z < l; ++z) {
+    for (std::size_t y = 0; y < l; ++y) {
+      for (std::size_t x = 0; x < l; ++x) {
+        const std::size_t i = z * lat.stride_z + y * lat.stride_y + x;
+        EXPECT_EQ(lat.data[2 * i], vol(z, y, x).real());
+        EXPECT_EQ(lat.data[2 * i + 1], vol(z, y, x).imag());
+      }
+    }
+  }
+  // The +1 pad plane, row and column are zero in both components.
+  auto pad_is_zero = [&](std::size_t z, std::size_t y, std::size_t x) {
+    const std::size_t i = z * lat.stride_z + y * lat.stride_y + x;
+    return lat.data[2 * i] == 0.0 && lat.data[2 * i + 1] == 0.0;
+  };
+  for (std::size_t a = 0; a <= l; ++a) {
+    for (std::size_t b = 0; b <= l; ++b) {
+      EXPECT_TRUE(pad_is_zero(a, b, l)) << a << ", " << b;
+      EXPECT_TRUE(pad_is_zero(a, l, b)) << a << ", " << b;
+      EXPECT_TRUE(pad_is_zero(l, a, b)) << a << ", " << b;
+    }
+  }
+}
+
+TEST(Lattice, InterleavedRejectsNonCube) {
+  const Volume<cdouble> brick(2, 3, 4);
+  EXPECT_THROW((void)InterleavedComplexLattice(brick), std::invalid_argument);
+}
+
 }  // namespace

@@ -8,8 +8,9 @@
 //   2. Kernel equivalence: every compiled tier's trilinear / annulus /
 //      butterfly / pointwise kernels against the scalar reference on
 //      randomized lattices (boundary cells included).  The SSE2 tier
-//      is asserted BIT-identical to em::interp_trilinear_cell; the AVX
-//      tiers are held to the 1e-12 FMA-contraction budget.
+//      is asserted BIT-identical to a scalar oracle in the pre-dispatch
+//      association (oracle_fetch below); every tier is held to the
+//      1e-12 FMA-contraction budget against em::interp_trilinear.
 //   3. End-to-end: per-tier FourierMatcher::distance vs
 //      distance_reference.
 //   4. Steady state: with global operator new counted, a warmed
@@ -93,32 +94,42 @@ em::Volume<em::cdouble> random_volume(std::size_t l, std::uint64_t seed) {
   return vol;
 }
 
-/// A randomized set of resolved cells: interior bases plus the edge
-/// cells whose +1 corners land in the zero pad, plus exact-zero
-/// fractional offsets (the bit-exact skip paths).
+/// A randomized set of resolved cells: interior bases plus border
+/// cells — upper ones whose +1 corners land in the zero pad (the three-
+/// axis corner among them) and lower ones on the first plane — plus
+/// exact-zero fractional offsets (the bit-exact skip paths).  (iz, iy,
+/// ix) is kept beside the flat base for the volume reference.
 struct CellSet {
   std::vector<std::size_t> base;
+  std::vector<std::size_t> iz, iy, ix;
   std::vector<double> tz, ty, tx;
 };
 
-CellSet random_cells(const em::SplitComplexLattice& lat, std::size_t count,
-                     std::uint64_t seed) {
+CellSet random_cells(const em::InterleavedComplexLattice& lat,
+                     std::size_t count, std::uint64_t seed) {
   util::Rng rng(seed);
   CellSet cells;
   const std::size_t edge = lat.edge;
+  auto any = [&] {
+    return static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (edge - 1));
+  };
   for (std::size_t k = 0; k < count; ++k) {
-    std::size_t iz, iy, ix;
+    std::size_t iz = any(), iy = any(), ix = any();
     if (k % 7 == 0) {
-      // Boundary cell: at least one index on the last logical plane.
+      // Upper border: z and x on the last logical plane.
       iz = edge - 1;
-      iy = static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (edge - 1));
       ix = edge - 1;
-    } else {
-      iz = static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (edge - 1));
-      iy = static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (edge - 1));
-      ix = static_cast<std::size_t>(rng.uniform(0.0, 1.0) * (edge - 1));
+    } else if (k % 7 == 3) {
+      // Upper corner: all three axes straddle the pad at once.
+      iz = iy = ix = edge - 1;
+    } else if (k % 7 == 5) {
+      // Lower border: one axis (rotating) on the first plane.
+      (k % 3 == 0 ? iz : k % 3 == 1 ? iy : ix) = 0;
     }
     cells.base.push_back(iz * lat.stride_z + iy * lat.stride_y + ix);
+    cells.iz.push_back(iz);
+    cells.iy.push_back(iy);
+    cells.ix.push_back(ix);
     // Every 11th cell sits exactly on a lattice point (t == 0), the
     // weights-are-exactly-one case the kernels must keep bit-exact.
     const bool exact = k % 11 == 0;
@@ -127,6 +138,31 @@ CellSet random_cells(const em::SplitComplexLattice& lat, std::size_t count,
     cells.tx.push_back(exact ? 0.0 : rng.uniform(0.0, 1.0));
   }
   return cells;
+}
+
+/// The SSE2 tier's fetch, written out in scalar form: the x0 lane and
+/// the x1 lane each sum their four corner rows ((z0y0 + z0y1) + (z1y0 +
+/// z1y1)) with weights ((wz*wy)*wx), and the lanes are added last.
+simd::CellSample oracle_fetch(const em::InterleavedComplexLattice& lat,
+                              std::size_t base, double tz, double ty,
+                              double tx) {
+  const std::size_t rows[4] = {base, base + lat.stride_y, base + lat.stride_z,
+                               base + lat.stride_z + lat.stride_y};
+  const double wzy[4] = {(1.0 - tz) * (1.0 - ty), (1.0 - tz) * ty,
+                         tz * (1.0 - ty), tz * ty};
+  double out[2];
+  for (std::size_t c = 0; c < 2; ++c) {  // re, im
+    double lane[2];
+    for (std::size_t x = 0; x < 2; ++x) {
+      const double wx = x == 0 ? 1.0 - tx : tx;
+      auto term = [&](std::size_t r) {
+        return wzy[r] * wx * lat.data.at(2 * (rows[r] + x) + c);
+      };
+      lane[x] = (term(0) + term(1)) + (term(2) + term(3));
+    }
+    out[c] = lane[0] + lane[1];
+  }
+  return {out[0], out[1]};
 }
 
 double rel_diff(double a, double b) {
@@ -207,54 +243,41 @@ TEST(SimdIsa, EnvOverrideInChildProcess) {
 // 2. Kernel equivalence vs the scalar reference
 // ---------------------------------------------------------------------------
 
-TEST(SimdKernels, TrilinearSplitMatchesReference) {
-  const std::size_t edge = 9;
-  const em::Volume<em::cdouble> vol = random_volume(edge, 101);
-  const em::SplitComplexLattice lat(vol);
-  const CellSet cells = random_cells(lat, 2000, 202);
-  for (const simd::Isa isa : available_tiers()) {
-    const simd::KernelTable& kt = simd::kernel_table(isa);
-    ASSERT_NE(kt.trilinear_split, nullptr);
-    for (std::size_t k = 0; k < cells.base.size(); ++k) {
-      const em::SplitSample ref = em::interp_trilinear_cell(
-          lat, cells.base[k], cells.tz[k], cells.ty[k], cells.tx[k]);
-      const simd::CellSample got =
-          kt.trilinear_split(lat.re.data(), lat.im.data(), lat.stride_y,
-                             lat.stride_z, cells.base[k], cells.tz[k],
-                             cells.ty[k], cells.tx[k]);
-      if (isa == simd::Isa::kSse2) {
-        // The baseline tier reproduces the reference BIT-identically.
-        EXPECT_EQ(got.re, ref.re) << "tier sse2, cell " << k;
-        EXPECT_EQ(got.im, ref.im) << "tier sse2, cell " << k;
-      } else {
-        EXPECT_LE(rel_diff(got.re, ref.re), kTol)
-            << "tier " << simd::isa_name(isa) << ", cell " << k;
-        EXPECT_LE(rel_diff(got.im, ref.im), kTol)
-            << "tier " << simd::isa_name(isa) << ", cell " << k;
-      }
-    }
-  }
-}
-
 TEST(SimdKernels, TrilinearInterleavedMatchesReference) {
   const std::size_t edge = 9;
   const em::Volume<em::cdouble> vol = random_volume(edge, 303);
-  const em::SplitComplexLattice split(vol);
-  const em::InterleavedComplexLattice ilv(vol);
-  const CellSet cells = random_cells(split, 2000, 404);
+  const em::InterleavedComplexLattice lat(vol);
+  const CellSet cells = random_cells(lat, 2000, 404);
   for (const simd::Isa isa : available_tiers()) {
     const simd::KernelTable& kt = simd::kernel_table(isa);
-    if (kt.trilinear_ilv == nullptr) continue;  // SSE2 tier is split-only
+    ASSERT_NE(kt.trilinear, nullptr);
     for (std::size_t k = 0; k < cells.base.size(); ++k) {
-      const em::SplitSample ref = em::interp_trilinear_cell(
-          split, cells.base[k], cells.tz[k], cells.ty[k], cells.tx[k]);
-      const simd::CellSample got = kt.trilinear_ilv(
-          ilv.data.data(), ilv.stride_y, ilv.stride_z, cells.base[k],
-          cells.tz[k], cells.ty[k], cells.tx[k]);
-      EXPECT_LE(rel_diff(got.re, ref.re), kTol)
+      const double tz = cells.tz[k], ty = cells.ty[k], tx = cells.tx[k];
+      const simd::CellSample got = kt.trilinear(
+          lat.data.data(), lat.stride_y, lat.stride_z, cells.base[k], tz, ty,
+          tx);
+      // The volume reference reads zero past the cube where the
+      // lattice reads its zero pad.
+      const em::cdouble ref = em::interp_trilinear(
+          vol, static_cast<double>(cells.iz[k]) + tz,
+          static_cast<double>(cells.iy[k]) + ty,
+          static_cast<double>(cells.ix[k]) + tx);
+      if (tz == 0.0 && ty == 0.0 && tx == 0.0) {
+        // On a lattice point every weight is exactly 0 or 1.
+        EXPECT_EQ(got.re, ref.real()) << simd::isa_name(isa) << ", cell " << k;
+        EXPECT_EQ(got.im, ref.imag()) << simd::isa_name(isa) << ", cell " << k;
+      }
+      EXPECT_LE(rel_diff(got.re, ref.real()), kTol)
           << "tier " << simd::isa_name(isa) << ", cell " << k;
-      EXPECT_LE(rel_diff(got.im, ref.im), kTol)
+      EXPECT_LE(rel_diff(got.im, ref.imag()), kTol)
           << "tier " << simd::isa_name(isa) << ", cell " << k;
+      if (isa == simd::Isa::kSse2) {
+        // The baseline tier keeps the pre-dispatch bits.
+        const simd::CellSample want =
+            oracle_fetch(lat, cells.base[k], tz, ty, tx);
+        EXPECT_EQ(got.re, want.re) << "tier sse2, cell " << k;
+        EXPECT_EQ(got.im, want.im) << "tier sse2, cell " << k;
+      }
     }
   }
 }
@@ -262,11 +285,10 @@ TEST(SimdKernels, TrilinearInterleavedMatchesReference) {
 TEST(SimdKernels, AnnulusConsumeMatchesScalarOracle) {
   const std::size_t edge = 9;
   const em::Volume<em::cdouble> vol = random_volume(edge, 505);
-  const em::SplitComplexLattice split(vol);
-  const em::InterleavedComplexLattice ilv(vol);
+  const em::InterleavedComplexLattice lat(vol);
   // An odd count exercises every tail path (the AVX tiers unroll by 4).
   const std::size_t count = 257;
-  const CellSet cells = random_cells(split, count, 606);
+  const CellSet cells = random_cells(lat, count, 606);
 
   util::Rng rng(707);
   std::vector<double> view(2 * count);
@@ -284,8 +306,8 @@ TEST(SimdKernels, AnnulusConsumeMatchesScalarOracle) {
     // Scalar oracle: the pre-dispatch pixel-sequential accumulation.
     double expected = 0.25;  // nonzero running accumulator
     for (std::size_t k = 0; k < count; ++k) {
-      const em::SplitSample s = em::interp_trilinear_cell(
-          split, cells.base[k], cells.tz[k], cells.ty[k], cells.tx[k]);
+      const simd::CellSample s = oracle_fetch(lat, cells.base[k], cells.tz[k],
+                                              cells.ty[k], cells.tx[k]);
       double sre = s.re, sim = s.im;
       if (use_transfer) {
         sre *= transfer[k];
@@ -309,17 +331,9 @@ TEST(SimdKernels, AnnulusConsumeMatchesScalarOracle) {
 
     for (const simd::Isa isa : available_tiers()) {
       const simd::KernelTable& kt = simd::kernel_table(isa);
-      double got = 0.0;
-      if (kt.layout == simd::LatticeLayout::kSplit) {
-        ASSERT_NE(kt.annulus_split, nullptr);
-        got = kt.annulus_split(split.re.data(), split.im.data(),
-                               split.stride_y, split.stride_z,
-                               split.re.size(), blk, 0.25);
-      } else {
-        ASSERT_NE(kt.annulus_ilv, nullptr);
-        got = kt.annulus_ilv(ilv.data.data(), ilv.stride_y, ilv.stride_z,
-                             ilv.cells(), blk, 0.25);
-      }
+      ASSERT_NE(kt.annulus, nullptr);
+      const double got = kt.annulus(lat.data.data(), lat.stride_y,
+                                    lat.stride_z, lat.cells(), blk, 0.25);
       if (isa == simd::Isa::kSse2) {
         EXPECT_EQ(got, expected) << "transfer=" << use_transfer;
       } else {

@@ -6,10 +6,10 @@ rules generic tools cannot express:
 
   naked-subscript   No naked operator[] into spectrum/lattice buffers
                     (``.re[``, ``.im[``, ``data()[``) outside the
-                    accessor headers (em/grid.hpp, em/interp.hpp) and
-                    the contracts header itself.  Computed subscripts
-                    belong behind Image/Volume::operator(),
-                    SplitComplexLattice fetch helpers, or
+                    accessor header (em/grid.hpp) and the contracts
+                    header itself.  Computed subscripts belong behind
+                    Image/Volume::operator(), the por::simd kernels'
+                    POR_BOUNDS-checked lattice fetches, or
                     por::contracts::checked_span, where POR_BOUNDS can
                     see them.
 
@@ -19,8 +19,8 @@ rules generic tools cannot express:
                     skips) carry a ``por-lint: allow(float-eq)`` waiver
                     with a rationale.
 
-  reinterpret-cast  No reinterpret_cast outside em/interp.hpp,
-                    em/grid.hpp and fft/ (lattice layout internals).
+  reinterpret-cast  No reinterpret_cast outside em/grid.hpp and fft/
+                    (lattice layout internals).
                     Casts to char* / unsigned char* / std::byte* /
                     uintptr_t (stream-I/O and madvise idioms, no
                     type-punned reads) are exempt everywhere.
@@ -85,18 +85,16 @@ WORKLOAD_DIRS = ("bench", "examples", "perfbench")
 TEST_DIRS = ("tests",)
 CPP_SUFFIXES = {".cpp", ".hpp", ".h", ".cc", ".cxx"}
 
-# Files allowed to do raw subscripts into split-complex / lattice
-# storage: the accessor definitions themselves.
+# Files allowed to do raw subscripts into lattice storage: the
+# accessor definitions themselves.
 NAKED_SUBSCRIPT_ALLOWED = {
     "src/por/em/grid.hpp",
-    "src/por/em/interp.hpp",
     "src/por/util/contracts.hpp",
 }
 
 # Files allowed to use reinterpret_cast for lattice/FFT layout tricks.
 REINTERPRET_ALLOWED_FILES = {
     "src/por/em/grid.hpp",
-    "src/por/em/interp.hpp",
 }
 REINTERPRET_ALLOWED_DIRS = ("src/por/fft/",)
 
@@ -190,7 +188,7 @@ def check_file(root: Path, path: Path) -> list[Finding]:
                 report(
                     "naked-subscript",
                     "raw operator[] into a spectrum/lattice buffer; go "
-                    "through Image/Volume::operator(), the interp fetch "
+                    "through Image/Volume::operator(), the simd lattice fetch "
                     "helpers, or por::contracts::checked_span",
                 )
 
