@@ -27,13 +27,13 @@ namespace por::resilience {
 
 /// The step about to be performed when a hook fires.
 enum class SyncOp {
-  kOpen,      ///< opening a temp/segment file for writing
+  kOpen,      ///< claiming a spare / opening a temp or segment file
   kWrite,     ///< streaming payload bytes into the file
   kFlush,     ///< flushing user-space buffers into the kernel
   kFsync,     ///< fsync of the file's bytes
-  kRename,    ///< rename(temp -> final)
+  kRename,    ///< rename(temp -> final), or exchange + temp -> spare
   kDirFsync,  ///< fsync of the containing directory entry
-  kRemove,    ///< unlinking a temp or retired segment
+  kRemove,    ///< unlinking a refused spare or a retired segment
 };
 
 [[nodiscard]] const char* to_string(SyncOp op);

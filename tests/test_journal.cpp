@@ -17,6 +17,7 @@
 #include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/error.hpp"
+#include "por/resilience/sync_hooks.hpp"
 #include "por/serve/job_record.hpp"
 
 namespace {
@@ -272,6 +273,61 @@ TEST(Journal, CrashBetweenSnapshotAndUnlinkStillReplaysOnce) {
     const auto replayed = journal::Journal::replay_dir(dir.string());
     EXPECT_EQ(replayed.records.size(), 1u) << segment;
   }
+}
+
+TEST(Journal, NoSpareOutlivesItsSegment) {
+  // Healing a torn tail replaces the final segment, which keeps the
+  // replaced file as `<segment>.spare` (resilience::atomic_write_file).
+  // Compaction retires it with its segment; so does the next open's
+  // stale pass when a compaction died before its unlinks.
+  const fs::path dir = test_dir("spares");
+  const auto spares = [&] {
+    std::size_t count = 0;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".spare") ++count;
+    }
+    return count;
+  };
+  const auto tear_and_heal = [&] {
+    const fs::path segment = segment_files(dir).back();
+    fs::resize_file(segment, fs::file_size(segment) - 3);
+    journal::Journal journal(dir.string());
+    EXPECT_GT(journal.replayed().torn_bytes, 0u);
+  };
+  {
+    journal::Journal journal(dir.string());
+    journal.append(1, "kept");
+    journal.append(2, "torn-away");
+  }
+  tear_and_heal();
+  ASSERT_EQ(spares(), 1u) << "the heal kept no spare";
+  {
+    journal::Journal journal(dir.string());
+    journal.rewrite({{3, "snapshot"}});
+    journal.append(4, "torn-away");
+  }
+  EXPECT_EQ(spares(), 0u) << "compaction left a spare behind";
+
+  // Again, but the compaction dies at its first unlink.
+  tear_and_heal();
+  ASSERT_EQ(spares(), 1u);
+  {
+    journal::Journal journal(dir.string());
+    resilience::ScopedSyncHook hook(
+        [](resilience::SyncOp op, const std::string&) {
+          if (op == resilience::SyncOp::kRemove) {
+            throw resilience::transient_error("injected crash");
+          }
+        });
+    EXPECT_THROW(journal.rewrite({{5, "second-snapshot"}}), resilience::Error);
+  }
+  EXPECT_EQ(spares(), 1u);
+  {
+    journal::Journal journal(dir.string());
+    ASSERT_EQ(journal.replayed().records.size(), 1u);
+    EXPECT_EQ(journal.replayed().records[0].payload, "second-snapshot");
+  }
+  EXPECT_EQ(spares(), 0u) << "the stale pass left a spare behind";
 }
 
 // ---- job_record codec -----------------------------------------------------

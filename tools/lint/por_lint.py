@@ -57,6 +57,14 @@ rules generic tools cannot express:
                     building) and ``thread_local`` scratch vectors that
                     only grow, so a warmed call never reaches the heap.
 
+  durable-io        No ``::fsync(``, ``std::rename(`` / ``::rename(``,
+                    ``renameat2(`` or ``F_SETLEASE`` outside
+                    src/por/resilience/atomic_file.cpp: every durable
+                    write, the spare recycling and the fsync of a
+                    journal segment go through atomic_write_file and
+                    fsync_path there, so one file holds the
+                    crash-safety protocol.
+
 Waivers: append ``// por-lint: allow(<rule>) <reason>`` to the
 offending line, or place it on one of the two lines above.  A waiver
 without a reason is itself an error.
@@ -127,6 +135,11 @@ THREAD_SPAWN_RE = re.compile(
     r"|(?:\bstd::async\s*\()"
 )
 THREAD_SPAWN_ALLOWED_DIRS = ("src/por/serve/", "src/por/vmpi/")
+# Durable-I/O syscalls: only the atomic-write module makes them.
+DURABLE_IO_RE = re.compile(
+    r"::fsync\s*\(|(?:\bstd)?::rename\s*\(|\brenameat2\s*\(|\bF_SETLEASE\b"
+)
+DURABLE_IO_ALLOWED = {"src/por/resilience/atomic_file.cpp"}
 CONTRACT_MACRO_RE = re.compile(
     r"\b(POR_EXPECT|POR_ENSURE|POR_BOUNDS|POR_FINITE)\s*\("
 )
@@ -230,6 +243,16 @@ def check_file(root: Path, path: Path) -> list[Finding]:
                     "thread spawned outside serve/ and vmpi/; run the work "
                     "on the caller's serve::Scheduler, or waive with the "
                     "reason this one needs its own thread",
+                )
+
+        # Rule: durable-io ------------------------------------------------
+        if rel not in DURABLE_IO_ALLOWED and not is_test_path(rel):
+            if DURABLE_IO_RE.search(code):
+                report(
+                    "durable-io",
+                    "fsync/rename/lease syscall outside the atomic-write "
+                    "module; write through resilience::atomic_write_file "
+                    "or fsync_path",
                 )
 
         # Rule: reinterpret-cast ------------------------------------------
