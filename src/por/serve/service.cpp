@@ -5,6 +5,7 @@
 
 #include "por/obs/registry.hpp"
 #include "por/obs/span.hpp"
+#include "por/resilience/atomic_file.hpp"
 #include "por/resilience/error.hpp"
 #include "por/util/contracts.hpp"
 #include "por/util/log.hpp"
@@ -652,6 +653,11 @@ void RefineService::finalize(const std::shared_ptr<Job>& job, Batch& batch) {
   }
   cv_job_.notify_all();
   cv_dispatch_.notify_all();
+  // The job's checkpoint is final — recovery only reads it — so the
+  // spare its rewrites kept (resilience::atomic_write_file) would only
+  // hold disk.  Dropped after the waiters wake: freeing blocks can stall
+  // on a filesystem that discards them, and no answer depends on it.
+  if (job->checkpoint) resilience::remove_spare(job->checkpoint->path());
 }
 
 JobStatus RefineService::status_locked(const Job& job) const {

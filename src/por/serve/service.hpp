@@ -30,13 +30,15 @@
 // journal and fsync'd BEFORE submit() returns — the ack the client
 // holds us to — and every lifecycle transition follows it.  Per-view
 // progress is checkpointed to <journal_dir>/job-<id>.porc (PR 5 PORC
-// format).  After a crash, construct the service on the same
-// journal_dir, register the models, then call recover(): incomplete
-// jobs are re-admitted (already-checkpointed views restored, the rest
-// refined), terminal jobs are rematerialized with their results, and
-// duplicate submissions are absorbed by idempotency key.  Per-view
-// determinism makes a recovered job's orientations bitwise-identical
-// to an uninterrupted run.
+// format); it stays for recovery, while the spare its rewrites keep
+// (resilience::atomic_write_file) is dropped when the job ends, so a
+// finished job holds one file.  After a crash, construct the service
+// on the same journal_dir, register the models, then call recover():
+// incomplete jobs are re-admitted (already-checkpointed views
+// restored, the rest refined), terminal jobs are rematerialized with
+// their results, and duplicate submissions are absorbed by idempotency
+// key.  Per-view determinism makes a recovered job's orientations
+// bitwise-identical to an uninterrupted run.
 //
 // Determinism: per-view refinement is deterministic and the Scheduler
 // executes every view of a job exactly once, so a job's refined

@@ -8,6 +8,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -709,6 +710,47 @@ TEST(RefineServiceJournal, TerminalJobsSurviveRestartBitwise) {
   EXPECT_TRUE(deduped.deduplicated);
   EXPECT_EQ(deduped.job, id);
   service.shutdown();
+}
+
+TEST(RefineServiceJournal, FinishedJobHoldsOnlyItsCheckpoint) {
+  // Three views flushed one at a time rewrite the checkpoint three
+  // times, so it has a spare while the job runs; once the job ends the
+  // spare goes and the checkpoint alone stays, for recovery.
+  const std::size_t l = 20;
+  const em::BlobModel model = small_phantom(l, 12);
+  const auto set = make_views(model, l, 3, /*seed=*/67);
+  const fs::path dir = serve_test_dir("finished_footprint");
+
+  ServiceOptions options;
+  options.workers = 2;
+  options.journal_dir = dir.string();
+  options.checkpoint_flush_every = 1;
+  RefineService service(options);
+  service.register_model("phantom", model.rasterize(l), serve_test_config());
+  std::vector<std::uint64_t> ids;
+  for (int k = 0; k < 2; ++k) {
+    const SubmitResult submitted =
+        service.submit(make_job("t", "phantom", set, 0, 3));
+    ASSERT_TRUE(submitted.accepted());
+    ids.push_back(submitted.job);
+  }
+  for (const std::uint64_t id : ids) {
+    ASSERT_EQ(service.wait(id).state, JobState::kDone);
+  }
+  service.shutdown();  // joins the workers, so every finalize has run
+
+  std::vector<std::string> job_files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind("job-", 0) == 0) job_files.push_back(name);
+  }
+  std::sort(job_files.begin(), job_files.end());
+  std::vector<std::string> expected;
+  for (const std::uint64_t id : ids) {
+    expected.push_back("job-" + std::to_string(id) + ".porc");
+  }
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(job_files, expected);
 }
 
 TEST(RefineServiceJournal, IncompleteJobIsReadmittedAndRestoredViewsSkipped) {
