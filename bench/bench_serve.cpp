@@ -198,14 +198,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  const auto steals = service.scheduler().steals();
   std::printf("  %zu jobs in %.2f s  (%.1f jobs/s)  p50 %.3f ms  p99 %.3f ms\n",
               jobs, seconds, jobs_per_sec, p50 * 1e3, p99 * 1e3);
   std::printf("  admission: %llu queue-full, %llu quota rejections  "
-              "steals: %llu  mismatches: %zu\n",
+              "mismatches: %zu\n",
               static_cast<unsigned long long>(rejected_queue_full),
-              static_cast<unsigned long long>(rejected_quota),
-              static_cast<unsigned long long>(steals), mismatches);
+              static_cast<unsigned long long>(rejected_quota), mismatches);
 
   std::string json = "{\n";
   json += "  \"jobs\": " + std::to_string(jobs) + ",\n";
@@ -221,7 +219,6 @@ int main(int argc, char** argv) {
   json += "  \"rejected_queue_full\": " + std::to_string(rejected_queue_full) +
           ",\n";
   json += "  \"rejected_quota\": " + std::to_string(rejected_quota) + ",\n";
-  json += "  \"steals\": " + std::to_string(steals) + ",\n";
   json += "  \"bitwise_mismatches\": " + std::to_string(mismatches) + "\n";
   json += "}\n";
   obs::write_text_file(out, json);

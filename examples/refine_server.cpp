@@ -268,8 +268,7 @@ int main(int argc, char** argv) {
                 obs::histogram_quantile(histogram->second, 0.99) * 1e3,
                 static_cast<unsigned long long>(histogram->second.count));
   }
-  std::printf("scheduler: %llu steals, %llu requeued tasks\n",
-              static_cast<unsigned long long>(service.scheduler().steals()),
+  std::printf("scheduler: %llu requeued tasks\n",
               static_cast<unsigned long long>(
                   service.scheduler().requeued_tasks()));
   const auto counter = [&snapshot](const char* name) {

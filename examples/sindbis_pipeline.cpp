@@ -163,7 +163,7 @@ int main(int argc, char** argv) {
   refiner_config.ctf = ctf;
   refiner_config.ctf_correction = em::CtfCorrection::kWiener;
   refiner_config.wiener_snr = wiener_snr;
-  // Per-rank work-stealing batch refinement (DESIGN.md §11): N > 1
+  // Per-rank pooled batch refinement (DESIGN.md §11): N > 1
   // puts each rank's view batches on the por::serve scheduler,
   // bitwise-identical to the serial default.
   refiner_config.refine_workers = refine_workers;

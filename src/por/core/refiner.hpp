@@ -93,7 +93,7 @@ struct RefinerConfig {
   /// Shared-memory workers per rank for the per-view loop
   /// (OrientationRefiner::refine_each): 1 = views one at a time inline
   /// (the historical behavior), N > 1 = groups of N on the por::serve
-  /// work-stealing scheduler, 0 = hardware_concurrency; negative values
+  /// Scheduler's worker pool, 0 = hardware_concurrency; negative values
   /// are rejected by the OrientationRefiner constructor.  Per-view
   /// refinement is deterministic and views are independent, so results
   /// are bitwise-identical at any worker count.

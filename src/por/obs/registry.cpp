@@ -57,7 +57,13 @@ double quantile_impl(const std::vector<double>& bounds, std::size_t n_buckets,
 // ---- Histogram -------------------------------------------------------------
 
 Histogram::Histogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), cells_(bounds_.size() + 1) {
+    : bounds_(std::move(upper_bounds)),
+      buckets_(std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() +
+                                                               1)) {
+  for (std::size_t i = 0; i <= bounds_.size(); ++i) {
+    // por-atomic: init — pre-publication, not shared yet
+    buckets_[i].store(0, std::memory_order_relaxed);
+  }
   if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
     throw std::invalid_argument("Histogram: bounds must be sorted ascending");
   }

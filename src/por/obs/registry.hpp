@@ -24,8 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "por/obs/cells.hpp"
-
 namespace por::obs {
 
 // Memory-order policy (TSan audit, PR 3): every instrument cell below
@@ -45,41 +43,77 @@ namespace por::obs {
 //    atomic; relaxed failure order is fine because the loop re-reads.
 //
 // Anything that IS publication — registration maps, per-thread trace
-// buffers (trace_detail.hpp), the scheduler's slot table — stays
-// behind a mutex.  If you add an instrument whose readers act on the
-// value (e.g. a back-pressure threshold), do NOT copy this pattern;
-// give it acquire/release semantics instead.
-//
-// The relaxed cells themselves live in por/obs/cells.hpp, templated on
-// the atomic type so the por::mc model checker can explore the exact
-// protocol these instruments run (DESIGN.md §13).  The classes here
-// are the std::atomic instantiations plus the non-racing logic
-// (histogram bucket selection, span names).
+// buffers (trace_detail.hpp), the scheduler's queue — stays behind a
+// mutex.  If you add an instrument whose readers act on the value
+// (e.g. a back-pressure threshold), do NOT copy this pattern; give it
+// acquire/release semantics instead.  Every relaxed site below is
+// annotated `stat` (tools/lint/atomics_policies.json), and the
+// concurrent tests in test_obs.cpp (labelled tsan) check the exact
+// totals after a join.
+
+namespace detail {
+
+/// fetch_add for an atomic<double> via CAS (portable pre-C++20-TS
+/// toolchains; the loop is contention-free in practice).  Relaxed
+/// failure order is fine: the loop re-reads.
+inline void atomic_add(std::atomic<double>& cell, double delta) {
+  // por-atomic: stat — an independent sum; the CAS re-reads on failure
+  double cur = cell.load(std::memory_order_relaxed);
+  // por-atomic: stat — an independent sum; the CAS re-reads on failure
+  while (!cell.compare_exchange_weak(cur, cur + delta,
+                                     std::memory_order_relaxed)) {
+  }
+}
+
+template <typename T>
+inline void atomic_max(std::atomic<T>& cell, T value) {
+  // por-atomic: stat — an independent maximum; the CAS re-reads
+  T cur = cell.load(std::memory_order_relaxed);
+  // por-atomic: stat — an independent maximum; the CAS re-reads
+  while (cur < value &&
+         !cell.compare_exchange_weak(cur, value, std::memory_order_relaxed)) {
+  }
+}
+
+}  // namespace detail
 
 /// Monotonically increasing event count (messages sent, matchings
-/// performed, FFT transforms executed, ...).
+/// performed, FFT transforms executed, ...).  add() is one relaxed
+/// fetch_add.
 class Counter {
  public:
-  void add(std::uint64_t delta = 1) { cell_.add(delta); }
-  [[nodiscard]] std::uint64_t value() const { return cell_.value(); }
-  void reset() { cell_.reset(); }
+  void add(std::uint64_t delta = 1) {
+    // por-atomic: stat — an independent event count
+    value_.fetch_add(delta, std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t value() const {
+    // por-atomic: stat — snapshot read of an independent count
+    return value_.load(std::memory_order_relaxed);
+  }
+  // por-atomic: stat — an independent event count
+  void reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
-  BasicCounterCell<std::atomic> cell_;
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-value instrument (queue depth, FSC crossing radius, ...).
 class Gauge {
  public:
-  void set(double value) { cell_.set(value); }
+  // por-atomic: stat — an independent last value
+  void set(double value) { value_.store(value, std::memory_order_relaxed); }
   /// Keep the maximum of the current and the offered value.
-  void record_max(double value) { cell_.record_max(value); }
-  void add(double delta) { cell_.add(delta); }
-  [[nodiscard]] double value() const { return cell_.value(); }
-  void reset() { cell_.reset(); }
+  void record_max(double value) { detail::atomic_max(value_, value); }
+  void add(double delta) { detail::atomic_add(value_, delta); }
+  [[nodiscard]] double value() const {
+    // por-atomic: stat — snapshot read of an independent value
+    return value_.load(std::memory_order_relaxed);
+  }
+  // por-atomic: stat — an independent last value
+  void reset() { value_.store(0.0, std::memory_order_relaxed); }
 
  private:
-  BasicGaugeCell<std::atomic> cell_;
+  std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram: `bounds` are inclusive upper bounds of the
@@ -102,7 +136,11 @@ class Histogram {
                                         int buckets_per_decade);
 
   void observe(double value) {
-    cells_.observe_bucket(bucket_index(value), value);
+    // por-atomic: stat — independent bucket, count and sum aggregates
+    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
+    // por-atomic: stat — independent bucket, count and sum aggregates
+    count_.fetch_add(1, std::memory_order_relaxed);
+    detail::atomic_add(sum_, value);
   }
 
   /// Interpolated quantile estimate (q in [0, 1]) from the bucket
@@ -115,16 +153,25 @@ class Histogram {
   [[nodiscard]] const std::vector<double>& bounds() const { return bounds_; }
   /// Count in bucket i (i == bounds().size() is the overflow bucket).
   [[nodiscard]] std::uint64_t bucket(std::size_t i) const {
-    return cells_.bucket(i);
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return buckets_[i].load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t count() const { return cells_.count(); }
-  [[nodiscard]] double sum() const { return cells_.sum(); }
+  [[nodiscard]] std::uint64_t count() const {
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return count_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] double sum() const {
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return sum_.load(std::memory_order_relaxed);
+  }
 
  private:
   [[nodiscard]] std::size_t bucket_index(double value) const;
 
   std::vector<double> bounds_;
-  BasicHistogramCells<std::atomic> cells_;
+  std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<double> sum_{0.0};
   // O(1) index for geometric ladders: i ≈ ceil(log(v / b0) / log(r)),
   // nudged by at most one step to absorb floating-point error at the
   // boundaries.  Zero/false for irregular ladders (linear scan).
@@ -140,19 +187,36 @@ class SpanSeries {
  public:
   explicit SpanSeries(std::string name) : name_(std::move(name)) {}
 
-  void record(std::uint64_t duration_ns) { cell_.record(duration_ns); }
+  void record(std::uint64_t duration_ns) {
+    // por-atomic: stat — independent count and total aggregates
+    count_.fetch_add(1, std::memory_order_relaxed);
+    // por-atomic: stat — independent count and total aggregates
+    total_ns_.fetch_add(duration_ns, std::memory_order_relaxed);
+    detail::atomic_max(max_ns_, duration_ns);
+  }
 
   [[nodiscard]] const std::string& name() const { return name_; }
-  [[nodiscard]] std::uint64_t count() const { return cell_.count(); }
-  [[nodiscard]] std::uint64_t total_ns() const { return cell_.total_ns(); }
-  [[nodiscard]] std::uint64_t max_ns() const { return cell_.max_ns(); }
+  [[nodiscard]] std::uint64_t count() const {
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return count_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t total_ns() const {
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return total_ns_.load(std::memory_order_relaxed);
+  }
+  [[nodiscard]] std::uint64_t max_ns() const {
+    // por-atomic: stat — snapshot read of an independent aggregate
+    return max_ns_.load(std::memory_order_relaxed);
+  }
   [[nodiscard]] double total_seconds() const {
     return static_cast<double>(total_ns()) * 1e-9;
   }
 
  private:
   std::string name_;
-  BasicSpanCell<std::atomic> cell_;
+  std::atomic<std::uint64_t> count_{0};
+  std::atomic<std::uint64_t> total_ns_{0};
+  std::atomic<std::uint64_t> max_ns_{0};
 };
 
 /// One completed trace span: raw record with nesting information.

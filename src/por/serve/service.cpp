@@ -75,7 +75,6 @@ RefineService::RefineService(ServiceOptions options)
   latency_ = &registry.log_histogram("serve.job_latency_seconds", 1e-4, 1e3, 5);
 
   POR_EXPECT(options_.queue_capacity > 0, "serve: queue_capacity must be > 0");
-  queue_ = std::make_unique<JobChannel<std::uint64_t>>(options_.queue_capacity);
 
   if (!options_.journal_dir.empty()) {
     journal::JournalOptions journal_options;
@@ -299,26 +298,17 @@ std::size_t RefineService::recover() {
       }
       job->refiner = model->second;
 
-      const bool pushed = queue_->try_push(id);
-      if (!pushed) {
-        // More incomplete jobs than queue capacity: fail the overflow
-        // loudly instead of wedging recovery (sized deployments never
-        // hit this — capacity bounds admitted-not-finished jobs).
-        job->state = JobState::kFailed;
-        job->error = "recovery backlog exceeds queue capacity";
-        job->end_ns = job->submit_ns;
-        failed_->add();
-        jobs_[id] = job;
-        continue;
-      }
+      // Every incomplete job was acknowledged durably, so every one is
+      // re-admitted: queue_capacity bounds new submits only, and a
+      // crash can leave up to queue_capacity + max_running incomplete.
+      queue_.push_back(id);
       job->state = JobState::kQueued;
       jobs_[id] = job;
-      ++queued_;
       ++readmitted;
       replayed_jobs_->add();
     }
     recovery_plan_.clear();
-    queue_depth_->set(static_cast<double>(queued_));
+    queue_depth_->set(static_cast<double>(queue_.size()));
 
     // Compact: one snapshot segment holding the submission of every
     // live job and the terminal record of every finished one, so the
@@ -406,9 +396,7 @@ SubmitResult RefineService::submit(JobRequest request) {
     // service-wide condition, so it must not also debit the tenant's
     // tokens (a client retrying through a full queue would otherwise
     // get double-punished with kQuotaExhausted once the queue opens).
-    // `queued_` is the exact admitted-not-dispatched count (the channel
-    // itself rounds capacity up to a power of two).
-    if (queued_ >= options_.queue_capacity) {
+    if (queue_.size() >= options_.queue_capacity) {
       return reject(Admission::kQueueFull);
     }
     if (!tenant.bucket.try_acquire(now_ns())) {
@@ -455,11 +443,8 @@ SubmitResult RefineService::submit(JobRequest request) {
       idempotency_[job->idempotency_key] = job->id;
     }
 
-    const bool pushed = queue_->try_push(job->id);
-    POR_ENSURE(pushed, "serve: admission accounting allowed an overfull queue",
-               "queued =", queued_, "capacity =", options_.queue_capacity);
-    ++queued_;
-    queue_depth_->set(static_cast<double>(queued_));
+    queue_.push_back(job->id);
+    queue_depth_->set(static_cast<double>(queue_.size()));
     tenant.accepted->add();
   }
   accepted_->add();
@@ -471,16 +456,13 @@ void RefineService::dispatcher_loop() {
   std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
     cv_dispatch_.wait(lock, [this] {
-      return stop_ || (queued_ > 0 && running_ < max_running_);
+      return stop_ || (!queue_.empty() && running_ < max_running_);
     });
     if (stop_) return;
 
-    std::uint64_t id = 0;
-    const bool popped = queue_->try_pop(id);
-    POR_ENSURE(popped, "serve: queued_ says backlog but channel is empty",
-               "queued =", queued_);
-    --queued_;
-    queue_depth_->set(static_cast<double>(queued_));
+    const std::uint64_t id = queue_.front();
+    queue_.pop_front();
+    queue_depth_->set(static_cast<double>(queue_.size()));
 
     auto it = jobs_.find(id);
     POR_EXPECT(it != jobs_.end(), "serve: queued job id unknown", "id =", id);
@@ -716,7 +698,7 @@ bool RefineService::cancel(std::uint64_t job) {
     Job& entry = *it->second;
     switch (entry.state) {
       case JobState::kQueued: {
-        // The id stays in the channel; the dispatcher pops and skips
+        // The id stays in the queue; the dispatcher pops and skips
         // it.  This transition and the dispatcher's kQueued->kRunning
         // one are serialized by mutex_, so a cancel racing the
         // dequeue lands in exactly one of the two paths.
@@ -755,7 +737,7 @@ bool RefineService::cancel(std::uint64_t job) {
 void RefineService::drain() {
   std::unique_lock<std::mutex> lock(mutex_);
   draining_ = true;
-  cv_job_.wait(lock, [this] { return queued_ == 0 && running_ == 0; });
+  cv_job_.wait(lock, [this] { return queue_.empty() && running_ == 0; });
 }
 
 void RefineService::shutdown() {

@@ -6,14 +6,15 @@
 // then submit refinement jobs (a shard of views + initial orientations
 // against a named model); the service admits or rejects each job at
 // the front door, queues admitted jobs, and executes them on the
-// work-stealing Scheduler with many jobs in flight at once.
+// Scheduler's worker pool with many jobs in flight at once.
 //
 // Admission control is two-layered and O(1) per submit:
 //   * per-tenant token buckets (rate + burst) — a noisy tenant is
 //     rejected with kQuotaExhausted while the others keep flowing;
 //   * a bounded job queue — when the backlog hits queue_capacity the
 //     service sheds load with kQueueFull instead of growing an
-//     unbounded queue and blowing its latency promise.
+//     unbounded queue and blowing its latency promise.  The bound is
+//     on admission only: recover() re-admits every incomplete job.
 //
 // Job lifecycle: kQueued -> kRunning -> {kDone, kFailed, kCancelled,
 // kTimedOut}.  A queued job cancels immediately; a running job is
@@ -54,6 +55,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -111,6 +113,7 @@ struct ServiceOptions {
   /// Scheduler worker threads (0 → hardware_concurrency).
   std::size_t workers = 0;
   /// Bounded admission queue: jobs admitted but not yet dispatched.
+  /// Bounds new submits only; recover() re-admits every incomplete job.
   std::size_t queue_capacity = 64;
   /// Jobs running on the scheduler at once (0 → 2 x workers).  The cap
   /// keeps per-job latency bounded instead of thrashing every job at
@@ -307,13 +310,14 @@ class RefineService {
       models_;
   std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;
   std::uint64_t next_job_id_ = 1;
-  std::size_t queued_ = 0;
+  /// Admitted, not yet dispatched job ids (cancelled ones included
+  /// until the dispatcher skips them).
+  std::deque<std::uint64_t> queue_;
   std::size_t running_ = 0;
   bool draining_ = false;
   bool stop_ = false;
   bool stopped_ = false;
 
-  std::unique_ptr<JobChannel<std::uint64_t>> queue_;
   std::unique_ptr<Scheduler> scheduler_;
 
   /// Write-ahead journal (null when options_.journal_dir is empty) and

@@ -70,6 +70,33 @@ TEST(Registry, ConcurrentGaugeMaxIsTheGlobalMax) {
   EXPECT_DOUBLE_EQ(gauge.value(), 54999.0);
 }
 
+TEST(Registry, ConcurrentHistogramTotalsAreExact) {
+  // Every thread cycles through one value per bucket.  The values are
+  // small integers, so the double sum is exact in any order: after the
+  // join, buckets, count and sum must equal the serial totals exactly.
+  obs::MetricsRegistry registry;
+  obs::Histogram& h = registry.histogram("lat", {1.0, 10.0, 100.0});
+  constexpr int kThreads = 6;
+  constexpr int kRounds = 5000;
+  static constexpr double kValues[] = {1.0, 5.0, 50.0, 500.0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&h] {
+      for (int i = 0; i < kRounds; ++i) {
+        for (const double v : kValues) h.observe(v);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  const std::uint64_t per_bucket =
+      static_cast<std::uint64_t>(kThreads) * kRounds;
+  for (std::size_t b = 0; b < 4; ++b) {
+    EXPECT_EQ(h.bucket(b), per_bucket) << "bucket " << b;
+  }
+  EXPECT_EQ(h.count(), 4 * per_bucket);
+  EXPECT_EQ(h.sum(), 556.0 * static_cast<double>(per_bucket));
+}
+
 TEST(Registry, HistogramBucketing) {
   obs::MetricsRegistry registry;
   obs::Histogram& h = registry.histogram("lat", {1.0, 10.0, 100.0});

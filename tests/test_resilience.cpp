@@ -1104,8 +1104,8 @@ void expect_identical_statistics(const std::vector<ViewResult>& a,
   }
 }
 
-// refine_workers != 1 runs each rank's share on a work-stealing
-// scheduler in groups of refine_workers views, the master's own block
+// refine_workers != 1 runs each rank's share on the Scheduler's worker
+// pool in groups of refine_workers views, the master's own block
 // and each worker rank's assignments alike.  Neither may change a bit
 // of the per-view results or statistics.  l = 18 keeps the padded edge (36)
 // divisible by 3 ranks.

@@ -1,6 +1,5 @@
-// por::serve test suite: the lock-free primitives (Chase-Lev deque,
-// MPMC job channel, token bucket), the work-stealing Scheduler and its
-// determinism / fault-recovery contracts, and the multi-tenant
+// por::serve test suite: the token bucket, the Scheduler worker pool
+// and its determinism / fault-recovery contracts, and the multi-tenant
 // RefineService admission + lifecycle model.  The concurrency-heavy
 // cases carry the `tsan` ctest label and are exercised under
 // ThreadSanitizer in CI.
@@ -24,11 +23,9 @@
 #include "por/journal/journal.hpp"
 #include "por/obs/registry.hpp"
 #include "por/resilience/checkpoint.hpp"
-#include "por/serve/job_channel.hpp"
 #include "por/serve/job_record.hpp"
 #include "por/serve/scheduler.hpp"
 #include "por/serve/service.hpp"
-#include "por/serve/steal_deque.hpp"
 #include "por/serve/token_bucket.hpp"
 #include "test_helpers.hpp"
 
@@ -40,140 +37,6 @@ using namespace por;
 using namespace por::serve;
 using por::test::make_views;
 using por::test::small_phantom;
-
-// ---- StealDeque ------------------------------------------------------------
-
-TEST(StealDeque, OwnerIsLifoThievesAreFifo) {
-  StealDeque<std::uint64_t> deque(8);
-  for (std::uint64_t v = 1; v <= 3; ++v) ASSERT_TRUE(deque.push(v));
-
-  std::uint64_t out = 0;
-  ASSERT_TRUE(deque.steal(out));
-  EXPECT_EQ(out, 1u);  // thief takes the oldest
-  ASSERT_TRUE(deque.pop(out));
-  EXPECT_EQ(out, 3u);  // owner takes the newest
-  ASSERT_TRUE(deque.pop(out));
-  EXPECT_EQ(out, 2u);
-  EXPECT_FALSE(deque.pop(out));
-  EXPECT_FALSE(deque.steal(out));
-}
-
-TEST(StealDeque, RejectsPushWhenFull) {
-  StealDeque<std::uint64_t> deque(4);  // capacity rounds to a power of two
-  std::size_t pushed = 0;
-  while (deque.push(pushed + 1)) ++pushed;
-  EXPECT_EQ(pushed, 4u);
-  std::uint64_t out = 0;
-  ASSERT_TRUE(deque.pop(out));
-  EXPECT_TRUE(deque.push(99));  // space again after a pop
-}
-
-// Steal/take interleaving fuzz: one owner pushes and pops while
-// thieves steal concurrently; every pushed value must be consumed
-// exactly once, across any interleaving TSan can provoke.
-TEST(StealDeque, ConcurrentStealTakeExactlyOnce) {
-  constexpr std::uint64_t kItems = 20000;
-  constexpr int kThieves = 3;
-  StealDeque<std::uint64_t> deque(256);
-  std::vector<std::atomic<std::uint8_t>> seen(kItems);
-  for (auto& flag : seen) flag.store(0);
-  std::atomic<std::uint64_t> consumed{0};
-  std::atomic<bool> done{false};
-
-  const auto consume = [&](std::uint64_t value) {
-    EXPECT_EQ(seen[value].exchange(1), 0) << "value consumed twice: " << value;
-    consumed.fetch_add(1);
-  };
-
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      std::uint64_t value = 0;
-      while (!done.load(std::memory_order_acquire)) {
-        if (deque.steal(value)) consume(value);
-      }
-      while (deque.steal(value)) consume(value);
-    });
-  }
-
-  std::uint64_t next = 0;
-  std::uint64_t value = 0;
-  while (next < kItems) {
-    if (deque.push(next)) {
-      ++next;
-    } else if (deque.pop(value)) {
-      // Deque full: act like a scheduler worker and run one ourselves.
-      consume(value);
-    }
-    if ((next & 0x3FF) == 0 && deque.pop(value)) consume(value);
-  }
-  while (deque.pop(value)) consume(value);
-  done.store(true, std::memory_order_release);
-  for (auto& thief : thieves) thief.join();
-
-  EXPECT_EQ(consumed.load(), kItems);
-  for (std::uint64_t i = 0; i < kItems; ++i) {
-    EXPECT_EQ(seen[i].load(), 1) << "value never consumed: " << i;
-  }
-}
-
-// ---- JobChannel ------------------------------------------------------------
-
-TEST(JobChannel, BoundedFifoSingleThread) {
-  JobChannel<std::uint64_t> channel(4);
-  std::uint64_t out = 0;
-  EXPECT_FALSE(channel.try_pop(out));
-  for (std::uint64_t v = 1; v <= 4; ++v) ASSERT_TRUE(channel.try_push(v));
-  EXPECT_FALSE(channel.try_push(5));  // full
-  for (std::uint64_t v = 1; v <= 4; ++v) {
-    ASSERT_TRUE(channel.try_pop(out));
-    EXPECT_EQ(out, v);
-  }
-  EXPECT_FALSE(channel.try_pop(out));
-}
-
-TEST(JobChannel, MpmcExactlyOnce) {
-  constexpr std::uint64_t kPerProducer = 8000;
-  constexpr int kProducers = 2, kConsumers = 2;
-  JobChannel<std::uint64_t> channel(128);
-  std::vector<std::atomic<std::uint8_t>> seen(kPerProducer * kProducers);
-  for (auto& flag : seen) flag.store(0);
-  std::atomic<std::uint64_t> consumed{0};
-  std::atomic<bool> producers_done{false};
-
-  std::vector<std::thread> threads;
-  for (int p = 0; p < kProducers; ++p) {
-    threads.emplace_back([&, p] {
-      for (std::uint64_t i = 0; i < kPerProducer; ++i) {
-        const std::uint64_t value = p * kPerProducer + i;
-        while (!channel.try_push(value)) std::this_thread::yield();
-      }
-    });
-  }
-  for (int c = 0; c < kConsumers; ++c) {
-    threads.emplace_back([&] {
-      std::uint64_t value = 0;
-      for (;;) {
-        if (channel.try_pop(value)) {
-          EXPECT_EQ(seen[value].exchange(1), 0);
-          consumed.fetch_add(1);
-        } else if (producers_done.load(std::memory_order_acquire)) {
-          if (!channel.try_pop(value)) break;  // final post-flag drain
-          EXPECT_EQ(seen[value].exchange(1), 0);
-          consumed.fetch_add(1);
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int p = 0; p < kProducers; ++p) threads[p].join();
-  producers_done.store(true, std::memory_order_release);
-  for (int c = 0; c < kConsumers; ++c) threads[kProducers + c].join();
-
-  EXPECT_EQ(consumed.load(), kPerProducer * kProducers);
-}
 
 // ---- TokenBucket -----------------------------------------------------------
 
@@ -203,7 +66,6 @@ TEST(Scheduler, RunsEveryIndexExactlyOnce) {
   constexpr std::size_t kTasks = 10000;
   SchedulerOptions options;
   options.workers = 4;
-  options.deque_capacity = 32;  // force overflow + injector traffic
   Scheduler scheduler(options);
   std::vector<std::atomic<std::uint32_t>> hits(kTasks);
   for (auto& h : hits) h.store(0);
@@ -287,9 +149,9 @@ TEST(Scheduler, IdleWorkersBlockInsteadOfSpinning) {
       << "idle scheduler burned CPU: workers are spinning, not blocking";
 }
 
-// The tentpole determinism criterion: refinement results from the
-// work-stealing scheduler are bitwise-identical to the serial loop at
-// any worker count.
+// The determinism criterion: refinement results from the pooled
+// scheduler are bitwise-identical to the serial loop at any worker
+// count.
 void expect_bitwise_equal(const core::ViewResult& a, const core::ViewResult& b,
                           std::size_t index) {
   EXPECT_EQ(a.orientation.theta, b.orientation.theta) << "view " << index;
@@ -344,7 +206,6 @@ TEST(Scheduler, WorkerDeathRequeuesInFlightWork) {
   constexpr std::size_t kTasks = 4000;
   SchedulerOptions options;
   options.workers = 4;
-  options.deque_capacity = 16;
   // Workers 0 and 1 die on their first task attempt; their chunks are
   // requeued and the batch completes on the survivors.
   options.fault_plan.kill_rank_at_step(0, 0);
@@ -406,6 +267,45 @@ TEST(Scheduler, DeterminismSurvivesWorkerDeath) {
   });
   for (std::size_t i = 0; i < serial.size(); ++i) {
     expect_bitwise_equal(results[i], serial[i], i);
+  }
+}
+
+// Two contracts at once: submit() may be called from task bodies and
+// completion callbacks, and abandoned batches still complete.  Every
+// handle is dropped on the spot, so only the destructor's wait keeps
+// the last generation of work from being cut off.
+TEST(Scheduler, SubmitFromTaskBodyAndCallbackCompletes) {
+  constexpr std::size_t kOuter = 8, kInner = 16, kTail = 32;
+  std::vector<std::atomic<std::uint32_t>> outer(kOuter);
+  std::vector<std::atomic<std::uint32_t>> inner(kOuter * kInner);
+  std::vector<std::atomic<std::uint32_t>> tail(kTail);
+  {
+    SchedulerOptions options;
+    options.workers = 3;
+    Scheduler scheduler(options);
+    scheduler.submit(
+        kOuter,
+        [&](std::size_t i) {
+          outer[i].fetch_add(1);
+          scheduler.submit(kInner, [&, i](std::size_t j) {
+            inner[i * kInner + j].fetch_add(1);
+          });
+        },
+        [&](Batch&) {
+          scheduler.submit(kTail, [&](std::size_t k) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            tail[k].fetch_add(1);
+          });
+        });
+  }
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    ASSERT_EQ(outer[i].load(), 1u) << "outer " << i;
+  }
+  for (std::size_t i = 0; i < inner.size(); ++i) {
+    ASSERT_EQ(inner[i].load(), 1u) << "inner " << i;
+  }
+  for (std::size_t k = 0; k < kTail; ++k) {
+    ASSERT_EQ(tail[k].load(), 1u) << "tail " << k;
   }
 }
 
@@ -825,6 +725,43 @@ TEST(RefineServiceJournal, IncompleteJobIsReadmittedAndRestoredViewsSkipped) {
   const SubmitResult deduped = service.submit(std::move(retry));
   EXPECT_TRUE(deduped.deduplicated);
   EXPECT_EQ(deduped.job, id);
+  service.shutdown();
+}
+
+// A crash can leave more incomplete jobs than queue_capacity: running
+// jobs are incomplete too.  Every one was acknowledged durably, so
+// recovery must re-admit all of them, not fail the overflow.
+TEST(RefineServiceJournal, RecoveryReadmitsEveryIncompleteJob) {
+  const std::size_t l = 20;
+  const em::BlobModel model = small_phantom(l, 12);
+  const auto set = make_views(model, l, 3, /*seed=*/73);
+  const fs::path dir = serve_test_dir("readmit_all");
+  {
+    journal::Journal journal(dir.string());
+    for (std::uint64_t id = 1; id <= 3; ++id) {
+      SubmittedJob submitted;
+      submitted.job = id;
+      submitted.tenant = "t";
+      submitted.model = "phantom";
+      submitted.views = {set.views[id - 1]};
+      submitted.initial = {set.orientations[id - 1]};
+      journal.append(static_cast<std::uint32_t>(JobRecordType::kSubmitted),
+                     encode_submitted(submitted));
+    }
+  }
+
+  ServiceOptions options;
+  options.workers = 2;
+  options.queue_capacity = 2;
+  options.journal_dir = dir.string();
+  RefineService service(options);
+  service.register_model("phantom", model.rasterize(l), serve_test_config());
+  EXPECT_EQ(service.recover(), 3u);
+  for (std::uint64_t id = 1; id <= 3; ++id) {
+    const JobStatus status = service.wait(id);
+    EXPECT_EQ(status.state, JobState::kDone) << "job " << id << ": "
+                                             << status.error;
+  }
   service.shutdown();
 }
 

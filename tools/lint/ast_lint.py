@@ -11,8 +11,8 @@ properties over the translation units listed in compile_commands.json:
                       statement, or a file-scope `// por-atomic-file:
                       <policy>`), and the policy exists in
                       tools/lint/atomics_policies.json.  Policies
-                      marked tests_only (mutant, litmus) are illegal
-                      under src/.
+                      marked tests_only (none is registered today)
+                      are illegal under src/.
 
   atomics-downgrade   The annotated policy must COVER the operation at
                       the site: the registry restricts each policy to
@@ -90,7 +90,8 @@ FILE_ANNOT_RE = re.compile(r"por-atomic-file:\s*([a-z-]+)")
 WAIVER_RE = re.compile(r"por-lint:\s*allow\(([a-z-]+)\)\s*(.*)")
 
 # `memory_order_relaxed` used as data, not as an operation's order:
-# switch labels and comparisons (the mc runtime inspects orders).
+# switch labels and comparisons, which inspect an order rather than
+# apply one.
 NON_OP_RES = (
     re.compile(r"^\s*case\b"),
     re.compile(r"[=!]=\s*(?:std::)?memory_order_relaxed"),
